@@ -32,8 +32,8 @@ use serde::{Deserialize, Serialize};
 use varade::{VaradeConfig, VaradeDetector};
 use varade_detectors::AnomalyDetector;
 use varade_fleet::{
-    Fleet, FleetConfig, FleetError, FleetOutcome, IngressQueue, OverloadPolicy, QueueKind,
-    StreamId, TelemetryConfig, TelemetrySnapshot,
+    Fleet, FleetConfig, FleetError, FleetOutcome, OverloadPolicy, StreamId, TelemetryConfig,
+    TelemetrySnapshot,
 };
 use varade_obs::Stage;
 use varade_timeseries::MultivariateSeries;
@@ -166,7 +166,8 @@ pub struct MulticoreResult {
     /// CPU cores available to the run (`std::thread::available_parallelism`;
     /// 0 if unknown). Worker threads beyond this count time-share.
     pub cpu_cores: usize,
-    /// Ingress queue implementation label (`"lock-free-ring"`).
+    /// Ingress queue implementation label. Always `"lock-free-ring"`, the
+    /// fleet's only queue; kept so older reports still load.
     pub queue_impl: String,
     /// Shard worker threads per cell.
     pub workers: usize,
@@ -330,9 +331,7 @@ pub fn run(scale: ExperimentScale) -> Result<MulticoreResult, BenchError> {
         .fold(0.0f64, f64::max);
     Ok(MulticoreResult {
         cpu_cores: std::thread::available_parallelism().map_or(0, |n| n.get()),
-        queue_impl: IngressQueue::new(QueueKind::default(), 1)
-            .label()
-            .to_string(),
+        queue_impl: "lock-free-ring".to_string(),
         workers: spec.workers,
         producer_lanes: spec.lanes,
         streams: spec.streams,

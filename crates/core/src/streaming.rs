@@ -81,35 +81,6 @@ impl PushStats {
     }
 }
 
-/// Per-stage timing of one [`StreamState::admit_timed`] call: how the
-/// admission cost splits between normalization (row materialization +
-/// normalizer transform) and context-window assembly (ring-buffer push +
-/// context copy-out).
-///
-/// `admit_timed` fills in [`AdmitTiming::normalize`] (the only boundary that
-/// needs an interior clock read); the caller — who already times the whole
-/// admission span for its own stats — derives the assembly share with
-/// [`AdmitTiming::finish`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AdmitTiming {
-    /// Time from admission start through the end of the normalizer's
-    /// `transform_row` (zero without a normalizer).
-    pub normalize: Duration,
-    /// Time spent sliding the context window. Derived, not measured:
-    /// [`AdmitTiming::finish`] sets it to `total - normalize`.
-    pub assembly: Duration,
-}
-
-impl AdmitTiming {
-    /// Completes the split given the whole admission span as measured by the
-    /// caller: everything that was not the normalizer transform is window
-    /// assembly. Saturates to zero if clock skew makes `total` come out
-    /// smaller than the normalize span.
-    pub fn finish(&mut self, total: Duration) {
-        self.assembly = total.saturating_sub(self.normalize);
-    }
-}
-
 /// One pending scoring job produced by [`StreamState::admit`]: the context
 /// window that was live when the sample arrived, and the (normalized) sample
 /// itself. The score of the pair is the anomaly score of the sample.
@@ -259,14 +230,24 @@ impl StreamState {
     /// its own detector, alone or batched with other streams — and folds the
     /// timing back in through [`StreamState::record`].
     ///
+    /// With per-stage timing on ([`StreamState::set_stage_timing`]) the
+    /// admission is split into [`PushStats::normalize_time`] (row copy and
+    /// normalizer transform; zero without a normalizer) and
+    /// [`PushStats::assembly_time`] (everything else: ring-buffer push and
+    /// context copy-out), at the cost of up to three span-clock reads. With
+    /// it off, the default, admission reads no clock at all.
+    ///
     /// # Errors
     ///
     /// Returns [`VaradeError::Series`] if the sample width does not match the
     /// channel count.
     pub fn admit(&mut self, sample: &[f32]) -> Result<Option<ScoreRequest>, VaradeError> {
+        let started = self.stage_timing.then(SpanStamp::now);
+        let mut normalized = started;
         let mut row = sample.to_vec();
         if let Some(norm) = &self.normalizer {
             norm.transform_row(&mut row)?;
+            normalized = started.map(|_| SpanStamp::now());
         }
         let request = self.pending_context.take().map(|context| ScoreRequest {
             context,
@@ -275,52 +256,15 @@ impl StreamState {
         if let Some(window) = self.buffer.push(&row)? {
             self.pending_context = Some(window);
         }
-        Ok(request)
-    }
-
-    /// [`StreamState::admit`] with the normalize stage measured into
-    /// `timing.normalize`. Behaviorally identical to `admit` — same
-    /// requests, same errors, same buffer state — at the cost of **one**
-    /// interior clock read (zero without a normalizer): `started` is the
-    /// stamp the caller took when it began the admission (it needs one for
-    /// its own stats anyway), and the single read after `transform_row`
-    /// closes the normalize span. The span therefore covers the row
-    /// materialization the transform operates in place on — nanoseconds
-    /// against the transform itself, and the honest boundary given that the
-    /// copy exists *for* the normalizer. The caller completes the split with
-    /// [`AdmitTiming::finish`]; everything after the transform (ring-buffer
-    /// push, context copy-out) lands in assembly. A `SpanStamp` read is
-    /// ~20 ns on the reference container and the hot path pays for every
-    /// one. The fleet engine and the telemetry-enabled streaming path call
-    /// this; everyone else keeps the untimed `admit`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VaradeError::Series`] if the sample width does not match the
-    /// channel count.
-    pub fn admit_timed(
-        &mut self,
-        sample: &[f32],
-        started: SpanStamp,
-        timing: &mut AdmitTiming,
-    ) -> Result<Option<ScoreRequest>, VaradeError> {
-        let mut row = sample.to_vec();
-        if let Some(norm) = &self.normalizer {
-            norm.transform_row(&mut row)?;
-            timing.normalize = SpanStamp::now().duration_since(started);
-        }
-        let request = self.pending_context.take().map(|context| ScoreRequest {
-            context,
-            row: row.clone(),
-        });
-        if let Some(window) = self.buffer.push(&row)? {
-            self.pending_context = Some(window);
+        if let (Some(started), Some(normalized)) = (started, normalized) {
+            self.stats.normalize_time += normalized.duration_since(started);
+            self.stats.assembly_time += SpanStamp::now().duration_since(normalized);
         }
         Ok(request)
     }
 
-    /// Switches per-stage admission timing on or off: when on, every push
-    /// through [`StreamState::push_against`] splits its admission cost into
+    /// Switches per-stage admission timing on or off: when on, every
+    /// [`StreamState::admit`] (and so every push) splits its cost into
     /// [`PushStats::normalize_time`] and [`PushStats::assembly_time`].
     pub fn set_stage_timing(&mut self, on: bool) {
         if on {
@@ -334,15 +278,6 @@ impl StreamState {
     /// Whether per-stage admission timing is on.
     pub fn stage_timing(&self) -> bool {
         self.stage_timing
-    }
-
-    /// Folds one measured admission split into the stats accumulator — how
-    /// callers that drive [`StreamState::admit_timed`] directly (the fleet
-    /// shards) keep [`PushStats`] stage totals consistent with their own
-    /// histograms.
-    pub fn record_admit_timing(&mut self, timing: AdmitTiming) {
-        self.stats.normalize_time += timing.normalize;
-        self.stats.assembly_time += timing.assembly;
     }
 
     /// Folds one completed push into the stats: `scored` says whether the
@@ -402,16 +337,7 @@ impl StreamState {
         detector: &VaradeDetector,
     ) -> Result<Option<f32>, VaradeError> {
         let push_started = Instant::now();
-        let request = if self.stage_timing {
-            let admit_started = SpanStamp::now();
-            let mut timing = AdmitTiming::default();
-            let request = self.admit_timed(sample, admit_started, &mut timing)?;
-            timing.finish(SpanStamp::now().duration_since(admit_started));
-            self.record_admit_timing(timing);
-            request
-        } else {
-            self.admit(sample)?
-        };
+        let request = self.admit(sample)?;
         let (score, scoring_time) = match request {
             Some(req) => {
                 let scoring_started = Instant::now();
@@ -562,7 +488,8 @@ impl StreamingVarade {
     /// Switches per-stage admission timing on or off (see
     /// [`StreamState::set_stage_timing`]): when on, [`StreamingVarade::stats`]
     /// additionally splits the push cost into normalize and window-assembly
-    /// time, at the cost of four clock reads per push. Off by default.
+    /// time, at the cost of up to three span-clock reads per push. Off by
+    /// default.
     pub fn set_stage_timing(&mut self, on: bool) {
         self.state.set_stage_timing(on);
     }
@@ -840,7 +767,7 @@ mod tests {
     }
 
     #[test]
-    fn admit_timed_matches_admit_and_measures_the_normalizer() {
+    fn stage_timed_admit_matches_untimed_and_measures_the_normalizer() {
         let train_raw = {
             let mut s = MultivariateSeries::new(vec!["a".into(), "b".into()], 10.0).unwrap();
             for t in 0..50 {
@@ -851,27 +778,23 @@ mod tests {
         let normalizer = MinMaxNormalizer::fit(&train_raw).unwrap();
         let mut plain = StreamState::new(2, 4, Some(normalizer.clone())).unwrap();
         let mut timed = StreamState::new(2, 4, Some(normalizer)).unwrap();
-        let mut saw_normalize = false;
+        timed.set_stage_timing(true);
         for t in 0..12 {
             let sample = [t as f32, -(t as f32)];
-            let mut timing = AdmitTiming::default();
             let a = plain.admit(&sample).unwrap();
-            let admit_started = SpanStamp::now();
-            let b = timed
-                .admit_timed(&sample, admit_started, &mut timing)
-                .unwrap();
-            timing.finish(SpanStamp::now().duration_since(admit_started));
+            let b = timed.admit(&sample).unwrap();
             assert_eq!(a, b, "push {t}");
-            saw_normalize |= timing.normalize > Duration::ZERO;
-            timed.record_admit_timing(timing);
         }
-        assert!(saw_normalize, "normalizer span never measured");
+        assert!(
+            timed.stats().normalize_time > Duration::ZERO,
+            "normalizer span never measured"
+        );
         assert!(timed.stats().assembly_time > Duration::ZERO);
+        // The untimed state reads no clock, so it accumulates no split.
+        assert_eq!(plain.stats().normalize_time, Duration::ZERO);
+        assert_eq!(plain.stats().assembly_time, Duration::ZERO);
         // Width validation is preserved.
-        let mut timing = AdmitTiming::default();
-        assert!(timed
-            .admit_timed(&[1.0], SpanStamp::now(), &mut timing)
-            .is_err());
+        assert!(timed.admit(&[1.0]).is_err());
     }
 
     #[test]

@@ -31,12 +31,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use varade::{AdmitTiming, ScoreRequest, StreamState, VaradeDetector};
+use varade::{ScoreRequest, StreamState, VaradeDetector};
 use varade_obs::spanclock::SpanStamp;
 use varade_obs::{FleetEvent, ShardTelemetry, Stage, StageRecorder, Telemetry, TelemetrySnapshot};
 use varade_timeseries::MinMaxNormalizer;
 
-use crate::queue::{Envelope, IngressQueue};
+use crate::queue::{Envelope, RingQueue};
 use crate::{shard_of, FleetConfig, FleetError, FleetStats, GroupModelStats, ShardStats, StreamId};
 
 /// Identifier of one model group — a fitted detector shared by any number of
@@ -386,6 +386,9 @@ impl Fleet {
             n_channels,
         });
         let mut state = StreamState::new(n_channels, window, normalizer)?;
+        // Telemetry's assembly/normalize spans come from the stream's own
+        // admission stage timing.
+        state.set_stage_timing(self.telemetry.is_enabled());
         // Stamp the stream with the version it was planned against, so the
         // first serve round doesn't mistake registration for a swap and
         // spuriously invalidate the fresh cache.
@@ -468,9 +471,9 @@ impl Fleet {
         let lanes = self.config.producer_lanes;
         let telemetry = &self.telemetry;
         // One ingress ring per producer→shard edge, indexed shard-major.
-        let queues: Vec<IngressQueue> = (0..n_shards * lanes)
+        let queues: Vec<RingQueue> = (0..n_shards * lanes)
             .map(|edge| {
-                let mut queue = IngressQueue::new(self.config.queue, self.config.queue_capacity);
+                let mut queue = RingQueue::new(self.config.queue_capacity);
                 if telemetry.is_enabled() {
                     queue.attach_events(Arc::clone(telemetry), (edge % lanes) as u64);
                 }
@@ -630,7 +633,7 @@ impl Fleet {
 
 /// Closes every queue when dropped — normally or during a panic unwind — so
 /// shard workers always see end-of-stream and [`Fleet::run`] can join them.
-struct CloseOnDrop<'a>(&'a [IngressQueue]);
+struct CloseOnDrop<'a>(&'a [RingQueue]);
 
 impl Drop for CloseOnDrop<'_> {
     fn drop(&mut self) {
@@ -648,7 +651,7 @@ impl Drop for CloseOnDrop<'_> {
 /// [`FleetHandle::push_from`] so every producer→shard edge stays
 /// single-producer (the load harness in `varade-bench` does exactly this).
 pub struct FleetHandle<'a> {
-    queues: &'a [IngressQueue],
+    queues: &'a [RingQueue],
     lanes: usize,
     meta: &'a [StreamMeta],
     groups: &'a [ModelSlot],
@@ -787,7 +790,7 @@ impl FleetHandle<'_> {
     pub fn queue_len(&self, shard: usize) -> usize {
         self.queues[shard * self.lanes..(shard + 1) * self.lanes]
             .iter()
-            .map(IngressQueue::len)
+            .map(RingQueue::len)
             .sum()
     }
 }
@@ -953,7 +956,7 @@ struct WorkerCounters {
 fn run_worker(
     shard: usize,
     cells: &[StreamCell],
-    my_queues: &[IngressQueue],
+    my_queues: &[RingQueue],
     groups: &[ModelSlot],
     config: &FleetConfig,
     shared: &SharedState,
@@ -1009,7 +1012,7 @@ fn run_worker(
     WorkerOutput {
         shard,
         counters,
-        dropped: my_queues.iter().map(IngressQueue::dropped).sum(),
+        dropped: my_queues.iter().map(RingQueue::dropped).sum(),
         error,
     }
 }
@@ -1020,7 +1023,7 @@ fn run_worker(
 fn serve_loop(
     shard: usize,
     cells: &[StreamCell],
-    my_queues: &[IngressQueue],
+    my_queues: &[RingQueue],
     groups: &[ModelSlot],
     config: &FleetConfig,
     shared: &SharedState,
@@ -1221,14 +1224,15 @@ struct BatchEntry<'a> {
 ///
 /// When telemetry is enabled (`recorder` is `Some`), each admitted
 /// sample's life is decomposed into per-stage spans: queue wait (enqueue →
-/// pop), window assembly and normalization (via
-/// [`StreamState::admit_timed`]), model forward, and score emission — all
+/// pop), window assembly and normalization (timed inside
+/// [`StreamState::admit`]), model forward, and score emission — all
 /// buffered through the worker's write-local [`StageRecorder`]. The
 /// existing stats path is untouched: `admit_time` is still measured as one
 /// span around the whole admission (all per-sample timers here use
 /// [`SpanStamp`] — same-thread spans, the span clock's cheap case), so
-/// [`varade::PushStats`] and shard accounting are identical with telemetry
-/// on or off.
+/// [`varade::PushStats`] counts and totals and the shard accounting are
+/// measured the same way with telemetry on or off; only the stage split
+/// fields fill in when it is on.
 #[allow(clippy::too_many_arguments)]
 fn run_round(
     shard: usize,
@@ -1279,21 +1283,23 @@ fn run_round(
                 admit_started.nanos_since(enqueued),
             );
         }
-        let mut timing = AdmitTiming::default();
-        let admitted = if recorder.is_some() {
-            slot.state
-                .admit_timed(&pending.sample, admit_started, &mut timing)?
-        } else {
-            slot.state.admit(&pending.sample)?
-        };
+        // With telemetry on, every stream times its admission stages (see
+        // `register_stream`), so this admission's split is its stats delta.
+        let staged_before = recorder.is_some().then(|| slot.state.stats());
+        let admitted = slot.state.admit(&pending.sample)?;
         let admit_time = SpanStamp::now().duration_since(admit_started);
-        if let Some(tel) = recorder.as_deref_mut() {
-            // The admission span the stats path measures anyway completes
-            // the assembly/normalize split — no interior stamps beyond the
-            // one `admit_timed` spends closing the normalize span.
-            timing.finish(admit_time);
-            tel.record_stage(cell.group, Stage::Assembly, timing.assembly);
-            tel.record_stage(cell.group, Stage::Normalize, timing.normalize);
+        if let (Some(tel), Some(before)) = (recorder.as_deref_mut(), staged_before) {
+            let after = slot.state.stats();
+            tel.record_stage(
+                cell.group,
+                Stage::Assembly,
+                after.assembly_time - before.assembly_time,
+            );
+            tel.record_stage(
+                cell.group,
+                Stage::Normalize,
+                after.normalize_time - before.normalize_time,
+            );
         }
         match admitted {
             // Incremental streams score immediately against their own cache:
@@ -1684,16 +1690,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_queue_and_producer_lanes_serve_identically() {
+    fn one_and_three_producer_lanes_serve_identically() {
         let test = wave_series(20);
         let mut score_sets = Vec::new();
-        for (kind, lanes) in [
-            (crate::QueueKind::LockFreeRing, 1),
-            (crate::QueueKind::Mutex, 1),
-            (crate::QueueKind::LockFreeRing, 3),
-        ] {
+        for lanes in [1, 3] {
             let mut fleet = Fleet::new(FleetConfig {
-                queue: kind,
                 producer_lanes: lanes,
                 ..FleetConfig::default()
             })
@@ -1712,9 +1713,8 @@ mod tests {
             assert_eq!(outcome.stats.global.pushes, 20);
             score_sets.push(outcome.scores[stream.index()].clone());
         }
-        // Queue implementation and lane choice change plumbing, not math.
+        // Lane choice changes plumbing, not math.
         assert_eq!(score_sets[0], score_sets[1]);
-        assert_eq!(score_sets[0], score_sets[2]);
     }
 
     #[test]

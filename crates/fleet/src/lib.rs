@@ -14,8 +14,9 @@
 //!   buffer + normalizer + stats, a few KB. A thousand streams cost buffer
 //!   memory, not model copies.
 //! * **Shards** — streams are partitioned across worker threads by a
-//!   deterministic hash of their id ([`shard_of`]). Each shard owns a bounded
-//!   ingress queue; the driver thread feeds samples through a [`FleetHandle`].
+//!   deterministic hash of their id ([`shard_of`]). Each shard owns one
+//!   bounded lock-free ingress ring ([`RingQueue`]) per producer lane; the
+//!   producer threads feed samples through a [`FleetHandle`].
 //! * **Backpressure** — queue overflow behavior is an explicit, tested
 //!   contract ([`OverloadPolicy`]): `Block` the producer, `DropOldest` with a
 //!   drop counter, or `Reject` with a typed error. Overload is never an
@@ -85,7 +86,7 @@ mod stats;
 pub(crate) mod sync;
 
 pub use engine::{Fleet, FleetHandle, FleetOutcome, ModelGroupId};
-pub use queue::{Envelope, IngressQueue, RingQueue, SampleQueue};
+pub use queue::{Envelope, RingQueue};
 pub use stats::{FleetStats, GroupModelStats, ShardStats};
 /// Re-export of the telemetry substrate's configuration and snapshot types,
 /// so fleet consumers can enable and consume telemetry without depending on
@@ -143,36 +144,19 @@ pub enum OverloadPolicy {
     Reject,
 }
 
-/// Which ingress-queue implementation a fleet's shards use.
-///
-/// Both variants share the same contract (overload policies, drop
-/// accounting, close-wakes-blocked-producer); the stress and liveness
-/// batteries in `tests/queue_stress.rs` run against both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Lock-free bounded ring with per-slot sequence stamps and cached
-    /// indices ([`RingQueue`]) — the default, built for real multi-core
-    /// serving where the mutex queue becomes the contention point.
-    #[default]
-    LockFreeRing,
-    /// The original `Mutex<VecDeque>`+`Condvar` queue ([`SampleQueue`]),
-    /// kept selectable as the reference implementation.
-    Mutex,
-}
-
 /// Configuration of a [`Fleet`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Number of worker shards (threads). Streams are hash-partitioned across
     /// them; must be at least 1.
     pub n_shards: usize,
-    /// Bounded capacity of each shard's ingress queue, in samples. Must be at
-    /// least 1; what happens on overflow is [`FleetConfig::overload`]'s call.
+    /// Bounded capacity of each ingress ring ([`RingQueue`]), in samples.
+    /// A shard has one ring per producer lane, so it can hold up to
+    /// `queue_capacity * producer_lanes` samples. Must be at least 1; what
+    /// happens on overflow is [`FleetConfig::overload`]'s call.
     pub queue_capacity: usize,
-    /// Overflow behavior of the ingress queues.
+    /// Overflow behavior of the ingress rings.
     pub overload: OverloadPolicy,
-    /// Ingress-queue implementation (see [`QueueKind`]).
-    pub queue: QueueKind,
     /// Number of producer lanes: each shard gets one ingress ring *per
     /// lane*, so a multi-threaded driver can give every producer thread its
     /// own single-producer edge ([`FleetHandle::push_from`]). Per-stream
@@ -220,7 +204,6 @@ impl Default for FleetConfig {
             n_shards: 1,
             queue_capacity: 1024,
             overload: OverloadPolicy::Block,
-            queue: QueueKind::default(),
             producer_lanes: 1,
             work_stealing: true,
             record_latencies: false,

@@ -1,26 +1,20 @@
 //! Bounded per-shard ingress queues with explicit overload policies.
 //!
-//! Two interchangeable implementations live here behind the [`IngressQueue`]
-//! wrapper, selected by [`crate::QueueKind`]:
-//!
-//! * [`RingQueue`] (the default) — a lock-free bounded ring with per-slot
-//!   sequence stamps (Vyukov-style), atomic head/tail counters and a
-//!   producer-side cached head index. The hot push/drain path never takes a
-//!   lock; a `Mutex`+`Condvar` pair exists only as the *parking lot* for the
-//!   two blocking slow paths ([`OverloadPolicy::Block`] producers on a full
-//!   ring, consumers on an empty one), with a timed backstop so a missed
-//!   wakeup can never hang a thread.
-//! * [`SampleQueue`] (legacy) — the original `Mutex<VecDeque>` with two
-//!   condition variables, kept selectable so the overload-policy and
-//!   shutdown-liveness batteries pin both paths.
+//! [`RingQueue`] is a lock-free bounded ring with per-slot sequence stamps
+//! (Vyukov-style), atomic head/tail counters and a producer-side cached head
+//! index. The engine gives every shard one ring per producer lane. The hot
+//! push/drain path never takes a lock; a `Mutex`+`Condvar` pair exists only
+//! as the *parking lot* for the two blocking slow paths
+//! ([`OverloadPolicy::Block`] producers on a full ring, consumers on an empty
+//! one), with a timed backstop so a missed wakeup can never hang a thread.
+//! Its interleavings are explored exhaustively by `tests/model_check.rs`.
 //!
 //! Every full-queue outcome is decided by the caller's [`OverloadPolicy`],
-//! never by accident, and both implementations share the same exact drop
-//! accounting: a sample is counted in `dropped` if and only if it was
-//! accepted and later evicted by [`OverloadPolicy::DropOldest`].
+//! never by accident, and drop accounting is exact: a sample is counted in
+//! `dropped` if and only if it was accepted and later evicted by
+//! [`OverloadPolicy::DropOldest`].
 
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::sync::Arc;
 use std::time::Duration;
@@ -92,212 +86,6 @@ impl Envelope {
             sample,
             enqueued_at: None,
         }
-    }
-}
-
-struct QueueInner {
-    items: VecDeque<Envelope>,
-    dropped: u64,
-    closed: bool,
-}
-
-/// A bounded MPSC queue of [`Envelope`]s for one shard (legacy path).
-///
-/// Producers call [`SampleQueue::push`] with an [`OverloadPolicy`]; the
-/// shard's worker calls [`SampleQueue::drain`], which blocks while the queue
-/// is empty and open, and keeps returning the remaining backlog after
-/// [`SampleQueue::close`] so a closing fleet never abandons accepted samples.
-pub struct SampleQueue {
-    inner: Mutex<QueueInner>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-    events: Option<QueueEvents>,
-}
-
-impl std::fmt::Debug for SampleQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().expect("queue lock");
-        f.debug_struct("SampleQueue")
-            .field("capacity", &self.capacity)
-            .field("len", &inner.items.len())
-            .field("dropped", &inner.dropped)
-            .field("closed", &inner.closed)
-            .finish()
-    }
-}
-
-impl SampleQueue {
-    /// Creates a queue holding at most `capacity` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (a [`crate::FleetConfig`] validates this
-    /// before any queue is built).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        Self {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::with_capacity(capacity),
-                dropped: 0,
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-            events: None,
-        }
-    }
-
-    /// Number of samples currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("queue lock").items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Samples evicted so far by [`OverloadPolicy::DropOldest`].
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("queue lock").dropped
-    }
-
-    /// Enqueues one sample, resolving a full queue according to `policy`:
-    /// `Block` waits for space, `DropOldest` evicts the head (counting it),
-    /// `Reject` returns [`FleetError::QueueFull`]. `shard` only labels the
-    /// error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::QueueFull`] under `Reject` on a full queue, and
-    /// [`FleetError::Closed`] if the queue has been closed.
-    pub fn push(
-        &self,
-        envelope: Envelope,
-        policy: OverloadPolicy,
-        shard: usize,
-    ) -> Result<(), FleetError> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        if inner.closed {
-            return Err(FleetError::Closed);
-        }
-        if inner.items.len() == self.capacity {
-            match policy {
-                OverloadPolicy::Block => {
-                    if let Some(events) = &self.events {
-                        events.park(true);
-                    }
-                    while inner.items.len() == self.capacity && !inner.closed {
-                        inner = self.not_full.wait(inner).expect("queue lock");
-                    }
-                    if let Some(events) = &self.events {
-                        events.unpark(true);
-                    }
-                    if inner.closed {
-                        return Err(FleetError::Closed);
-                    }
-                }
-                OverloadPolicy::DropOldest => {
-                    let evicted = inner.items.pop_front();
-                    inner.dropped += 1;
-                    if let (Some(events), Some(evicted)) = (&self.events, evicted) {
-                        events.drop_sample(evicted.stream);
-                    }
-                }
-                OverloadPolicy::Reject => {
-                    return Err(FleetError::QueueFull {
-                        stream: envelope.stream,
-                        shard,
-                    });
-                }
-            }
-        }
-        inner.items.push_back(envelope);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Removes and returns up to `max` samples in arrival order, blocking
-    /// while the queue is empty and open. Returns `None` only once the queue
-    /// is closed *and* fully drained — the worker's signal to exit without
-    /// ever abandoning accepted samples.
-    pub fn drain(&self, max: usize) -> Option<Vec<Envelope>> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        let mut parked = false;
-        while inner.items.is_empty() {
-            if inner.closed {
-                if parked {
-                    if let Some(events) = &self.events {
-                        events.unpark(false);
-                    }
-                }
-                return None;
-            }
-            if !parked {
-                parked = true;
-                if let Some(events) = &self.events {
-                    events.park(false);
-                }
-            }
-            inner = self.not_empty.wait(inner).expect("queue lock");
-        }
-        if parked {
-            if let Some(events) = &self.events {
-                events.unpark(false);
-            }
-        }
-        let take = inner.items.len().min(max);
-        let batch: Vec<Envelope> = inner.items.drain(..take).collect();
-        drop(inner);
-        self.not_full.notify_all();
-        Some(batch)
-    }
-
-    /// Non-blocking variant of [`SampleQueue::drain`]: removes and returns up
-    /// to `max` samples in arrival order, returning an empty vector (never
-    /// waiting) when the queue is currently empty.
-    pub fn try_drain(&self, max: usize) -> Vec<Envelope> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        let take = inner.items.len().min(max);
-        let batch: Vec<Envelope> = inner.items.drain(..take).collect();
-        drop(inner);
-        if !batch.is_empty() {
-            self.not_full.notify_all();
-        }
-        batch
-    }
-
-    /// Closes the queue: subsequent pushes fail with [`FleetError::Closed`],
-    /// blocked pushers wake up, and [`SampleQueue::drain`] returns the
-    /// backlog until empty, then `None`.
-    pub fn close(&self) {
-        self.inner.lock().expect("queue lock").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Whether [`SampleQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue lock").closed
-    }
-
-    /// Connects the queue's slow-path events (drops, park/unpark) to the
-    /// fleet's telemetry substrate. `lane` labels which producer lane this
-    /// queue serves.
-    pub fn attach_events(&mut self, telemetry: Arc<Telemetry>, lane: u64) {
-        self.events = Some(QueueEvents { telemetry, lane });
-    }
-
-    /// Whether the queue is closed and empty. The mutex linearizes pushes
-    /// against [`SampleQueue::close`], so "closed and empty" is already a
-    /// stable end-of-stream verdict here (unlike the lock-free ring, which
-    /// additionally tracks in-flight pushes).
-    pub fn is_quiescent(&self) -> bool {
-        let inner = self.inner.lock().expect("queue lock");
-        inner.closed && inner.items.is_empty()
     }
 }
 
@@ -859,131 +647,11 @@ impl Drop for RingQueue {
     }
 }
 
-/// The shard-facing queue: one of the two implementations, same contract.
-///
-/// [`crate::FleetConfig::queue`] picks the variant; the engine and the test
-/// batteries are written against this wrapper so every behavior
-/// (overload policies, drop accounting, close-wakes-blocked-producer,
-/// drain-to-empty shutdown) is pinned on both paths.
-#[derive(Debug)]
-pub enum IngressQueue {
-    /// The lock-free ring (default).
-    Ring(RingQueue),
-    /// The legacy `Mutex<VecDeque>`+`Condvar` queue.
-    Legacy(SampleQueue),
-}
-
-impl IngressQueue {
-    /// Builds the queue variant selected by `kind`.
-    pub fn new(kind: crate::QueueKind, capacity: usize) -> Self {
-        match kind {
-            crate::QueueKind::LockFreeRing => IngressQueue::Ring(RingQueue::new(capacity)),
-            crate::QueueKind::Mutex => IngressQueue::Legacy(SampleQueue::new(capacity)),
-        }
-    }
-
-    /// See [`RingQueue::push`] / [`SampleQueue::push`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::QueueFull`] under [`OverloadPolicy::Reject`] on
-    /// a full queue, and [`FleetError::Closed`] after a close.
-    pub fn push(
-        &self,
-        envelope: Envelope,
-        policy: OverloadPolicy,
-        shard: usize,
-    ) -> Result<(), FleetError> {
-        match self {
-            IngressQueue::Ring(q) => q.push(envelope, policy, shard),
-            IngressQueue::Legacy(q) => q.push(envelope, policy, shard),
-        }
-    }
-
-    /// Non-blocking drain of up to `max` samples (empty vector when idle).
-    pub fn try_drain(&self, max: usize) -> Vec<Envelope> {
-        match self {
-            IngressQueue::Ring(q) => q.try_drain(max),
-            IngressQueue::Legacy(q) => q.try_drain(max),
-        }
-    }
-
-    /// Blocking drain; `None` once closed and fully drained.
-    pub fn drain(&self, max: usize) -> Option<Vec<Envelope>> {
-        match self {
-            IngressQueue::Ring(q) => q.drain(max),
-            IngressQueue::Legacy(q) => q.drain(max),
-        }
-    }
-
-    /// Closes the queue, waking parked producers and consumers.
-    pub fn close(&self) {
-        match self {
-            IngressQueue::Ring(q) => q.close(),
-            IngressQueue::Legacy(q) => q.close(),
-        }
-    }
-
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        match self {
-            IngressQueue::Ring(q) => q.is_closed(),
-            IngressQueue::Legacy(q) => q.is_closed(),
-        }
-    }
-
-    /// Connects slow-path queue events (sample drops under
-    /// [`OverloadPolicy::DropOldest`], producer/consumer park and unpark)
-    /// to the fleet's telemetry substrate. Called by the engine at serve-
-    /// window setup when telemetry is enabled; without it the queue records
-    /// nothing.
-    pub fn attach_events(&mut self, telemetry: Arc<Telemetry>, lane: u64) {
-        match self {
-            IngressQueue::Ring(q) => q.attach_events(telemetry, lane),
-            IngressQueue::Legacy(q) => q.attach_events(telemetry, lane),
-        }
-    }
-
-    /// Whether the queue is closed and nothing can ever arrive again.
-    pub fn is_quiescent(&self) -> bool {
-        match self {
-            IngressQueue::Ring(q) => q.is_quiescent(),
-            IngressQueue::Legacy(q) => q.is_quiescent(),
-        }
-    }
-
-    /// Number of samples currently queued (racy snapshot on the ring).
-    pub fn len(&self) -> usize {
-        match self {
-            IngressQueue::Ring(q) => q.len(),
-            IngressQueue::Legacy(q) => q.len(),
-        }
-    }
-
-    /// Whether the queue is currently empty (racy snapshot on the ring).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Samples evicted so far by [`OverloadPolicy::DropOldest`].
-    pub fn dropped(&self) -> u64 {
-        match self {
-            IngressQueue::Ring(q) => q.dropped(),
-            IngressQueue::Legacy(q) => q.dropped(),
-        }
-    }
-
-    /// Human label for reports (`BenchReport`'s `multicore.queue_impl`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            IngressQueue::Ring(_) => "lock-free-ring",
-            IngressQueue::Legacy(_) => "mutex-vecdeque",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    // The cross-thread interleaving battery lives in tests/queue_stress.rs
+    // and the exhaustive one in tests/model_check.rs; these are the
+    // single-threaded semantics plus the two blocking slow paths.
     use super::*;
     use std::sync::Arc;
 
@@ -991,129 +659,7 @@ mod tests {
         Envelope::new(StreamId(stream), vec![value])
     }
 
-    fn values(queue: &SampleQueue) -> Vec<f32> {
-        queue
-            .drain(usize::MAX)
-            .map(|batch| batch.iter().map(|e| e.sample[0]).collect())
-            .unwrap_or_default()
-    }
-
-    #[test]
-    fn drop_oldest_evicts_the_head_and_counts_it() {
-        let queue = SampleQueue::new(3);
-        for v in 0..3 {
-            queue
-                .push(envelope(0, v as f32), OverloadPolicy::DropOldest, 0)
-                .unwrap();
-        }
-        assert_eq!(queue.len(), 3);
-        // Saturated: pushing 3.0 and 4.0 must evict exactly 0.0 then 1.0 —
-        // the *oldest* samples — and count each eviction.
-        queue
-            .push(envelope(0, 3.0), OverloadPolicy::DropOldest, 0)
-            .unwrap();
-        queue
-            .push(envelope(0, 4.0), OverloadPolicy::DropOldest, 0)
-            .unwrap();
-        assert_eq!(queue.dropped(), 2);
-        assert_eq!(values(&queue), vec![2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn reject_surfaces_a_typed_error_and_keeps_the_queue_intact() {
-        let queue = SampleQueue::new(2);
-        queue
-            .push(envelope(1, 1.0), OverloadPolicy::Reject, 7)
-            .unwrap();
-        queue
-            .push(envelope(1, 2.0), OverloadPolicy::Reject, 7)
-            .unwrap();
-        let err = queue
-            .push(envelope(9, 3.0), OverloadPolicy::Reject, 7)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            FleetError::QueueFull {
-                stream: StreamId(9),
-                shard: 7
-            }
-        );
-        assert_eq!(queue.dropped(), 0);
-        assert_eq!(values(&queue), vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn block_waits_for_space_and_never_loses_data() {
-        let queue = Arc::new(SampleQueue::new(2));
-        let producer = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || {
-                for v in 0..50 {
-                    queue
-                        .push(envelope(0, v as f32), OverloadPolicy::Block, 0)
-                        .unwrap();
-                }
-            })
-        };
-        let mut seen = Vec::new();
-        while seen.len() < 50 {
-            // Consume slowly so the producer actually hits the full queue.
-            std::thread::sleep(Duration::from_micros(200));
-            if let Some(batch) = queue.drain(3) {
-                seen.extend(batch.iter().map(|e| e.sample[0]));
-            }
-        }
-        producer.join().unwrap();
-        assert_eq!(seen, (0..50).map(|v| v as f32).collect::<Vec<_>>());
-        assert_eq!(queue.dropped(), 0);
-    }
-
-    #[test]
-    fn close_wakes_consumers_and_flushes_the_backlog() {
-        let queue = SampleQueue::new(4);
-        queue
-            .push(envelope(0, 1.0), OverloadPolicy::Block, 0)
-            .unwrap();
-        queue
-            .push(envelope(0, 2.0), OverloadPolicy::Block, 0)
-            .unwrap();
-        queue.close();
-        // The backlog survives the close ...
-        assert_eq!(values(&queue), vec![1.0, 2.0]);
-        // ... then the consumer sees end-of-stream and producers are refused.
-        assert!(queue.drain(usize::MAX).is_none());
-        assert_eq!(
-            queue.push(envelope(0, 3.0), OverloadPolicy::Block, 0),
-            Err(FleetError::Closed)
-        );
-    }
-
-    #[test]
-    fn close_unblocks_a_waiting_producer() {
-        let queue = Arc::new(SampleQueue::new(1));
-        queue
-            .push(envelope(0, 1.0), OverloadPolicy::Block, 0)
-            .unwrap();
-        let blocked = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(envelope(0, 2.0), OverloadPolicy::Block, 0))
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        queue.close();
-        assert_eq!(blocked.join().unwrap(), Err(FleetError::Closed));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let _ = SampleQueue::new(0);
-    }
-
-    // ---- RingQueue: the same contract on the lock-free path. The
-    // cross-thread interleaving battery lives in tests/queue_stress.rs;
-    // these are the single-threaded semantics.
-
-    fn ring_values(queue: &RingQueue) -> Vec<f32> {
+    fn values(queue: &RingQueue) -> Vec<f32> {
         queue
             .try_drain(usize::MAX)
             .iter()
@@ -1130,10 +676,10 @@ mod tests {
                 .push(envelope(0, v as f32), OverloadPolicy::Reject, 0)
                 .unwrap();
             if v % 3 == 2 {
-                out.extend(ring_values(&queue));
+                out.extend(values(&queue));
             }
         }
-        out.extend(ring_values(&queue));
+        out.extend(values(&queue));
         assert_eq!(out, (0..20).map(|v| v as f32).collect::<Vec<_>>());
     }
 
@@ -1146,7 +692,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(queue.dropped(), 2);
-        assert_eq!(ring_values(&queue), vec![2.0, 3.0, 4.0]);
+        assert_eq!(values(&queue), vec![2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -1166,7 +712,7 @@ mod tests {
             }
         );
         assert_eq!(queue.len(), 1);
-        assert_eq!(ring_values(&queue), vec![1.0]);
+        assert_eq!(values(&queue), vec![1.0]);
     }
 
     #[test]
@@ -1195,20 +741,43 @@ mod tests {
     }
 
     #[test]
-    fn ingress_queue_builds_the_configured_kind() {
-        let ring = IngressQueue::new(crate::QueueKind::LockFreeRing, 8);
-        let legacy = IngressQueue::new(crate::QueueKind::Mutex, 8);
-        assert_eq!(ring.label(), "lock-free-ring");
-        assert_eq!(legacy.label(), "mutex-vecdeque");
-        for queue in [&ring, &legacy] {
-            queue
-                .push(envelope(0, 1.0), OverloadPolicy::Block, 0)
-                .unwrap();
-            assert_eq!(queue.len(), 1);
-            assert_eq!(queue.try_drain(usize::MAX).len(), 1);
-            assert!(queue.is_empty());
-            queue.close();
-            assert!(queue.is_closed());
+    fn block_waits_for_space_and_never_loses_data() {
+        let queue = Arc::new(RingQueue::new(2));
+        let producer = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                for v in 0..50 {
+                    queue
+                        .push(envelope(0, v as f32), OverloadPolicy::Block, 0)
+                        .unwrap();
+                }
+            })
+        };
+        let mut seen = Vec::new();
+        while seen.len() < 50 {
+            // Consume slowly so the producer actually hits the full ring.
+            std::thread::sleep(Duration::from_micros(200));
+            if let Some(batch) = queue.drain(3) {
+                seen.extend(batch.iter().map(|e| e.sample[0]));
+            }
         }
+        producer.join().unwrap();
+        assert_eq!(seen, (0..50).map(|v| v as f32).collect::<Vec<_>>());
+        assert_eq!(queue.dropped(), 0);
+    }
+
+    #[test]
+    fn close_unblocks_a_waiting_producer() {
+        let queue = Arc::new(RingQueue::new(1));
+        queue
+            .push(envelope(0, 1.0), OverloadPolicy::Block, 0)
+            .unwrap();
+        let blocked = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || queue.push(envelope(0, 2.0), OverloadPolicy::Block, 0))
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        queue.close();
+        assert_eq!(blocked.join().unwrap(), Err(FleetError::Closed));
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use varade::{VaradeConfig, VaradeDetector};
-use varade_fleet::{Fleet, FleetConfig, FleetError, OverloadPolicy, QueueKind, StreamId};
+use varade_fleet::{Fleet, FleetConfig, FleetError, OverloadPolicy, StreamId};
 use varade_timeseries::MultivariateSeries;
 
 const SAMPLES: usize = 120;
@@ -36,15 +36,10 @@ fn fitted_detector() -> Arc<VaradeDetector> {
 }
 
 fn saturated_fleet(policy: OverloadPolicy) -> (Fleet, StreamId) {
-    saturated_fleet_on(policy, QueueKind::default())
-}
-
-fn saturated_fleet_on(policy: OverloadPolicy, queue: QueueKind) -> (Fleet, StreamId) {
     let mut fleet = Fleet::new(FleetConfig {
         n_shards: 1,
         queue_capacity: 4,
         overload: policy,
-        queue,
         chaos_round_delay: Some(Duration::from_millis(2)),
         ..FleetConfig::default()
     })
@@ -125,40 +120,4 @@ fn reject_surfaces_a_typed_error_to_the_producer() {
     // Nothing was dropped silently: Reject leaves the queue intact, and the
     // samples accepted before the refusal were all processed.
     assert!(fleet.stream_stats(stream).unwrap().pushes > 0);
-}
-
-#[test]
-fn overload_contracts_hold_on_the_legacy_queue_too() {
-    // The same saturation contracts on the Mutex+Condvar path: Block
-    // conserves, DropOldest balances the ledger.
-    let (mut fleet, stream) = saturated_fleet_on(OverloadPolicy::Block, QueueKind::Mutex);
-    let (_, outcome) = fleet
-        .run(|handle| {
-            for t in 0..SAMPLES {
-                handle.push(stream, &[t as f32 * 0.01])?;
-            }
-            Ok(())
-        })
-        .unwrap();
-    assert_eq!(outcome.stats.global.pushes, SAMPLES as u64);
-    assert_eq!(outcome.stats.dropped, 0);
-    assert_eq!(outcome.stats.global.scores, (SAMPLES - 8) as u64);
-
-    let (mut fleet, stream) = saturated_fleet_on(OverloadPolicy::DropOldest, QueueKind::Mutex);
-    let (_, outcome) = fleet
-        .run(|handle| {
-            for t in 0..SAMPLES {
-                handle.push(stream, &[t as f32 * 0.01])?;
-            }
-            Ok(())
-        })
-        .unwrap();
-    assert!(
-        outcome.stats.dropped > 0,
-        "saturation did not drop anything"
-    );
-    assert_eq!(
-        outcome.stats.global.pushes + outcome.stats.dropped,
-        SAMPLES as u64
-    );
 }

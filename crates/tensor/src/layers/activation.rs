@@ -10,33 +10,6 @@ use crate::layers::incremental::{cache_mismatch, CacheNode, IncrementalCache, St
 use crate::profile::{ComputeProfile, ExecutionUnit};
 use crate::{Layer, Tensor, TensorError};
 
-/// Shared incremental step for the element-wise layers: apply the kernel to
-/// whatever flows past, preserving the step's kind and phase stream.
-fn elementwise_incremental(
-    layer: &'static str,
-    apply: impl Fn(&[f32], &mut [f32]),
-    infer: impl Fn(&Tensor) -> Result<Tensor, TensorError>,
-    step: StreamStep,
-    cache: &mut IncrementalCache,
-) -> Result<Option<StreamStep>, TensorError> {
-    if !matches!(cache.node, CacheNode::Elementwise) {
-        return Err(cache_mismatch(layer));
-    }
-    let mapped = |values: Vec<f32>| {
-        let mut out = vec![0.0f32; values.len()];
-        apply(&values, &mut out);
-        out
-    };
-    Ok(Some(match step {
-        StreamStep::Column { stream, values } => StreamStep::Column {
-            stream,
-            values: mapped(values),
-        },
-        StreamStep::Features(values) => StreamStep::Features(mapped(values)),
-        StreamStep::Window(x) => StreamStep::Window(infer(&x)?),
-    }))
-}
-
 /// Rectified linear unit: `max(0, x)` applied element-wise to any shape.
 ///
 /// # Examples
@@ -105,14 +78,23 @@ impl Layer for Relu {
         step: StreamStep,
         cache: &mut IncrementalCache,
     ) -> Result<Option<StreamStep>, TensorError> {
+        if !matches!(cache.node, CacheNode::Elementwise) {
+            return Err(cache_mismatch("relu"));
+        }
+        // Whatever flows past keeps its step kind and phase stream.
         let backend = self.backend.backend();
-        elementwise_incremental(
-            "relu",
-            |x, out| backend.relu(x, out),
-            |x| self.forward_infer(x),
-            step,
-            cache,
-        )
+        let relu = |values: Vec<f32>| {
+            let mut out = vec![0.0f32; values.len()];
+            backend.relu(&values, &mut out);
+            out
+        };
+        Ok(Some(match step {
+            StreamStep::Column { stream, values } => StreamStep::Column {
+                stream,
+                values: relu(values),
+            },
+            StreamStep::Features(values) => StreamStep::Features(relu(values)),
+        }))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
@@ -201,28 +183,6 @@ impl Layer for Tanh {
 
     fn forward_infer(&self, input: &Tensor) -> Result<Tensor, TensorError> {
         Ok(self.apply(input))
-    }
-
-    fn make_incremental_cache(
-        &self,
-        _input_shape: &[usize],
-    ) -> Result<IncrementalCache, TensorError> {
-        Ok(IncrementalCache::elementwise())
-    }
-
-    fn forward_incremental(
-        &self,
-        step: StreamStep,
-        cache: &mut IncrementalCache,
-    ) -> Result<Option<StreamStep>, TensorError> {
-        let backend = self.backend.backend();
-        elementwise_incremental(
-            "tanh",
-            |x, out| backend.tanh(x, out),
-            |x| self.forward_infer(x),
-            step,
-            cache,
-        )
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {

@@ -315,22 +315,28 @@ impl Layer for Conv1d {
                 ),
             });
         }
-        // The phase tree pairs every consecutive column, which matches the
-        // full pass only when the window tiles exactly into pairs: an odd
-        // time length leaves forward_infer's last column unpaired while the
-        // phased path would pair across it — silently different numbers. Odd
-        // lengths take the replay fallback instead (correct, no savings).
-        if self.kernel_size == 2
-            && self.stride == 2
-            && self.padding == 0
-            && input_shape[2].is_multiple_of(2)
+        // Only unpadded kernel-2/stride-2 convolutions stream: padded or
+        // overlapping kernels couple output columns to the window edges. The
+        // phase tree pairs every consecutive column, which matches the full
+        // pass only when the window tiles exactly into pairs: an odd time
+        // length leaves forward_infer's last column unpaired while the phased
+        // path would pair across it — silently different numbers.
+        if self.kernel_size != 2
+            || self.stride != 2
+            || self.padding != 0
+            || !input_shape[2].is_multiple_of(2)
         {
-            Ok(IncrementalCache::conv_k2s2(self.in_channels))
-        } else {
-            // Padded / overlapping kernels couple output columns to the
-            // window edges; buffer the window and replay the full pass.
-            Ok(IncrementalCache::replay(self.in_channels, input_shape[2]))
+            return Err(TensorError::InvalidInput {
+                layer: "conv1d",
+                reason: format!(
+                    "incremental streaming needs an unpadded kernel-2/stride-2 \
+                     convolution over an even time length, got kernel {} stride {} \
+                     padding {} over {}",
+                    self.kernel_size, self.stride, self.padding, input_shape[2]
+                ),
+            });
         }
+        Ok(IncrementalCache::conv_k2s2(self.in_channels))
     }
 
     fn forward_incremental(
@@ -338,78 +344,72 @@ impl Layer for Conv1d {
         step: StreamStep,
         cache: &mut IncrementalCache,
     ) -> Result<Option<StreamStep>, TensorError> {
-        match &mut cache.node {
-            CacheNode::ConvK2S2(state) => match step {
-                StreamStep::Window(x) => Ok(Some(StreamStep::Window(self.forward_infer(&x)?))),
-                StreamStep::Column { stream, values } => {
-                    if values.len() != self.in_channels {
-                        return Err(TensorError::InvalidInput {
-                            layer: "conv1d",
-                            reason: format!(
-                                "column of {} values, expected {}",
-                                values.len(),
-                                self.in_channels
-                            ),
-                        });
-                    }
-                    incremental::grow_to(&mut state.streams, stream);
-                    let phase = &mut state.streams[stream];
-                    let index = phase.seen;
-                    phase.seen += 1;
-                    let Some(prev) = phase.prev.replace(values) else {
-                        // First element of this phase stream: nothing to pair.
-                        return Ok(None);
-                    };
-                    let new = phase.prev.as_ref().expect("column stored above");
-                    for ic in 0..self.in_channels {
-                        state.packed[ic * 2] = prev[ic];
-                        state.packed[ic * 2 + 1] = new[ic];
-                    }
-                    let mut out = vec![0.0f32; self.out_channels];
-                    // One output column is the t = 2 / out_len = 1 case of the
-                    // backbone kernel — same backend (quantized plane
-                    // included), same per-column association as the full pass.
-                    if let Some(plane) = &self.quant {
-                        quant::conv1d_k2s2_q8(
-                            &state.packed,
-                            plane,
-                            self.bias.as_slice(),
-                            &mut out,
-                            1,
-                            self.in_channels,
-                            self.out_channels,
-                            2,
-                            1,
-                        );
-                    } else {
-                        self.backend.backend().conv1d_k2s2(
-                            &state.packed,
-                            self.weight.as_slice(),
-                            self.bias.as_slice(),
-                            &mut out,
-                            1,
-                            self.in_channels,
-                            self.out_channels,
-                            2,
-                            1,
-                        );
-                    }
-                    // The pair covers elements (index - 1, index): it starts
-                    // on an even element exactly when `index` is odd, which
-                    // routes it to the even phase child `2 * stream`.
-                    let child = 2 * stream + usize::from(index % 2 == 0);
-                    Ok(Some(StreamStep::Column {
-                        stream: child,
-                        values: out,
-                    }))
-                }
-                other @ StreamStep::Features(_) => Err(step_mismatch("conv1d", &other)),
-            },
-            CacheNode::Replay(replay) => {
-                incremental::replay_forward("conv1d", replay, step, |x| self.forward_infer(x))
-            }
-            _ => Err(cache_mismatch("conv1d")),
+        let CacheNode::ConvK2S2(state) = &mut cache.node else {
+            return Err(cache_mismatch("conv1d"));
+        };
+        let StreamStep::Column { stream, values } = step else {
+            return Err(step_mismatch("conv1d", &step));
+        };
+        if values.len() != self.in_channels {
+            return Err(TensorError::InvalidInput {
+                layer: "conv1d",
+                reason: format!(
+                    "column of {} values, expected {}",
+                    values.len(),
+                    self.in_channels
+                ),
+            });
         }
+        incremental::grow_to(&mut state.streams, stream);
+        let phase = &mut state.streams[stream];
+        let index = phase.seen;
+        phase.seen += 1;
+        let Some(prev) = phase.prev.replace(values) else {
+            // First element of this phase stream: nothing to pair.
+            return Ok(None);
+        };
+        let new = phase.prev.as_ref().expect("column stored above");
+        for ic in 0..self.in_channels {
+            state.packed[ic * 2] = prev[ic];
+            state.packed[ic * 2 + 1] = new[ic];
+        }
+        let mut out = vec![0.0f32; self.out_channels];
+        // One output column is the t = 2 / out_len = 1 case of the
+        // backbone kernel — same backend (quantized plane
+        // included), same per-column association as the full pass.
+        if let Some(plane) = &self.quant {
+            quant::conv1d_k2s2_q8(
+                &state.packed,
+                plane,
+                self.bias.as_slice(),
+                &mut out,
+                1,
+                self.in_channels,
+                self.out_channels,
+                2,
+                1,
+            );
+        } else {
+            self.backend.backend().conv1d_k2s2(
+                &state.packed,
+                self.weight.as_slice(),
+                self.bias.as_slice(),
+                &mut out,
+                1,
+                self.in_channels,
+                self.out_channels,
+                2,
+                1,
+            );
+        }
+        // The pair covers elements (index - 1, index): it starts
+        // on an even element exactly when `index` is odd, which
+        // routes it to the even phase child `2 * stream`.
+        let child = 2 * stream + usize::from(index % 2 == 0);
+        Ok(Some(StreamStep::Column {
+            stream: child,
+            values: out,
+        }))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {

@@ -23,12 +23,16 @@
 //!
 //! State per convolution is one remembered column per phase stream (the
 //! degenerate ring buffer the pairing needs); the flatten layer keeps the
-//! previous `T - 1` columns of each leaf stream. Layers whose output columns
-//! depend on window edges (same-padded convolutions, residual blocks) cannot
-//! stream columns exactly; they fall back to a *replay* cache that buffers
-//! their input window and re-runs [`crate::Layer::forward_infer`], which
-//! keeps any composition correct at full-recompute cost for the layers after
-//! the fallback.
+//! previous `T - 1` columns of each leaf stream.
+//!
+//! Only the layers VARADE is built from stream: unpadded kernel-2/stride-2
+//! convolutions over even time lengths, ReLU, flatten and linear. Anything
+//! else — a padded or overlapping convolution, an odd window, a residual
+//! block, the LSTM — cannot stream columns exactly, so planning its cache
+//! ([`crate::Layer::make_incremental_cache`]) fails with
+//! [`TensorError::InvalidInput`] instead of silently falling back to a
+//! full recompute. Such models score through
+//! [`crate::Layer::forward_infer`] only.
 //!
 //! All column kernels dispatch through the selected
 //! [`Backend`](crate::backend::Backend) — a column is just a `t = 2`,
@@ -39,7 +43,7 @@
 
 use std::collections::VecDeque;
 
-use crate::{Tensor, TensorError};
+use crate::TensorError;
 
 /// One unit of work flowing through an incremental pipeline.
 #[derive(Debug, Clone)]
@@ -56,10 +60,6 @@ pub enum StreamStep {
     },
     /// A flattened feature vector (post-[`crate::layers::Flatten`]).
     Features(Vec<f32>),
-    /// A full `[1, channels, time]` window emitted by a replay-fallback
-    /// layer; downstream layers process it with
-    /// [`crate::Layer::forward_infer`].
-    Window(Tensor),
 }
 
 /// Per-layer state for [`crate::Layer::forward_incremental`], created by
@@ -80,8 +80,6 @@ pub(crate) enum CacheNode {
     Flatten(FlattenCache),
     /// Stateless dense head.
     Linear,
-    /// Ring-buffered input window of a replay-fallback layer.
-    Replay(ReplayCache),
     /// One child cache per layer of a container.
     Seq(Vec<IncrementalCache>),
 }
@@ -116,16 +114,6 @@ pub(crate) struct FlattenCache {
     pub(crate) streams: Vec<VecDeque<Vec<f32>>>,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct ReplayCache {
-    /// The layer's input window length.
-    pub(crate) time: usize,
-    /// Channels per column.
-    pub(crate) channels: usize,
-    /// The last `time` columns, oldest first.
-    pub(crate) cols: VecDeque<Vec<f32>>,
-}
-
 impl IncrementalCache {
     pub(crate) fn conv_k2s2(in_channels: usize) -> Self {
         Self {
@@ -158,16 +146,6 @@ impl IncrementalCache {
         }
     }
 
-    pub(crate) fn replay(channels: usize, time: usize) -> Self {
-        Self {
-            node: CacheNode::Replay(ReplayCache {
-                time,
-                channels,
-                cols: VecDeque::with_capacity(time),
-            }),
-        }
-    }
-
     pub(crate) fn seq(children: Vec<IncrementalCache>) -> Self {
         Self {
             node: CacheNode::Seq(children),
@@ -183,7 +161,6 @@ impl IncrementalCache {
         match &mut self.node {
             CacheNode::ConvK2S2(c) => c.streams.clear(),
             CacheNode::Flatten(f) => f.streams.clear(),
-            CacheNode::Replay(r) => r.cols.clear(),
             CacheNode::Seq(children) => children.iter_mut().for_each(IncrementalCache::clear),
             CacheNode::Elementwise | CacheNode::Linear => {}
         }
@@ -203,7 +180,6 @@ pub(crate) fn step_mismatch(layer: &'static str, got: &StreamStep) -> TensorErro
     let kind = match got {
         StreamStep::Column { .. } => "column",
         StreamStep::Features(_) => "features",
-        StreamStep::Window(_) => "window",
     };
     TensorError::InvalidInput {
         layer,
@@ -215,53 +191,6 @@ pub(crate) fn step_mismatch(layer: &'static str, got: &StreamStep) -> TensorErro
 pub(crate) fn grow_to<T: Default>(streams: &mut Vec<T>, stream: usize) {
     if stream >= streams.len() {
         streams.resize_with(stream + 1, T::default);
-    }
-}
-
-/// Shared replay-fallback step: buffer the incoming column (root stream
-/// only — a replay layer below a strided conv would interleave phase streams
-/// into one ring, silently corrupting the window) and, once the ring holds a
-/// full input window, re-run the layer's full inference pass over it.
-pub(crate) fn replay_forward(
-    layer: &'static str,
-    r: &mut ReplayCache,
-    step: StreamStep,
-    forward: impl FnOnce(&Tensor) -> Result<Tensor, TensorError>,
-) -> Result<Option<StreamStep>, TensorError> {
-    match step {
-        StreamStep::Window(x) => Ok(Some(StreamStep::Window(forward(&x)?))),
-        StreamStep::Column { stream, values } => {
-            if stream != 0 {
-                return Err(TensorError::InvalidInput {
-                    layer,
-                    reason: "replay fallback supports only the unsplit root stream \
-                             (no strided convolution upstream)"
-                        .into(),
-                });
-            }
-            if values.len() != r.channels {
-                return Err(TensorError::InvalidInput {
-                    layer,
-                    reason: format!("column of {} values, expected {}", values.len(), r.channels),
-                });
-            }
-            if r.cols.len() == r.time {
-                r.cols.pop_front();
-            }
-            r.cols.push_back(values);
-            if r.cols.len() < r.time {
-                return Ok(None);
-            }
-            let mut data = vec![0.0f32; r.channels * r.time];
-            for (t, col) in r.cols.iter().enumerate() {
-                for (c, &v) in col.iter().enumerate() {
-                    data[c * r.time + t] = v;
-                }
-            }
-            let x = Tensor::from_vec(data, &[1, r.channels, r.time])?;
-            Ok(Some(StreamStep::Window(forward(&x)?)))
-        }
-        other @ StreamStep::Features(_) => Err(step_mismatch(layer, &other)),
     }
 }
 
@@ -282,11 +211,7 @@ mod tests {
         if let CacheNode::Flatten(f) = &mut flat.node {
             f.streams.push(VecDeque::from([vec![1.0, 2.0]]));
         }
-        let mut replay = IncrementalCache::replay(2, 4);
-        if let CacheNode::Replay(r) = &mut replay.node {
-            r.cols.push_back(vec![0.0, 0.0]);
-        }
-        let mut seq = IncrementalCache::seq(vec![conv, flat, replay]);
+        let mut seq = IncrementalCache::seq(vec![conv, flat]);
         seq.clear();
         let CacheNode::Seq(children) = &seq.node else {
             panic!("seq node survived clear");
@@ -295,72 +220,8 @@ mod tests {
             match &child.node {
                 CacheNode::ConvK2S2(c) => assert!(c.streams.is_empty()),
                 CacheNode::Flatten(f) => assert!(f.streams.is_empty()),
-                CacheNode::Replay(r) => assert!(r.cols.is_empty()),
                 _ => {}
             }
         }
-    }
-
-    #[test]
-    fn replay_emits_only_once_the_ring_is_full() {
-        let mut r = ReplayCache {
-            time: 3,
-            channels: 1,
-            cols: VecDeque::new(),
-        };
-        let identity = |x: &Tensor| Ok(x.clone());
-        for t in 0..2 {
-            let out = replay_forward(
-                "test",
-                &mut r,
-                StreamStep::Column {
-                    stream: 0,
-                    values: vec![t as f32],
-                },
-                identity,
-            )
-            .unwrap();
-            assert!(out.is_none(), "emitted before the ring was full");
-        }
-        let out = replay_forward(
-            "test",
-            &mut r,
-            StreamStep::Column {
-                stream: 0,
-                values: vec![2.0],
-            },
-            identity,
-        )
-        .unwrap();
-        let Some(StreamStep::Window(w)) = out else {
-            panic!("expected a window");
-        };
-        assert_eq!(w.as_slice(), &[0.0, 1.0, 2.0]);
-        // Sliding by one keeps emitting the latest window.
-        let out = replay_forward(
-            "test",
-            &mut r,
-            StreamStep::Column {
-                stream: 0,
-                values: vec![3.0],
-            },
-            identity,
-        )
-        .unwrap();
-        let Some(StreamStep::Window(w)) = out else {
-            panic!("expected a window");
-        };
-        assert_eq!(w.as_slice(), &[1.0, 2.0, 3.0]);
-        // Split streams are refused, not silently interleaved.
-        let err = replay_forward(
-            "test",
-            &mut r,
-            StreamStep::Column {
-                stream: 1,
-                values: vec![4.0],
-            },
-            identity,
-        );
-        assert!(err.is_err());
     }
 }

@@ -199,15 +199,8 @@ impl Layer for Linear {
         if !matches!(cache.node, CacheNode::Linear) {
             return Err(cache_mismatch("linear"));
         }
-        let features = match step {
-            StreamStep::Features(v) => v,
-            StreamStep::Window(x) => {
-                // A replay layer upstream emits its window; the head only
-                // ever sees one feature row at a time.
-                self.check_input(&x)?;
-                x.into_vec()
-            }
-            other @ StreamStep::Column { .. } => return Err(step_mismatch("linear", &other)),
+        let StreamStep::Features(features) = step else {
+            return Err(step_mismatch("linear", &step));
         };
         if features.len() != self.in_features {
             return Err(TensorError::InvalidInput {

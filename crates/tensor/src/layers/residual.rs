@@ -3,7 +3,6 @@
 use rand::rngs::StdRng;
 
 use crate::backend::BackendKind;
-use crate::layers::incremental::{self, cache_mismatch, CacheNode, IncrementalCache, StreamStep};
 use crate::layers::{Conv1d, Relu};
 use crate::profile::ComputeProfile;
 use crate::{Layer, Tensor, TensorError};
@@ -14,6 +13,10 @@ use crate::{Layer, Tensor, TensorError};
 /// Both convolutions preserve the time length (kernel 3, stride 1, padding 1).
 /// When the channel counts differ, a 1×1 projection convolution adapts the
 /// skip connection, as in He et al. (2016).
+///
+/// The same-padded convolutions couple every output column to the window
+/// edges, so the block has no incremental streaming path:
+/// [`Layer::make_incremental_cache`] refuses it with the trait default.
 #[derive(Debug)]
 pub struct ResidualConvBlock {
     conv1: Conv1d,
@@ -76,38 +79,6 @@ impl Layer for ResidualConvBlock {
             None => input.clone(),
         };
         self.relu_out.forward_infer(&h.add(&skip)?)
-    }
-
-    fn make_incremental_cache(
-        &self,
-        input_shape: &[usize],
-    ) -> Result<IncrementalCache, TensorError> {
-        if input_shape.len() != 3 || input_shape[0] != 1 || input_shape[1] != self.in_channels() {
-            return Err(TensorError::InvalidInput {
-                layer: "residual_conv_block",
-                reason: format!(
-                    "incremental cache needs a [1, {}, time] stream, got {input_shape:?}",
-                    self.in_channels()
-                ),
-            });
-        }
-        // The same-padded convolutions couple every output column to the
-        // window edges, so the block cannot stream columns exactly; it
-        // buffers its input window and replays the full inference pass.
-        Ok(IncrementalCache::replay(self.in_channels(), input_shape[2]))
-    }
-
-    fn forward_incremental(
-        &self,
-        step: StreamStep,
-        cache: &mut IncrementalCache,
-    ) -> Result<Option<StreamStep>, TensorError> {
-        let CacheNode::Replay(replay) = &mut cache.node else {
-            return Err(cache_mismatch("residual_conv_block"));
-        };
-        incremental::replay_forward("residual_conv_block", replay, step, |x| {
-            self.forward_infer(x)
-        })
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {

@@ -69,45 +69,40 @@ impl Layer for Flatten {
         let CacheNode::Flatten(state) = &mut cache.node else {
             return Err(cache_mismatch("flatten"));
         };
-        match step {
-            StreamStep::Window(x) => Ok(Some(StreamStep::Features(
-                self.forward_infer(&x)?.into_vec(),
-            ))),
-            StreamStep::Column { stream, values } => {
-                if values.len() != state.channels {
-                    return Err(TensorError::InvalidInput {
-                        layer: "flatten",
-                        reason: format!(
-                            "column of {} values, expected {}",
-                            values.len(),
-                            state.channels
-                        ),
-                    });
-                }
-                if state.time == 1 {
-                    return Ok(Some(StreamStep::Features(values)));
-                }
-                incremental::grow_to(&mut state.streams, stream);
-                let history = &mut state.streams[stream];
-                if history.len() < state.time - 1 {
-                    history.push_back(values);
-                    return Ok(None);
-                }
-                // Channel-major flatten of the leaf stream's last `time`
-                // columns — identical ordering to flattening [1, C, time].
-                let mut features = Vec::with_capacity(state.channels * state.time);
-                for c in 0..state.channels {
-                    for col in history.iter() {
-                        features.push(col[c]);
-                    }
-                    features.push(values[c]);
-                }
-                history.push_back(values);
-                history.pop_front();
-                Ok(Some(StreamStep::Features(features)))
-            }
-            other @ StreamStep::Features(_) => Err(step_mismatch("flatten", &other)),
+        let StreamStep::Column { stream, values } = step else {
+            return Err(step_mismatch("flatten", &step));
+        };
+        if values.len() != state.channels {
+            return Err(TensorError::InvalidInput {
+                layer: "flatten",
+                reason: format!(
+                    "column of {} values, expected {}",
+                    values.len(),
+                    state.channels
+                ),
+            });
         }
+        if state.time == 1 {
+            return Ok(Some(StreamStep::Features(values)));
+        }
+        incremental::grow_to(&mut state.streams, stream);
+        let history = &mut state.streams[stream];
+        if history.len() < state.time - 1 {
+            history.push_back(values);
+            return Ok(None);
+        }
+        // Channel-major flatten of the leaf stream's last `time`
+        // columns — identical ordering to flattening [1, C, time].
+        let mut features = Vec::with_capacity(state.channels * state.time);
+        for c in 0..state.channels {
+            for col in history.iter() {
+                features.push(col[c]);
+            }
+            features.push(values[c]);
+        }
+        history.push_back(values);
+        history.pop_front();
+        Ok(Some(StreamStep::Features(features)))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {

@@ -179,8 +179,8 @@ pub trait Layer: Send + Sync {
     /// # Errors
     ///
     /// The default implementation returns [`TensorError::InvalidInput`]:
-    /// layers without an incremental path (e.g. the LSTM) cannot be part of
-    /// an incremental pipeline.
+    /// layers without an incremental path (the LSTM, residual blocks, tanh)
+    /// cannot be part of an incremental pipeline.
     fn make_incremental_cache(
         &self,
         input_shape: &[usize],

@@ -106,139 +106,11 @@ fn check_stack(channels: usize, window: usize, backend: BackendKind) {
 #[test]
 fn incremental_matches_full_recompute_across_windows_channels_and_backends() {
     for &backend in &BackendKind::ALL {
-        for &window in &[4usize, 8, 16, 32] {
+        for &window in &[4usize, 8, 16, 32, 64] {
             for &channels in &[1usize, 2, 3, 5] {
                 check_stack(channels, window, backend);
             }
         }
-    }
-}
-
-#[test]
-fn replay_fallback_layers_compose_with_the_streaming_head() {
-    // A residual block (same-padded convolutions — no exact column
-    // streaming) followed by flatten + linear: the block's replay cache
-    // re-runs forward_infer over its buffered window and the head consumes
-    // the emitted window, so every sliding window still scores exactly.
-    let mut rng = StdRng::seed_from_u64(3);
-    let (channels, window) = (2usize, 6usize);
-    let mut net = Sequential::empty();
-    net.push(Box::new(ResidualConvBlock::new(channels, 3, &mut rng)));
-    net.push(Box::new(Flatten::new()));
-    net.push(Box::new(Linear::new(3 * window, 2, &mut rng)));
-    let mut cache = net.make_incremental_cache(&[1, channels, window]).unwrap();
-
-    let mut history: Vec<Vec<f32>> = Vec::new();
-    for t in 0..window + 5 {
-        let col: Vec<f32> = (0..channels).map(|c| sample(t, c)).collect();
-        history.push(col.clone());
-        let out = net
-            .forward_incremental(
-                StreamStep::Column {
-                    stream: 0,
-                    values: col,
-                },
-                &mut cache,
-            )
-            .unwrap();
-        if t + 1 < window {
-            assert!(out.is_none());
-            continue;
-        }
-        let Some(StreamStep::Features(incremental)) = out else {
-            panic!("no emission at t={t}");
-        };
-        let mut data = Vec::with_capacity(channels * window);
-        for c in 0..channels {
-            for row in &history[t + 1 - window..=t] {
-                data.push(row[c]);
-            }
-        }
-        let x = Tensor::from_vec(data, &[1, channels, window]).unwrap();
-        let full = net.forward_infer(&x).unwrap();
-        // Replay *is* forward_infer, so the composition is bit-exact.
-        for (a, b) in incremental.iter().zip(full.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-}
-
-#[test]
-fn odd_time_length_k2s2_takes_the_replay_fallback_and_stays_exact() {
-    // A k2/s2 conv over an odd window cannot use the phase tree: the full
-    // pass leaves the last column unpaired while consecutive pairing would
-    // pair across it. The plan must fall back to replay, whose emissions are
-    // forward_infer itself.
-    let mut rng = StdRng::seed_from_u64(21);
-    let conv = Conv1d::new(2, 3, 2, 2, 0, &mut rng);
-    let window = 5usize;
-    let mut cache = conv.make_incremental_cache(&[1, 2, window]).unwrap();
-    let mut history: Vec<Vec<f32>> = Vec::new();
-    for t in 0..window + 6 {
-        let col = vec![sample(t, 0), sample(t, 1)];
-        history.push(col.clone());
-        let out = conv
-            .forward_incremental(
-                StreamStep::Column {
-                    stream: 0,
-                    values: col,
-                },
-                &mut cache,
-            )
-            .unwrap();
-        if t + 1 < window {
-            assert!(out.is_none());
-            continue;
-        }
-        let Some(StreamStep::Window(w)) = out else {
-            panic!("odd-T k2s2 conv must emit replay windows, got a column at t={t}");
-        };
-        let mut data = Vec::with_capacity(2 * window);
-        for c in 0..2 {
-            for row in &history[t + 1 - window..=t] {
-                data.push(row[c]);
-            }
-        }
-        let x = Tensor::from_vec(data, &[1, 2, window]).unwrap();
-        assert_eq!(w, conv.forward_infer(&x).unwrap());
-    }
-}
-
-#[test]
-fn generic_convolutions_fall_back_to_replay() {
-    // A same-padded kernel-3 conv plans a replay cache, not a phase tree,
-    // and still reproduces forward_infer exactly once primed.
-    let mut rng = StdRng::seed_from_u64(9);
-    let conv = Conv1d::new(2, 3, 3, 1, 1, &mut rng);
-    let mut cache = conv.make_incremental_cache(&[1, 2, 5]).unwrap();
-    let mut history: Vec<Vec<f32>> = Vec::new();
-    for t in 0..9 {
-        let col = vec![sample(t, 0), sample(t, 1)];
-        history.push(col.clone());
-        let out = conv
-            .forward_incremental(
-                StreamStep::Column {
-                    stream: 0,
-                    values: col,
-                },
-                &mut cache,
-            )
-            .unwrap();
-        if t + 1 < 5 {
-            assert!(out.is_none());
-            continue;
-        }
-        let Some(StreamStep::Window(w)) = out else {
-            panic!("replay conv must emit windows");
-        };
-        let mut data = Vec::with_capacity(2 * 5);
-        for c in 0..2 {
-            for row in &history[t + 1 - 5..=t] {
-                data.push(row[c]);
-            }
-        }
-        let x = Tensor::from_vec(data, &[1, 2, 5]).unwrap();
-        assert_eq!(w, conv.forward_infer(&x).unwrap());
     }
 }
 
@@ -269,7 +141,14 @@ fn misuse_is_rejected_with_typed_errors() {
     assert!(linear
         .forward_incremental(StreamStep::Features(vec![0.0; 4]), &mut cache)
         .is_err());
-    // Layers without a streaming path say so.
+    // Layers without a streaming path say so: a padded kernel-3 conv, a
+    // k2/s2 conv over an odd window (its last column would pair across the
+    // window edge), a residual block and the LSTM.
+    let padded = Conv1d::new(2, 3, 3, 1, 1, &mut rng);
+    assert!(padded.make_incremental_cache(&[1, 2, 8]).is_err());
+    assert!(conv.make_incremental_cache(&[1, 2, 7]).is_err());
+    let residual = ResidualConvBlock::new(2, 3, &mut rng);
+    assert!(residual.make_incremental_cache(&[1, 2, 8]).is_err());
     let lstm = varade_tensor::layers::Lstm::new(2, 3, &mut rng);
     assert!(lstm.make_incremental_cache(&[1, 2, 8]).is_err());
     // Cleared caches re-prime from scratch.
