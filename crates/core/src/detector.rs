@@ -1,8 +1,10 @@
 //! The VARADE anomaly detector: trained model + variance scoring.
 
+use std::borrow::Cow;
+
 use varade_detectors::{AnomalyDetector, DetectorError};
 use varade_tensor::{numerics::clamp_log_var, BackendKind, ComputeProfile, Layer, Tensor};
-use varade_timeseries::{MultivariateSeries, WindowIter};
+use varade_timeseries::{MultivariateSeries, StreamingWindow, WindowIter};
 
 use crate::{EncoderCache, VaradeConfig, VaradeError, VaradeModel, VaradeTrainer};
 
@@ -344,6 +346,12 @@ impl VaradeDetector {
     /// usual 1e-5 relative deviation (per-column kernel association differs
     /// from the tiled full pass).
     ///
+    /// A caller must copy `context` out to call this. Streams pushed
+    /// through [`crate::StreamState::push_timed`] (and so
+    /// [`crate::StreamingVarade::push`] and the fleet) take the same path
+    /// against their window ring instead, and build the context only to
+    /// replay.
+    ///
     /// # Errors
     ///
     /// Returns [`VaradeError::NotFitted`] before `fit` and
@@ -354,14 +362,56 @@ impl VaradeDetector {
         context: &[f32],
         next_sample: &[f32],
     ) -> Result<f32, VaradeError> {
-        let model = self.model.as_ref().ok_or(VaradeError::NotFitted)?;
+        if self.model.is_none() {
+            return Err(VaradeError::NotFitted);
+        }
         let (c, w) = (self.n_channels, self.config.window);
-        if context.len() != c * w || next_sample.len() != c {
+        if context.len() != c * w {
             return Err(VaradeError::InvalidData(format!(
                 "expected context of {} values and sample of {} values, got {} and {}",
                 c * w,
                 c,
                 context.len(),
+                next_sample.len()
+            )));
+        }
+        let in_sync = cache.matches_context(context);
+        self.score_incremental(cache, next_sample, in_sync, || Some(Cow::Borrowed(context)))
+    }
+
+    /// [`VaradeDetector::score_window_incremental`] against a stream's
+    /// window buffer instead of a copied-out context: `window` holds the
+    /// context (the `window` samples before `next_sample`). A primed cache
+    /// in sync with the buffer's newest sample reads nothing else from it;
+    /// the channel-major context is built only for a cold replay.
+    pub(crate) fn score_next_incremental(
+        &self,
+        cache: &mut EncoderCache,
+        window: &StreamingWindow,
+        next_sample: &[f32],
+    ) -> Result<f32, VaradeError> {
+        let in_sync = cache.matches_newest(window);
+        self.score_incremental(cache, next_sample, in_sync, || {
+            window.to_window().map(Cow::Owned)
+        })
+    }
+
+    /// The body shared by both incremental entry points. `in_sync` says
+    /// whether the cache's last ingested sample is the context's newest;
+    /// `context` builds the channel-major context window, and is called only
+    /// when the cache must be replayed.
+    fn score_incremental<'a>(
+        &self,
+        cache: &mut EncoderCache,
+        next_sample: &[f32],
+        in_sync: bool,
+        context: impl FnOnce() -> Option<Cow<'a, [f32]>>,
+    ) -> Result<f32, VaradeError> {
+        let model = self.model.as_ref().ok_or(VaradeError::NotFitted)?;
+        let (c, w) = (self.n_channels, self.config.window);
+        if next_sample.len() != c {
+            return Err(VaradeError::InvalidData(format!(
+                "expected a sample of {c} values, got {}",
                 next_sample.len()
             )));
         }
@@ -371,10 +421,13 @@ impl VaradeDetector {
                 cache.n_channels, cache.window, c, w
             )));
         }
-        if !(cache.is_primed() && cache.matches_context(context)) {
+        if !(in_sync && cache.is_primed()) {
             // Cold start / invalidated cache: replay the context window. This
             // is a full recompute cost-wise, and it leaves every phase line
             // primed so subsequent pushes take the frontier-only path.
+            let context = context().ok_or_else(|| {
+                VaradeError::InvalidData("no full context window to replay".into())
+            })?;
             cache.reset();
             let mut col = vec![0.0f32; c];
             for t in 0..w {
@@ -384,12 +437,11 @@ impl VaradeDetector {
                 Self::ingest(model, cache, &col)?;
             }
         }
-        let score = match &cache.head {
-            Some(head) => score_one(self.scoring, &head[..c], &head[c..], next_sample),
-            // Defensive: a replay always produces a head for a full window,
-            // but never silently mis-score if it somehow did not.
-            None => self.score_window(context, next_sample)?,
-        };
+        let head = cache.head.as_ref().ok_or_else(|| {
+            // A replay of a full window always yields a head output.
+            VaradeError::InvalidData("incremental pipeline produced no head output".into())
+        })?;
+        let score = score_one(self.scoring, &head[..c], &head[c..], next_sample);
         Self::ingest(model, cache, next_sample)?;
         Ok(score)
     }

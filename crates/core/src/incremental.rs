@@ -16,6 +16,7 @@
 use std::sync::OnceLock;
 
 use varade_tensor::layers::IncrementalCache;
+use varade_timeseries::StreamingWindow;
 
 /// Parity-phased activation cache of one stream against one fitted detector.
 ///
@@ -88,6 +89,15 @@ impl EncoderCache {
         }
         (0..self.n_channels)
             .all(|c| last[c].to_bits() == context[c * self.window + self.window - 1].to_bits())
+    }
+
+    /// [`EncoderCache::matches_context`] against a stream's window buffer:
+    /// whether the last ingested sample is bit-identical to the buffer's
+    /// newest one. Reads one value per channel.
+    pub(crate) fn matches_newest(&self, window: &StreamingWindow) -> bool {
+        self.last_row
+            .as_deref()
+            .is_some_and(|last| window.newest_equals(last))
     }
 }
 

@@ -61,7 +61,7 @@ pub use detector::{ScoringRule, VaradeDetector};
 pub use incremental::{incremental_default, EncoderCache};
 pub use model::{LayerSummary, VaradeModel, VariationalHead};
 pub use persist::{ModelArtifact, PersistError, ThresholdCalibration};
-pub use streaming::{PushStats, ScoreRequest, StreamState, StreamingVarade};
+pub use streaming::{PushStats, ScoreRequest, StreamState, StreamingVarade, TimedPush};
 pub use trainer::{TrainingReport, VaradeTrainer};
 /// Re-export of the tensor crate's kernel-backend selector, so downstream
 /// crates (fleet, bench) can pick a backend without depending on

@@ -9,7 +9,7 @@
 use std::time::{Duration, Instant};
 
 use varade_obs::spanclock::SpanStamp;
-use varade_timeseries::{MinMaxNormalizer, StreamingWindow};
+use varade_timeseries::{MinMaxNormalizer, SeriesError, StreamingWindow};
 
 use crate::{incremental_default, EncoderCache, VaradeDetector, VaradeError};
 
@@ -32,12 +32,15 @@ pub struct PushStats {
     pub total_time: Duration,
     /// Wall-clock time spent in the model's scoring forward pass alone.
     pub scoring_time: Duration,
-    /// Wall-clock time spent normalizing incoming rows. Accumulated only
-    /// when per-stage timing is on (see [`StreamState::set_stage_timing`]);
-    /// zero otherwise.
+    /// Wall-clock time spent in the normalizer transform (zero for a stream
+    /// without a normalizer). Accumulated only when per-stage timing is on
+    /// (see [`StreamState::set_stage_timing`]); zero otherwise.
     pub normalize_time: Duration,
-    /// Wall-clock time spent assembling the context window (row copy,
-    /// ring-buffer push, context copy-out). Accumulated only when per-stage
+    /// Wall-clock time spent on the rest of admission: checking and copying
+    /// the sample, writing it into the window ring, and copying the context
+    /// window out where one is built — for [`StreamState::admit`]'s
+    /// [`ScoreRequest`], never for a primed incremental push (a cold replay
+    /// builds it inside the scoring span). Accumulated only when per-stage
     /// timing is on; zero otherwise.
     pub assembly_time: Duration,
 }
@@ -84,6 +87,9 @@ impl PushStats {
 /// One pending scoring job produced by [`StreamState::admit`]: the context
 /// window that was live when the sample arrived, and the (normalized) sample
 /// itself. The score of the pair is the anomaly score of the sample.
+///
+/// Building one copies the whole context window out of the stream's ring;
+/// the incremental push path ([`StreamState::push_timed`]) never does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoreRequest {
     /// Channel-major context window (`[channels * window]` values).
@@ -102,8 +108,12 @@ pub struct ScoreRequest {
 #[derive(Debug, Clone)]
 pub struct StreamState {
     normalizer: Option<MinMaxNormalizer>,
+    /// The last `window` normalized samples. A sample joins it only after it
+    /// has been scored against it, so between pushes it is exactly the
+    /// context of the next sample.
     buffer: StreamingWindow,
-    pending_context: Option<Vec<f32>>,
+    /// The newest admitted sample, normalized — scratch reused by every push.
+    row: Vec<f32>,
     stats: PushStats,
     /// Whether pushes time the normalize/assembly stages individually (see
     /// [`StreamState::set_stage_timing`]); off by default so the untimed hot
@@ -134,7 +144,7 @@ impl StreamState {
         Ok(Self {
             normalizer,
             buffer: StreamingWindow::new(n_channels, window)?,
-            pending_context: None,
+            row: Vec::with_capacity(n_channels),
             stats: PushStats::default(),
             stage_timing: false,
             cache: None,
@@ -230,37 +240,86 @@ impl StreamState {
     /// its own detector, alone or batched with other streams — and folds the
     /// timing back in through [`StreamState::record`].
     ///
+    /// Every request carries a fresh copy of the whole context window. That
+    /// is what batched full-recompute scoring needs; a caller with a
+    /// detector at hand should use [`StreamState::push_timed`] (or
+    /// [`StreamState::push_against`]), whose incremental path copies nothing
+    /// but the new row.
+    ///
     /// With per-stage timing on ([`StreamState::set_stage_timing`]) the
-    /// admission is split into [`PushStats::normalize_time`] (row copy and
+    /// admission is split into [`PushStats::normalize_time`] (the
     /// normalizer transform; zero without a normalizer) and
-    /// [`PushStats::assembly_time`] (everything else: ring-buffer push and
-    /// context copy-out), at the cost of up to three span-clock reads. With
-    /// it off, the default, admission reads no clock at all.
+    /// [`PushStats::assembly_time`] (everything else: sample checks, ring
+    /// write and context copy-out). With it off, the default, admission
+    /// reads no clock at all.
     ///
     /// # Errors
     ///
     /// Returns [`VaradeError::Series`] if the sample width does not match the
-    /// channel count.
+    /// channel count, or if a value is NaN or infinite
+    /// ([`SeriesError::NonFiniteValue`], whose `step` is the stream's sample
+    /// index). A rejected sample reaches neither the window nor the cache.
     pub fn admit(&mut self, sample: &[f32]) -> Result<Option<ScoreRequest>, VaradeError> {
         let started = self.stage_timing.then(SpanStamp::now);
-        let mut normalized = started;
-        let mut row = sample.to_vec();
-        if let Some(norm) = &self.normalizer {
-            norm.transform_row(&mut row)?;
-            normalized = started.map(|_| SpanStamp::now());
-        }
-        let request = self.pending_context.take().map(|context| ScoreRequest {
-            context,
-            row: row.clone(),
+        let (due, normalize) = self.admit_row(sample)?;
+        let request = due.then(|| ScoreRequest {
+            context: self
+                .buffer
+                .to_window()
+                .expect("a sample is due a score only behind a full window"),
+            row: self.row.clone(),
         });
-        if let Some(window) = self.buffer.push(&row)? {
-            self.pending_context = Some(window);
-        }
-        if let (Some(started), Some(normalized)) = (started, normalized) {
-            self.stats.normalize_time += normalized.duration_since(started);
-            self.stats.assembly_time += SpanStamp::now().duration_since(normalized);
+        self.commit_row();
+        if let Some(started) = started {
+            self.stats.normalize_time += normalize;
+            self.stats.assembly_time += SpanStamp::now()
+                .duration_since(started)
+                .saturating_sub(normalize);
         }
         Ok(request)
+    }
+
+    /// The admission body every push shares: checks the raw sample, copies
+    /// it into the scratch row and normalizes it there. Returns whether a
+    /// full context window precedes the sample, i.e. whether it is due a
+    /// score, and the normalizer's time (zero unless stage timing is on and
+    /// the stream has a normalizer), for the caller to account. Neither the
+    /// window nor the cache sees the sample yet: the caller scores it
+    /// against the window first, then [`StreamState::commit_row`]s it.
+    fn admit_row(&mut self, sample: &[f32]) -> Result<(bool, Duration), VaradeError> {
+        let expected = self.buffer.n_channels();
+        if sample.len() != expected {
+            return Err(SeriesError::ChannelCountMismatch {
+                expected,
+                got: sample.len(),
+            }
+            .into());
+        }
+        if let Some(channel) = sample.iter().position(|v| !v.is_finite()) {
+            return Err(SeriesError::NonFiniteValue {
+                step: usize::try_from(self.buffer.samples_seen()).unwrap_or(usize::MAX),
+                channel,
+            }
+            .into());
+        }
+        self.row.clear();
+        self.row.extend_from_slice(sample);
+        let mut normalize = Duration::ZERO;
+        if let Some(norm) = &self.normalizer {
+            let started = self.stage_timing.then(SpanStamp::now);
+            norm.transform_row(&mut self.row)?;
+            if let Some(started) = started {
+                normalize = SpanStamp::now().duration_since(started);
+            }
+        }
+        Ok((self.buffer.is_full(), normalize))
+    }
+
+    /// Slides the window by the admitted row: one value per channel.
+    fn commit_row(&mut self) {
+        self.buffer
+            .push_row(&self.row)
+            .expect("admitted rows have the window's width");
     }
 
     /// Switches per-stage admission timing on or off: when on, every
@@ -324,45 +383,116 @@ impl StreamState {
     /// One-stop push against a fitted detector: like
     /// [`StreamState::push_with`], but routing through the attached
     /// [`EncoderCache`] when one is present — the whole body of
-    /// [`StreamingVarade::push`], shared with any caller that owns a
-    /// detector reference (the fleet shards use it for incremental streams).
+    /// [`StreamingVarade::push`]: [`StreamState::push_timed`], then
+    /// [`StreamState::record`].
     ///
     /// # Errors
     ///
-    /// Returns [`VaradeError::Series`] for wrong sample widths and whatever
-    /// the detector's scoring path produces.
+    /// As [`StreamState::push_timed`].
     pub fn push_against(
         &mut self,
         sample: &[f32],
         detector: &VaradeDetector,
     ) -> Result<Option<f32>, VaradeError> {
-        let push_started = Instant::now();
-        let request = self.admit(sample)?;
-        let (score, scoring_time) = match request {
-            Some(req) => {
-                let scoring_started = Instant::now();
-                let score = match self.cache.as_mut() {
-                    Some(cache) => {
-                        detector.score_window_incremental(cache, &req.context, &req.row)?
-                    }
-                    None => detector.score_window(&req.context, &req.row)?,
-                };
-                (Some(score), scoring_started.elapsed())
-            }
-            None => (None, Duration::ZERO),
-        };
-        self.record(score.is_some(), push_started.elapsed(), scoring_time);
-        Ok(score)
+        let pushed = self.push_timed(sample, detector, SpanStamp::now())?;
+        self.record(
+            pushed.score.is_some(),
+            pushed.admit_time + pushed.scoring_time,
+            pushed.scoring_time,
+        );
+        Ok(pushed.score)
     }
+
+    /// Admits one raw sample and scores it against `detector`, without
+    /// recording it in the stats — the push path shared by
+    /// [`StreamingVarade::push`] (through [`StreamState::push_against`]) and
+    /// the fleet shards, which record the returned split themselves.
+    ///
+    /// The push is timed from `started`, a stamp the caller reads just
+    /// before the call — or one it already holds for the sample, so that a
+    /// fleet shard's pop stamp also opens the push span. The push itself
+    /// reads the clock three times: admission end, scoring end and push end
+    /// ([`TimedPush::finished`], which a caller can reuse as the next span's
+    /// start).
+    ///
+    /// With a cache attached, a primed push touches only the new row: it is
+    /// checked and normalized, the cache's last ingested sample is compared
+    /// with the window's newest (one value per channel), one column per layer
+    /// is computed, and the row is written into the window ring. The context
+    /// window is built only when the cache must be replayed (a cold start or
+    /// an invalidated cache). Without a cache the context is copied out of
+    /// the ring and scored by a full recompute.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VaradeError::Series`] for a wrong sample width or a NaN or
+    /// infinite value (see [`StreamState::admit`]) — before anything is
+    /// scored — and whatever the detector's scoring path produces. A scoring
+    /// error still slides the window, as a push through
+    /// [`StreamState::admit`] would.
+    pub fn push_timed(
+        &mut self,
+        sample: &[f32],
+        detector: &VaradeDetector,
+        started: SpanStamp,
+    ) -> Result<TimedPush, VaradeError> {
+        let (due, normalize_time) = self.admit_row(sample)?;
+        let admitted = SpanStamp::now();
+        let score = due.then(|| match self.cache.as_mut() {
+            Some(cache) => detector.score_next_incremental(cache, &self.buffer, &self.row),
+            None => {
+                let context = self
+                    .buffer
+                    .to_window()
+                    .expect("a sample is due a score only behind a full window");
+                detector.score_window(&context, &self.row)
+            }
+        });
+        let scored = SpanStamp::now();
+        self.commit_row();
+        let finished = SpanStamp::now();
+        let admit_time = admitted.duration_since(started) + finished.duration_since(scored);
+        if self.stage_timing {
+            self.stats.normalize_time += normalize_time;
+            self.stats.assembly_time += admit_time.saturating_sub(normalize_time);
+        }
+        Ok(TimedPush {
+            score: score.transpose()?,
+            admit_time,
+            normalize_time,
+            scoring_time: scored.duration_since(admitted),
+            finished,
+        })
+    }
+}
+
+/// One push through [`StreamState::push_timed`]: the score and where the
+/// push's time went, for the caller to [`StreamState::record`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TimedPush {
+    /// The sample's anomaly score; `None` while the window warms up.
+    pub score: Option<f32>,
+    /// Admission, from the caller's start stamp: sample checks,
+    /// normalization and the window-ring write.
+    pub admit_time: Duration,
+    /// The normalizer's share of [`TimedPush::admit_time`]: zero unless
+    /// per-stage timing is on ([`StreamState::set_stage_timing`]) and the
+    /// stream has a normalizer. The rest of the admission is assembly.
+    pub normalize_time: Duration,
+    /// The model: incremental columns (or a cold replay), or the full
+    /// recompute and its context copy when no cache is attached.
+    pub scoring_time: Duration,
+    /// The stamp that closed the push.
+    pub finished: SpanStamp,
 }
 
 /// A push-based streaming scorer built on a fitted [`VaradeDetector`].
 ///
 /// Samples are normalized with the training normalizer, buffered into the
 /// detector's context window and scored one at a time. Every push is timed
-/// into a [`PushStats`] accumulator (see [`StreamingVarade::stats`]); the
-/// `Instant` reads cost nanoseconds against a model forward pass of tens of
-/// microseconds and up, so the hook stays on unconditionally.
+/// into a [`PushStats`] accumulator (see [`StreamingVarade::stats`]); its
+/// four span-clock reads cost nanoseconds against the model's columns, so
+/// the hook stays on unconditionally.
 ///
 /// Internally this is one [`StreamState`] paired with an owned detector —
 /// the same composition the fleet engine multiplexes across many streams.
@@ -798,6 +928,135 @@ mod tests {
     }
 
     #[test]
+    fn timed_push_reports_its_split_from_the_callers_stamp() {
+        let det = fitted_detector();
+        let window = tiny_config().window;
+        let test = wave_series(40);
+        let normalizer = MinMaxNormalizer::fit(&wave_series(50)).unwrap();
+        let mut timed = StreamState::new(2, window, Some(normalizer.clone())).unwrap();
+        timed.attach_cache(det.incremental_cache().unwrap());
+        timed.set_stage_timing(true);
+        let mut plain = StreamState::new(2, window, Some(normalizer)).unwrap();
+        plain.attach_cache(det.incremental_cache().unwrap());
+        let (mut normalize, mut assembly) = (Duration::ZERO, Duration::ZERO);
+        for t in 0..test.len() {
+            // A stamp read well before the call opens the push span.
+            let started = SpanStamp::now();
+            let spin = Instant::now();
+            while spin.elapsed() < Duration::from_micros(20) {
+                std::hint::spin_loop();
+            }
+            let got = timed.push_timed(test.row(t), &det, started).unwrap();
+            let want = plain
+                .push_timed(test.row(t), &det, SpanStamp::now())
+                .unwrap();
+            assert_eq!(got.score.map(f32::to_bits), want.score.map(f32::to_bits));
+            assert!(got.admit_time >= Duration::from_micros(10), "{got:?}");
+            assert!(got.normalize_time <= got.admit_time);
+            assert!(got.finished.duration_since(started) >= got.admit_time + got.scoring_time);
+            // Without stage timing the normalizer is not timed.
+            assert_eq!(want.normalize_time, Duration::ZERO);
+            normalize += got.normalize_time;
+            assembly += got.admit_time - got.normalize_time;
+        }
+        // Stage timing folds the returned split into the stats, and the
+        // push records nothing else: `record` is the caller's.
+        assert!(normalize > Duration::ZERO, "normalizer span never measured");
+        assert_eq!(timed.stats().normalize_time, normalize);
+        assert_eq!(timed.stats().assembly_time, assembly);
+        assert_eq!(timed.stats().pushes, 0);
+        assert_eq!(plain.stats().assembly_time, Duration::ZERO);
+    }
+
+    #[test]
+    fn non_finite_samples_are_rejected_before_the_window_or_the_cache() {
+        let test = wave_series(40);
+        let clean: Vec<Option<f32>> = {
+            let mut stream = StreamingVarade::new(fitted_detector(), 2, None).unwrap();
+            (0..test.len())
+                .map(|t| stream.push(test.row(t)).unwrap())
+                .collect()
+        };
+        let mut stream = StreamingVarade::new(fitted_detector(), 2, None).unwrap();
+        let bad = [
+            ([f32::NAN, 0.0], 0),
+            ([0.0, f32::INFINITY], 1),
+            ([f32::NEG_INFINITY, 1.0], 0),
+        ];
+        let mut scores = Vec::new();
+        for t in 0..test.len() {
+            // During the warm-up and once the cache is primed.
+            if t == 3 || t == 20 {
+                for (sample, channel) in &bad {
+                    let err = stream.push(sample).unwrap_err();
+                    assert!(
+                        matches!(
+                            err,
+                            VaradeError::Series(SeriesError::NonFiniteValue { step, channel: c })
+                                if step == t && c == *channel
+                        ),
+                        "{err:?}"
+                    );
+                }
+            }
+            scores.push(stream.push(test.row(t)).unwrap());
+        }
+        // Rejected samples are not pushes, and every score is the clean
+        // stream's, bit for bit.
+        assert_eq!(stream.stats().pushes, test.len() as u64);
+        let bits = |v: &[Option<f32>]| v.iter().map(|s| s.map(f32::to_bits)).collect::<Vec<_>>();
+        assert_eq!(bits(&scores), bits(&clean));
+
+        // The copy-out admission path refuses them too, normalizer or not:
+        // the normalizer would clamp an infinity to a finite value.
+        let train_raw = wave_series(50);
+        let normalizer = MinMaxNormalizer::fit(&train_raw).unwrap();
+        let mut state = StreamState::new(2, 4, Some(normalizer)).unwrap();
+        assert!(state.admit(&[f32::INFINITY, 0.0]).is_err());
+        assert!(state.admit(&[0.0, f32::NAN]).is_err());
+        for t in 0..4 {
+            assert!(state.admit(test.row(t)).unwrap().is_none());
+        }
+        assert!(state.admit(test.row(4)).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_primed_cache_from_another_stream_is_replayed_not_trusted() {
+        // The zero-copy path trusts a primed cache only when its last
+        // ingested sample is the window's newest; a cache primed on other
+        // data must be replayed against this stream's window.
+        let det = fitted_detector();
+        let window = tiny_config().window;
+        let test = wave_series(40);
+        let mut donor = StreamState::new(2, window, None).unwrap();
+        donor.attach_cache(det.incremental_cache().unwrap());
+        for t in 0..20 {
+            donor.push_against(test.row(t + 13), &det).unwrap();
+        }
+        let foreign = donor.detach_cache().unwrap();
+        assert!(foreign.is_primed());
+
+        let mut state = StreamState::new(2, window, None).unwrap();
+        for t in 0..window {
+            assert!(state.push_against(test.row(t), &det).unwrap().is_none());
+        }
+        state.attach_cache(foreign);
+        let got = state.push_against(test.row(window), &det).unwrap().unwrap();
+        let context: Vec<f32> = (0..2)
+            .flat_map(|c| (0..window).map(move |t| (t, c)))
+            .map(|(t, c)| test.value(t, c))
+            .collect();
+        let want = det.score_window(&context, test.row(window)).unwrap();
+        assert!(
+            (got - want).abs() <= 1e-5 * want.abs().max(1.0),
+            "{got} vs {want}"
+        );
+        if crate::BackendKind::active() == crate::BackendKind::Scalar {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
     fn stream_state_applies_normalizer_and_validates_width() {
         let train_raw = {
             let mut s = MultivariateSeries::new(vec!["a".into()], 10.0).unwrap();
@@ -897,8 +1156,8 @@ mod tests {
                 (a - b).abs() <= 1e-5 * b.abs().max(1.0),
                 "push {t}: incremental {a} vs full {b}"
             );
-            // On the scalar backend the incremental columns go through the
-            // same kernels with the same association: bit-identical.
+            // On the scalar backend the incremental columns keep the full
+            // pass's per-output association: bit-identical.
             if crate::BackendKind::active() == crate::BackendKind::Scalar {
                 assert_eq!(a.to_bits(), b.to_bits(), "scalar bit mismatch at {t}");
             }

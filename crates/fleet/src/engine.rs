@@ -669,7 +669,10 @@ impl FleetHandle<'_> {
     /// # Errors
     ///
     /// Returns [`FleetError::UnknownId`] for a foreign stream,
-    /// [`FleetError::SampleWidth`] for a misshapen sample, and
+    /// [`FleetError::SampleWidth`] for a misshapen sample,
+    /// [`FleetError::NonFiniteSample`] for a sample carrying a NaN or an
+    /// infinity (rejected here, so it never reaches the queue, the stream's
+    /// window or its cache, and the sample ledger never counts it), and
     /// [`FleetError::QueueFull`] under [`crate::OverloadPolicy::Reject`] on
     /// a saturated shard.
     pub fn push(&self, stream: StreamId, sample: &[f32]) -> Result<(), FleetError> {
@@ -704,6 +707,9 @@ impl FleetHandle<'_> {
                 expected: meta.n_channels,
                 got: sample.len(),
             });
+        }
+        if let Some(channel) = sample.iter().position(|v| !v.is_finite()) {
+            return Err(FleetError::NonFiniteSample { stream, channel });
         }
         let envelope = Envelope {
             stream,
@@ -1217,21 +1223,35 @@ struct BatchEntry<'a> {
 }
 
 /// One scoring round: pop at most one pending sample per owned stream (under
-/// the stream's slot lock), score incremental streams immediately, then
-/// batch the rest — loading each group's published model once, *after* the
-/// pops, so the publish-then-push guarantee holds (see the module docs).
+/// the stream's slot lock), push incremental streams straight through
+/// [`StreamState::push_timed`] — the path `StreamingVarade::push` takes,
+/// against their group's model loaded after that pop — then batch the rest,
+/// loading each group's published model once, *after* all the pops. Either
+/// way the publish-then-push guarantee holds (see the module docs).
 /// Returns the number of samples processed.
+///
+/// Both paths time a sample from its pop stamp: an incremental push's
+/// admission covers the group-model load and version check as well as the
+/// stream's own admission, a batched sample's covers its admission up to
+/// the context copy-out, and each adds its forward (the batched path an
+/// equal share of the batch call) to make the served time that
+/// [`varade::PushStats::total_time`] and the latency samples record.
 ///
 /// When telemetry is enabled (`recorder` is `Some`), each admitted
 /// sample's life is decomposed into per-stage spans: queue wait (enqueue →
-/// pop), window assembly and normalization (timed inside
-/// [`StreamState::admit`]), model forward, and score emission — all
-/// buffered through the worker's write-local [`StageRecorder`]. The
-/// existing stats path is untouched: `admit_time` is still measured as one
-/// span around the whole admission (all per-sample timers here use
-/// [`SpanStamp`] — same-thread spans, the span clock's cheap case), so
-/// [`varade::PushStats`] counts and totals and the shard accounting are
-/// measured the same way with telemetry on or off; only the stage split
+/// pop), window assembly and normalization (timed inside the stream's
+/// admission), model forward, and score emission — all buffered through the
+/// worker's write-local [`StageRecorder`]. All per-sample timers here use
+/// [`SpanStamp`] (same-thread spans, the span clock's cheap case), and
+/// adjacent spans share one stamp per boundary: the pop stamp ends the
+/// queue wait and opens the push, and the push's closing stamp opens the
+/// emit. An incremental sample's emit (and so its end-to-end span) stays
+/// open until the worker's next stamp — the next sample's pop stamp, or one
+/// read at the end of the loop — so it also carries the hand-off to that
+/// sample, and with telemetry on the incremental path reads the clock only
+/// once per round more than with it off, beside the producer's enqueue
+/// stamps. [`varade::PushStats`] counts and totals and the shard accounting
+/// are measured the same way with telemetry on or off; only the stage split
 /// fields fill in when it is on.
 #[allow(clippy::too_many_arguments)]
 fn run_round(
@@ -1250,6 +1270,7 @@ fn run_round(
     owned.retain(|&index| cells[index].owner.load(Ordering::Acquire) == shard);
     let mut processed = 0usize;
     let mut batch: Vec<BatchEntry<'_>> = Vec::new();
+    let mut open_emit: Option<OpenEmit> = None;
     for &index in owned.iter() {
         let cell = &cells[index];
         // ORDERING: SeqCst — backlog gauge read; pairs with the SeqCst
@@ -1276,12 +1297,76 @@ fn run_round(
         // (a cross-thread read: the producer stamped `enqueued_at`;
         // `duration_since` saturates to zero under stamp skew).
         let admit_started = SpanStamp::now();
-        if let (Some(tel), Some(enqueued)) = (recorder.as_deref_mut(), pending.enqueued_at) {
-            tel.record_stage_ns(
-                cell.group,
-                Stage::QueueWait,
-                admit_started.nanos_since(enqueued),
-            );
+        if let Some(tel) = recorder.as_deref_mut() {
+            // The same stamp closes the previous incremental sample's emit.
+            if let Some(open) = open_emit.take() {
+                open.close(tel, admit_started);
+            }
+            if let Some(enqueued) = pending.enqueued_at {
+                tel.record_stage_ns(
+                    cell.group,
+                    Stage::QueueWait,
+                    admit_started.nanos_since(enqueued),
+                );
+            }
+        }
+        if slot.state.incremental() {
+            // Incremental streams score immediately against their own cache,
+            // through the same push path as `StreamingVarade::push`: the
+            // per-stream frontier recompute is cheaper than a batched full
+            // forward, and a primed push copies nothing but the new row.
+            let (detector, version) = groups[cell.group].load();
+            if slot.state.sync_model_version(version) {
+                // The stream's cache columns were computed under the old
+                // model; `sync_model_version` already invalidated them.
+                // Re-plan against the new detector too — its layer geometry
+                // (feature-map widths) may differ — and let the next scored
+                // push re-prime by replaying its context.
+                telemetry.record_event(FleetEvent::CacheInvalidation {
+                    stream: index as u64,
+                    model_version: version,
+                });
+                slot.state.attach_cache(detector.incremental_cache()?);
+            }
+            // The pop stamp opens the push span, so admission covers the
+            // model load above, as on the batched path.
+            let pushed = slot
+                .state
+                .push_timed(&pending.sample, &detector, admit_started)?;
+            if let Some(tel) = recorder.as_deref_mut() {
+                tel.record_stage(
+                    cell.group,
+                    Stage::Assembly,
+                    pushed.admit_time.saturating_sub(pushed.normalize_time),
+                );
+                tel.record_stage(cell.group, Stage::Normalize, pushed.normalize_time);
+            }
+            let Some(score) = pushed.score else {
+                slot.state.record(false, pushed.admit_time, Duration::ZERO);
+                continue;
+            };
+            let spent = pushed.scoring_time;
+            let served = pushed.admit_time + spent;
+            slot.scores.push(score);
+            slot.state.record(true, served, spent);
+            counters.incremental_windows += 1;
+            if config.record_latencies {
+                counters.sample_latencies.push(served);
+                let end_to_end = pending
+                    .enqueued_at
+                    .map_or(served, |t| SpanStamp::now().duration_since(t));
+                slot.latencies.push(end_to_end);
+            }
+            if let Some(tel) = recorder.as_deref_mut() {
+                tel.record_stage(cell.group, Stage::Forward, spent);
+                open_emit = Some(OpenEmit {
+                    group: cell.group,
+                    started: pushed.finished,
+                    enqueued_at: pending.enqueued_at,
+                    served,
+                });
+            }
+            continue;
         }
         // With telemetry on, every stream times its admission stages (see
         // `register_stream`), so this admission's split is its stats delta.
@@ -1302,58 +1387,6 @@ fn run_round(
             );
         }
         match admitted {
-            // Incremental streams score immediately against their own cache:
-            // the per-stream frontier recompute is cheaper than a batched
-            // full forward, so the round reuses the cache instead of
-            // gathering the window into a batch.
-            Some(request) if slot.state.incremental() => {
-                let (detector, version) = groups[cell.group].load();
-                if slot.state.sync_model_version(version) {
-                    // The stream's cache columns were computed under the old
-                    // model; `sync_model_version` already invalidated them.
-                    // Re-plan against the new detector too — its layer
-                    // geometry (feature-map widths) may differ — and let the
-                    // next scored push re-prime by replaying its context.
-                    telemetry.record_event(FleetEvent::CacheInvalidation {
-                        stream: index as u64,
-                        model_version: version,
-                    });
-                    slot.state.attach_cache(detector.incremental_cache()?);
-                }
-                let forward_started = SpanStamp::now();
-                let score = {
-                    let cache = slot
-                        .state
-                        .cache_mut()
-                        .expect("incremental slot carries a cache");
-                    detector.score_window_incremental(cache, &request.context, &request.row)?
-                };
-                // The forward-end stamp doubles as the emit-span start, and
-                // the single end-of-emit stamp below also closes the
-                // end-to-end span — one extra clock read for the whole
-                // enabled path.
-                let forward_end = SpanStamp::now();
-                let spent = forward_end.duration_since(forward_started);
-                slot.scores.push(score);
-                slot.state.record(true, admit_time + spent, spent);
-                counters.incremental_windows += 1;
-                if config.record_latencies {
-                    counters.sample_latencies.push(admit_time + spent);
-                    let end_to_end = pending
-                        .enqueued_at
-                        .map_or(admit_time + spent, |t| SpanStamp::now().duration_since(t));
-                    slot.latencies.push(end_to_end);
-                }
-                if let Some(tel) = recorder.as_deref_mut() {
-                    let end = SpanStamp::now();
-                    tel.record_stage(cell.group, Stage::Forward, spent);
-                    tel.record_stage_ns(cell.group, Stage::Emit, end.nanos_since(forward_end));
-                    match pending.enqueued_at {
-                        Some(t) => tel.record_end_to_end_ns(end.nanos_since(t)),
-                        None => tel.record_end_to_end(admit_time + spent),
-                    }
-                }
-            }
             Some(request) => batch.push(BatchEntry {
                 cell: index,
                 guard: slot,
@@ -1365,6 +1398,9 @@ fn run_round(
                 slot.state.record(false, admit_time, Duration::ZERO);
             }
         }
+    }
+    if let (Some(tel), Some(open)) = (recorder.as_deref_mut(), open_emit) {
+        open.close(tel, SpanStamp::now());
     }
     if batch.is_empty() {
         return Ok(processed);
@@ -1443,6 +1479,26 @@ fn run_round(
         }
     }
     Ok(processed)
+}
+
+/// An incremental sample's emit span, opened by its push-end stamp and left
+/// open until the worker's next boundary stamp (see [`run_round`]).
+struct OpenEmit {
+    group: usize,
+    started: SpanStamp,
+    enqueued_at: Option<SpanStamp>,
+    served: Duration,
+}
+
+impl OpenEmit {
+    /// Records the emit span and the end-to-end span, both ending at `end`.
+    fn close(self, tel: &mut StageRecorder<'_>, end: SpanStamp) {
+        tel.record_stage_ns(self.group, Stage::Emit, end.nanos_since(self.started));
+        match self.enqueued_at {
+            Some(t) => tel.record_end_to_end_ns(end.nanos_since(t)),
+            None => tel.record_end_to_end(self.served),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -288,6 +288,15 @@ pub enum FleetError {
         /// Values the sample carried.
         got: usize,
     },
+    /// A sample carried a NaN or an infinity. Rejected at the push, before
+    /// it reaches the queue, so it poisons neither the stream's window nor
+    /// its incremental cache.
+    NonFiniteSample {
+        /// The stream the sample was pushed to.
+        stream: StreamId,
+        /// The first channel whose value is not finite.
+        channel: usize,
+    },
     /// The shard queue was full under [`OverloadPolicy::Reject`].
     QueueFull {
         /// The stream whose sample was refused.
@@ -324,6 +333,10 @@ impl fmt::Display for FleetError {
             } => write!(
                 f,
                 "{stream} expects {expected}-channel samples, got {got} values"
+            ),
+            FleetError::NonFiniteSample { stream, channel } => write!(
+                f,
+                "{stream} sample has a non-finite value in channel {channel}"
             ),
             FleetError::QueueFull { stream, shard } => write!(
                 f,

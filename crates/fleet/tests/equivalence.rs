@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use varade::{BackendKind, StreamingVarade, VaradeConfig, VaradeDetector};
-use varade_fleet::{Fleet, FleetConfig, OverloadPolicy};
+use varade_fleet::{Fleet, FleetConfig, FleetError, OverloadPolicy};
 use varade_timeseries::{MinMaxNormalizer, MultivariateSeries};
 
 fn tiny_config() -> VaradeConfig {
@@ -171,6 +171,69 @@ fn one_stream_one_shard_fleet_is_bit_identical_to_streaming_varade() {
             a.to_bits(),
             b.to_bits(),
             "score {t} differs: fleet {a} vs streaming {b}"
+        );
+    }
+}
+
+#[test]
+fn non_finite_samples_are_rejected_at_the_push_and_leave_no_trace() {
+    let test = wave_series(60, 1.0);
+    let expected = reference_scores(fitted_detector(), &test);
+
+    let mut fleet = Fleet::new(FleetConfig {
+        n_shards: 1,
+        overload: OverloadPolicy::Block,
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let group = fleet.register_model(Arc::new(fitted_detector())).unwrap();
+    let stream = fleet.register_stream(group, None).unwrap();
+    let bad = [
+        [f32::NAN, 0.0],
+        [0.0, f32::INFINITY],
+        [f32::NEG_INFINITY, 1.0],
+    ];
+    let (_, outcome) = fleet
+        .run(|handle| {
+            for t in 0..test.len() {
+                // During the warm-up and once the cache is primed.
+                if t == 3 || t == 30 {
+                    let queued = handle.queue_len(0);
+                    for (i, sample) in bad.iter().enumerate() {
+                        let err = handle.push(stream, sample).unwrap_err();
+                        let channel = usize::from(i > 0 && i < 2);
+                        assert!(
+                            matches!(
+                                err,
+                                FleetError::NonFiniteSample { stream: s, channel: c }
+                                    if s == stream && c == channel
+                            ),
+                            "{err:?}"
+                        );
+                    }
+                    // The worker may drain meanwhile; nothing may be added.
+                    assert!(
+                        handle.queue_len(0) <= queued,
+                        "a rejected sample was queued"
+                    );
+                }
+                handle.push(stream, test.row(t))?;
+            }
+            Ok(())
+        })
+        .unwrap();
+
+    // The ledger counts only the finite samples...
+    assert_eq!(outcome.stats.global.pushes, test.len() as u64);
+    assert_eq!(outcome.stats.dropped, 0);
+    // ...and the stream scores as if it never saw the others.
+    let fleet_scores = &outcome.scores[stream.index()];
+    assert_eq!(fleet_scores.len(), expected.len());
+    for (t, (a, b)) in fleet_scores.iter().zip(&expected).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "score {t}: fleet {a} vs clean {b}"
         );
     }
 }

@@ -50,7 +50,9 @@ use std::time::Duration;
 pub enum Stage {
     /// Time between ingress enqueue and the worker popping the sample.
     QueueWait,
-    /// Context-window ring update (`StreamingWindow::push` + copy-out).
+    /// The rest of admission: sample checks, the context-window ring write,
+    /// and the context copy-out where one is built (full-recompute scoring).
+    /// On the fleet's incremental path it also covers the group-model load.
     Assembly,
     /// Per-channel normalizer transform of the incoming row.
     Normalize,
@@ -643,6 +645,48 @@ mod tests {
         assert_eq!(snap.merged_end_to_end().count, 1);
         assert_eq!(snap.max_queue_depth_high_water(), 5);
         assert_eq!(snap.queue_depth[0].depth, 2);
+    }
+
+    #[test]
+    fn recorder_publishes_exactly_what_direct_recording_does() {
+        // The same spans through a shard's recorder and straight into a
+        // second registry's atomic histograms must produce identical
+        // snapshots — across auto-flushes, an explicit flush and the drop
+        // flush, and at the extremes of the nanosecond range.
+        let buffered = Telemetry::new(&TelemetryConfig::enabled(), 1, 2);
+        let direct = Telemetry::new(&TelemetryConfig::enabled(), 1, 2);
+        let reference = direct.shard(0).unwrap();
+        let span = |i: u64| match i % 97 {
+            0 => u64::MAX,
+            1 => 1 << 48,
+            2 => 0,
+            _ => i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (20 + i % 24),
+        };
+        let mut recorder = buffered.shard(0).unwrap().recorder();
+        let n = 3 * u64::from(RECORDER_FLUSH_EVERY) + 17;
+        for i in 0..n {
+            let group = (i % 2) as usize;
+            let stage = Stage::ALL[(i % N_STAGES as u64) as usize];
+            recorder.record_stage_ns(group, stage, span(i));
+            reference.record_stage(group, stage, Duration::from_nanos(span(i)));
+            if i % 3 == 0 {
+                recorder.record_end_to_end_ns(span(i + 1));
+                reference.record_end_to_end(Duration::from_nanos(span(i + 1)));
+            }
+            if i == n / 2 {
+                recorder.flush();
+                assert_eq!(buffered.snapshot().stages, direct.snapshot().stages);
+            }
+        }
+        drop(recorder);
+        let (got, want) = (buffered.snapshot(), direct.snapshot());
+        assert_eq!(got.stages, want.stages);
+        assert_eq!(got.end_to_end, want.end_to_end);
+        let forward = (0..n).filter(|i| Stage::ALL[(i % 5) as usize] == Stage::Forward);
+        assert_eq!(
+            got.merged_stage(Stage::Forward).count,
+            forward.count() as u64
+        );
     }
 
     #[test]

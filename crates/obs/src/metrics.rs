@@ -68,7 +68,11 @@ impl Gauge {
         // independently; fetch_max keeps the mark exact without any
         // happens-before edge to the plain store.
         self.value.store(v, Ordering::Relaxed);
-        self.high_water.fetch_max(v, Ordering::Relaxed);
+        // Load-then-max: once the mark has settled, most levels stay under
+        // it, and a plain load skips the read-modify-write.
+        if v > self.high_water.load(Ordering::Relaxed) {
+            self.high_water.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Latest recorded level.

@@ -72,11 +72,13 @@ mod imp {
         unsafe { core::arch::x86_64::_rdtsc() }
     }
 
-    /// Nanoseconds per TSC tick, measured once against the monotonic clock
-    /// over a ~200 µs spin window. The boundary-read error (one clock read
-    /// plus one TSC read) is under 0.1% of the window.
-    fn ns_per_tick() -> f64 {
-        static RATE: OnceLock<f64> = OnceLock::new();
+    /// Nanoseconds per TSC tick as a 32.32 fixed-point factor, measured
+    /// once against the monotonic clock over a ~200 µs spin window. The
+    /// boundary-read error (one clock read plus one TSC read) is under 0.1%
+    /// of the window. Fixed point keeps the per-span conversion to one
+    /// widening multiply: no `u64`↔`f64` round trip on the hot path.
+    fn ns_per_tick_q32() -> u64 {
+        static RATE: OnceLock<u64> = OnceLock::new();
         *RATE.get_or_init(|| {
             // LINT-ALLOW: instant-hot-path — this IS the once-per-process TSC calibration the rule points hot paths at.
             let started = Instant::now();
@@ -90,9 +92,9 @@ mod imp {
             if ticks == 0 {
                 // A TSC that does not advance across 200 µs is unusable;
                 // degrade to "1 tick = 1 ns" rather than divide by zero.
-                1.0
+                1 << 32
             } else {
-                elapsed.as_nanos() as f64 / ticks as f64
+                (elapsed.as_nanos() as f64 / ticks as f64 * (1u64 << 32) as f64) as u64
             }
         })
     }
@@ -105,11 +107,12 @@ mod imp {
     #[inline]
     pub(super) fn nanos_since(later: Inner, earlier: Inner) -> u64 {
         let ticks = later.saturating_sub(earlier);
-        (ticks as f64 * ns_per_tick()) as u64
+        let ns = (u128::from(ticks) * u128::from(ns_per_tick_q32())) >> 32;
+        u64::try_from(ns).unwrap_or(u64::MAX)
     }
 
     pub(super) fn warm() {
-        ns_per_tick();
+        ns_per_tick_q32();
     }
 }
 

@@ -41,8 +41,11 @@
 //! batteries and benchmarks. Element-wise kernels (ReLU, tanh, axpy, Adam
 //! update) are bit-identical across all backends — no reassociation is
 //! possible — and every backend is deterministic and batch-invariant, so
-//! incremental streaming and fleet batching stay bit-identical to the
-//! one-shot pass *within* any one backend.
+//! fleet batching stays bit-identical to the one-shot pass *within* any one
+//! backend. Incremental streaming runs its own column kernels (see
+//! [`crate::layers::incremental`]) with the scalar per-output association:
+//! bit-identical to the one-shot pass on scalar (and on quant, whose columns
+//! are `t = 2` calls of its int8 kernels), within the 1e-5 bound on vector.
 //!
 //! # Selection
 //!

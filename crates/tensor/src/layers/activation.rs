@@ -81,12 +81,14 @@ impl Layer for Relu {
         if !matches!(cache.node, CacheNode::Elementwise) {
             return Err(cache_mismatch("relu"));
         }
-        // Whatever flows past keeps its step kind and phase stream.
-        let backend = self.backend.backend();
-        let relu = |values: Vec<f32>| {
-            let mut out = vec![0.0f32; values.len()];
-            backend.relu(&values, &mut out);
-            out
+        // Whatever flows past keeps its step kind and phase stream. The step
+        // owns its values, so rectify them in place: the same `max(0, x)`
+        // every backend's `relu` kernel computes, without an allocation.
+        let relu = |mut values: Vec<f32>| {
+            for v in &mut values {
+                *v = if *v > 0.0 { *v } else { 0.0 };
+            }
+            values
         };
         Ok(Some(match step {
             StreamStep::Column { stream, values } => StreamStep::Column {

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use crate::backend::{quant, BackendKind, QuantizedPlane};
 use crate::init::Init;
 use crate::layers::incremental::{
-    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, StreamStep,
+    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, PackedColumns, StreamStep,
 };
 use crate::profile::{ComputeProfile, ExecutionUnit};
 use crate::{Layer, Tensor, TensorError};
@@ -48,6 +48,9 @@ pub struct Conv1d {
     /// [`BackendKind::Quant`] and the weights haven't moved since
     /// [`Layer::set_backend`] built it (a training forward drops it).
     quant: Option<QuantizedPlane>,
+    /// `weight` packed `[in, 2, out]` for the incremental column kernel,
+    /// built on the first column and dropped whenever the weights can move.
+    columns: PackedColumns,
 }
 
 impl Conv1d {
@@ -93,6 +96,7 @@ impl Conv1d {
             cached_padded_input: None,
             backend: BackendKind::active(),
             quant: None,
+            columns: PackedColumns::default(),
         };
         conv.refresh_quant();
         conv
@@ -100,16 +104,16 @@ impl Conv1d {
 
     /// Replaces the kernel backend (builder form of [`Layer::set_backend`]).
     pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self.refresh_quant();
+        self.set_backend(kind);
         self
     }
 
     /// Re-derives the cached int8 plane from the current weights when the
     /// quant backend is selected, and drops it otherwise. Quantization is
     /// deterministic, so refreshing over unchanged weights is a no-op in
-    /// value terms.
+    /// value terms. The packed column weights are dropped too.
     fn refresh_quant(&mut self) {
+        self.columns.clear();
         self.quant = (self.backend == BackendKind::Quant).then(|| {
             QuantizedPlane::quantize(
                 self.weight.as_slice(),
@@ -251,10 +255,12 @@ impl Conv1d {
 
 impl Layer for Conv1d {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
-        // Training is about to move the weights: a cached int8 plane would go
-        // stale, so drop it. `set_backend` (which the detector re-issues after
-        // fitting) re-quantizes from the trained weights.
+        // Training is about to move the weights: a cached int8 plane or
+        // column packing would go stale, so drop both. `set_backend` (which
+        // the detector re-issues after fitting) re-quantizes from the trained
+        // weights; the packing rebuilds on the next column.
         self.quant = None;
+        self.columns.clear();
         let (batch, out_len) = self.check_input(input)?;
         let padded = self.pad(input);
         let out = self.compute(&padded, batch, out_len);
@@ -369,15 +375,14 @@ impl Layer for Conv1d {
             return Ok(None);
         };
         let new = phase.prev.as_ref().expect("column stored above");
-        for ic in 0..self.in_channels {
-            state.packed[ic * 2] = prev[ic];
-            state.packed[ic * 2 + 1] = new[ic];
-        }
         let mut out = vec![0.0f32; self.out_channels];
-        // One output column is the t = 2 / out_len = 1 case of the
-        // backbone kernel — same backend (quantized plane
-        // included), same per-column association as the full pass.
         if let Some(plane) = &self.quant {
+            // One int8 output column is the t = 2 / out_len = 1 case of the
+            // backbone kernel, with the full pass's per-column association.
+            for ic in 0..self.in_channels {
+                state.packed[ic * 2] = prev[ic];
+                state.packed[ic * 2 + 1] = new[ic];
+            }
             quant::conv1d_k2s2_q8(
                 &state.packed,
                 plane,
@@ -390,17 +395,10 @@ impl Layer for Conv1d {
                 1,
             );
         } else {
-            self.backend.backend().conv1d_k2s2(
-                &state.packed,
-                self.weight.as_slice(),
-                self.bias.as_slice(),
-                &mut out,
-                1,
-                self.in_channels,
-                self.out_channels,
-                2,
-                1,
-            );
+            let packed = self.columns.get_or_pack(|| {
+                incremental::pack_k2s2(self.weight.as_slice(), self.in_channels, self.out_channels)
+            });
+            incremental::k2s2_column(packed, self.bias.as_slice(), &prev, new, &mut out);
         }
         // The pair covers elements (index - 1, index): it starts
         // on an even element exactly when `index` is odd, which
@@ -473,6 +471,7 @@ impl Layer for Conv1d {
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        self.columns.clear();
         visitor(&mut self.weight, &mut self.weight_grad);
         visitor(&mut self.bias, &mut self.bias_grad);
     }
@@ -483,6 +482,7 @@ impl Layer for Conv1d {
     }
 
     fn visit_tensors_mut(&mut self, prefix: &str, visitor: &mut dyn FnMut(&str, &mut Tensor)) {
+        self.columns.clear();
         visitor(&crate::join_tensor_name(prefix, "weight"), &mut self.weight);
         visitor(&crate::join_tensor_name(prefix, "bias"), &mut self.bias);
     }

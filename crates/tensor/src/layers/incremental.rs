@@ -34,14 +34,40 @@
 //! full recompute. Such models score through
 //! [`crate::Layer::forward_infer`] only.
 //!
-//! All column kernels dispatch through the selected
-//! [`Backend`](crate::backend::Backend) — a column is just a `t = 2`,
-//! `out_len = 1` call of the same `conv1d_k2s2`/`linear` kernels the full
-//! pass uses, so the scalar backend's incremental columns are **bit-identical**
-//! to its full forward and the vector backend stays within the usual 1e-5
-//! association tolerance.
+//! # Column kernels
+//!
+//! A column is one output vector per layer per push, so the incremental path
+//! runs matrix-vector products, not the tiled batch kernels: the k2/s2
+//! convolution maps the pair `(a, b)` of `in` values to `out` values, the
+//! head maps `in` features to `out` values. [`Conv1d`](crate::layers::Conv1d)
+//! and [`Linear`](crate::layers::Linear) each run one column kernel over
+//! weights packed once per layer, transposed so the innermost loop — and so
+//! the SIMD lanes — runs over output channels:
+//!
+//! * convolution: `[in, 2, out]`, element `(i, k, o)` = `weight[o, i, k]`;
+//! * head: `[in, out]`, element `(i, o)` = `weight[o, i]`.
+//!
+//! The packing belongs to the layer, so a fitted model behind an `Arc` holds
+//! one copy however many streams it serves. It is built on the first column
+//! and dropped by every `&mut` path that can move the weights (training
+//! `forward`, `visit_params`, `visit_tensors_mut`, `set_backend`), so it
+//! never outlives the weights it was packed from.
+//!
+//! Each output lane starts from its bias and adds the inputs in input
+//! order, `o += w0·a + w1·b` per input channel for the convolution and
+//! `o += x·w` per feature for the head. That is exactly the per-output
+//! association of the scalar backend's `conv1d_k2s2` and `linear` kernels —
+//! only the loop nest is interchanged, and lanes never combine — so the
+//! scalar backend's incremental columns are **bit-identical** to its full
+//! [`crate::Layer::forward_infer`] pass. The vector backend runs the same
+//! column kernels, so its columns equal the scalar ones bit for bit and stay
+//! within the usual 1e-5 association tolerance of its own tiled full pass.
+//! The quant backend keeps its int8 plane: a column is the `t = 2`,
+//! `out_len = 1` call of the same `conv1d_k2s2_q8`/`linear_q8` kernels the
+//! full pass uses, which keeps it bit-identical to its own full pass.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use crate::TensorError;
 
@@ -99,8 +125,8 @@ pub(crate) struct ConvK2S2Cache {
     /// length `W` touches at most `W / 2^{depth+1}`... streams at this depth,
     /// bounded by the ids that actually flow in).
     pub(crate) streams: Vec<PhaseStream>,
-    /// Scratch for the packed `[in_channels, 2]` pair the column kernel
-    /// consumes, reused across pushes.
+    /// Scratch for the packed `[in_channels, 2]` pair the quant column
+    /// kernel consumes, reused across pushes.
     pub(crate) packed: Vec<f32>,
 }
 
@@ -163,6 +189,129 @@ impl IncrementalCache {
             CacheNode::Flatten(f) => f.streams.clear(),
             CacheNode::Seq(children) => children.iter_mut().for_each(IncrementalCache::clear),
             CacheNode::Elementwise | CacheNode::Linear => {}
+        }
+    }
+}
+
+/// A layer's weights repacked for its column kernel (see the module docs):
+/// built on the first incremental call, dropped with
+/// [`PackedColumns::clear`] wherever the weights can move. A clone carries
+/// the packing along with the weights it was built from.
+#[derive(Clone, Default)]
+pub(crate) struct PackedColumns(OnceLock<Vec<f32>>);
+
+impl PackedColumns {
+    /// The packed weights, running `pack` if none are cached.
+    pub(crate) fn get_or_pack(&self, pack: impl FnOnce() -> Vec<f32>) -> &[f32] {
+        self.0.get_or_init(pack)
+    }
+
+    /// Drops the packed weights; the next column repacks.
+    pub(crate) fn clear(&mut self) {
+        self.0.take();
+    }
+}
+
+impl std::fmt::Debug for PackedColumns {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0.get() {
+            Some(packed) => write!(f, "PackedColumns({} values)", packed.len()),
+            None => f.write_str("PackedColumns(empty)"),
+        }
+    }
+}
+
+/// Output lanes one register-resident accumulator block covers: four SSE or
+/// two AVX vectors of `f32`.
+const BLOCK: usize = 16;
+
+/// Packs a k2/s2 convolution weight `[out, in, 2]` as `[in, 2, out]`.
+pub(crate) fn pack_k2s2(weight: &[f32], in_c: usize, out_c: usize) -> Vec<f32> {
+    let mut packed = vec![0.0f32; weight.len()];
+    for oc in 0..out_c {
+        for ic in 0..in_c {
+            for k in 0..2 {
+                packed[(ic * 2 + k) * out_c + oc] = weight[(oc * in_c + ic) * 2 + k];
+            }
+        }
+    }
+    packed
+}
+
+/// Packs a dense weight `[out, in]` as `[in, out]`.
+pub(crate) fn pack_linear(weight: &[f32], in_f: usize, out_f: usize) -> Vec<f32> {
+    let mut packed = vec![0.0f32; weight.len()];
+    for o in 0..out_f {
+        for i in 0..in_f {
+            packed[i * out_f + o] = weight[o * in_f + i];
+        }
+    }
+    packed
+}
+
+/// One k2/s2 convolution column over `[in, 2, out]`-packed weights: for
+/// every output `o`, `bias[o]` plus `w[o, i, 0]·prev[i] + w[o, i, 1]·new[i]`
+/// accumulated in input order — the scalar `conv1d_k2s2` association.
+pub(crate) fn k2s2_column(
+    packed: &[f32],
+    bias: &[f32],
+    prev: &[f32],
+    new: &[f32],
+    out: &mut [f32],
+) {
+    let out_c = out.len();
+    let taps = prev.iter().zip(new);
+    let mut start = 0;
+    while start + BLOCK <= out_c {
+        let mut acc: [f32; BLOCK] = bias[start..start + BLOCK]
+            .try_into()
+            .expect("block-sized bias slice");
+        for (row, (&a, &b)) in packed.chunks_exact(2 * out_c).zip(taps.clone()) {
+            let w0 = &row[start..start + BLOCK];
+            let w1 = &row[out_c + start..out_c + start + BLOCK];
+            for l in 0..BLOCK {
+                acc[l] += w0[l] * a + w1[l] * b;
+            }
+        }
+        out[start..start + BLOCK].copy_from_slice(&acc);
+        start += BLOCK;
+    }
+    // Remainder lanes: the same association, one output at a time.
+    let tail = &mut out[start..];
+    tail.copy_from_slice(&bias[start..]);
+    for (row, (&a, &b)) in packed.chunks_exact(2 * out_c).zip(taps) {
+        let w0 = &row[start..out_c];
+        let w1 = &row[out_c + start..];
+        for ((o, &w0), &w1) in tail.iter_mut().zip(w0).zip(w1) {
+            *o += w0 * a + w1 * b;
+        }
+    }
+}
+
+/// One dense column over `[in, out]`-packed weights: for every output `o`,
+/// `bias[o]` plus `x[i]·w[o, i]` accumulated in input order — the scalar
+/// `linear` association.
+pub(crate) fn linear_column(packed: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
+    let out_f = out.len();
+    let mut start = 0;
+    while start + BLOCK <= out_f {
+        let mut acc: [f32; BLOCK] = bias[start..start + BLOCK]
+            .try_into()
+            .expect("block-sized bias slice");
+        for (row, &xv) in packed.chunks_exact(out_f).zip(x) {
+            let w = &row[start..start + BLOCK];
+            for l in 0..BLOCK {
+                acc[l] += xv * w[l];
+            }
+        }
+        out[start..start + BLOCK].copy_from_slice(&acc);
+        start += BLOCK;
+    }
+    let tail = &mut out[start..];
+    tail.copy_from_slice(&bias[start..]);
+    for (row, &xv) in packed.chunks_exact(out_f).zip(x) {
+        for (o, &w) in tail.iter_mut().zip(&row[start..]) {
+            *o += xv * w;
         }
     }
 }

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use crate::backend::{quant, BackendKind, QuantizedPlane};
 use crate::init::Init;
 use crate::layers::incremental::{
-    cache_mismatch, step_mismatch, CacheNode, IncrementalCache, StreamStep,
+    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, PackedColumns, StreamStep,
 };
 use crate::profile::{ComputeProfile, ExecutionUnit};
 use crate::{Layer, Tensor, TensorError};
@@ -41,6 +41,9 @@ pub struct Linear {
     /// [`BackendKind::Quant`] and the weights haven't moved since
     /// [`Layer::set_backend`] built it (a training forward drops it).
     quant: Option<QuantizedPlane>,
+    /// `weight` packed `[in, out]` for the incremental column kernel, built
+    /// on the first column and dropped whenever the weights can move.
+    columns: PackedColumns,
 }
 
 impl Linear {
@@ -62,6 +65,7 @@ impl Linear {
             cached_input: None,
             backend: BackendKind::active(),
             quant: None,
+            columns: PackedColumns::default(),
         };
         layer.refresh_quant();
         layer
@@ -69,14 +73,15 @@ impl Linear {
 
     /// Replaces the kernel backend (builder form of [`Layer::set_backend`]).
     pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self.refresh_quant();
+        self.set_backend(kind);
         self
     }
 
     /// Re-derives the cached int8 plane from the current weights when the
-    /// quant backend is selected, and drops it otherwise.
+    /// quant backend is selected, and drops it otherwise. The packed column
+    /// weights are dropped too.
     fn refresh_quant(&mut self) {
+        self.columns.clear();
         self.quant = (self.backend == BackendKind::Quant).then(|| {
             QuantizedPlane::quantize(self.weight.as_slice(), self.out_features, self.in_features)
         });
@@ -156,8 +161,10 @@ impl Linear {
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
         // Training is about to move the weights; drop any cached int8 plane
-        // (`set_backend`, re-issued after fitting, re-quantizes).
+        // (`set_backend`, re-issued after fitting, re-quantizes) and the
+        // column packing (rebuilt on the next column).
         self.quant = None;
+        self.columns.clear();
         self.check_input(input)?;
         let out = self.compute(input);
         self.cached_input = Some(input.clone());
@@ -213,20 +220,19 @@ impl Layer for Linear {
             });
         }
         let mut out = vec![0.0f32; self.out_features];
-        // Batch-1 call of the same kernel the full pass uses — quantized
-        // plane included, so incremental stays bit-identical per backend.
         if let Some(plane) = &self.quant {
+            // Batch-1 call of the quantized kernel the full pass uses, so
+            // incremental stays bit-identical to it.
             self.compute_q8(plane, &features, &mut out, 1);
         } else {
-            self.backend.backend().linear(
-                &features,
-                self.weight.as_slice(),
-                self.bias.as_slice(),
-                &mut out,
-                1,
-                self.in_features,
-                self.out_features,
-            );
+            let packed = self.columns.get_or_pack(|| {
+                incremental::pack_linear(
+                    self.weight.as_slice(),
+                    self.in_features,
+                    self.out_features,
+                )
+            });
+            incremental::linear_column(packed, self.bias.as_slice(), &features, &mut out);
         }
         Ok(Some(StreamStep::Features(out)))
     }
@@ -268,6 +274,7 @@ impl Layer for Linear {
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        self.columns.clear();
         visitor(&mut self.weight, &mut self.weight_grad);
         visitor(&mut self.bias, &mut self.bias_grad);
     }
@@ -278,6 +285,7 @@ impl Layer for Linear {
     }
 
     fn visit_tensors_mut(&mut self, prefix: &str, visitor: &mut dyn FnMut(&str, &mut Tensor)) {
+        self.columns.clear();
         visitor(&crate::join_tensor_name(prefix, "weight"), &mut self.weight);
         visitor(&crate::join_tensor_name(prefix, "bias"), &mut self.bias);
     }

@@ -1,9 +1,9 @@
 //! Property tests of the incremental streaming path: for every sliding
 //! window of a stream, the parity-phased incremental pipeline must emit the
 //! same head output as a full [`Layer::forward_infer`] recompute of that
-//! window — bit-identical on the scalar and quant backends (same kernels,
-//! same per-column association), within 1e-5 relative deviation on the
-//! vector backend.
+//! window — bit-identical on the scalar and quant backends (the same
+//! per-output association as their full-pass kernels), within 1e-5 relative
+//! deviation on the vector backend.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,6 +11,7 @@ use rand::SeedableRng;
 use varade_tensor::layers::{
     Conv1d, Flatten, Linear, Relu, ResidualConvBlock, Sequential, StreamStep,
 };
+use varade_tensor::optim::Sgd;
 use varade_tensor::{BackendKind, Layer, Tensor};
 
 /// Builds a VARADE-shaped backbone for `channels` input channels and a
@@ -49,8 +50,17 @@ fn sample(t: usize, c: usize) -> f32 {
 
 /// Feeds `total` samples through the incremental pipeline and, for every
 /// emission, compares against the full forward_infer of the same window.
-fn check_stack(channels: usize, window: usize, backend: BackendKind) {
-    let net = varade_stack(channels, window, 4, backend);
+fn check_stack(channels: usize, window: usize, base_maps: usize, backend: BackendKind) {
+    check_net(
+        &varade_stack(channels, window, base_maps, backend),
+        channels,
+        window,
+        backend,
+    );
+}
+
+/// [`check_stack`] for an already built network.
+fn check_net(net: &Sequential, channels: usize, window: usize, backend: BackendKind) {
     let mut cache = net
         .make_incremental_cache(&[1, channels, window])
         .expect("backbone plans an incremental cache");
@@ -108,9 +118,129 @@ fn incremental_matches_full_recompute_across_windows_channels_and_backends() {
     for &backend in &BackendKind::ALL {
         for &window in &[4usize, 8, 16, 32, 64] {
             for &channels in &[1usize, 2, 3, 5] {
-                check_stack(channels, window, backend);
+                check_stack(channels, window, 4, backend);
             }
         }
+        // The paper's robot shape: 86 channels, window 64, 16 base feature
+        // maps and a 172-wide head. The column kernels' full blocks and
+        // remainder lanes only both run at widths like these.
+        check_stack(86, 64, 16, backend);
+    }
+}
+
+#[test]
+fn packed_column_weights_never_outlive_the_weights_they_were_packed_from() {
+    // 9 channels and 16 base maps: every layer has a full 16-lane block, and
+    // the 18-wide head a remainder too. Each check_net streams a window
+    // through the incremental path (packing every layer) and bit-matches the
+    // scalar forward_infer of the weights as they are now.
+    let (channels, window) = (9, 16);
+    let scalar = BackendKind::Scalar;
+    let mut net = varade_stack(channels, window, 16, scalar);
+    check_net(&net, channels, window, scalar);
+
+    // A fit: the training forward drops the packing, and the optimizer step
+    // moves the weights through visit_params after it was rebuilt.
+    let x = Tensor::from_vec(
+        (0..2 * channels * window)
+            .map(|i| (i as f32 * 0.21).sin())
+            .collect(),
+        &[2, channels, window],
+    )
+    .unwrap();
+    let y = net.forward(&x).unwrap();
+    net.backward(&y).unwrap();
+    check_net(&net, channels, window, scalar);
+    Sgd::new(0.05).step(&mut net);
+    check_net(&net, channels, window, scalar);
+
+    // visit_tensors_mut, the way a persisted model loads or perfbench's
+    // mirror copies weights in: overwrite with another network's tensors.
+    let donor = {
+        let mut d = varade_stack(channels, window, 16, scalar);
+        d.visit_tensors_mut("net", &mut |_, t| *t = t.scale(-0.75));
+        d
+    };
+    let mut donated = Vec::new();
+    donor.visit_tensors("net", &mut |_, t| donated.push(t.clone()));
+    let mut next = donated.into_iter();
+    net.visit_tensors_mut("net", &mut |_, t| *t = next.next().unwrap());
+    check_net(&net, channels, window, scalar);
+
+    // A quant -> scalar round trip re-derives everything from the f32 weights.
+    net.set_backend(BackendKind::Quant);
+    check_net(&net, channels, window, BackendKind::Quant);
+    net.set_backend(scalar);
+    check_net(&net, channels, window, scalar);
+}
+
+/// Asserts one k2/s2 column of `conv` over the pair `(a, b)` bit-matches
+/// `forward_infer` of the same two-step input.
+fn assert_conv_column_exact(conv: &Conv1d, a: &[f32], b: &[f32]) {
+    let n = a.len();
+    let mut cache = conv.make_incremental_cache(&[1, n, 2]).unwrap();
+    let first = StreamStep::Column {
+        stream: 0,
+        values: a.to_vec(),
+    };
+    assert!(conv
+        .forward_incremental(first, &mut cache)
+        .unwrap()
+        .is_none());
+    let second = StreamStep::Column {
+        stream: 0,
+        values: b.to_vec(),
+    };
+    let Some(StreamStep::Column { values, .. }) =
+        conv.forward_incremental(second, &mut cache).unwrap()
+    else {
+        panic!("a pair must emit a column");
+    };
+    let pairs: Vec<f32> = a.iter().zip(b).flat_map(|(&x, &y)| [x, y]).collect();
+    let full = conv
+        .forward_infer(&Tensor::from_vec(pairs, &[1, n, 2]).unwrap())
+        .unwrap();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&values), bits(full.as_slice()));
+}
+
+/// Asserts one column of the dense `head` bit-matches `forward_infer`.
+fn assert_linear_column_exact(head: &Linear, x: &[f32]) {
+    let mut cache = head.make_incremental_cache(&[1, x.len()]).unwrap();
+    let Some(StreamStep::Features(values)) = head
+        .forward_incremental(StreamStep::Features(x.to_vec()), &mut cache)
+        .unwrap()
+    else {
+        panic!("a dense layer emits features");
+    };
+    let full = head
+        .forward_infer(&Tensor::from_vec(x.to_vec(), &[1, x.len()]).unwrap())
+        .unwrap();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&values), bits(full.as_slice()));
+}
+
+#[test]
+fn a_clone_keeps_its_packing_consistent_with_its_own_weights() {
+    // 40 and 21 outputs: full 16-lane blocks plus remainder lanes.
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut conv = Conv1d::new(20, 40, 2, 2, 0, &mut rng).with_backend(BackendKind::Scalar);
+    let mut head = Linear::new(37, 21, &mut rng).with_backend(BackendKind::Scalar);
+    let a: Vec<f32> = (0..20).map(|i| (i as f32 * 0.7).sin()).collect();
+    let b: Vec<f32> = (0..20).map(|i| (i as f32 * 0.3).cos()).collect();
+    let x: Vec<f32> = (0..37).map(|i| (i as f32 * 0.41).sin()).collect();
+    // Pack, then clone: the clones carry the packing with their weights.
+    assert_conv_column_exact(&conv, &a, &b);
+    assert_linear_column_exact(&head, &x);
+    let conv_clone = conv.clone();
+    let head_clone = head.clone();
+    // Moving the originals' weights must not leak into the clones, and the
+    // originals repack from their new weights.
+    conv.visit_tensors_mut("conv", &mut |_, t| *t = t.scale(2.5));
+    head.visit_tensors_mut("head", &mut |_, t| *t = t.scale(-1.5));
+    for (c, h) in [(&conv, &head), (&conv_clone, &head_clone)] {
+        assert_conv_column_exact(c, &a, &b);
+        assert_linear_column_exact(h, &x);
     }
 }
 

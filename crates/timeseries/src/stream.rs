@@ -7,6 +7,15 @@ use crate::SeriesError;
 /// reads data from the sensors, prepares the data ... and calls the inference
 /// function" (§4.3).
 ///
+/// The ring is channel-major — each channel's history is one contiguous
+/// `window`-long row — so admitting a sample is one write per channel
+/// ([`StreamingWindow::push_row`]) and the `[channels, window]` context a
+/// full-window model consumes is two slice copies per channel
+/// ([`StreamingWindow::to_window`]). The context is built only when asked
+/// for: an incremental scorer that needs just the newest sample never pays
+/// for it. [`StreamingWindow::push`] does both, for callers that want every
+/// window.
+///
 /// # Examples
 ///
 /// ```
@@ -25,8 +34,14 @@ use crate::SeriesError;
 pub struct StreamingWindow {
     n_channels: usize,
     window: usize,
-    /// Row-major history of at most `window` samples.
-    rows: std::collections::VecDeque<Vec<f32>>,
+    /// Channel-major ring: channel `c`'s history lives in
+    /// `data[c * window..(c + 1) * window]`, and every channel writes its
+    /// next sample at the same slot, `head`. Once the window is full, `head`
+    /// is also the oldest sample's slot.
+    data: Vec<f32>,
+    head: usize,
+    /// Samples currently buffered (at most `window`).
+    len: usize,
     samples_seen: u64,
 }
 
@@ -45,7 +60,9 @@ impl StreamingWindow {
         Ok(Self {
             n_channels,
             window,
-            rows: std::collections::VecDeque::with_capacity(window),
+            data: vec![0.0; n_channels * window],
+            head: 0,
+            len: 0,
             samples_seen: 0,
         })
     }
@@ -67,54 +84,99 @@ impl StreamingWindow {
 
     /// Whether the buffer currently holds a full window.
     pub fn is_full(&self) -> bool {
-        self.rows.len() == self.window
+        self.len == self.window
     }
 
     /// Number of samples currently buffered (at most the window length).
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// Whether no samples are buffered (freshly created or just reset).
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Pushes one sample. Once the buffer is full, returns the current window
     /// in channel-major order (`[channels, window]` flattened), ready to be
     /// reshaped into a `[1, channels, window]` tensor.
     ///
+    /// The returned window is a fresh copy of the whole buffer; a caller
+    /// that needs only the newest sample should use
+    /// [`StreamingWindow::push_row`], which writes one value per channel and
+    /// copies nothing out.
+    ///
     /// # Errors
     ///
     /// Returns [`SeriesError::ChannelCountMismatch`] if the sample width is
     /// wrong.
     pub fn push(&mut self, sample: &[f32]) -> Result<Option<Vec<f32>>, SeriesError> {
+        self.push_row(sample)?;
+        Ok(self.to_window())
+    }
+
+    /// Pushes one sample without copying the window out: one write per
+    /// channel into the ring. Returns whether the buffer now holds a full
+    /// window.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SeriesError::ChannelCountMismatch`] if the sample width is
+    /// wrong.
+    pub fn push_row(&mut self, sample: &[f32]) -> Result<bool, SeriesError> {
         if sample.len() != self.n_channels {
             return Err(SeriesError::ChannelCountMismatch {
                 expected: self.n_channels,
                 got: sample.len(),
             });
         }
-        if self.rows.len() == self.window {
-            self.rows.pop_front();
+        for (slot, &v) in self.data[self.head..]
+            .iter_mut()
+            .step_by(self.window)
+            .zip(sample)
+        {
+            *slot = v;
         }
-        self.rows.push_back(sample.to_vec());
+        self.head = (self.head + 1) % self.window;
+        self.len = (self.len + 1).min(self.window);
         self.samples_seen += 1;
-        if self.rows.len() < self.window {
-            return Ok(None);
+        Ok(self.is_full())
+    }
+
+    /// The current window in channel-major order (`[channels, window]`
+    /// flattened, oldest sample first), or `None` before the buffer is
+    /// full. Builds a fresh copy on every call.
+    pub fn to_window(&self) -> Option<Vec<f32>> {
+        if !self.is_full() {
+            return None;
         }
-        let mut out = Vec::with_capacity(self.n_channels * self.window);
-        for c in 0..self.n_channels {
-            for row in &self.rows {
-                out.push(row[c]);
-            }
+        let mut out = Vec::with_capacity(self.data.len());
+        for history in self.data.chunks_exact(self.window) {
+            out.extend_from_slice(&history[self.head..]);
+            out.extend_from_slice(&history[..self.head]);
         }
-        Ok(Some(out))
+        Some(out)
+    }
+
+    /// Whether the newest buffered sample is bit-identical to `row` —
+    /// `false` when the buffer is empty or `row` has the wrong width. Reads
+    /// one value per channel.
+    pub fn newest_equals(&self, row: &[f32]) -> bool {
+        if self.is_empty() || row.len() != self.n_channels {
+            return false;
+        }
+        let newest = (self.head + self.window - 1) % self.window;
+        self.data[newest..]
+            .iter()
+            .step_by(self.window)
+            .zip(row)
+            .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
     /// Clears the buffered history (the sample counter is preserved).
     pub fn reset(&mut self) {
-        self.rows.clear();
+        self.head = 0;
+        self.len = 0;
     }
 
     /// Clears the buffered history *and* the sample counter, returning the
@@ -122,7 +184,7 @@ impl StreamingWindow {
     /// recycle a stream slot for a new logical stream without reallocating
     /// (the buffer is `Clone`, so a warm slot can also be forked first).
     pub fn reset_full(&mut self) {
-        self.rows.clear();
+        self.reset();
         self.samples_seen = 0;
     }
 }
@@ -200,5 +262,51 @@ mod tests {
         assert_eq!(buf.samples_seen(), 0);
         assert!(buf.push(&[9.0]).unwrap().is_none());
         assert_eq!(buf.samples_seen(), 1);
+    }
+
+    #[test]
+    fn push_row_copies_nothing_out_and_to_window_rebuilds_on_demand() {
+        let mut buf = StreamingWindow::new(2, 3).unwrap();
+        assert!(!buf.push_row(&[1.0, 10.0]).unwrap());
+        assert!(buf.to_window().is_none());
+        assert!(buf.newest_equals(&[1.0, 10.0]));
+        buf.push_row(&[2.0, 20.0]).unwrap();
+        assert!(buf.push_row(&[3.0, 30.0]).unwrap());
+        assert_eq!(
+            buf.to_window().unwrap(),
+            vec![1.0, 2.0, 3.0, 10.0, 20.0, 30.0]
+        );
+        // Wrapping the ring keeps oldest-first order per channel.
+        for t in 4..9 {
+            buf.push_row(&[t as f32, 10.0 * t as f32]).unwrap();
+            let w = buf.to_window().unwrap();
+            let t = t as f32;
+            assert_eq!(
+                w,
+                vec![
+                    t - 2.0,
+                    t - 1.0,
+                    t,
+                    10.0 * (t - 2.0),
+                    10.0 * (t - 1.0),
+                    10.0 * t
+                ]
+            );
+            assert!(buf.newest_equals(&[t, 10.0 * t]));
+            assert!(!buf.newest_equals(&[t - 1.0, 10.0 * (t - 1.0)]));
+        }
+        assert!(!buf.newest_equals(&[8.0]));
+        assert!(buf.push_row(&[1.0]).is_err());
+        buf.reset();
+        assert!(!buf.newest_equals(&[8.0, 80.0]));
+    }
+
+    #[test]
+    fn newest_equals_compares_bits() {
+        let mut buf = StreamingWindow::new(1, 2).unwrap();
+        buf.push_row(&[0.0]).unwrap();
+        assert!(!buf.newest_equals(&[-0.0]));
+        buf.push_row(&[f32::NAN]).unwrap();
+        assert!(buf.newest_equals(&[f32::NAN]));
     }
 }
