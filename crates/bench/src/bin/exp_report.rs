@@ -129,15 +129,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             report.streaming.push_latency.p99_us,
             report.streaming.model_scoring_mean_us,
         );
-        if let Some(inc) = &report.incremental {
-            println!(
-                "incremental: {:.1} samples/sec vs full {:.1} ({:.2}x, max dev {:.2e})",
-                inc.incremental.samples_per_sec,
-                inc.full.samples_per_sec,
-                inc.incremental_over_full_speedup,
-                inc.max_rel_deviation,
-            );
-        }
         if let Some(backends) = &report.backends {
             for cell in &backends.cells {
                 println!(

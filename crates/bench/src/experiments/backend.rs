@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use varade::{BackendKind, StreamState, VaradeDetector};
+use varade::{BackendKind, VaradeDetector};
 use varade_robot::dataset::RobotDataset;
 
 use crate::experiments::time_single_stream;
@@ -78,25 +78,13 @@ pub fn run_fitted(
     let to_stream = dataset.test.len().min(sample_cap);
     let original = detector.backend_kind();
 
-    // The cells measure the path the process actually serves on: the
-    // incremental cache is attached exactly when the process default says so
-    // (a fresh cache per cell — a re-routed backend must never reuse columns
-    // computed under another backend).
-    let incremental = varade::incremental_default();
+    // Every cell streams through a fresh state, so it plans a fresh cache:
+    // a re-routed backend never reuses columns computed under another.
     let mut cells = Vec::new();
     let mut reference_scores: Vec<f32> = Vec::new();
     for kind in BackendKind::ALL {
         detector.set_backend(kind);
-        let det: &VaradeDetector = detector;
-        let timed = time_single_stream(det, dataset, to_stream, window, || {
-            // The dataset splits are already normalized with the training
-            // normalizer, so the stream needs no normalizer of its own.
-            let mut state = StreamState::new(n_channels, window, None)?;
-            if incremental {
-                state.attach_cache(det.incremental_cache()?);
-            }
-            Ok(state)
-        })?;
+        let timed = time_single_stream(detector, dataset, to_stream, window)?;
         let max_rel_deviation_vs_scalar = if kind == BackendKind::Scalar {
             reference_scores = timed.scores;
             0.0

@@ -6,8 +6,7 @@
 //! "streaming throughput" trajectory) into the many-workload regime that
 //! edge deployments actually run: the sweep scores 1…N phase-shifted robot
 //! streams across 1…M shards and records, per cell, the aggregate wall-clock
-//! throughput, the per-sample latency percentiles and the achieved batch
-//! size. The experiment also *proves* the serving layer is numerically
+//! throughput and the per-sample latency percentiles. The experiment also *proves* the serving layer is numerically
 //! transparent each run: a one-stream one-shard fleet is checked
 //! bit-for-bit against [`varade::StreamingVarade`] before any cell is timed.
 
@@ -47,15 +46,9 @@ pub struct FleetSweepCell {
     /// Scores produced per second of serve window — the conservative
     /// throughput figure (model forwards only, warm-up excluded).
     pub scores_per_sec: f64,
-    /// Per-scored-sample latency distribution (admit + batched-forward
-    /// share, or admit + frontier recompute on the incremental path).
+    /// Per-scored-sample latency distribution (admit + frontier
+    /// recompute).
     pub sample_latency: LatencyStats,
-    /// Mean windows per batched scoring call actually achieved (0.0 when the
-    /// incremental path handled every window and no batch ever ran).
-    pub mean_batch_size: f64,
-    /// Windows scored through per-stream incremental caches. `None` in
-    /// baselines predating the incremental path (schema < 4).
-    pub incremental_windows: Option<u64>,
 }
 
 /// Serializable outcome of the fleet-throughput experiment.
@@ -80,9 +73,6 @@ pub struct FleetResult {
     pub cells: Vec<FleetSweepCell>,
     /// Highest aggregate samples/sec across the cells.
     pub peak_samples_per_sec: f64,
-    /// Whether the sweep's streams scored through the incremental path (the
-    /// process default). `None` in baselines predating it (schema < 4).
-    pub incremental: Option<bool>,
 }
 
 impl FleetResult {
@@ -168,7 +158,6 @@ pub fn run_fitted(
         equivalence_samples,
         cells,
         peak_samples_per_sec,
-        incremental: Some(varade::incremental_default()),
     })
 }
 
@@ -203,16 +192,12 @@ fn check_equivalence(
 
     // Reference: the exact single-stream push path. [`StreamingVarade::push`]
     // is by construction `StreamState::push_against` on an owned detector;
-    // driving that same pair against the shared `Arc` — with an incremental
-    // cache attached exactly when the fleet's streams carry one — scores
-    // through identical code without retraining a second detector (the
+    // driving that same pair against the shared `Arc` scores through
+    // identical code without retraining a second detector (the
     // literal `StreamingVarade` comparison, training included, lives in
     // `varade-fleet/tests/equivalence.rs` at a trainable scale).
     let window = detector.config().window;
     let mut reference = varade::StreamState::new(n_channels, window, None)?;
-    if varade::incremental_default() {
-        reference.attach_cache(detector.incremental_cache()?);
-    }
     let mut expected = Vec::new();
     for t in 0..samples {
         let score = reference.push_against(dataset.test.row(t), detector)?;
@@ -265,7 +250,7 @@ fn run_cell(
     let (_, outcome) = fleet
         .run(|handle| {
             // Interleave the streams (each phase-shifted into the test split)
-            // so shard batches genuinely mix streams, as live traffic would.
+            // so shard rounds genuinely mix streams, as live traffic would.
             for t in 0..samples_per_stream {
                 for (i, &id) in ids.iter().enumerate() {
                     let row = dataset.test.row((t + i * 37) % test_len);
@@ -280,17 +265,6 @@ fn run_cell(
     let latencies = stats.all_sample_latencies();
     let sample_latency = LatencyStats::from_durations(&latencies)
         .ok_or_else(|| BenchError::Report("fleet cell produced no scores".into()))?;
-    let (batches, windows, incremental_windows) =
-        stats
-            .shards
-            .iter()
-            .fold((0u64, 0u64, 0u64), |(b, w, i), s| {
-                (
-                    b + s.batches,
-                    w + s.batched_windows,
-                    i + s.incremental_windows,
-                )
-            });
     Ok(FleetSweepCell {
         streams,
         shards,
@@ -301,12 +275,6 @@ fn run_cell(
         samples_per_sec: stats.samples_per_sec().unwrap_or(0.0),
         scores_per_sec: stats.scores_per_sec().unwrap_or(0.0),
         sample_latency,
-        mean_batch_size: if batches > 0 {
-            windows as f64 / batches as f64
-        } else {
-            0.0
-        },
-        incremental_windows: Some(incremental_windows),
     })
 }
 
@@ -346,15 +314,6 @@ mod tests {
             assert!(cell.scores_per_sec > 0.0);
             assert!(cell.scores_per_sec <= cell.samples_per_sec);
             assert!(cell.sample_latency.p50_us <= cell.sample_latency.p99_us);
-            if r.incremental == Some(true) {
-                // Every window went through the per-stream caches; the
-                // batched forward never ran.
-                assert_eq!(cell.incremental_windows, Some(cell.total_scores));
-                assert_eq!(cell.mean_batch_size, 0.0);
-            } else {
-                assert_eq!(cell.incremental_windows, Some(0));
-                assert!(cell.mean_batch_size >= 1.0);
-            }
         }
         assert!(r.peak_samples_per_sec > 0.0);
         assert_eq!(

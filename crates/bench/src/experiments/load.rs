@@ -369,9 +369,6 @@ fn check_equivalence(detector: &Arc<VaradeDetector>) -> Result<bool, BenchError>
         .map_err(fleet_err)?;
 
     let mut reference = varade::StreamState::new(1, WINDOW, None)?;
-    if varade::incremental_default() {
-        reference.attach_cache(detector.incremental_cache()?);
-    }
     let mut expected = Vec::new();
     for t in 0..SAMPLES {
         if let Some(s) = reference.push_against(&[sample_value(0, t)], detector)? {

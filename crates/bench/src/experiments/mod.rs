@@ -14,7 +14,6 @@
 //! | [`streaming`] | §3.1/§4.3 — real-time push throughput and latency | [`streaming::StreamingResult`] |
 //! | [`backend`] | beyond the paper — kernel-backend (scalar vs vector) throughput sweep | [`backend::BackendSweepResult`] |
 //! | [`fleet`] | beyond the paper — multi-stream serving throughput (streams × shards sweep) | [`fleet::FleetResult`] |
-//! | [`incremental`] | beyond the paper — incremental (cached) vs full-recompute streaming | [`incremental::IncrementalResult`] |
 //! | [`load`] | beyond the paper — Zipf many-stream multi-core load harness with exact sample accounting | [`load::MulticoreResult`] |
 //! | [`persist`] | beyond the paper — model save/load round-trip (footprint, wall time, bit-identity audit) | [`persist::PersistenceResult`] |
 //! | [`quantization`] | beyond the paper — int8 quant backend audit (footprint ratio, throughput, AUC deviation vs scalar) | [`quantization::QuantizationResult`] |
@@ -31,7 +30,6 @@ pub mod backend;
 pub mod channels;
 pub mod figure3;
 pub mod fleet;
-pub mod incremental;
 pub mod load;
 pub mod persist;
 pub mod quantization;
@@ -49,7 +47,7 @@ use crate::timing::LatencyStats;
 use crate::BenchError;
 
 /// One timed single-stream pass, as produced by [`time_single_stream`] — the
-/// shared measurement core of the backend and incremental experiments.
+/// shared measurement core of the backend and quantization experiments.
 pub(crate) struct TimedStream {
     pub samples_per_sec: f64,
     pub push_latency: LatencyStats,
@@ -58,17 +56,18 @@ pub(crate) struct TimedStream {
 }
 
 /// Streams `to_stream` samples of the dataset's collision split through a
-/// fresh [`StreamState`] from `make_state`, timing every push — after an
-/// un-timed warm-up pass (its own fresh state) that pages in the code path
-/// and the model weights, so successive cells measured this way stay
-/// comparable and the first never pays the process' cold-start noise.
+/// fresh [`StreamState`] (no normalizer: the dataset splits are already
+/// normalized), timing every push — after an un-timed warm-up pass (its own
+/// fresh state) that pages in the code path and the model weights, so
+/// successive cells measured this way stay comparable and the first never
+/// pays the process' cold-start noise.
 pub(crate) fn time_single_stream(
     detector: &VaradeDetector,
     dataset: &RobotDataset,
     to_stream: usize,
     window: usize,
-    make_state: impl Fn() -> Result<StreamState, BenchError>,
 ) -> Result<TimedStream, BenchError> {
+    let make_state = || StreamState::new(dataset.test.n_channels(), window, None);
     let mut warmup = make_state()?;
     for t in 0..to_stream.min(window + 64) {
         warmup.push_against(dataset.test.row(t), detector)?;

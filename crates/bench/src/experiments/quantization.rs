@@ -20,7 +20,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use varade::{BackendKind, ScoringRule, StreamState, VaradeDetector};
+use varade::{BackendKind, ScoringRule, VaradeDetector};
 use varade_detectors::AnomalyDetector;
 use varade_metrics::ScoreSummary;
 use varade_robot::dataset::RobotDataset;
@@ -154,7 +154,6 @@ pub fn run(
         ));
     }
 
-    let incremental = varade::incremental_default();
     let mut cells = Vec::new();
     let mut sizes = None;
     for rule in [ScoringRule::Variance, ScoringRule::PredictionError] {
@@ -202,15 +201,7 @@ pub fn run(
                 .map_err(|e| BenchError::Report(format!("quant persist: {e}")))?
                 .len() as u64;
 
-            let timed = |det: &VaradeDetector| {
-                time_single_stream(det, dataset, last, window, || {
-                    let mut state = StreamState::new(n_channels, window, None)?;
-                    if incremental {
-                        state.attach_cache(det.incremental_cache()?);
-                    }
-                    Ok(state)
-                })
-            };
+            let timed = |det: &VaradeDetector| time_single_stream(det, dataset, last, window);
             let quant_timed = timed(&detector)?;
             detector.set_backend(BackendKind::Scalar);
             let file_bytes_f32 = detector

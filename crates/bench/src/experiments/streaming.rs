@@ -2,9 +2,8 @@
 //! scores one sample at a time, the way the inference script on the Jetson
 //! boards consumes the sensor stream.
 //!
-//! This is the reference measurement for the ROADMAP "streaming throughput"
-//! item: the checked-in `BENCH_*.json` records samples/sec and latency
-//! percentiles, and batching/SIMD PRs must beat them.
+//! The checked-in `BENCH_*.json` records samples/sec and latency
+//! percentiles of the incremental push path.
 
 use std::time::Duration;
 
@@ -43,10 +42,6 @@ pub struct StreamingResult {
     /// (`None` when the streamed slice contains a single class, which can
     /// happen on very short quick runs).
     pub score_summary: Option<ScoreSummary>,
-    /// Whether the stream scored through the incremental (parity-phased
-    /// activation cache) path — the process default unless overridden.
-    /// `None` in baselines predating the incremental path (schema < 4).
-    pub incremental: Option<bool>,
 }
 
 /// Trains the Table 2 VARADE configuration on the dataset's normal split and
@@ -109,7 +104,6 @@ pub fn run_fitted(
     let score_summary = (scores.len() + config.window == to_stream)
         .then(|| ScoreSummary::compute(&scores, &dataset.labels[config.window..to_stream]).ok())
         .flatten();
-    let incremental = Some(stream.incremental());
     Ok(StreamingResult {
         n_channels,
         window: config.window,
@@ -122,7 +116,6 @@ pub fn run_fitted(
             .mean_scoring_latency()
             .map_or(0.0, |d| d.as_secs_f64() * 1e6),
         score_summary,
-        incremental,
     })
 }
 

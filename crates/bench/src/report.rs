@@ -19,7 +19,6 @@ use crate::experiments::backend::BackendSweepResult;
 use crate::experiments::channels::ChannelsResult;
 use crate::experiments::figure3::Figure3Result;
 use crate::experiments::fleet::FleetResult;
-use crate::experiments::incremental::IncrementalResult;
 use crate::experiments::load::MulticoreResult;
 use crate::experiments::persist::PersistenceResult;
 use crate::experiments::quantization::QuantizationResult;
@@ -28,8 +27,8 @@ use crate::experiments::table2::Table2Result;
 use crate::experiments::telemetry::TelemetryResult;
 use crate::experiments::ExperimentScale;
 use crate::experiments::{
-    ablation, architecture, backend, channels, figure3, fleet, incremental, load, persist,
-    quantization, streaming, table2, telemetry,
+    ablation, architecture, backend, channels, figure3, fleet, load, persist, quantization,
+    streaming, table2, telemetry,
 };
 use crate::{compare_line, paper_row, BenchError};
 
@@ -54,7 +53,12 @@ use crate::{compare_line, paper_row, BenchError};
 /// footprint ratio vs f32 weights, single-stream throughput, per-scoring-rule
 /// AUC deviation vs the scalar reference) and a third (`quant`) cell in the
 /// `backends` sweep.
-pub const SCHEMA_VERSION: u32 = 8;
+/// v9 dropped the `incremental` section, the per-section `incremental`
+/// markers and the fleet cells' `mean_batch_size`/`incremental_windows`:
+/// every stream scores through the incremental path, so there is no other
+/// path to compare with or count. Older reports still load; the keys are
+/// ignored.
+pub const SCHEMA_VERSION: u32 = 9;
 
 /// Oldest schema this crate still reads. Pre-v5 reports simply lack the
 /// newer optional sections, which deserialize as `None`.
@@ -74,9 +78,6 @@ pub struct RunMeta {
     /// core, so shard scaling numbers from multi-core hosts are not
     /// comparable to them.
     pub cpu_cores: usize,
-    /// Whether the headline sections ran on the incremental streaming path
-    /// (`"on"` unless `VARADE_INCREMENTAL=off`). `None` in pre-v4 baselines.
-    pub incremental: Option<String>,
 }
 
 impl RunMeta {
@@ -85,14 +86,6 @@ impl RunMeta {
         Self {
             active_backend: varade::BackendKind::active().label().to_string(),
             cpu_cores: std::thread::available_parallelism().map_or(0, |n| n.get()),
-            incremental: Some(
-                if varade::incremental_default() {
-                    "on"
-                } else {
-                    "off"
-                }
-                .to_string(),
-            ),
         }
     }
 }
@@ -111,9 +104,6 @@ pub struct BenchReport {
     pub meta: Option<RunMeta>,
     /// Streaming push throughput and latency percentiles.
     pub streaming: StreamingResult,
-    /// Incremental-vs-full streaming comparison (`None` in pre-v4
-    /// baselines).
-    pub incremental: Option<IncrementalResult>,
     /// Model save/load round-trip audit (`None` in pre-v5 baselines).
     pub persistence: Option<PersistenceResult>,
     /// Kernel-backend throughput sweep (`None` in pre-v3 baselines).
@@ -169,9 +159,6 @@ pub fn collect(scale: ExperimentScale, date: &str) -> Result<BenchReport, BenchE
     eprintln!("exp_report: running the kernel-backend sweep ...");
     let backends =
         backend::run_fitted(&mut varade, &outcome.dataset, scale.streaming_sample_cap())?;
-    eprintln!("exp_report: comparing incremental vs full streaming ...");
-    let incremental =
-        incremental::run_fitted(&varade, &outcome.dataset, scale.streaming_sample_cap())?;
     eprintln!("exp_report: auditing the persistence round-trip ...");
     let persistence = persist::run_fitted(&varade, &outcome.dataset, scale.streaming_sample_cap())?;
     eprintln!("exp_report: auditing the int8 quant backend ...");
@@ -184,7 +171,6 @@ pub fn collect(scale: ExperimentScale, date: &str) -> Result<BenchReport, BenchE
         scale: scale.label().to_string(),
         meta: Some(RunMeta::capture()),
         streaming,
-        incremental: Some(incremental),
         persistence: Some(persistence),
         backends: Some(backends),
         quantization: Some(quantization),
@@ -370,18 +356,6 @@ pub fn compute_deltas(previous: &BenchReport, current: &BenchReport) -> Vec<Delt
             "telemetry overhead (%)",
             p.overhead_pct,
             c.overhead_pct,
-        ));
-    }
-    if let (Some(p), Some(c)) = (&previous.incremental, &current.incremental) {
-        rows.push(delta_row(
-            "incremental samples/sec",
-            p.incremental.samples_per_sec,
-            c.incremental.samples_per_sec,
-        ));
-        rows.push(delta_row(
-            "incremental-over-full speedup",
-            p.incremental_over_full_speedup,
-            c.incremental_over_full_speedup,
         ));
     }
     if let (Some(p), Some(c)) = (&previous.persistence, &current.persistence) {
@@ -626,17 +600,6 @@ fn render_streaming(out: &mut String, r: &BenchReport) {
             summary.auc_roc, summary.average_precision, summary.best_f1
         ));
     }
-    if let Some(inc) = &s.incremental {
-        out.push_str(&format!(
-            "Scoring path: **{}**.\n",
-            if *inc {
-                "incremental (parity-phased activation cache)"
-            } else {
-                "full per-push recompute"
-            }
-        ));
-    }
-    render_incremental(out, r);
     out.push_str(&format!(
         "\nPaper cross-reference (Table 2): VARADE runs at {:.3} Hz on the Jetson Xavier NX\n\
          and {:.3} Hz on the AGX Orin; the numbers above are a laptop-class CPU, so compare\n\
@@ -647,48 +610,6 @@ fn render_streaming(out: &mut String, r: &BenchReport) {
         paper_row("Jetson AGX Orin", "VARADE")
             .and_then(|p| p.inference_frequency_hz)
             .unwrap_or(f64::NAN),
-    ));
-}
-
-/// The incremental-vs-full comparison, rendered as a subsection of §1 so the
-/// section numbering (and the §9 trajectory) stays stable.
-fn render_incremental(out: &mut String, r: &BenchReport) {
-    out.push_str("\n### Incremental vs full recompute\n\n");
-    let Some(inc) = &r.incremental else {
-        out.push_str(
-            "This baseline predates the incremental streaming path (schema < 4);\n\
-             the next full-scale `exp_report` run will populate this comparison.\n",
-        );
-        return;
-    };
-    out.push_str(&format!(
-        "Every `push` slides the context window by one sample; the incremental path\n\
-         keeps a parity-phased cache of each backbone layer's outputs (two phase lines\n\
-         per stride-2 convolution, recursively) and recomputes only the\n\
-         receptive-field frontier — one new column per layer — instead of the whole\n\
-         window. Same fitted detector, same {} samples on each path:\n\n",
-        inc.streamed_samples,
-    ));
-    out.push_str(
-        "| Path | Samples/sec | p50 (us) | p99 (us) | Scoring mean (us) |\n\
-         |---|---|---|---|---|\n",
-    );
-    for cell in [&inc.incremental, &inc.full] {
-        out.push_str(&format!(
-            "| {} | {:.1} | {:.1} | {:.1} | {:.1} |\n",
-            cell.path,
-            cell.samples_per_sec,
-            cell.push_latency.p50_us,
-            cell.push_latency.p99_us,
-            cell.model_scoring_mean_us,
-        ));
-    }
-    out.push_str(&format!(
-        "\nIncremental-over-full speedup: **{:.2}x**; maximum relative score deviation\n\
-         across every push: {:.2e} (contract: ≤ 1e-5; exactly 0 on the scalar backend,\n\
-         whose incremental columns are bit-identical). Disable with\n\
-         `VARADE_INCREMENTAL=off`.\n",
-        inc.incremental_over_full_speedup, inc.max_rel_deviation,
     ));
 }
 
@@ -703,7 +624,7 @@ fn render_fleet(out: &mut String, r: &BenchReport) {
     };
     out.push_str(&format!(
         "Many logical streams share one fitted detector through the sharded\n\
-         `varade-fleet` engine (bounded queues, `{}` overload policy, batched\n\
+         `varade-fleet` engine (bounded queues, `{}` overload policy, incremental\n\
          scoring). One-stream/one-shard fleet vs. `StreamingVarade` bit-identity\n\
          over {} samples: **{}**.\n\n",
         fleet.overload_policy,
@@ -715,19 +636,18 @@ fn render_fleet(out: &mut String, r: &BenchReport) {
         },
     ));
     out.push_str(
-        "| Streams | Shards | Samples/sec | Scores/sec | p50 (us) | p99 (us) | Mean batch | Dropped |\n\
-         |---|---|---|---|---|---|---|---|\n",
+        "| Streams | Shards | Samples/sec | Scores/sec | p50 (us) | p99 (us) | Dropped |\n\
+         |---|---|---|---|---|---|---|\n",
     );
     for cell in &fleet.cells {
         out.push_str(&format!(
-            "| {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {} |\n",
+            "| {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {} |\n",
             cell.streams,
             cell.shards,
             cell.samples_per_sec,
             cell.scores_per_sec,
             cell.sample_latency.p50_us,
             cell.sample_latency.p99_us,
-            cell.mean_batch_size,
             cell.dropped,
         ));
     }
@@ -736,7 +656,7 @@ fn render_fleet(out: &mut String, r: &BenchReport) {
          queue capacity {}). Samples/sec counts every admitted sample (warm-up\n\
          included); scores/sec counts model forwards only — the conservative\n\
          figure. Latencies are per scored sample: normalization and window\n\
-         buffering plus the sample's share of its batched forward pass.\n\n",
+         buffering plus its incremental forward pass.\n\n",
         fleet.peak_samples_per_sec, fleet.n_channels, fleet.window, fleet.queue_capacity,
     ));
 }
@@ -1083,10 +1003,6 @@ pub struct BenchFloor {
     /// Minimum acceptable quick-scale vector-over-scalar speedup (the vector
     /// backend must never fall behind the scalar reference).
     pub quick_min_vector_over_scalar_speedup: f64,
-    /// Minimum acceptable quick-scale incremental-over-full speedup (the
-    /// cached path must never fall behind the full recompute). `None` in
-    /// pre-incremental floor files (schema 1).
-    pub quick_min_incremental_over_full_speedup: Option<f64>,
     /// Maximum acceptable quick-scale telemetry substrate overhead, in
     /// percent of disabled-mode fleet throughput. `None` in pre-telemetry
     /// floor files (schema ≤ 2).
@@ -1134,17 +1050,6 @@ pub fn check_floor(report: &BenchReport, floor: &BenchFloor) -> Result<(), Bench
             violations.push(format!(
                 "vector-over-scalar speedup {:.2}x is below the floor of {:.2}x",
                 backends.vector_over_scalar_speedup, floor.quick_min_vector_over_scalar_speedup
-            ));
-        }
-    }
-    if let (Some(incremental), Some(min_speedup)) = (
-        &report.incremental,
-        floor.quick_min_incremental_over_full_speedup,
-    ) {
-        if incremental.incremental_over_full_speedup < min_speedup {
-            violations.push(format!(
-                "incremental-over-full speedup {:.2}x is below the floor of {:.2}x",
-                incremental.incremental_over_full_speedup, min_speedup
             ));
         }
     }

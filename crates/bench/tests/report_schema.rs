@@ -8,7 +8,6 @@ use varade_bench::experiments::backend::{BackendCell, BackendSweepResult};
 use varade_bench::experiments::channels;
 use varade_bench::experiments::figure3::Figure3Result;
 use varade_bench::experiments::fleet::{FleetResult, FleetSweepCell};
-use varade_bench::experiments::incremental::{IncrementalCell, IncrementalResult};
 use varade_bench::experiments::load::{LoadCell, MulticoreResult, StageLatencyCell};
 use varade_bench::experiments::persist::PersistenceResult;
 use varade_bench::experiments::quantization::{QuantizationCell, QuantizationResult};
@@ -106,8 +105,6 @@ fn fixture_fleet(samples_per_sec: f64) -> FleetResult {
             p99_us: 80.0,
             max_us: 200.0,
         },
-        mean_batch_size: streams.min(8) as f64,
-        incremental_windows: Some(0),
     };
     FleetResult {
         n_channels: 86,
@@ -118,7 +115,6 @@ fn fixture_fleet(samples_per_sec: f64) -> FleetResult {
         equivalence_samples: 128,
         cells: vec![cell(1, 1, 1.0), cell(8, 4, 4.0)],
         peak_samples_per_sec: samples_per_sec * 4.0,
-        incremental: Some(false),
     }
 }
 
@@ -224,33 +220,6 @@ fn fixture_telemetry(samples_per_sec: f64) -> TelemetryResult {
     }
 }
 
-/// Hand-built incremental-vs-full comparison: the cached path at four times
-/// the full-recompute throughput, bit-exact.
-fn fixture_incremental(samples_per_sec: f64) -> IncrementalResult {
-    let cell = |path: &str, factor: f64| IncrementalCell {
-        path: path.to_string(),
-        samples_per_sec: samples_per_sec * factor,
-        push_latency: LatencyStats {
-            samples: 3750,
-            mean_us: 1e6 / (samples_per_sec * factor),
-            p50_us: 900.0 / factor,
-            p90_us: 1200.0 / factor,
-            p99_us: 2000.0 / factor,
-            max_us: 4000.0 / factor,
-        },
-        model_scoring_mean_us: 850.0 / factor,
-    };
-    IncrementalResult {
-        n_channels: 86,
-        window: 64,
-        streamed_samples: 3750,
-        incremental: cell("incremental", 4.0),
-        full: cell("full", 1.0),
-        incremental_over_full_speedup: 4.0,
-        max_rel_deviation: 0.0,
-    }
-}
-
 /// Hand-built persistence audit: a ~1 MB model file, bit-exact round trip.
 fn fixture_persistence() -> PersistenceResult {
     PersistenceResult {
@@ -302,7 +271,6 @@ fn fixture_report(date: &str, samples_per_sec: f64, varade_auc: f64) -> BenchRep
         meta: Some(RunMeta {
             active_backend: "scalar".to_string(),
             cpu_cores: 1,
-            incremental: Some("on".to_string()),
         }),
         streaming: StreamingResult {
             n_channels: 86,
@@ -321,9 +289,7 @@ fn fixture_report(date: &str, samples_per_sec: f64, varade_auc: f64) -> BenchRep
             },
             model_scoring_mean_us: 850.0,
             score_summary: None,
-            incremental: Some(true),
         },
-        incremental: Some(fixture_incremental(samples_per_sec)),
         persistence: Some(fixture_persistence()),
         backends: Some(fixture_backends(samples_per_sec)),
         quantization: Some(fixture_quantization(samples_per_sec)),
@@ -498,11 +464,6 @@ fn rendered_markdown_is_deterministic_and_contains_every_section() {
     // The fleet section reports the equivalence verdict and the sweep peak.
     assert!(md.contains("bit-identity"));
     assert!(md.contains("**confirmed**"));
-    // The incremental comparison renders inside §1 with its speedup and
-    // deviation audit.
-    assert!(md.contains("### Incremental vs full recompute"));
-    assert!(md.contains("Incremental-over-full speedup: **4.00x**"));
-    assert!(md.contains("VARADE_INCREMENTAL=off"));
     // The load harness renders inside §3 with its ledger framing and SLO
     // column.
     assert!(md.contains("### Multi-core Zipf load harness (`experiments::load`)"));
@@ -685,15 +646,11 @@ fn v1_baselines_without_newer_keys_still_load() {
     v1.meta = None;
     v1.backends = None;
     v1.quantization = None;
-    v1.incremental = None;
     v1.persistence = None;
     v1.multicore = None;
     v1.telemetry = None;
-    v1.streaming.incremental = None;
     let compact = serde_json::to_string(&v1).unwrap();
-    // Simulate the genuine v1 file: the keys are absent, not null. The
-    // report-level `incremental` key carries a trailing comma (followed by
-    // `backends`); the streaming section's sits last in its object.
+    // Simulate the genuine v1 file: the keys are absent, not null.
     let without_keys = compact
         .replace("\"fleet\":null,", "")
         .replace("\"meta\":null,", "")
@@ -701,14 +658,8 @@ fn v1_baselines_without_newer_keys_still_load() {
         .replace("\"quantization\":null,", "")
         .replace("\"persistence\":null,", "")
         .replace("\"multicore\":null,", "")
-        .replace("\"telemetry\":null,", "")
-        .replace("\"incremental\":null,", "")
-        .replace(",\"incremental\":null", "");
+        .replace("\"telemetry\":null,", "");
     assert_ne!(compact, without_keys, "fixture lost its null markers");
-    assert!(
-        !without_keys.contains("incremental"),
-        "an incremental key survived the v1 simulation"
-    );
     assert!(
         !without_keys.contains("persistence"),
         "a persistence key survived the v1 simulation"
@@ -727,12 +678,21 @@ fn v1_baselines_without_newer_keys_still_load() {
     assert!(back.meta.is_none());
     assert!(back.backends.is_none());
     assert!(back.quantization.is_none());
-    assert!(back.incremental.is_none());
     assert!(back.persistence.is_none());
     assert!(back.multicore.is_none());
     assert!(back.telemetry.is_none());
-    assert!(back.streaming.incremental.is_none());
     assert_eq!(back.streaming, v1.streaming);
+
+    // v4–v8 baselines carry `incremental` keys that v9 dropped: the loader
+    // ignores them.
+    let legacy = compact.replacen(
+        "\"persistence\":null",
+        "\"incremental\":{\"incremental_over_full_speedup\":1.4},\"persistence\":null",
+        1,
+    );
+    assert_ne!(legacy, compact, "fixture lost its persistence marker");
+    let legacy: BenchReport = serde_json::from_str(&legacy).unwrap();
+    assert_eq!(legacy, v1);
 
     // And the renderer degrades gracefully for baselines predating the newer
     // sections.
@@ -742,7 +702,6 @@ fn v1_baselines_without_newer_keys_still_load() {
     }]);
     assert!(md.contains("predates the fleet engine"));
     assert!(md.contains("predates the multi-backend substrate"));
-    assert!(md.contains("predates the incremental streaming path"));
     assert!(md.contains("predates the persistence container"));
     assert!(md.contains("predates the load harness"));
     assert!(md.contains("predates the telemetry substrate"));
@@ -755,7 +714,6 @@ fn floor_check_gates_quick_reports_only() {
         schema_version: 2,
         quick_min_streaming_samples_per_sec: 500.0,
         quick_min_vector_over_scalar_speedup: 1.0,
-        quick_min_incremental_over_full_speedup: Some(1.0),
         quick_max_telemetry_overhead_pct: Some(2.0),
         quick_max_quant_footprint_ratio: Some(0.25),
         quick_max_quant_auc_deviation: Some(0.01),
@@ -786,18 +744,6 @@ fn floor_check_gates_quick_reports_only() {
     let err = check_floor(&regressed, &floor).unwrap_err().to_string();
     assert!(err.contains("speedup"), "{err}");
 
-    // An incremental path slower than the full recompute trips its floor.
-    let mut cache_regressed = quick.clone();
-    cache_regressed
-        .incremental
-        .as_mut()
-        .unwrap()
-        .incremental_over_full_speedup = 0.5;
-    let err = check_floor(&cache_regressed, &floor)
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("incremental-over-full"), "{err}");
-
     // A telemetry substrate costing more than the ceiling trips its gate.
     let mut heavy = quick.clone();
     heavy.telemetry.as_mut().unwrap().overhead_pct = 5.0;
@@ -818,8 +764,7 @@ fn floor_check_gates_quick_reports_only() {
     let err = check_floor(&drifted, &floor).unwrap_err().to_string();
     assert!(err.contains("AUC deviation"), "{err}");
 
-    // The committed floor file parses, matches this schema and gates the
-    // incremental win.
+    // The committed floor file parses and matches this schema.
     let committed = varade_bench::report::load_floor(std::path::Path::new(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../bench_floor.json"
@@ -827,9 +772,6 @@ fn floor_check_gates_quick_reports_only() {
     .expect("committed bench_floor.json parses");
     assert!(committed.schema_version >= 1);
     assert!(committed.quick_min_streaming_samples_per_sec > 0.0);
-    assert!(committed
-        .quick_min_incremental_over_full_speedup
-        .is_some_and(|s| s > 0.0));
     assert!(committed
         .quick_max_telemetry_overhead_pct
         .is_some_and(|p| p > 0.0));

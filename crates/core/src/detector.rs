@@ -247,7 +247,9 @@ impl VaradeDetector {
     }
 
     /// Scores a single channel-major window (`[channels * window]`) given the
-    /// observation that followed it. Used by the streaming front-end.
+    /// observation that followed it, by a full `forward_infer` recompute —
+    /// the reference the incremental path
+    /// ([`VaradeDetector::score_window_incremental`]) must match.
     ///
     /// Takes `&self`: scoring runs through the immutable inference path, so a
     /// fitted detector behind an `Arc` can serve many streams concurrently.
@@ -255,62 +257,29 @@ impl VaradeDetector {
     /// # Errors
     ///
     /// Returns [`VaradeError::NotFitted`] before `fit` and
-    /// [`VaradeError::InvalidData`] for a window of the wrong size.
+    /// [`VaradeError::InvalidData`] for a window or sample of the wrong size.
     pub fn score_window(&self, context: &[f32], next_sample: &[f32]) -> Result<f32, VaradeError> {
-        let scores = self.score_windows(&[context], &[next_sample])?;
-        Ok(scores[0])
-    }
-
-    /// Scores many channel-major windows in one batched forward pass — the
-    /// fleet engine's amortization hook: gathering the pending windows of all
-    /// streams in a shard into one call shares the per-call tensor setup and
-    /// keeps the backbone weights hot across windows. Each window is scored
-    /// exactly as [`VaradeDetector::score_window`] would score it alone (the
-    /// inference kernels are batch-invariant), so batching never changes the
-    /// numbers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VaradeError::NotFitted`] before `fit` and
-    /// [`VaradeError::InvalidData`] if the slice lengths disagree or any
-    /// window/target has the wrong size.
-    pub fn score_windows(
-        &self,
-        contexts: &[&[f32]],
-        targets: &[&[f32]],
-    ) -> Result<Vec<f32>, VaradeError> {
         let model = self.model.as_ref().ok_or(VaradeError::NotFitted)?;
-        if contexts.len() != targets.len() {
+        if context.len() != self.n_channels * self.config.window
+            || next_sample.len() != self.n_channels
+        {
             return Err(VaradeError::InvalidData(format!(
-                "{} contexts vs {} targets",
-                contexts.len(),
-                targets.len()
+                "expected context of {} values and sample of {} values, got {} and {}",
+                self.n_channels * self.config.window,
+                self.n_channels,
+                context.len(),
+                next_sample.len()
             )));
         }
-        if contexts.is_empty() {
-            return Ok(Vec::new());
-        }
-        for (context, target) in contexts.iter().zip(targets) {
-            if context.len() != self.n_channels * self.config.window
-                || target.len() != self.n_channels
-            {
-                return Err(VaradeError::InvalidData(format!(
-                    "expected context of {} values and sample of {} values, got {} and {}",
-                    self.n_channels * self.config.window,
-                    self.n_channels,
-                    context.len(),
-                    target.len()
-                )));
-            }
-        }
-        Self::score_batch(
+        let scores = Self::score_batch(
             model,
             self.scoring,
-            contexts,
-            targets,
+            &[context],
+            &[next_sample],
             self.n_channels,
             self.config.window,
-        )
+        )?;
+        Ok(scores[0])
     }
 
     /// Plans a fresh per-stream [`EncoderCache`] for the incremental scoring
@@ -728,46 +697,16 @@ mod tests {
         assert!(det.score_series(&wave_series(100, 3)).is_err());
         assert!(det.score_series(&wave_series(5, 2)).is_err());
         assert!(det.score_window(&[0.0; 7], &[0.0; 2]).is_err());
-    }
-
-    #[test]
-    fn batched_window_scoring_is_bit_identical_to_single() {
-        let train = wave_series(200, 2);
-        let mut det = VaradeDetector::new(tiny_config());
-        assert!(det.n_channels().is_none());
-        det.fit(&train).unwrap();
-        assert_eq!(det.n_channels(), Some(2));
-        let test = wave_series(40, 2);
-        let window = tiny_config().window;
-        let mut contexts: Vec<Vec<f32>> = Vec::new();
-        let mut targets: Vec<Vec<f32>> = Vec::new();
-        for end in [20, 25, 30] {
-            let mut ctx = Vec::new();
-            for c in 0..2 {
-                for t in end - window..end {
-                    ctx.push(test.value(t, c));
-                }
-            }
-            contexts.push(ctx);
-            targets.push(test.row(end).to_vec());
-        }
-        let ctx_refs: Vec<&[f32]> = contexts.iter().map(Vec::as_slice).collect();
-        let tgt_refs: Vec<&[f32]> = targets.iter().map(Vec::as_slice).collect();
-        let batched = det.score_windows(&ctx_refs, &tgt_refs).unwrap();
-        for (i, (ctx, tgt)) in ctx_refs.iter().zip(&tgt_refs).enumerate() {
-            // Exact equality: the inference kernels are batch-invariant, the
-            // contract the fleet's StreamingVarade equivalence rests on.
-            assert_eq!(batched[i], det.score_window(ctx, tgt).unwrap());
-        }
-        assert!(det.score_windows(&ctx_refs, &tgt_refs[..2]).is_err());
-        assert!(det.score_windows(&[], &[]).unwrap().is_empty());
+        assert!(det.score_window(&[0.0; 16], &[0.0; 3]).is_err());
     }
 
     #[test]
     fn score_window_matches_series_scoring() {
         let train = wave_series(200, 2);
         let mut det = VaradeDetector::new(tiny_config());
+        assert!(det.n_channels().is_none());
         det.fit(&train).unwrap();
+        assert_eq!(det.n_channels(), Some(2));
         let test = wave_series(40, 2);
         let series_scores = det.score_series(&test).unwrap();
         // Score the window ending right before index 20 manually.
@@ -782,7 +721,9 @@ mod tests {
         };
         let next: Vec<f32> = test.row(20).to_vec();
         let manual = det.score_window(&window, &next).unwrap();
-        assert!((manual - series_scores[20]).abs() < 1e-5);
+        // Exact equality: the inference kernels are batch-invariant, so a
+        // window scored alone equals the same window inside a series batch.
+        assert_eq!(manual.to_bits(), series_scores[20].to_bits());
     }
 
     #[test]

@@ -9,21 +9,17 @@
 //! re-route, an out-of-band reset), the detector rebuilds it by replaying
 //! the context window — the cold-start fallback that keeps every push's
 //! score equal to a full `forward_infer` recompute.
-//!
-//! The path is on by default and `VARADE_INCREMENTAL=off` is the escape
-//! hatch (see [`incremental_default`]).
-
-use std::sync::OnceLock;
 
 use varade_tensor::layers::IncrementalCache;
 use varade_timeseries::StreamingWindow;
 
 /// Parity-phased activation cache of one stream against one fitted detector.
 ///
-/// Create one with [`crate::VaradeDetector::incremental_cache`], attach it to
-/// a [`crate::StreamState`] (or let [`crate::StreamingVarade::new`] do both),
-/// and every push recomputes only the backbone's receptive-field frontier
-/// instead of the whole window. A cache is tied to the detector that planned
+/// A [`crate::StreamState`] plans its own from the detector it scores
+/// against; [`crate::VaradeDetector::incremental_cache`] plans one by hand,
+/// for [`crate::VaradeDetector::score_window_incremental`] or
+/// [`crate::StreamState::attach_cache`]. Either way every push recomputes
+/// only the backbone's receptive-field frontier instead of the whole window. A cache is tied to the detector that planned
 /// it: same channel count, window and weights. Feeding it through a
 /// *different* detector is detected only as far as shapes go — re-plan
 /// instead of sharing caches across detectors.
@@ -101,37 +97,12 @@ impl EncoderCache {
     }
 }
 
-/// Whether new streams use the incremental path by default: the
-/// `VARADE_INCREMENTAL` environment variable (`on`/`off`, also
-/// `1`/`0`/`true`/`false`/`yes`/`no`), resolved once per process and then
-/// frozen, defaulting to **on**. Per-stream overrides
-/// ([`crate::StreamingVarade::set_incremental`], the fleet's config) do not
-/// consult this again.
+/// Whether streams score through the incremental path: always `true`, as
+/// every stream now does.
 ///
-/// # Panics
-///
-/// Panics if `VARADE_INCREMENTAL` is set to an unknown value — a
-/// misconfigured CI lane should fail loudly, not silently measure the wrong
-/// path.
+/// This exists only for the host facts the outside-in benchmark
+/// (`perfbench/`) prints; a change to that benchmark can drop the fact and
+/// then this function.
 pub fn incremental_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("VARADE_INCREMENTAL") {
-        Ok(value) => match value.trim().to_ascii_lowercase().as_str() {
-            "on" | "1" | "true" | "yes" => true,
-            "off" | "0" | "false" | "no" => false,
-            other => panic!("VARADE_INCREMENTAL: unknown value `{other}` (expected on|off)"),
-        },
-        Err(_) => true,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_resolved_once_and_stable() {
-        let first = incremental_default();
-        assert_eq!(incremental_default(), first);
-    }
+    true
 }

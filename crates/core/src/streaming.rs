@@ -6,22 +6,19 @@
 //! a fitted [`VaradeDetector`] behind a push-based API that mirrors the
 //! inference script running on the Jetson boards (§4.3).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use varade_obs::spanclock::SpanStamp;
 use varade_timeseries::{MinMaxNormalizer, SeriesError, StreamingWindow};
 
-use crate::{incremental_default, EncoderCache, VaradeDetector, VaradeError};
+use crate::{EncoderCache, VaradeDetector, VaradeError};
 
 /// Cumulative timing of the work done by [`StreamingVarade::push`], the
-/// instrumentation hook behind the `varade-bench` throughput experiments
-/// (ROADMAP "streaming throughput": this is the number batching PRs must
-/// beat).
+/// instrumentation hook behind the `varade-bench` throughput experiments.
 ///
 /// The model-scoring time is recorded separately from the total push time so
 /// that the bookkeeping overhead (normalization, window buffering) stays
-/// visible: a future batched scorer should shrink `scoring` without growing
-/// the difference.
+/// visible next to the model's incremental columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PushStats {
     /// Samples pushed so far (including warm-up samples).
@@ -119,8 +116,9 @@ pub struct StreamState {
     /// [`StreamState::set_stage_timing`]); off by default so the untimed hot
     /// path carries no extra clock reads.
     stage_timing: bool,
-    /// Parity-phased activation cache for the incremental scoring path,
-    /// `None` when the stream scores through the full recompute path.
+    /// Parity-phased activation cache for the incremental scoring path:
+    /// `None` until the first scored push plans it from the detector it
+    /// scores against, and again after every invalidation.
     cache: Option<EncoderCache>,
     /// The model version (see the fleet's per-group slots) this stream's
     /// cache was last validated against; `0` means "never synced".
@@ -152,9 +150,10 @@ impl StreamState {
         })
     }
 
-    /// Invalidates the attached [`EncoderCache`], if any: the next scored
-    /// push replays its context window and re-primes under whatever model
-    /// and backend are current.
+    /// Drops the stream's [`EncoderCache`], if any: the next scored push
+    /// plans a fresh one from the detector it scores against, then replays
+    /// its context window to prime it under whatever model and backend are
+    /// current.
     ///
     /// This is the **single** invalidation point shared by every path that
     /// changes what the cache's history would have produced — a backend
@@ -163,9 +162,7 @@ impl StreamState {
     /// pickup) — so no caller can forget half the bookkeeping and score a
     /// new model against columns computed under an old one.
     pub fn invalidate_cache(&mut self) {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.reset();
-        }
+        self.cache = None;
     }
 
     /// The model version this stream last synced its cache against (`0`
@@ -177,8 +174,8 @@ impl StreamState {
     /// Records that this stream now scores against model `version`,
     /// invalidating the cache (via [`StreamState::invalidate_cache`]) when
     /// the version actually changed. Returns `true` on a change — the fleet
-    /// shards use the signal to re-plan caches against the new model at the
-    /// round boundary where they pick it up.
+    /// shards trace it as a cache invalidation at the round boundary where
+    /// they pick the new model up.
     pub fn sync_model_version(&mut self, version: u64) -> bool {
         if self.model_version == version {
             return false;
@@ -188,34 +185,20 @@ impl StreamState {
         true
     }
 
-    /// Attaches an [`EncoderCache`] (planned by
-    /// [`VaradeDetector::incremental_cache`]): subsequent
-    /// [`StreamState::push_against`] calls score through the incremental
-    /// path. The cache self-primes on the first scored push by replaying its
-    /// context, so attaching mid-stream is safe.
+    /// Replaces the stream's cache with `cache` (planned by
+    /// [`VaradeDetector::incremental_cache`] for the detector the stream
+    /// scores against). A stream plans its own on its first scored push, so
+    /// this only hands it a particular one. A cache whose last ingested
+    /// sample is not the window's newest is replayed, not trusted, so
+    /// attaching mid-stream is safe.
     pub fn attach_cache(&mut self, cache: EncoderCache) {
         self.cache = Some(cache);
     }
 
-    /// Detaches the cache, returning the stream to the full-recompute path.
-    pub fn detach_cache(&mut self) -> Option<EncoderCache> {
-        self.cache.take()
-    }
-
-    /// Read access to the attached cache, if any.
+    /// Read access to the stream's cache: `None` before its first scored
+    /// push and after an invalidation.
     pub fn cache(&self) -> Option<&EncoderCache> {
         self.cache.as_ref()
-    }
-
-    /// Mutable access to the attached cache, if any — how the fleet shards
-    /// thread per-stream caches through their batched rounds.
-    pub fn cache_mut(&mut self) -> Option<&mut EncoderCache> {
-        self.cache.as_mut()
-    }
-
-    /// Whether this stream scores through the incremental path.
-    pub fn incremental(&self) -> bool {
-        self.cache.is_some()
     }
 
     /// Number of channels per sample.
@@ -236,15 +219,15 @@ impl StreamState {
 
     /// Normalizes one raw sample, hands back the [`ScoreRequest`] pairing it
     /// with the context that was live when it arrived (once the warm-up is
-    /// over), and slides the window. The caller scores the request — against
-    /// its own detector, alone or batched with other streams — and folds the
-    /// timing back in through [`StreamState::record`].
+    /// over), and slides the window. The caller scores the request itself —
+    /// e.g. through [`VaradeDetector::score_window_incremental`] against a
+    /// cache of its own — and folds the timing back in through
+    /// [`StreamState::record`]. The stream's own cache never sees it.
     ///
-    /// Every request carries a fresh copy of the whole context window. That
-    /// is what batched full-recompute scoring needs; a caller with a
-    /// detector at hand should use [`StreamState::push_timed`] (or
-    /// [`StreamState::push_against`]), whose incremental path copies nothing
-    /// but the new row.
+    /// Every request carries a fresh copy of the whole context window. A
+    /// caller with a detector at hand should use [`StreamState::push_timed`]
+    /// (or [`StreamState::push_against`]), whose incremental path copies
+    /// nothing but the new row.
     ///
     /// With per-stage timing on ([`StreamState::set_stage_timing`]) the
     /// admission is split into [`PushStats::normalize_time`] (the
@@ -341,9 +324,7 @@ impl StreamState {
 
     /// Folds one completed push into the stats: `scored` says whether the
     /// push produced a score, `total_time` covers the whole push path and
-    /// `scoring_time` the model forward alone (zero for warm-up pushes; an
-    /// equal share of the batch forward when the score came from a batched
-    /// call).
+    /// `scoring_time` the model forward alone (zero for warm-up pushes).
     pub fn record(&mut self, scored: bool, total_time: Duration, scoring_time: Duration) {
         self.stats.pushes += 1;
         if scored {
@@ -353,36 +334,7 @@ impl StreamState {
         self.stats.total_time += total_time;
     }
 
-    /// One-stop push: [`StreamState::admit`], score the request through the
-    /// closure, [`StreamState::record`] the timing. This is the whole body of
-    /// [`StreamingVarade::push`]; the fleet shards bypass it only to batch
-    /// the scoring call across streams.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VaradeError::Series`] for wrong sample widths and whatever
-    /// error the scoring closure produces.
-    pub fn push_with<F>(&mut self, sample: &[f32], score_fn: F) -> Result<Option<f32>, VaradeError>
-    where
-        F: FnOnce(&[f32], &[f32]) -> Result<f32, VaradeError>,
-    {
-        let push_started = Instant::now();
-        let request = self.admit(sample)?;
-        let (score, scoring_time) = match request {
-            Some(req) => {
-                let scoring_started = Instant::now();
-                let score = score_fn(&req.context, &req.row)?;
-                (Some(score), scoring_started.elapsed())
-            }
-            None => (None, Duration::ZERO),
-        };
-        self.record(score.is_some(), push_started.elapsed(), scoring_time);
-        Ok(score)
-    }
-
-    /// One-stop push against a fitted detector: like
-    /// [`StreamState::push_with`], but routing through the attached
-    /// [`EncoderCache`] when one is present — the whole body of
+    /// One-stop push against a fitted detector — the whole body of
     /// [`StreamingVarade::push`]: [`StreamState::push_timed`], then
     /// [`StreamState::record`].
     ///
@@ -415,13 +367,13 @@ impl StreamState {
     /// ([`TimedPush::finished`], which a caller can reuse as the next span's
     /// start).
     ///
-    /// With a cache attached, a primed push touches only the new row: it is
-    /// checked and normalized, the cache's last ingested sample is compared
-    /// with the window's newest (one value per channel), one column per layer
-    /// is computed, and the row is written into the window ring. The context
-    /// window is built only when the cache must be replayed (a cold start or
-    /// an invalidated cache). Without a cache the context is copied out of
-    /// the ring and scored by a full recompute.
+    /// Every score goes through the stream's [`EncoderCache`]. The first
+    /// scored push after creation or an invalidation plans one from
+    /// `detector` and primes it by replaying the context window; after that
+    /// a push touches only the new row: it is checked and normalized, the
+    /// cache's last ingested sample is compared with the window's newest (one
+    /// value per channel), one column per layer is computed, and the row is
+    /// written into the window ring.
     ///
     /// # Errors
     ///
@@ -438,15 +390,12 @@ impl StreamState {
     ) -> Result<TimedPush, VaradeError> {
         let (due, normalize_time) = self.admit_row(sample)?;
         let admitted = SpanStamp::now();
-        let score = due.then(|| match self.cache.as_mut() {
-            Some(cache) => detector.score_next_incremental(cache, &self.buffer, &self.row),
-            None => {
-                let context = self
-                    .buffer
-                    .to_window()
-                    .expect("a sample is due a score only behind a full window");
-                detector.score_window(&context, &self.row)
-            }
+        let score = due.then(|| {
+            let cache = match &mut self.cache {
+                Some(cache) => cache,
+                slot @ None => slot.insert(detector.incremental_cache()?),
+            };
+            detector.score_next_incremental(cache, &self.buffer, &self.row)
         });
         let scored = SpanStamp::now();
         self.commit_row();
@@ -479,8 +428,8 @@ pub struct TimedPush {
     /// per-stage timing is on ([`StreamState::set_stage_timing`]) and the
     /// stream has a normalizer. The rest of the admission is assembly.
     pub normalize_time: Duration,
-    /// The model: incremental columns (or a cold replay), or the full
-    /// recompute and its context copy when no cache is attached.
+    /// The model: incremental columns, or planning and priming the cache by
+    /// a cold replay.
     pub scoring_time: Duration,
     /// The stamp that closed the push.
     pub finished: SpanStamp,
@@ -527,43 +476,13 @@ impl StreamingVarade {
             return Err(VaradeError::NotFitted);
         }
         let window = detector.config().window;
-        let mut state = StreamState::new(n_channels, window, normalizer)?;
-        // The incremental path is the process default (VARADE_INCREMENTAL);
-        // `set_incremental` overrides per stream.
-        if incremental_default() {
-            state.attach_cache(detector.incremental_cache()?);
-        }
+        let state = StreamState::new(n_channels, window, normalizer)?;
         Ok(Self { detector, state })
     }
 
-    /// Whether pushes score through the incremental (cached) path.
-    pub fn incremental(&self) -> bool {
-        self.state.incremental()
-    }
-
-    /// Switches the incremental path on or off mid-stream. Turning it on
-    /// attaches a fresh [`EncoderCache`] that self-primes on the next scored
-    /// push (a full-recompute replay of its context), so scores are identical
-    /// to an uninterrupted stream; turning it off simply drops the cache.
-    ///
-    /// # Errors
-    ///
-    /// Never fails on a constructed wrapper (the detector is fitted by
-    /// construction); the `Result` mirrors [`VaradeDetector::incremental_cache`].
-    pub fn set_incremental(&mut self, on: bool) -> Result<(), VaradeError> {
-        match (on, self.state.incremental()) {
-            (true, false) => self.state.attach_cache(self.detector.incremental_cache()?),
-            (false, true) => {
-                self.state.detach_cache();
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
     /// Re-routes the wrapped detector onto another kernel backend (see
-    /// [`VaradeDetector::set_backend`]) mid-stream. The attached cache — its
-    /// columns were computed under the old backend — is invalidated through
+    /// [`VaradeDetector::set_backend`]) mid-stream. The stream's cache — its
+    /// columns were computed under the old backend — is dropped through
     /// [`StreamState::invalidate_cache`] (the same helper the hot-swap path
     /// uses), so the next scored push re-primes with a full replay under the
     /// new backend and the stream scores exactly like a fresh one on `kind`.
@@ -576,11 +495,11 @@ impl StreamingVarade {
     /// the single-stream counterpart of the fleet's `publish_model`. The new
     /// detector must be fitted with the same window and channel count (the
     /// stream's buffer layout); everything else — weights, scoring rule,
-    /// backend, even `base_feature_maps` — may differ. The attached cache is
-    /// invalidated through [`StreamState::invalidate_cache`] and re-planned
-    /// against the new detector (its layer shapes may have changed), so the
-    /// next scored push replays the shared window history under the new
-    /// model: pushes are never dropped and no score mixes two models.
+    /// backend, even `base_feature_maps` — may differ. The stream's cache is
+    /// dropped through [`StreamState::invalidate_cache`], so the next scored
+    /// push plans one against the new detector (its layer shapes may have
+    /// changed) and replays the shared window history under the new model:
+    /// pushes are never dropped and no score mixes two models.
     ///
     /// # Errors
     ///
@@ -605,13 +524,7 @@ impl StreamingVarade {
                 new_channels
             )));
         }
-        if self.state.incremental() {
-            self.state.invalidate_cache();
-            // Re-plan rather than reuse: the new model may have a different
-            // layer geometry (e.g. other feature-map widths) than the cache
-            // was planned for.
-            self.state.attach_cache(new.incremental_cache()?);
-        }
+        self.state.invalidate_cache();
         Ok(std::mem::replace(&mut self.detector, new))
     }
 
@@ -667,8 +580,11 @@ impl StreamingVarade {
     ///
     /// # Errors
     ///
-    /// Returns [`VaradeError::InvalidData`] if the sample width does not match
-    /// the channel count.
+    /// Returns [`VaradeError::Series`] with
+    /// [`SeriesError::ChannelCountMismatch`] if the sample width does not
+    /// match the channel count, and with [`SeriesError::NonFiniteValue`] if a
+    /// value is NaN or infinite. A rejected sample reaches neither the window
+    /// nor the cache.
     pub fn push(&mut self, sample: &[f32]) -> Result<Option<f32>, VaradeError> {
         let Self { detector, state } = self;
         state.push_against(sample, detector)
@@ -679,6 +595,7 @@ impl StreamingVarade {
 mod tests {
     use super::*;
     use crate::VaradeConfig;
+    use std::time::Instant;
     use varade_detectors::AnomalyDetector;
     use varade_timeseries::MultivariateSeries;
 
@@ -754,11 +671,22 @@ mod tests {
         for (t, s) in streamed.iter().enumerate().take(window) {
             assert!(s.is_nan(), "warm-up push {t} emitted a score");
         }
+        // On the scalar backend the incremental columns keep the batch
+        // pass's per-output association, so every push is bit-identical.
+        let scalar = crate::BackendKind::active() == crate::BackendKind::Scalar;
         for (t, (streamed, batch)) in streamed.iter().zip(&batch_scores).enumerate().skip(window) {
-            assert!(
-                (streamed - batch).abs() < 1e-5,
-                "mismatch at {t}: {streamed} vs {batch}"
-            );
+            if scalar {
+                assert_eq!(
+                    streamed.to_bits(),
+                    batch.to_bits(),
+                    "mismatch at {t}: {streamed} vs {batch}"
+                );
+            } else {
+                assert!(
+                    (streamed - batch).abs() < 1e-5,
+                    "mismatch at {t}: {streamed} vs {batch}"
+                );
+            }
         }
     }
 
@@ -791,7 +719,17 @@ mod tests {
     #[test]
     fn rejects_wrong_sample_width() {
         let mut stream = StreamingVarade::new(fitted_detector(), 2, None).unwrap();
-        assert!(stream.push(&[1.0]).is_err());
+        let err = stream.push(&[1.0]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                VaradeError::Series(SeriesError::ChannelCountMismatch {
+                    expected: 2,
+                    got: 1
+                })
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -831,44 +769,46 @@ mod tests {
 
     #[test]
     fn stream_state_admit_and_record_mirror_push() {
-        // Drive a raw StreamState through admit/record the way a fleet shard
-        // would, and check it produces the same requests and stats bookkeeping
-        // as the closure-based push_with.
-        let mut manual = StreamState::new(2, 4, None).unwrap();
-        let mut closured = StreamState::new(2, 4, None).unwrap();
+        // Drive a raw StreamState through admit/record the way a caller
+        // scoring its own requests would, and check it produces the same
+        // due pushes and stats bookkeeping as push_against.
+        let det = fitted_detector();
+        let window = tiny_config().window;
+        let mut manual = StreamState::new(2, window, None).unwrap();
+        let mut pushed = StreamState::new(2, window, None).unwrap();
         let mut manual_requests = Vec::new();
-        for t in 0..10 {
-            let sample = [t as f32, -(t as f32)];
-            if let Some(req) = manual.admit(&sample).unwrap() {
+        for t in 0..window + 6 {
+            let sample = [t as f32 * 0.1, -(t as f32) * 0.1];
+            let request = manual.admit(&sample).unwrap();
+            if let Some(req) = &request {
                 assert_eq!(req.row, sample);
-                assert_eq!(req.context.len(), 2 * 4);
+                assert_eq!(req.context.len(), 2 * window);
                 manual_requests.push(req.clone());
                 manual.record(true, Duration::from_micros(2), Duration::from_micros(1));
             } else {
                 manual.record(false, Duration::from_micros(2), Duration::ZERO);
             }
-            let score = closured
-                .push_with(&sample, |context, row| {
-                    assert_eq!(row, sample);
-                    assert_eq!(context.len(), 2 * 4);
-                    Ok(42.0)
-                })
-                .unwrap();
-            assert_eq!(score.is_some(), t >= 4);
+            let score = pushed.push_against(&sample, &det).unwrap();
+            assert_eq!(score.is_some(), request.is_some());
+            assert_eq!(score.is_some(), t >= window);
         }
-        // Window 4: requests start with the 5th sample.
-        assert_eq!(manual_requests.len(), 10 - 4);
-        assert_eq!(manual.stats().pushes, 10);
+        // Requests start with the sample after the first full window.
+        assert_eq!(manual_requests.len(), 6);
+        assert_eq!(manual.stats().pushes, (window + 6) as u64);
         assert_eq!(manual.stats().scores, 6);
-        assert_eq!(closured.stats().pushes, 10);
-        assert_eq!(closured.stats().scores, 6);
-        // The first request's context is the first four samples,
+        assert_eq!(pushed.stats().pushes, manual.stats().pushes);
+        assert_eq!(pushed.stats().scores, manual.stats().scores);
+        // The first request's context is the first `window` samples,
         // channel-major.
+        let first: Vec<f32> = (0..2)
+            .flat_map(|c| (0..window).map(move |t| (t, c)))
+            .map(|(t, c)| [t as f32 * 0.1, -(t as f32) * 0.1][c])
+            .collect();
+        assert_eq!(manual_requests[0].context, first);
         assert_eq!(
-            manual_requests[0].context,
-            vec![0.0, 1.0, 2.0, 3.0, -0.0, -1.0, -2.0, -3.0]
+            manual_requests[0].row,
+            [window as f32 * 0.1, -(window as f32) * 0.1]
         );
-        assert_eq!(manual_requests[0].row, [4.0, -4.0]);
     }
 
     #[test]
@@ -1029,11 +969,14 @@ mod tests {
         let window = tiny_config().window;
         let test = wave_series(40);
         let mut donor = StreamState::new(2, window, None).unwrap();
-        donor.attach_cache(det.incremental_cache().unwrap());
+        assert!(donor.cache().is_none());
         for t in 0..20 {
             donor.push_against(test.row(t + 13), &det).unwrap();
         }
-        let foreign = donor.detach_cache().unwrap();
+        let foreign = donor
+            .cache()
+            .expect("a scored push plans the cache")
+            .clone();
         assert!(foreign.is_primed());
 
         let mut state = StreamState::new(2, window, None).unwrap();
@@ -1135,41 +1078,19 @@ mod tests {
     }
 
     /// Streams `test` through a fresh detector trained identically to
-    /// [`fitted_detector`], with the incremental path forced on or off.
-    fn scores_with_incremental(test: &MultivariateSeries, incremental: bool) -> Vec<f32> {
+    /// [`fitted_detector`].
+    fn streamed_scores(test: &MultivariateSeries) -> Vec<f32> {
         let mut stream = StreamingVarade::new(fitted_detector(), 2, None).unwrap();
-        stream.set_incremental(incremental).unwrap();
-        assert_eq!(stream.incremental(), incremental);
         (0..test.len())
             .filter_map(|t| stream.push(test.row(t)).unwrap())
             .collect()
     }
 
     #[test]
-    fn incremental_scores_match_full_recompute_on_every_push() {
-        let test = wave_series(60);
-        let full = scores_with_incremental(&test, false);
-        let incremental = scores_with_incremental(&test, true);
-        assert_eq!(full.len(), incremental.len());
-        for (t, (a, b)) in incremental.iter().zip(&full).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-5 * b.abs().max(1.0),
-                "push {t}: incremental {a} vs full {b}"
-            );
-            // On the scalar backend the incremental columns keep the full
-            // pass's per-output association: bit-identical.
-            if crate::BackendKind::active() == crate::BackendKind::Scalar {
-                assert_eq!(a.to_bits(), b.to_bits(), "scalar bit mismatch at {t}");
-            }
-        }
-    }
-
-    #[test]
     fn reset_stats_keeps_the_cache_and_the_buffer() {
         let test = wave_series(50);
-        let reference = scores_with_incremental(&test, true);
+        let reference = streamed_scores(&test);
         let mut stream = StreamingVarade::new(fitted_detector(), 2, None).unwrap();
-        stream.set_incremental(true).unwrap();
         let mut scores = Vec::new();
         for t in 0..test.len() {
             if t == 30 {
@@ -1200,14 +1121,12 @@ mod tests {
             det.set_backend(BackendKind::Vector);
             StreamingVarade::new(det, 2, None).unwrap()
         };
-        fresh.set_incremental(true).unwrap();
 
         let mut rerouted = {
             let mut det = VaradeDetector::new(tiny_config()).with_backend(BackendKind::Scalar);
             det.fit(&wave_series(200)).unwrap();
             StreamingVarade::new(det, 2, None).unwrap()
         };
-        rerouted.set_incremental(true).unwrap();
 
         let mut fresh_scores = Vec::new();
         let mut rerouted_scores = Vec::new();
@@ -1239,36 +1158,6 @@ mod tests {
                 b.to_bits(),
                 "score {t} after re-route: {a} vs fresh-vector {b}"
             );
-        }
-    }
-
-    #[test]
-    fn mid_stream_incremental_toggle_matches_an_untoggled_stream() {
-        let test = wave_series(60);
-        let reference = scores_with_incremental(&test, false);
-        let mut stream = StreamingVarade::new(fitted_detector(), 2, None).unwrap();
-        let mut scores = Vec::new();
-        for t in 0..test.len() {
-            // off → on → off across the stream.
-            if t == 20 {
-                stream.set_incremental(true).unwrap();
-            }
-            if t == 40 {
-                stream.set_incremental(false).unwrap();
-            }
-            if let Some(s) = stream.push(test.row(t)).unwrap() {
-                scores.push(s);
-            }
-        }
-        assert_eq!(scores.len(), reference.len());
-        for (t, (a, b)) in scores.iter().zip(&reference).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-5 * b.abs().max(1.0),
-                "push {t}: toggled {a} vs untoggled {b}"
-            );
-            if crate::BackendKind::active() == crate::BackendKind::Scalar {
-                assert_eq!(a.to_bits(), b.to_bits(), "scalar bit mismatch at {t}");
-            }
         }
     }
 

@@ -67,7 +67,6 @@ fn swap_detector_scores_only_the_new_model_after_a_primed_cache() {
     let data = rows(30);
 
     let mut stream = StreamingVarade::new(old, CHANNELS, None).unwrap();
-    stream.set_incremental(true).unwrap();
     // Prime the cache under the old model: several scored pushes, so its
     // columns are warm — exactly the state a bypassed invalidation would
     // leak into post-swap scores.
@@ -108,7 +107,6 @@ fn set_backend_scores_only_the_new_backend_after_a_primed_cache() {
     // runs the scalar column kernels, so its columns would not differ.)
     let data = rows(30);
     let mut stream = StreamingVarade::new(fitted(5, BackendKind::Quant), CHANNELS, None).unwrap();
-    stream.set_incremental(true).unwrap();
     let mut primed = Vec::new();
     for (t, row) in data.iter().enumerate().take(14) {
         if let Some(score) = stream.push(row).unwrap() {
@@ -147,7 +145,6 @@ fn set_backend_scores_only_the_new_backend_after_a_primed_cache() {
 fn swap_detector_validates_and_leaves_the_stream_untouched_on_error() {
     let data = rows(16);
     let mut stream = StreamingVarade::new(fitted(5, BackendKind::Scalar), CHANNELS, None).unwrap();
-    stream.set_incremental(true).unwrap();
     for row in &data[..12] {
         stream.push(row).unwrap();
     }
@@ -190,8 +187,8 @@ fn swap_detector_validates_and_leaves_the_stream_untouched_on_error() {
 #[test]
 fn sync_model_version_funnels_through_the_shared_helper() {
     // The fleet-facing entry point: version churn invalidates exactly once
-    // per change and reports changes truthfully — the signal the shards use
-    // to re-plan caches at round boundaries.
+    // per change and reports changes truthfully — the signal the shards
+    // trace as a cache invalidation at round boundaries.
     let mut state = StreamState::new(CHANNELS, WINDOW, None).unwrap();
     assert_eq!(state.model_version(), 0);
     assert!(state.sync_model_version(1));
@@ -204,14 +201,16 @@ fn sync_model_version_funnels_through_the_shared_helper() {
     let det = fitted(5, BackendKind::Scalar);
     let data = rows(26);
     let mut state = StreamState::new(CHANNELS, WINDOW, None).unwrap();
-    state.attach_cache(det.incremental_cache().unwrap());
     state.sync_model_version(1);
     for row in &data[..14] {
         state.push_against(row, &det).unwrap();
     }
-    // Pretend a publish happened (same weights, new epoch): the cache must
-    // cold-start, and cold-start replay is bit-identical on scalar.
+    assert!(state.cache().is_some_and(|cache| cache.is_primed()));
+    // Pretend a publish happened (same weights, new epoch): the cache is
+    // dropped, the next push re-plans and cold-starts it, and cold-start
+    // replay is bit-identical on scalar.
     assert!(state.sync_model_version(2));
+    assert!(state.cache().is_none());
     for (t, row) in data.iter().enumerate().skip(14) {
         let got = state
             .push_against(row, &det)

@@ -24,14 +24,14 @@
 //! `(detector, version)` *after* popping the samples of the current round,
 //! so a sample pushed after [`FleetHandle::publish_model`] returns is always
 //! scored by the new model (pop happens after push happens after publish;
-//! model load happens after pop). Batched rounds still load each group
-//! exactly once, keeping one consistent model per group per round.
+//! model load happens after pop). A version change drops the stream's
+//! cache, and its next push re-plans it against the new model.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use varade::{ScoreRequest, StreamState, VaradeDetector};
+use varade::{StreamState, VaradeDetector};
 use varade_obs::spanclock::SpanStamp;
 use varade_obs::{FleetEvent, ShardTelemetry, Stage, StageRecorder, Telemetry, TelemetrySnapshot};
 use varade_timeseries::MinMaxNormalizer;
@@ -48,7 +48,7 @@ pub struct ModelGroupId(usize);
 /// the previous one (kept for [`Fleet::rollback_model`]) and an epoch
 /// counter. Shard workers load `(current, version)` once per scoring round,
 /// so a publish lands atomically at the next round boundary — never in the
-/// middle of a batched forward, and never dropping a queued push.
+/// middle of a push, and never dropping a queued push.
 ///
 /// A single mutex guards the whole record; it is held only for pointer-sized
 /// copies (an `Arc` clone and two integers), never across a forward pass.
@@ -266,11 +266,11 @@ impl Fleet {
     /// Publishes a new detector to a model group — the zero-downtime hot
     /// swap. The previous model is retired to a rollback slot and the group's
     /// version is bumped; shard workers pick the new model up at their next
-    /// scoring round boundary, invalidating and re-planning each affected
-    /// stream's incremental cache (its columns were computed under the old
-    /// weights) while keeping every queued push. Streams buffered mid-window
-    /// simply have their context re-scored under the new model — no push is
-    /// ever dropped by a swap.
+    /// scoring round boundary, dropping each affected stream's incremental
+    /// cache (its columns were computed under the old weights; the stream's
+    /// next push re-plans it) while keeping every queued push. Streams
+    /// buffered mid-window simply have their context re-scored under the new
+    /// model — no push is ever dropped by a swap.
     ///
     /// Callable between serve windows; for publishing *during* one, see
     /// [`FleetHandle::publish_model`]. Returns the group's new version.
@@ -389,16 +389,13 @@ impl Fleet {
         // Telemetry's assembly/normalize spans come from the stream's own
         // admission stage timing.
         state.set_stage_timing(self.telemetry.is_enabled());
-        // Stamp the stream with the version it was planned against, so the
+        // Stamp the stream with the version it registered under, so the
         // first serve round doesn't mistake registration for a swap and
-        // spuriously invalidate the fresh cache.
+        // trace a spurious cache invalidation. The stream plans its
+        // incremental cache on its first scored push; the cache travels
+        // with the state into the shard workers and persists across serve
+        // windows.
         state.sync_model_version(version);
-        if self.config.incremental_enabled() {
-            // One parity-phased activation cache per stream, alongside its
-            // window buffer; it travels with the state into the shard
-            // workers and persists across serve windows.
-            state.attach_cache(detector.incremental_cache()?);
-        }
         self.states.push(state);
         Ok(id)
     }
@@ -591,9 +588,6 @@ impl Fleet {
                         shard,
                         streams: home_streams[shard],
                         push: std::mem::take(&mut home_push[shard]),
-                        batches: output.counters.batches,
-                        batched_windows: output.counters.batched_windows,
-                        incremental_windows: output.counters.incremental_windows,
                         dropped: output.dropped,
                         steals: output.counters.steals,
                         sample_latencies: output.counters.sample_latencies,
@@ -819,9 +813,10 @@ struct ScoreSlot {
 /// for the ownership/steal protocol).
 ///
 /// Lock order is `slot` → `pending`: scorers take the slot lock first and
-/// pop pending under it; the delivering worker takes only `pending`. Slot
-/// locks are acquired with `try_lock` in rounds, so two workers with stale
-/// ownership lists can never deadlock on each other's round guards.
+/// pop pending under it; the delivering worker takes only `pending`. A
+/// round holds one slot lock at a time and takes it with `try_lock`, so a
+/// worker with a stale ownership list skips a slot a peer holds instead of
+/// waiting on it.
 struct StreamCell {
     group: usize,
     /// The shard whose ingress rings feed this stream (and the shard its
@@ -931,13 +926,10 @@ struct WorkerOutput {
 }
 
 /// Mutable scoring counters threaded through one worker's serve window.
-/// Batch/incremental/latency numbers are attributed to the worker that did
-/// the arithmetic (which, under stealing, may not be a stream's home shard).
+/// Steal and latency numbers are attributed to the worker that did the
+/// arithmetic (which, under stealing, may not be a stream's home shard).
 #[derive(Default)]
 struct WorkerCounters {
-    batches: u64,
-    batched_windows: u64,
-    incremental_windows: u64,
     steals: u64,
     sample_latencies: Vec<Duration>,
     /// Largest ingress backlog seen at any of this worker's drain points
@@ -949,10 +941,9 @@ struct WorkerCounters {
 
 /// The shard worker: drain this shard's ingress rings, deliver to the target
 /// streams' pending deques, then process one *round* — one pending sample
-/// per owned stream, scored incrementally or gathered into one batched
-/// forward per model group. Idle workers steal backlogged streams from
-/// peers; all workers exit once every ring is closed-and-drained and every
-/// pending deque is empty.
+/// per owned stream, scored through the stream's incremental cache. Idle
+/// workers steal backlogged streams from peers; all workers exit once every
+/// ring is closed-and-drained and every pending deque is empty.
 ///
 /// Never loses the stream states (they live in the shared cells): on a
 /// scoring/admission error the worker closes its own rings (so a
@@ -1211,30 +1202,15 @@ fn try_steal(
     false
 }
 
-/// A batched-path entry: the stream's slot guard is held for the rest of the
-/// round, which is what makes steals land exactly at round boundaries for
-/// batch-scored streams.
-struct BatchEntry<'a> {
-    cell: usize,
-    guard: MutexGuard<'a, ScoreSlot>,
-    request: ScoreRequest,
-    admit_time: Duration,
-    enqueued_at: Option<SpanStamp>,
-}
-
 /// One scoring round: pop at most one pending sample per owned stream (under
-/// the stream's slot lock), push incremental streams straight through
-/// [`StreamState::push_timed`] — the path `StreamingVarade::push` takes,
-/// against their group's model loaded after that pop — then batch the rest,
-/// loading each group's published model once, *after* all the pops. Either
-/// way the publish-then-push guarantee holds (see the module docs).
-/// Returns the number of samples processed.
+/// the stream's slot lock), load the stream's group model *after* that pop
+/// (the publish-then-push guarantee, see the module docs), and push it
+/// through [`StreamState::push_timed`] — the path `StreamingVarade::push`
+/// takes. Returns the number of samples processed.
 ///
-/// Both paths time a sample from its pop stamp: an incremental push's
-/// admission covers the group-model load and version check as well as the
-/// stream's own admission, a batched sample's covers its admission up to
-/// the context copy-out, and each adds its forward (the batched path an
-/// equal share of the batch call) to make the served time that
+/// A sample is timed from its pop stamp, so its admission covers the
+/// group-model load and version check as well as the stream's own
+/// admission; adding its forward makes the served time that
 /// [`varade::PushStats::total_time`] and the latency samples record.
 ///
 /// When telemetry is enabled (`recorder` is `Some`), each admitted
@@ -1245,14 +1221,13 @@ struct BatchEntry<'a> {
 /// [`SpanStamp`] (same-thread spans, the span clock's cheap case), and
 /// adjacent spans share one stamp per boundary: the pop stamp ends the
 /// queue wait and opens the push, and the push's closing stamp opens the
-/// emit. An incremental sample's emit (and so its end-to-end span) stays
-/// open until the worker's next stamp — the next sample's pop stamp, or one
-/// read at the end of the loop — so it also carries the hand-off to that
-/// sample, and with telemetry on the incremental path reads the clock only
-/// once per round more than with it off, beside the producer's enqueue
-/// stamps. [`varade::PushStats`] counts and totals and the shard accounting
-/// are measured the same way with telemetry on or off; only the stage split
-/// fields fill in when it is on.
+/// emit. A sample's emit (and so its end-to-end span) stays open until the
+/// worker's next stamp — the next sample's pop stamp, or one read at the
+/// end of the loop — so it also carries the hand-off to that sample, and
+/// with telemetry on a round reads the clock only once more than with it
+/// off, beside the producer's enqueue stamps. [`varade::PushStats`] counts
+/// and totals and the shard accounting are measured the same way with
+/// telemetry on or off; only the stage split fields fill in when it is on.
 #[allow(clippy::too_many_arguments)]
 fn run_round(
     shard: usize,
@@ -1269,7 +1244,6 @@ fn run_round(
     // ORDERING: Acquire — pairs with the AcqRel owner CAS in `try_steal`.
     owned.retain(|&index| cells[index].owner.load(Ordering::Acquire) == shard);
     let mut processed = 0usize;
-    let mut batch: Vec<BatchEntry<'_>> = Vec::new();
     let mut open_emit: Option<OpenEmit> = None;
     for &index in owned.iter() {
         let cell = &cells[index];
@@ -1279,8 +1253,8 @@ fn run_round(
             continue;
         }
         // try_lock, not lock: a stale owner on the other side of a steal may
-        // hold this slot across its round; skipping (instead of blocking
-        // with our own round guards held) rules out lock cycles.
+        // still be mid-push on this slot; skipping it keeps this worker
+        // moving instead of waiting on a stream it no longer owns.
         let Ok(mut slot) = cell.slot.try_lock() else {
             continue;
         };
@@ -1298,7 +1272,7 @@ fn run_round(
         // `duration_since` saturates to zero under stamp skew).
         let admit_started = SpanStamp::now();
         if let Some(tel) = recorder.as_deref_mut() {
-            // The same stamp closes the previous incremental sample's emit.
+            // The same stamp closes the previous sample's emit.
             if let Some(open) = open_emit.take() {
                 open.close(tel, admit_started);
             }
@@ -1310,179 +1284,63 @@ fn run_round(
                 );
             }
         }
-        if slot.state.incremental() {
-            // Incremental streams score immediately against their own cache,
-            // through the same push path as `StreamingVarade::push`: the
-            // per-stream frontier recompute is cheaper than a batched full
-            // forward, and a primed push copies nothing but the new row.
-            let (detector, version) = groups[cell.group].load();
-            if slot.state.sync_model_version(version) {
-                // The stream's cache columns were computed under the old
-                // model; `sync_model_version` already invalidated them.
-                // Re-plan against the new detector too — its layer geometry
-                // (feature-map widths) may differ — and let the next scored
-                // push re-prime by replaying its context.
-                telemetry.record_event(FleetEvent::CacheInvalidation {
-                    stream: index as u64,
-                    model_version: version,
-                });
-                slot.state.attach_cache(detector.incremental_cache()?);
-            }
-            // The pop stamp opens the push span, so admission covers the
-            // model load above, as on the batched path.
-            let pushed = slot
-                .state
-                .push_timed(&pending.sample, &detector, admit_started)?;
-            if let Some(tel) = recorder.as_deref_mut() {
-                tel.record_stage(
-                    cell.group,
-                    Stage::Assembly,
-                    pushed.admit_time.saturating_sub(pushed.normalize_time),
-                );
-                tel.record_stage(cell.group, Stage::Normalize, pushed.normalize_time);
-            }
-            let Some(score) = pushed.score else {
-                slot.state.record(false, pushed.admit_time, Duration::ZERO);
-                continue;
-            };
-            let spent = pushed.scoring_time;
-            let served = pushed.admit_time + spent;
-            slot.scores.push(score);
-            slot.state.record(true, served, spent);
-            counters.incremental_windows += 1;
-            if config.record_latencies {
-                counters.sample_latencies.push(served);
-                let end_to_end = pending
-                    .enqueued_at
-                    .map_or(served, |t| SpanStamp::now().duration_since(t));
-                slot.latencies.push(end_to_end);
-            }
-            if let Some(tel) = recorder.as_deref_mut() {
-                tel.record_stage(cell.group, Stage::Forward, spent);
-                open_emit = Some(OpenEmit {
-                    group: cell.group,
-                    started: pushed.finished,
-                    enqueued_at: pending.enqueued_at,
-                    served,
-                });
-            }
-            continue;
+        let (detector, version) = groups[cell.group].load();
+        if slot.state.sync_model_version(version) {
+            // The stream's cache columns were computed under the old model;
+            // `sync_model_version` dropped them, and the push below re-plans
+            // the cache against the new detector (its layer geometry may
+            // differ) and re-primes it by replaying its context.
+            telemetry.record_event(FleetEvent::CacheInvalidation {
+                stream: index as u64,
+                model_version: version,
+            });
         }
-        // With telemetry on, every stream times its admission stages (see
-        // `register_stream`), so this admission's split is its stats delta.
-        let staged_before = recorder.is_some().then(|| slot.state.stats());
-        let admitted = slot.state.admit(&pending.sample)?;
-        let admit_time = SpanStamp::now().duration_since(admit_started);
-        if let (Some(tel), Some(before)) = (recorder.as_deref_mut(), staged_before) {
-            let after = slot.state.stats();
+        // The pop stamp opens the push span, so admission covers the model
+        // load above.
+        let pushed = slot
+            .state
+            .push_timed(&pending.sample, &detector, admit_started)?;
+        if let Some(tel) = recorder.as_deref_mut() {
             tel.record_stage(
                 cell.group,
                 Stage::Assembly,
-                after.assembly_time - before.assembly_time,
+                pushed.admit_time.saturating_sub(pushed.normalize_time),
             );
-            tel.record_stage(
-                cell.group,
-                Stage::Normalize,
-                after.normalize_time - before.normalize_time,
-            );
+            tel.record_stage(cell.group, Stage::Normalize, pushed.normalize_time);
         }
-        match admitted {
-            Some(request) => batch.push(BatchEntry {
-                cell: index,
-                guard: slot,
-                request,
-                admit_time,
-                enqueued_at: pending.enqueued_at,
-            }),
-            None => {
-                slot.state.record(false, admit_time, Duration::ZERO);
-            }
-        }
-    }
-    if let (Some(tel), Some(open)) = (recorder.as_deref_mut(), open_emit) {
-        open.close(tel, SpanStamp::now());
-    }
-    if batch.is_empty() {
-        return Ok(processed);
-    }
-    // Round boundary for the batched path: load each group's published
-    // (detector, version) exactly once — after every pop above — so all
-    // batch scores in this round come from one consistent model per group.
-    let mut round_models: Vec<Option<(Arc<VaradeDetector>, u64)>> = vec![None; groups.len()];
-    for entry in &batch {
-        let group = cells[entry.cell].group;
-        if round_models[group].is_none() {
-            round_models[group] = Some(groups[group].load());
-        }
-    }
-    for (group_index, loaded) in round_models.iter().enumerate() {
-        let Some((detector, version)) = loaded else {
+        let Some(score) = pushed.score else {
+            slot.state.record(false, pushed.admit_time, Duration::ZERO);
             continue;
         };
-        let mut round: Vec<&mut BatchEntry<'_>> = batch
-            .iter_mut()
-            .filter(|entry| cells[entry.cell].group == group_index)
-            .collect();
-        for entry in round.iter_mut() {
-            // Batched streams carry no cache, but the version stamp keeps
-            // the swap bookkeeping uniform across both scoring paths.
-            entry.guard.state.sync_model_version(*version);
+        let spent = pushed.scoring_time;
+        let served = pushed.admit_time + spent;
+        slot.scores.push(score);
+        slot.state.record(true, served, spent);
+        if config.record_latencies {
+            counters.sample_latencies.push(served);
+            let end_to_end = pending
+                .enqueued_at
+                .map_or(served, |t| SpanStamp::now().duration_since(t));
+            slot.latencies.push(end_to_end);
         }
-        let contexts: Vec<&[f32]> = round
-            .iter()
-            .map(|entry| entry.request.context.as_slice())
-            .collect();
-        let targets: Vec<&[f32]> = round
-            .iter()
-            .map(|entry| entry.request.row.as_slice())
-            .collect();
-        let forward_started = SpanStamp::now();
-        let scores = detector.score_windows(&contexts, &targets)?;
-        let forward_done = SpanStamp::now();
-        let share = forward_done.duration_since(forward_started) / scores.len() as u32;
-        counters.batches += 1;
-        counters.batched_windows += scores.len() as u64;
-        // Emit spans chain: each entry's emit starts where the previous
-        // entry's ended (the forward-done stamp for the first), so draining
-        // a batch of n scores costs n clock reads instead of 2n — every
-        // instant between forward completion and the last score landing is
-        // attributed to exactly one emit span.
-        let mut emit_started = forward_done;
-        for (entry, score) in round.iter_mut().zip(scores) {
-            entry.guard.scores.push(score);
-            entry
-                .guard
-                .state
-                .record(true, entry.admit_time + share, share);
-            if config.record_latencies {
-                counters.sample_latencies.push(entry.admit_time + share);
-                let end_to_end = entry.enqueued_at.map_or(entry.admit_time + share, |t| {
-                    SpanStamp::now().duration_since(t)
-                });
-                entry.guard.latencies.push(end_to_end);
-            }
-            if let Some(tel) = recorder.as_deref_mut() {
-                let group = cells[entry.cell].group;
-                // One end-of-emit read closes the emit span, the end-to-end
-                // span, and opens the next entry's emit. Each window gets
-                // the forward share of the batched call, mirroring the
-                // `PushStats` attribution.
-                let end = SpanStamp::now();
-                tel.record_stage(group, Stage::Forward, share);
-                tel.record_stage_ns(group, Stage::Emit, end.nanos_since(emit_started));
-                match entry.enqueued_at {
-                    Some(t) => tel.record_end_to_end_ns(end.nanos_since(t)),
-                    None => tel.record_end_to_end(entry.admit_time + share),
-                }
-                emit_started = end;
-            }
+        if let Some(tel) = recorder.as_deref_mut() {
+            tel.record_stage(cell.group, Stage::Forward, spent);
+            open_emit = Some(OpenEmit {
+                group: cell.group,
+                started: pushed.finished,
+                enqueued_at: pending.enqueued_at,
+                served,
+            });
         }
+    }
+    if let (Some(tel), Some(open)) = (recorder, open_emit) {
+        open.close(tel, SpanStamp::now());
     }
     Ok(processed)
 }
 
-/// An incremental sample's emit span, opened by its push-end stamp and left
-/// open until the worker's next boundary stamp (see [`run_round`]).
+/// A sample's emit span, opened by its push-end stamp and left open until
+/// the worker's next boundary stamp (see [`run_round`]).
 struct OpenEmit {
     group: usize,
     started: SpanStamp,
@@ -1585,9 +1443,6 @@ mod tests {
         }
         assert!(outcome.stats.samples_per_sec().unwrap() > 0.0);
         assert_eq!(outcome.stats.dropped, 0);
-        // Batching happened: fewer forward calls than scored windows.
-        let batches: u64 = outcome.stats.shards.iter().map(|s| s.batches).sum();
-        assert!(batches < 72, "{batches} batches for 72 scores");
 
         // A second window continues the warm windows: scores arrive from the
         // first push.
@@ -1601,53 +1456,6 @@ mod tests {
             .unwrap();
         assert_eq!(second.stats.global.scores, 6);
         assert_eq!(fleet.stream_stats(streams[0]).unwrap().pushes, 21);
-    }
-
-    #[test]
-    fn incremental_config_pins_the_scoring_path_per_fleet() {
-        let test = wave_series(24);
-        let mut outcomes = Vec::new();
-        for incremental in [Some(true), Some(false)] {
-            let mut fleet = Fleet::new(FleetConfig {
-                incremental,
-                ..FleetConfig::default()
-            })
-            .unwrap();
-            let group = fleet.register_model(fitted()).unwrap();
-            let stream = fleet.register_stream(group, None).unwrap();
-            let (_, outcome) = fleet
-                .run(|handle| {
-                    for t in 0..test.len() {
-                        handle.push(stream, test.row(t))?;
-                    }
-                    Ok(())
-                })
-                .unwrap();
-            let shard = &outcome.stats.shards[0];
-            let scored = (test.len() - 8) as u64;
-            if incremental == Some(true) {
-                // Every score came from the per-stream cache; the batched
-                // path never ran.
-                assert_eq!(shard.incremental_windows, scored);
-                assert_eq!(shard.batches, 0);
-                assert_eq!(shard.batched_windows, 0);
-            } else {
-                assert_eq!(shard.incremental_windows, 0);
-                assert_eq!(shard.batched_windows, scored);
-                assert!(shard.batches > 0);
-            }
-            outcomes.push(outcome.scores[stream.index()].clone());
-        }
-        // Same samples, same fitted weights: the two paths agree within the
-        // backend tolerance on every score.
-        let (inc, full) = (&outcomes[0], &outcomes[1]);
-        assert_eq!(inc.len(), full.len());
-        for (t, (a, b)) in inc.iter().zip(full).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-5 * b.abs().max(1.0),
-                "score {t}: incremental {a} vs batched {b}"
-            );
-        }
     }
 
     #[test]

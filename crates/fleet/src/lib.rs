@@ -21,17 +21,18 @@
 //!   contract ([`OverloadPolicy`]): `Block` the producer, `DropOldest` with a
 //!   drop counter, or `Reject` with a typed error. Overload is never an
 //!   accident.
-//! * **Batched scoring** — a shard gathers the pending samples of all its
-//!   streams each round and scores them in one
-//!   [`varade::VaradeDetector::score_windows`] call per model group. The
-//!   inference kernels are batch-invariant, so a stream scored through the
-//!   fleet produces **bit-identical** values to the same samples pushed
-//!   through `StreamingVarade` directly (see `tests/equivalence.rs`).
+//! * **Incremental scoring** — each round, a shard pops one pending sample
+//!   per stream it owns and pushes it through the stream's own
+//!   [`varade::StreamState::push_timed`], the path
+//!   [`varade::StreamingVarade::push`] takes: one column per layer against
+//!   the stream's activation cache. A stream scored through the fleet so
+//!   produces **bit-identical** values to the same samples pushed through
+//!   `StreamingVarade` directly (see `tests/equivalence.rs`).
 //! * **Hot swap** — [`Fleet::publish_model`] (and its mid-serve twin on
 //!   [`FleetHandle`]) atomically replaces a group's served detector — e.g.
 //!   one loaded via [`varade::VaradeDetector::load`] from a retraining job —
 //!   with zero downtime: workers pick the new model up at their next scoring
-//!   round boundary, incremental caches invalidate and re-prime by replay,
+//!   round boundary, incremental caches are dropped and re-planned by replay,
 //!   and no queued push is ever dropped. [`Fleet::rollback_model`] swaps the
 //!   previous model back; [`FleetStats::groups`] reports each group's
 //!   publication version and swap count.
@@ -171,7 +172,7 @@ pub struct FleetConfig {
     /// successful steals per worker.
     pub work_stealing: bool,
     /// When `true`, every scored sample's latency (its admit time plus its
-    /// share of the batched forward) is kept in
+    /// incremental forward) is kept in
     /// [`ShardStats::sample_latencies`] for percentile reporting. Costs one
     /// `Duration` of memory per score; leave off outside benchmarks.
     pub record_latencies: bool,
@@ -179,13 +180,6 @@ pub struct FleetConfig {
     /// test driver can saturate a bounded queue deterministically and observe
     /// the overload policy. `None` (the default) in production.
     pub chaos_round_delay: Option<Duration>,
-    /// Whether streams registered to this fleet score through the
-    /// incremental (parity-phased activation cache) path. `None` (the
-    /// default) follows the process default
-    /// ([`varade::incremental_default`], i.e. `VARADE_INCREMENTAL`);
-    /// `Some(_)` pins it per fleet, which is how tests compare both paths in
-    /// one process.
-    pub incremental: Option<bool>,
     /// Telemetry substrate configuration (see [`varade_obs::TelemetryConfig`]).
     /// Disabled by default: the serve loop then allocates no per-shard
     /// registries and every record point reduces to one predictable branch.
@@ -208,24 +202,18 @@ impl Default for FleetConfig {
             work_stealing: true,
             record_latencies: false,
             chaos_round_delay: None,
-            incremental: None,
             telemetry: varade_obs::TelemetryConfig::disabled(),
         }
     }
 }
 
 impl FleetConfig {
-    /// Resolves [`FleetConfig::incremental`] against the process default.
-    pub fn incremental_enabled(&self) -> bool {
-        self.incremental.unwrap_or_else(varade::incremental_default)
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidConfig`] if `n_shards` or
-    /// `queue_capacity` is zero.
+    /// Returns [`FleetError::InvalidConfig`] if `n_shards`,
+    /// `queue_capacity` or `producer_lanes` is zero.
     pub fn validate(&self) -> Result<(), FleetError> {
         if self.n_shards == 0 {
             return Err(FleetError::InvalidConfig(

@@ -21,15 +21,6 @@ pub struct ShardStats {
     pub streams: usize,
     /// Per-stream [`PushStats`] merged over the shard's streams.
     pub push: PushStats,
-    /// Batched scoring calls issued.
-    pub batches: u64,
-    /// Windows scored through those calls (≥ `batches`; the ratio is the
-    /// achieved batch size).
-    pub batched_windows: u64,
-    /// Windows scored through per-stream incremental caches instead of a
-    /// batched forward (the frontier-only path). `batched_windows +
-    /// incremental_windows` is the shard's total scored windows.
-    pub incremental_windows: u64,
     /// Samples evicted by [`crate::OverloadPolicy::DropOldest`].
     pub dropped: u64,
     /// Streams this worker successfully stole from a peer (one count per
@@ -37,21 +28,13 @@ pub struct ShardStats {
     /// [`crate::FleetConfig::work_stealing`] is off or the fleet has one
     /// shard.
     pub steals: u64,
-    /// Per-scored-sample latency (admit plus batch-forward share), recorded
+    /// Per-scored-sample latency (admit plus incremental forward), recorded
     /// only when [`crate::FleetConfig::record_latencies`] is on.
     pub sample_latencies: Vec<Duration>,
     /// Largest ingress backlog this shard ever observed at a drain point
     /// (summed across its lanes) — a sustained-backlog signal a briefly-full
     /// ring cannot fake. Exact, maintained every round.
     pub queue_depth_high_water: u64,
-}
-
-impl ShardStats {
-    /// Mean number of windows per batched scoring call, `None` before any
-    /// batch ran.
-    pub fn mean_batch_size(&self) -> Option<f64> {
-        (self.batches > 0).then(|| self.batched_windows as f64 / self.batches as f64)
-    }
 }
 
 /// Model publication state of one group at the close of a serve window.
@@ -159,9 +142,6 @@ mod tests {
                 scoring_time: Duration::from_micros(micros / 2),
                 ..PushStats::default()
             },
-            batches: scores.max(1),
-            batched_windows: scores,
-            incremental_windows: 0,
             dropped,
             steals: index as u64,
             sample_latencies: vec![Duration::from_micros(micros)],
@@ -197,8 +177,5 @@ mod tests {
         assert!(empty.samples_per_sec().is_none());
         assert!(empty.scores_per_sec().is_none());
         assert!(empty.all_sample_latencies().is_empty());
-        assert!(ShardStats::default().mean_batch_size().is_none());
-        let s = shard(0, 4, 2, 10, 0);
-        assert!((s.mean_batch_size().unwrap() - 1.0).abs() < 1e-9);
     }
 }

@@ -1,5 +1,5 @@
 //! The fleet must not change numerics: a stream scored through a fleet —
-//! alone on one shard, or batched with neighbours across shards — produces
+//! alone on one shard, or interleaved with neighbours across shards — produces
 //! **bit-identical** scores to the same samples pushed through
 //! [`StreamingVarade`] directly. This is the contract that makes the serving
 //! layer transparent: operators can consolidate single-stream deployments
@@ -100,9 +100,9 @@ fn vector_backend_scores_match_the_scalar_reference_within_tolerance() {
 
 #[test]
 fn fleet_bit_identity_holds_on_the_vector_backend_too() {
-    // The fleet's transparency contract is per backend: batched vector
-    // scoring must equal single-stream vector scoring bit for bit (the
-    // vector kernels are batch-invariant like the scalar ones).
+    // The fleet's transparency contract is per backend: fleet vector
+    // scoring must equal single-stream vector scoring bit for bit (both
+    // run the same incremental push path).
     let mut det = VaradeDetector::new(tiny_config()).with_backend(BackendKind::Scalar);
     det.fit_with_report(&wave_series(200, 0.0)).unwrap();
     det.set_backend(BackendKind::Vector);
@@ -242,7 +242,7 @@ fn non_finite_samples_are_rejected_at_the_push_and_leave_no_trace() {
 fn batched_multi_stream_fleet_still_matches_the_single_stream_reference() {
     // Four phase-shifted streams share one detector across two shards: every
     // stream's scores must still equal its own single-stream reference
-    // bit-for-bit, because the inference kernels are batch-invariant.
+    // bit-for-bit, because each stream's window and cache are its own.
     let phases = [0.0f32, 0.7, 1.4, 2.1];
     let tests: Vec<MultivariateSeries> = phases.iter().map(|&p| wave_series(50, p)).collect();
     let expected: Vec<Vec<f32>> = tests
@@ -262,7 +262,7 @@ fn batched_multi_stream_fleet_still_matches_the_single_stream_reference() {
         .collect();
     let (_, outcome) = fleet
         .run(|handle| {
-            // Interleave pushes so shard batches really mix streams.
+            // Interleave pushes so shard rounds really mix streams.
             for t in 0..50 {
                 for (stream, test) in streams.iter().zip(&tests) {
                     handle.push(*stream, test.row(t))?;

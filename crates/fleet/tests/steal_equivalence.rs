@@ -10,8 +10,7 @@
 //! stealing is disabled or impossible (one shard).
 //!
 //! Like the hot-swap battery, everything runs on the bit-exact scalar
-//! backend with the incremental mode pinned per fleet, so assertions hold
-//! under both CI backend lanes.
+//! backend pinned per fleet, so assertions hold under every CI backend lane.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,7 +21,6 @@ use varade_fleet::{Fleet, FleetConfig, FleetOutcome, StreamId};
 use varade_timeseries::MultivariateSeries;
 
 const WINDOW: usize = 8;
-const MODES: [Option<bool>; 2] = [Some(true), Some(false)];
 const STREAMS: usize = 8;
 const ROWS: usize = 160;
 
@@ -116,83 +114,72 @@ fn stolen_streams_score_bit_identically_to_a_single_shard_control() {
         targets.len() >= 2,
         "need at least two shard-0 streams to skew"
     );
-    for mode in MODES {
-        // Control: one shard, one worker, no stealing possible.
-        let control = run_skewed(
-            FleetConfig {
-                n_shards: 1,
-                incremental: mode,
-                ..FleetConfig::default()
-            },
-            &targets,
-        );
-        assert_eq!(control.stats.steals, 0, "one shard can never steal");
+    // Control: one shard, one worker, no stealing possible.
+    let control = run_skewed(
+        FleetConfig {
+            n_shards: 1,
+            ..FleetConfig::default()
+        },
+        &targets,
+    );
+    assert_eq!(control.stats.steals, 0, "one shard can never steal");
 
-        // Skewed: all load lands on shard 0 while worker 0 is throttled, so
-        // the idle worker 1 must steal streams to make progress.
-        let skewed = run_skewed(
-            FleetConfig {
-                n_shards: 2,
-                incremental: mode,
-                chaos_round_delay: Some(Duration::from_millis(1)),
-                ..FleetConfig::default()
-            },
-            &targets,
-        );
-        assert!(
-            skewed.stats.steals >= 1,
-            "mode {mode:?}: a throttled skewed fleet must have stolen"
-        );
-        // Migration is invisible in the output: every stream's score
-        // sequence bit-matches the never-stolen control.
-        assert_scores_bits_eq(&skewed, &control, &format!("mode {mode:?}"));
-        assert_eq!(skewed.stats.dropped, 0);
-        assert_eq!(
-            skewed.stats.global.pushes,
-            (targets.len() * ROWS) as u64,
-            "mode {mode:?}: Block conserves every push"
-        );
+    // Skewed: all load lands on shard 0 while worker 0 is throttled, so
+    // the idle worker 1 must steal streams to make progress.
+    let skewed = run_skewed(
+        FleetConfig {
+            n_shards: 2,
+            chaos_round_delay: Some(Duration::from_millis(1)),
+            ..FleetConfig::default()
+        },
+        &targets,
+    );
+    assert!(
+        skewed.stats.steals >= 1,
+        "a throttled skewed fleet must have stolen"
+    );
+    // Migration is invisible in the output: every stream's score
+    // sequence bit-matches the never-stolen control.
+    assert_scores_bits_eq(&skewed, &control, "skewed");
+    assert_eq!(skewed.stats.dropped, 0);
+    assert_eq!(
+        skewed.stats.global.pushes,
+        (targets.len() * ROWS) as u64,
+        "Block conserves every push"
+    );
 
-        // The counter is exact: the fleet total is the per-shard sum, and
-        // only the thief side counts (shard 0 owns the streams, so its own
-        // round reclaims are not steals).
-        let per_shard: u64 = skewed.stats.shards.iter().map(|s| s.steals).sum();
-        assert_eq!(skewed.stats.steals, per_shard, "mode {mode:?}");
-    }
+    // The counter is exact: the fleet total is the per-shard sum, and
+    // only the thief side counts (shard 0 owns the streams, so its own
+    // round reclaims are not steals).
+    let per_shard: u64 = skewed.stats.shards.iter().map(|s| s.steals).sum();
+    assert_eq!(skewed.stats.steals, per_shard);
 }
 
 #[test]
 fn disabling_work_stealing_pins_the_counter_at_zero() {
     let targets = shard0_streams(2);
-    for mode in MODES {
-        let control = run_skewed(
-            FleetConfig {
-                n_shards: 1,
-                incremental: mode,
-                ..FleetConfig::default()
-            },
-            &targets,
-        );
-        // Same skew, same throttle, stealing off: the idle worker must sit
-        // on its hands and the scores still come out identical (just later).
-        let pinned = run_skewed(
-            FleetConfig {
-                n_shards: 2,
-                incremental: mode,
-                work_stealing: false,
-                chaos_round_delay: Some(Duration::from_millis(1)),
-                ..FleetConfig::default()
-            },
-            &targets,
-        );
-        assert_eq!(
-            pinned.stats.steals, 0,
-            "mode {mode:?}: stealing was disabled"
-        );
-        assert!(pinned.stats.shards.iter().all(|s| s.steals == 0));
-        assert_scores_bits_eq(&pinned, &control, &format!("mode {mode:?} (no steal)"));
-        assert_eq!(pinned.stats.dropped, 0);
-    }
+    let control = run_skewed(
+        FleetConfig {
+            n_shards: 1,
+            ..FleetConfig::default()
+        },
+        &targets,
+    );
+    // Same skew, same throttle, stealing off: the idle worker must sit
+    // on its hands and the scores still come out identical (just later).
+    let pinned = run_skewed(
+        FleetConfig {
+            n_shards: 2,
+            work_stealing: false,
+            chaos_round_delay: Some(Duration::from_millis(1)),
+            ..FleetConfig::default()
+        },
+        &targets,
+    );
+    assert_eq!(pinned.stats.steals, 0, "stealing was disabled");
+    assert!(pinned.stats.shards.iter().all(|s| s.steals == 0));
+    assert_scores_bits_eq(&pinned, &control, "no steal");
+    assert_eq!(pinned.stats.dropped, 0);
 }
 
 #[test]
@@ -202,28 +189,24 @@ fn balanced_load_without_contention_still_scores_identically() {
     // the scores must bit-match the single-shard control and the ledger
     // must balance.
     let all: Vec<usize> = (0..STREAMS).collect();
-    for mode in MODES {
-        let control = run_skewed(
-            FleetConfig {
-                n_shards: 1,
-                incremental: mode,
-                ..FleetConfig::default()
-            },
-            &all,
-        );
-        let sharded = run_skewed(
-            FleetConfig {
-                n_shards: 2,
-                incremental: mode,
-                ..FleetConfig::default()
-            },
-            &all,
-        );
-        assert_scores_bits_eq(&sharded, &control, &format!("mode {mode:?} (balanced)"));
-        assert_eq!(sharded.stats.dropped, 0);
-        assert_eq!(
-            sharded.stats.steals,
-            sharded.stats.shards.iter().map(|s| s.steals).sum::<u64>()
-        );
-    }
+    let control = run_skewed(
+        FleetConfig {
+            n_shards: 1,
+            ..FleetConfig::default()
+        },
+        &all,
+    );
+    let sharded = run_skewed(
+        FleetConfig {
+            n_shards: 2,
+            ..FleetConfig::default()
+        },
+        &all,
+    );
+    assert_scores_bits_eq(&sharded, &control, "balanced");
+    assert_eq!(sharded.stats.dropped, 0);
+    assert_eq!(
+        sharded.stats.steals,
+        sharded.stats.shards.iter().map(|s| s.steals).sum::<u64>()
+    );
 }

@@ -3,7 +3,7 @@
 //! Pins the observability tentpole end to end:
 //!
 //! 1. **Non-interference** — scores are bit-identical with telemetry on or
-//!    off, on both scoring paths (incremental and batched).
+//!    off.
 //! 2. **Stage decomposition** — an enabled run populates every pipeline
 //!    stage histogram with exact per-stage counts (queue-wait once per
 //!    admitted sample, forward/emit once per score), and the end-to-end
@@ -80,25 +80,22 @@ fn serve(
 
 #[test]
 fn telemetry_does_not_change_scores_on_either_path() {
-    for incremental in [Some(true), Some(false)] {
-        let base = FleetConfig {
-            n_shards: 2,
-            incremental,
-            ..FleetConfig::default()
-        };
-        let (_, off) = serve(base.clone(), 4, 24);
-        let (_, on) = serve(
-            FleetConfig {
-                telemetry: TelemetryConfig::enabled(),
-                ..base
-            },
-            4,
-            24,
-        );
-        assert!(off.telemetry.is_none());
-        assert!(on.telemetry.is_some());
-        assert_eq!(off.scores, on.scores, "incremental={incremental:?}");
-    }
+    let base = FleetConfig {
+        n_shards: 2,
+        ..FleetConfig::default()
+    };
+    let (_, off) = serve(base.clone(), 4, 24);
+    let (_, on) = serve(
+        FleetConfig {
+            telemetry: TelemetryConfig::enabled(),
+            ..base
+        },
+        4,
+        24,
+    );
+    assert!(off.telemetry.is_none());
+    assert!(on.telemetry.is_some());
+    assert_eq!(off.scores, on.scores);
 }
 
 #[test]
@@ -162,7 +159,6 @@ fn enabled_run_decomposes_every_stage_with_exact_counts() {
 #[test]
 fn swap_rollback_and_invalidation_events_are_exact() {
     let mut fleet = Fleet::new(FleetConfig {
-        incremental: Some(true),
         telemetry: TelemetryConfig::enabled(),
         ..FleetConfig::default()
     })

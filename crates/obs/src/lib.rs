@@ -50,9 +50,8 @@ use std::time::Duration;
 pub enum Stage {
     /// Time between ingress enqueue and the worker popping the sample.
     QueueWait,
-    /// The rest of admission: sample checks, the context-window ring write,
-    /// and the context copy-out where one is built (full-recompute scoring).
-    /// On the fleet's incremental path it also covers the group-model load.
+    /// The rest of admission: sample checks and the context-window ring
+    /// write. On the fleet it also covers the group-model load.
     Assembly,
     /// Per-channel normalizer transform of the incoming row.
     Normalize,

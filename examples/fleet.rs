@@ -9,9 +9,9 @@
 //! 2. register the detector as a shared model group (one `Arc`, no copies)
 //!    and admit 16 logical streams, hash-partitioned across 4 shards;
 //! 3. feed every stream a phase-shifted slice of the collision recording
-//!    while the shard workers batch-score them;
-//! 4. print the aggregate `FleetStats` — wall-clock samples/sec, per-shard
-//!    breakdown, achieved batch size.
+//!    while the shard workers score each push incrementally;
+//! 4. print the aggregate `FleetStats` — wall-clock samples/sec and a
+//!    per-shard breakdown with the mean forward latency.
 //!
 //! Run with: `cargo run --release --example fleet`
 //! (asserted end-to-end by `tests/fleet_smoke.rs`).
@@ -118,11 +118,14 @@ pub(crate) fn main() -> Result<(), Box<dyn Error>> {
     );
     for shard in &stats.shards {
         println!(
-            "  shard {}: {} streams, {} pushes, mean batch {:.1}",
+            "  shard {}: {} streams, {} pushes, mean forward {:.1} us",
             shard.shard,
             shard.streams,
             shard.push.pushes,
-            shard.mean_batch_size().unwrap_or(0.0),
+            shard
+                .push
+                .mean_scoring_latency()
+                .map_or(0.0, |d| d.as_secs_f64() * 1e6),
         );
     }
     println!(

@@ -20,7 +20,7 @@
 //!   detector and streaming wrappers;
 //! * [`fleet`] (`varade-fleet`) — the sharded multi-stream serving engine:
 //!   many logical streams share fitted detectors across worker shards with
-//!   bounded queues, explicit backpressure and batched scoring;
+//!   bounded queues, explicit backpressure and incremental scoring;
 //! * [`robot`] (`varade-robot`) — the synthetic 86-channel robot testbed;
 //! * [`edge`] (`varade-edge`) — the analytical Jetson edge-platform model
 //!   regenerating Table 2 and Figure 3;
