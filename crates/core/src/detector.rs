@@ -219,40 +219,14 @@ impl VaradeDetector {
         self.model.as_ref().map(|_| self.n_channels)
     }
 
-    /// Scores a batch of channel-major windows together with their targets
-    /// through the immutable inference path (no activations cached, so `&self`
-    /// suffices and the model can be shared across threads). Returns one score
-    /// per window.
-    fn score_batch(
-        model: &VaradeModel,
-        scoring: ScoringRule,
-        contexts: &[&[f32]],
-        targets: &[&[f32]],
-        n_channels: usize,
-        window: usize,
-    ) -> Result<Vec<f32>, VaradeError> {
-        let mut data = Vec::with_capacity(contexts.len() * n_channels * window);
-        for ctx in contexts {
-            data.extend_from_slice(ctx);
-        }
-        let input = Tensor::from_vec(data, &[contexts.len(), n_channels, window])?;
-        let (mu, log_var) = model.forward_variational_infer(&input)?;
-        let mut scores = Vec::with_capacity(contexts.len());
-        for (row, target) in targets.iter().enumerate() {
-            let mu_row = &mu.as_slice()[row * n_channels..(row + 1) * n_channels];
-            let lv_row = &log_var.as_slice()[row * n_channels..(row + 1) * n_channels];
-            scores.push(score_one(scoring, mu_row, lv_row, target));
-        }
-        Ok(scores)
-    }
-
     /// Scores a single channel-major window (`[channels * window]`) given the
     /// observation that followed it, by a full `forward_infer` recompute —
-    /// the reference the incremental path
-    /// ([`VaradeDetector::score_window_incremental`]) must match.
+    /// the independent reference the incremental path
+    /// ([`VaradeDetector::score_window_incremental`], `score_series` and
+    /// every stream) must match.
     ///
     /// Takes `&self`: scoring runs through the immutable inference path, so a
-    /// fitted detector behind an `Arc` can serve many streams concurrently.
+    /// fitted detector behind an `Arc` can be shared across threads.
     ///
     /// # Errors
     ///
@@ -271,15 +245,14 @@ impl VaradeDetector {
                 next_sample.len()
             )));
         }
-        let scores = Self::score_batch(
-            model,
+        let input = Tensor::from_vec(context.to_vec(), &[1, self.n_channels, self.config.window])?;
+        let (mu, log_var) = model.forward_variational_infer(&input)?;
+        Ok(score_one(
             self.scoring,
-            &[context],
-            &[next_sample],
-            self.n_channels,
-            self.config.window,
-        )?;
-        Ok(scores[0])
+            mu.as_slice(),
+            log_var.as_slice(),
+            next_sample,
+        ))
     }
 
     /// Plans a fresh per-stream [`EncoderCache`] for the incremental scoring
@@ -406,13 +379,24 @@ impl VaradeDetector {
                 Self::ingest(model, cache, &col)?;
             }
         }
-        let head = cache.head.as_ref().ok_or_else(|| {
-            // A replay of a full window always yields a head output.
-            VaradeError::InvalidData("incremental pipeline produced no head output".into())
-        })?;
-        let score = score_one(self.scoring, &head[..c], &head[c..], next_sample);
+        let score = Self::score_head(self.scoring, cache, next_sample)?;
         Self::ingest(model, cache, next_sample)?;
         Ok(score)
+    }
+
+    /// Scores `target` against the head output of the window the cache last
+    /// completed.
+    fn score_head(
+        scoring: ScoringRule,
+        cache: &EncoderCache,
+        target: &[f32],
+    ) -> Result<f32, VaradeError> {
+        let head = cache.head.as_ref().ok_or_else(|| {
+            // A full window ingested always yields a head output.
+            VaradeError::InvalidData("incremental pipeline produced no head output".into())
+        })?;
+        let (mu, log_var) = head.split_at(cache.n_channels);
+        Ok(score_one(scoring, mu, log_var, target))
     }
 
     /// Advances a cache by one sample, keeping its head output and last-row
@@ -489,11 +473,33 @@ impl AnomalyDetector for VaradeDetector {
         self.model.is_some()
     }
 
+    /// Scores every sample of `test` the way one stream scores it: a single
+    /// [`EncoderCache`] is primed with the first `window` rows, then each row
+    /// `t ≥ window` is scored against the head output of the window ending
+    /// at `t - 1` and ingested, so every layer computes one new column per
+    /// row and no window is materialized. The first `window` scores are
+    /// warm-up and take the minimum of the rest.
+    ///
+    /// This is the arithmetic of [`crate::StreamState::push_timed`] and of
+    /// the cold replay in [`VaradeDetector::score_window_incremental`]. On the
+    /// scalar and quant backends each score is bit-identical to
+    /// [`VaradeDetector::score_window`]'s full `forward_infer` recompute of
+    /// the same window; on the vector backend it stays within
+    /// [`BackendKind::score_tolerance`] (1e-5 relative).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectorError::NotFitted`] before `fit`,
+    /// [`DetectorError::InvalidData`] for a channel-count mismatch or a
+    /// series no longer than the window, and [`DetectorError::Series`] with
+    /// [`varade_timeseries::SeriesError::NonFiniteValue`] for a NaN or
+    /// infinite sample.
     fn score_series(&mut self, test: &MultivariateSeries) -> Result<Vec<f32>, DetectorError> {
-        let cfg = self.config;
-        if self.model.is_none() {
-            return Err(DetectorError::NotFitted { detector: "VARADE" });
-        }
+        let w = self.config.window;
+        let model = self
+            .model
+            .as_ref()
+            .ok_or(DetectorError::NotFitted { detector: "VARADE" })?;
         if test.n_channels() != self.n_channels {
             return Err(DetectorError::InvalidData(format!(
                 "expected {} channels, got {}",
@@ -501,32 +507,26 @@ impl AnomalyDetector for VaradeDetector {
                 test.n_channels()
             )));
         }
-        if test.len() <= cfg.window {
+        if test.len() <= w {
             return Err(DetectorError::InvalidData(format!(
-                "test series of length {} too short for window {}",
-                test.len(),
-                cfg.window
+                "test series of length {} too short for window {w}",
+                test.len()
             )));
         }
-        let windows: Vec<_> = WindowIter::forecasting(test, cfg.window, 1)
-            .map_err(VaradeError::from)
-            .map_err(DetectorError::from)?
-            .collect();
-        let n_channels = self.n_channels;
-        let scoring = self.scoring;
-        let model = self.model.as_ref().expect("checked above");
+        test.check_finite()?;
+        let mut cache = self.incremental_cache()?;
+        for t in 0..w {
+            Self::ingest(model, &mut cache, test.row(t))?;
+        }
+        let last = test.len() - 1;
         let mut scores = vec![0.0f32; test.len()];
-        for chunk in windows.chunks(cfg.batch_size.max(1)) {
-            let contexts: Vec<&[f32]> = chunk.iter().map(|w| w.context.as_slice()).collect();
-            let targets: Vec<&[f32]> = chunk.iter().map(|w| w.target.as_slice()).collect();
-            let batch_scores =
-                Self::score_batch(model, scoring, &contexts, &targets, n_channels, cfg.window)
-                    .map_err(DetectorError::from)?;
-            for (w, s) in chunk.iter().zip(batch_scores) {
-                scores[w.target_index] = s;
+        for (t, score) in scores.iter_mut().enumerate().skip(w) {
+            *score = Self::score_head(self.scoring, &cache, test.row(t))?;
+            if t < last {
+                Self::ingest(model, &mut cache, test.row(t))?;
             }
         }
-        varade_detectors_fill_warmup(&mut scores, cfg.window);
+        varade_detectors_fill_warmup(&mut scores, w);
         Ok(scores)
     }
 
@@ -540,9 +540,9 @@ impl AnomalyDetector for VaradeDetector {
 }
 
 /// Turns one window's predicted `(mean, log_variance)` and its observed
-/// target into an anomaly score. Shared verbatim by the batched
-/// `forward_variational_infer` path and the incremental path, so the two
-/// agree bit-for-bit given identical network outputs.
+/// target into an anomaly score. Shared verbatim by the full-window
+/// `score_window` oracle and the incremental path, so the two agree
+/// bit-for-bit given identical network outputs.
 fn score_one(scoring: ScoringRule, mu: &[f32], log_var: &[f32], target: &[f32]) -> f32 {
     let n_channels = mu.len();
     match scoring {
@@ -701,6 +701,34 @@ mod tests {
     }
 
     #[test]
+    fn score_series_rejects_non_finite_samples_by_step_and_channel() {
+        use varade_timeseries::SeriesError;
+        let mut det = VaradeDetector::new(tiny_config());
+        det.fit(&wave_series(100, 2)).unwrap();
+        let clean = wave_series(40, 2);
+        // A warm-up row, a scored row, and the last row (scored, never
+        // ingested): each is refused before any of the series is scored.
+        for (step, channel, bad) in [
+            (3, 0, f32::NAN),
+            (17, 1, f32::INFINITY),
+            (39, 1, f32::NEG_INFINITY),
+        ] {
+            let mut data = clean.as_slice().to_vec();
+            data[step * 2 + channel] = bad;
+            let test =
+                MultivariateSeries::from_rows(clean.channel_names().to_vec(), 10.0, data).unwrap();
+            match det.score_series(&test) {
+                Err(DetectorError::Series(SeriesError::NonFiniteValue {
+                    step: s,
+                    channel: c,
+                })) => assert_eq!((s, c), (step, channel)),
+                other => panic!("{bad} at step {step}: expected NonFiniteValue, got {other:?}"),
+            }
+        }
+        assert!(det.score_series(&clean).is_ok());
+    }
+
+    #[test]
     fn score_window_matches_series_scoring() {
         let train = wave_series(200, 2);
         let mut det = VaradeDetector::new(tiny_config());
@@ -709,21 +737,33 @@ mod tests {
         assert_eq!(det.n_channels(), Some(2));
         let test = wave_series(40, 2);
         let series_scores = det.score_series(&test).unwrap();
-        // Score the window ending right before index 20 manually.
-        let window: Vec<f32> = {
-            let mut out = Vec::new();
-            for c in 0..2 {
-                for t in 12..20 {
-                    out.push(test.value(t, c));
-                }
+        // `score_series` runs one incremental pass; `score_window` recomputes
+        // each window in full through `forward_infer`. Scalar and quant run
+        // the same per-output arithmetic on both paths, so they agree bit for
+        // bit; vector reassociates its tiled full pass and stays within the
+        // documented relative tolerance.
+        let windows = WindowIter::forecasting(&test, tiny_config().window, 1).unwrap();
+        let mut checked = 0;
+        for w in windows {
+            let manual = det.score_window(&w.context, &w.target).unwrap();
+            let series = series_scores[w.target_index];
+            if det.backend_kind() == BackendKind::Vector {
+                assert!(
+                    (manual - series).abs() <= 1e-5 * manual.abs().max(1.0),
+                    "window {}: score_window {manual} vs score_series {series}",
+                    w.target_index
+                );
+            } else {
+                assert_eq!(
+                    manual.to_bits(),
+                    series.to_bits(),
+                    "window {}: score_window {manual} vs score_series {series}",
+                    w.target_index
+                );
             }
-            out
-        };
-        let next: Vec<f32> = test.row(20).to_vec();
-        let manual = det.score_window(&window, &next).unwrap();
-        // Exact equality: the inference kernels are batch-invariant, so a
-        // window scored alone equals the same window inside a series batch.
-        assert_eq!(manual.to_bits(), series_scores[20].to_bits());
+            checked += 1;
+        }
+        assert_eq!(checked, test.len() - tiny_config().window);
     }
 
     #[test]

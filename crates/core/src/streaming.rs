@@ -671,22 +671,14 @@ mod tests {
         for (t, s) in streamed.iter().enumerate().take(window) {
             assert!(s.is_nan(), "warm-up push {t} emitted a score");
         }
-        // On the scalar backend the incremental columns keep the batch
-        // pass's per-output association, so every push is bit-identical.
-        let scalar = crate::BackendKind::active() == crate::BackendKind::Scalar;
+        // `score_series` runs the same incremental arithmetic over the whole
+        // series, so every push is bit-identical to it on every backend.
         for (t, (streamed, batch)) in streamed.iter().zip(&batch_scores).enumerate().skip(window) {
-            if scalar {
-                assert_eq!(
-                    streamed.to_bits(),
-                    batch.to_bits(),
-                    "mismatch at {t}: {streamed} vs {batch}"
-                );
-            } else {
-                assert!(
-                    (streamed - batch).abs() < 1e-5,
-                    "mismatch at {t}: {streamed} vs {batch}"
-                );
-            }
+            assert_eq!(
+                streamed.to_bits(),
+                batch.to_bits(),
+                "mismatch at {t}: {streamed} vs {batch}"
+            );
         }
     }
 
