@@ -144,18 +144,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 backends.vector_over_scalar_speedup
             );
         }
-        if let Some(q) = &report.quantization {
-            println!(
-                "quantization: {} int8 bytes replace {} f32 bytes ({:.4}x), \
-                 max AUC deviation {:.4}, {:.1} samples/sec ({:.2}x scalar)",
-                q.int8_payload_bytes,
-                q.f32_weight_bytes,
-                q.footprint_ratio,
-                q.max_auc_deviation,
-                q.quant_samples_per_sec,
-                q.quant_over_scalar_throughput,
-            );
-        }
         if let Some(fleet) = &report.fleet {
             println!(
                 "fleet: peak {:.1} samples/sec over {} cells (1-stream bit-identity: {})",

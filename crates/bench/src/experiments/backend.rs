@@ -21,7 +21,7 @@ use crate::BenchError;
 /// One backend's row of the sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BackendCell {
-    /// Backend label (`"scalar"` | `"vector"` | `"quant"`).
+    /// Backend label (`"scalar"` | `"vector"`).
     pub backend: String,
     /// End-to-end push throughput in samples per second.
     pub samples_per_sec: f64,
@@ -31,9 +31,7 @@ pub struct BackendCell {
     pub model_scoring_mean_us: f64,
     /// Maximum relative deviation of this backend's scores from the scalar
     /// reference cell: `max |s − s_ref| / max(|s_ref|, 1)`. Zero for the
-    /// scalar cell itself; bounded by [`BackendKind::score_tolerance`] where
-    /// that contract applies (the quant backend instead bounds per-experiment
-    /// AUC deviation — see the quantization experiment).
+    /// scalar cell itself; bounded by [`BackendKind::score_tolerance`].
     pub max_rel_deviation_vs_scalar: f64,
 }
 
@@ -148,18 +146,13 @@ mod tests {
             assert!(cell.samples_per_sec > 0.0);
             assert!(cell.model_scoring_mean_us > 0.0);
             let kind: BackendKind = cell.backend.parse().unwrap();
-            // Quant has no per-score tolerance contract (its bound is on AUC
-            // deviation, checked by the quantization experiment) — its cell
-            // only has to be finite.
-            match kind.score_tolerance() {
-                Some(tolerance) => assert!(
-                    cell.max_rel_deviation_vs_scalar <= tolerance,
-                    "{} deviates by {}",
-                    cell.backend,
-                    cell.max_rel_deviation_vs_scalar
-                ),
-                None => assert!(cell.max_rel_deviation_vs_scalar.is_finite()),
-            }
+            let tolerance = kind.score_tolerance().expect("every backend has one");
+            assert!(
+                cell.max_rel_deviation_vs_scalar <= tolerance,
+                "{} deviates by {}",
+                cell.backend,
+                cell.max_rel_deviation_vs_scalar
+            );
         }
         let vector = r.cell(BackendKind::Vector).unwrap();
         assert!(vector.max_rel_deviation_vs_scalar > 0.0 || vector.samples_per_sec > 0.0);

@@ -16,7 +16,6 @@
 //! | [`fleet`] | beyond the paper — multi-stream serving throughput (streams × shards sweep) | [`fleet::FleetResult`] |
 //! | [`load`] | beyond the paper — Zipf many-stream multi-core load harness with exact sample accounting | [`load::MulticoreResult`] |
 //! | [`persist`] | beyond the paper — model save/load round-trip (footprint, wall time, bit-identity audit) | [`persist::PersistenceResult`] |
-//! | [`quantization`] | beyond the paper — int8 quant backend audit (footprint ratio, throughput, AUC deviation vs scalar) | [`quantization::QuantizationResult`] |
 //! | [`telemetry`] | beyond the paper — `varade-obs` substrate overhead (enabled vs disabled fleet throughput) | [`telemetry::TelemetryResult`] |
 //!
 //! Every experiment runs at one of two [`ExperimentScale`]s sharing a single
@@ -32,7 +31,6 @@ pub mod figure3;
 pub mod fleet;
 pub mod load;
 pub mod persist;
-pub mod quantization;
 pub mod streaming;
 pub mod table2;
 pub mod telemetry;
@@ -47,7 +45,7 @@ use crate::timing::LatencyStats;
 use crate::BenchError;
 
 /// One timed single-stream pass, as produced by [`time_single_stream`] — the
-/// shared measurement core of the backend and quantization experiments.
+/// measurement core of the backend experiment.
 pub(crate) struct TimedStream {
     pub samples_per_sec: f64,
     pub push_latency: LatencyStats,

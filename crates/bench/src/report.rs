@@ -21,14 +21,13 @@ use crate::experiments::figure3::Figure3Result;
 use crate::experiments::fleet::FleetResult;
 use crate::experiments::load::MulticoreResult;
 use crate::experiments::persist::PersistenceResult;
-use crate::experiments::quantization::QuantizationResult;
 use crate::experiments::streaming::StreamingResult;
 use crate::experiments::table2::Table2Result;
 use crate::experiments::telemetry::TelemetryResult;
 use crate::experiments::ExperimentScale;
 use crate::experiments::{
-    ablation, architecture, backend, channels, figure3, fleet, load, persist, quantization,
-    streaming, table2, telemetry,
+    ablation, architecture, backend, channels, figure3, fleet, load, persist, streaming, table2,
+    telemetry,
 };
 use crate::{compare_line, paper_row, BenchError};
 
@@ -58,7 +57,10 @@ use crate::{compare_line, paper_row, BenchError};
 /// every stream scores through the incremental path, so there is no other
 /// path to compare with or count. Older reports still load; the keys are
 /// ignored.
-pub const SCHEMA_VERSION: u32 = 9;
+/// v10 dropped the `quantization` section and the `backends` sweep's
+/// `quant` cell with the int8 backend itself. Older reports still load: the
+/// section's key is ignored, and a recorded `quant` cell is not rendered.
+pub const SCHEMA_VERSION: u32 = 10;
 
 /// Oldest schema this crate still reads. Pre-v5 reports simply lack the
 /// newer optional sections, which deserialize as `None`.
@@ -108,8 +110,6 @@ pub struct BenchReport {
     pub persistence: Option<PersistenceResult>,
     /// Kernel-backend throughput sweep (`None` in pre-v3 baselines).
     pub backends: Option<BackendSweepResult>,
-    /// Int8 quantization audit (`None` in pre-v8 baselines).
-    pub quantization: Option<QuantizationResult>,
     /// Multi-stream fleet serving sweep (`None` in pre-v2 baselines).
     pub fleet: Option<FleetResult>,
     /// Zipf many-stream multi-core load harness (`None` in pre-v6
@@ -161,8 +161,6 @@ pub fn collect(scale: ExperimentScale, date: &str) -> Result<BenchReport, BenchE
         backend::run_fitted(&mut varade, &outcome.dataset, scale.streaming_sample_cap())?;
     eprintln!("exp_report: auditing the persistence round-trip ...");
     let persistence = persist::run_fitted(&varade, &outcome.dataset, scale.streaming_sample_cap())?;
-    eprintln!("exp_report: auditing the int8 quant backend ...");
-    let quantization = quantization::run(scale, &outcome.dataset)?;
     eprintln!("exp_report: measuring streaming throughput ...");
     let streaming = streaming::run_fitted(varade, &outcome.dataset, scale.streaming_sample_cap())?;
     Ok(BenchReport {
@@ -173,7 +171,6 @@ pub fn collect(scale: ExperimentScale, date: &str) -> Result<BenchReport, BenchE
         streaming,
         persistence: Some(persistence),
         backends: Some(backends),
-        quantization: Some(quantization),
         fleet: Some(fleet),
         multicore: Some(multicore),
         telemetry: Some(telemetry),
@@ -381,18 +378,6 @@ pub fn compute_deltas(previous: &BenchReport, current: &BenchReport) -> Vec<Delt
             }
         }
     }
-    if let (Some(p), Some(c)) = (&previous.quantization, &current.quantization) {
-        rows.push(delta_row(
-            "quant footprint ratio",
-            p.footprint_ratio,
-            c.footprint_ratio,
-        ));
-        rows.push(delta_row(
-            "quant max AUC deviation",
-            p.max_auc_deviation,
-            c.max_auc_deviation,
-        ));
-    }
     if let (Some(p), Some(c)) = (
         previous.table2.auc_of("VARADE"),
         current.table2.auc_of("VARADE"),
@@ -481,7 +466,6 @@ fn render_backends(out: &mut String, r: &BenchReport) {
             "This baseline predates the multi-backend substrate (schema < 3);\n\
              the next full-scale `exp_report` run will populate this section.\n\n",
         );
-        render_quantization(out, r);
         return;
     };
     out.push_str(&format!(
@@ -496,7 +480,13 @@ fn render_backends(out: &mut String, r: &BenchReport) {
         "| Backend | Samples/sec | p50 (us) | p99 (us) | Model fwd (us) | Max rel. deviation |\n\
          |---|---|---|---|---|---|\n",
     );
-    for cell in &b.cells {
+    // Baselines from before schema v10 also recorded a cell for the deleted
+    // int8 backend; only backends this build has are rendered.
+    for cell in b
+        .cells
+        .iter()
+        .filter(|c| c.backend.parse::<varade::BackendKind>().is_ok())
+    {
         out.push_str(&format!(
             "| {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2e} |\n",
             cell.backend,
@@ -512,56 +502,6 @@ fn render_backends(out: &mut String, r: &BenchReport) {
          with `VARADE_BACKEND={}` or `exp_report --backend <kind>`.\n\n",
         b.vector_over_scalar_speedup,
         varade::BackendKind::ALL.map(|k| k.label()).join("|"),
-    ));
-    render_quantization(out, r);
-}
-
-/// The int8 quantization audit, rendered as a subsection of §2 (it gates the
-/// third kernel backend of the same sweep) so the section numbering (and the
-/// §9 trajectory) stays stable.
-fn render_quantization(out: &mut String, r: &BenchReport) {
-    out.push_str("### Int8 quantization (`quant` backend)\n\n");
-    let Some(q) = &r.quantization else {
-        out.push_str(
-            "This baseline predates the quant backend (schema < 8); the next\n\
-             full-scale `exp_report` run will populate this audit.\n\n",
-        );
-        return;
-    };
-    out.push_str(&format!(
-        "Post-training per-row affine int8 quantization of every conv/linear\n\
-         weight ({} f32 elements), scored through f32-accumulator int8 kernels —\n\
-         same fitted weights, no refit. Footprint: **{} bytes of int8 codes\n\
-         replace {} bytes of f32 weights ({:.4}x, contract ≤ 0.25x)** plus\n\
-         {} bytes of affine metadata; the persisted model grows from {} bytes\n\
-         (format v1) to {} bytes (format v2, planes + f32 tensors for training\n\
-         continuity). Single-stream throughput: {:.1} samples/sec quant vs\n\
-         {:.1} scalar ({:.2}x).\n\n",
-        q.weight_elements,
-        q.int8_payload_bytes,
-        q.f32_weight_bytes,
-        q.footprint_ratio,
-        q.quant_metadata_bytes,
-        q.file_bytes_f32,
-        q.file_bytes_quant,
-        q.quant_samples_per_sec,
-        q.scalar_samples_per_sec,
-        q.quant_over_scalar_throughput,
-    ));
-    out.push_str(
-        "| Scoring rule | Scalar AUC | Quant AUC | Deviation | Windows |\n\
-         |---|---|---|---|---|\n",
-    );
-    for cell in &q.cells {
-        out.push_str(&format!(
-            "| {} | {:.4} | {:.4} | {:.4} | {} |\n",
-            cell.scoring, cell.scalar_auc, cell.quant_auc, cell.auc_deviation, cell.scored_windows,
-        ));
-    }
-    out.push_str(&format!(
-        "\nMaximum AUC deviation: **{:.4}** (the run fails beyond 0.01 — the\n\
-         quant contract bounds decision quality, not individual scores).\n\n",
-        q.max_auc_deviation,
     ));
 }
 
@@ -1007,13 +947,6 @@ pub struct BenchFloor {
     /// percent of disabled-mode fleet throughput. `None` in pre-telemetry
     /// floor files (schema ≤ 2).
     pub quick_max_telemetry_overhead_pct: Option<f64>,
-    /// Maximum acceptable quick-scale quant footprint ratio (int8 payload
-    /// over f32 weight bytes — ¼ by construction, so any excess means the
-    /// packing regressed). `None` in pre-quant floor files (schema ≤ 3).
-    pub quick_max_quant_footprint_ratio: Option<f64>,
-    /// Maximum acceptable quick-scale quant AUC deviation vs the scalar
-    /// reference. `None` in pre-quant floor files (schema ≤ 3).
-    pub quick_max_quant_auc_deviation: Option<f64>,
     /// Where the numbers came from, for the next person who retunes them.
     pub note: String,
 }
@@ -1061,24 +994,6 @@ pub fn check_floor(report: &BenchReport, floor: &BenchFloor) -> Result<(), Bench
                 "telemetry substrate overhead {:.2}% exceeds the ceiling of {:.2}%",
                 telemetry.overhead_pct, max_pct
             ));
-        }
-    }
-    if let Some(quantization) = &report.quantization {
-        if let Some(max_ratio) = floor.quick_max_quant_footprint_ratio {
-            if quantization.footprint_ratio > max_ratio {
-                violations.push(format!(
-                    "quant footprint ratio {:.4} exceeds the ceiling of {max_ratio:.4}",
-                    quantization.footprint_ratio
-                ));
-            }
-        }
-        if let Some(max_dev) = floor.quick_max_quant_auc_deviation {
-            if quantization.max_auc_deviation > max_dev {
-                violations.push(format!(
-                    "quant AUC deviation {:.4} exceeds the ceiling of {max_dev:.4}",
-                    quantization.max_auc_deviation
-                ));
-            }
         }
     }
     if violations.is_empty() {

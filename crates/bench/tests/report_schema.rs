@@ -10,7 +10,6 @@ use varade_bench::experiments::figure3::Figure3Result;
 use varade_bench::experiments::fleet::{FleetResult, FleetSweepCell};
 use varade_bench::experiments::load::{LoadCell, MulticoreResult, StageLatencyCell};
 use varade_bench::experiments::persist::PersistenceResult;
-use varade_bench::experiments::quantization::{QuantizationCell, QuantizationResult};
 use varade_bench::experiments::streaming::StreamingResult;
 use varade_bench::experiments::table2::Table2Result;
 use varade_bench::experiments::telemetry::TelemetryResult;
@@ -23,9 +22,7 @@ use varade_bench::timing::LatencyStats;
 use varade_edge::table::{DetectorAccuracy, Table2, Table2Row};
 
 /// Hand-built backend sweep: the vector backend at twice the scalar
-/// throughput, within the deviation contract, and the quant backend at
-/// near-scalar throughput (its raw-score deviation is unbounded by design —
-/// the AUC contract lives in the quantization audit).
+/// throughput, within the deviation contract.
 fn fixture_backends(samples_per_sec: f64) -> BackendSweepResult {
     let cell = |backend: &str, factor: f64, dev: f64| BackendCell {
         backend: backend.to_string(),
@@ -45,44 +42,8 @@ fn fixture_backends(samples_per_sec: f64) -> BackendSweepResult {
         n_channels: 86,
         window: 64,
         streamed_samples: 3750,
-        cells: vec![
-            cell("scalar", 1.0, 0.0),
-            cell("vector", 2.0, 3e-7),
-            cell("quant", 0.9, 4e-3),
-        ],
+        cells: vec![cell("scalar", 1.0, 0.0), cell("vector", 2.0, 3e-7)],
         vector_over_scalar_speedup: 2.0,
-    }
-}
-
-/// Hand-built int8 quantization audit: the exactly-0.25x footprint the
-/// packing guarantees by construction, with both scoring rules inside the
-/// AUC-deviation contract.
-fn fixture_quantization(samples_per_sec: f64) -> QuantizationResult {
-    let cell = |scoring: &str, scalar_auc: f64, quant_auc: f64| QuantizationCell {
-        scoring: scoring.to_string(),
-        scalar_auc,
-        quant_auc,
-        auc_deviation: (scalar_auc - quant_auc).abs(),
-        scored_windows: 3_686,
-    };
-    QuantizationResult {
-        n_channels: 86,
-        window: 64,
-        weight_elements: 262_144,
-        f32_weight_bytes: 4 * 262_144,
-        int8_payload_bytes: 262_144,
-        quant_metadata_bytes: 5 * 1_024,
-        footprint_ratio: 0.25,
-        file_bytes_f32: 1_052_700,
-        file_bytes_quant: 1_320_988,
-        scalar_samples_per_sec: samples_per_sec,
-        quant_samples_per_sec: samples_per_sec * 0.9,
-        quant_over_scalar_throughput: 0.9,
-        cells: vec![
-            cell("variance", 0.8400, 0.8380),
-            cell("prediction-error", 0.9100, 0.9060),
-        ],
-        max_auc_deviation: 0.004,
     }
 }
 
@@ -292,7 +253,6 @@ fn fixture_report(date: &str, samples_per_sec: f64, varade_auc: f64) -> BenchRep
         },
         persistence: Some(fixture_persistence()),
         backends: Some(fixture_backends(samples_per_sec)),
-        quantization: Some(fixture_quantization(samples_per_sec)),
         fleet: Some(fixture_fleet(samples_per_sec)),
         multicore: Some(fixture_multicore(samples_per_sec)),
         telemetry: Some(fixture_telemetry(samples_per_sec)),
@@ -447,6 +407,21 @@ fn rendered_markdown_is_deterministic_and_contains_every_section() {
         render_experiments_md(&baselines),
         "renderer must be pure"
     );
+    // A pre-v10 baseline's cell for the deleted int8 backend is not
+    // rendered; the backends this build has still are.
+    let mut legacy = baselines.clone();
+    let mut legacy_cell = fixture_backends(1250.0).cells[0].clone();
+    legacy_cell.backend = "quant".to_string();
+    legacy[1]
+        .report
+        .backends
+        .as_mut()
+        .unwrap()
+        .cells
+        .push(legacy_cell);
+    let legacy_md = render_experiments_md(&legacy);
+    assert!(!legacy_md.contains("| quant |"));
+    assert!(legacy_md.contains("| vector |"));
     for section in [
         "## 1. Streaming throughput",
         "## 2. Kernel backends",
@@ -485,14 +460,6 @@ fn rendered_markdown_is_deterministic_and_contains_every_section() {
     // rendered from `meta`.
     assert!(md.contains("speedup: **2.00x**"));
     assert!(md.contains("1 CPU core(s)"));
-    // The quantization audit renders inside §2 with its footprint contract,
-    // per-scoring-rule AUC table, and deviation ceiling, and its deltas join
-    // the trajectory.
-    assert!(md.contains("### Int8 quantization (`quant` backend)"));
-    assert!(md.contains("contract ≤ 0.25x"));
-    assert!(md.contains("| Scoring rule | Scalar AUC | Quant AUC | Deviation | Windows |"));
-    assert!(md.contains("Maximum AUC deviation: **0.0040**"));
-    assert!(md.contains("quant max AUC deviation"));
     // The delta table compares the two baselines, including per-backend rows.
     assert!(md.contains("`BENCH_2026-07-01.json` → `BENCH_2026-07-30.json`"));
     assert!(md.contains("+25.0%"));
@@ -541,37 +508,14 @@ fn quick_report_end_to_end() {
     assert!(backends.vector_over_scalar_speedup > 0.0);
     for cell in &backends.cells {
         let kind: varade::BackendKind = cell.backend.parse().expect("cell labels a backend");
-        match kind.score_tolerance() {
-            // Scalar and vector honor a per-score deviation contract.
-            Some(tolerance) => assert!(
-                cell.max_rel_deviation_vs_scalar <= tolerance,
-                "{}: raw-score deviation {} above {tolerance}",
-                cell.backend,
-                cell.max_rel_deviation_vs_scalar
-            ),
-            // The quant backend's contract is the AUC deviation below.
-            None => assert!(cell.max_rel_deviation_vs_scalar.is_finite()),
-        }
+        let tolerance = kind.score_tolerance().expect("every backend has one");
+        assert!(
+            cell.max_rel_deviation_vs_scalar <= tolerance,
+            "{}: raw-score deviation {} above {tolerance}",
+            cell.backend,
+            cell.max_rel_deviation_vs_scalar
+        );
     }
-    // v8: the int8 quantization audit proves the footprint and decision
-    // quality contracts. run() already hard-errored on a violation; pin the
-    // numbers here too.
-    let quantization = report
-        .quantization
-        .as_ref()
-        .expect("v8 reports carry the quantization audit");
-    assert_eq!(
-        quantization.int8_payload_bytes, quantization.weight_elements,
-        "one int8 code per f32 weight element"
-    );
-    assert!(quantization.footprint_ratio <= 0.25);
-    assert_eq!(quantization.cells.len(), 2, "one cell per scoring rule");
-    assert!(quantization.max_auc_deviation <= 0.01);
-    assert!(
-        quantization.file_bytes_quant > quantization.file_bytes_f32,
-        "format v2 keeps the f32 tensors and appends the int8 tail"
-    );
-    assert!(quantization.quant_samples_per_sec > 0.0);
     let persistence = report
         .persistence
         .as_ref()
@@ -645,7 +589,6 @@ fn v1_baselines_without_newer_keys_still_load() {
     v1.fleet = None;
     v1.meta = None;
     v1.backends = None;
-    v1.quantization = None;
     v1.persistence = None;
     v1.multicore = None;
     v1.telemetry = None;
@@ -655,7 +598,6 @@ fn v1_baselines_without_newer_keys_still_load() {
         .replace("\"fleet\":null,", "")
         .replace("\"meta\":null,", "")
         .replace("\"backends\":null,", "")
-        .replace("\"quantization\":null,", "")
         .replace("\"persistence\":null,", "")
         .replace("\"multicore\":null,", "")
         .replace("\"telemetry\":null,", "");
@@ -663,10 +605,6 @@ fn v1_baselines_without_newer_keys_still_load() {
     assert!(
         !without_keys.contains("persistence"),
         "a persistence key survived the v1 simulation"
-    );
-    assert!(
-        !without_keys.contains("quantization"),
-        "a quantization key survived the v1 simulation"
     );
     assert!(
         !without_keys.contains("telemetry"),
@@ -677,17 +615,19 @@ fn v1_baselines_without_newer_keys_still_load() {
     assert!(back.fleet.is_none());
     assert!(back.meta.is_none());
     assert!(back.backends.is_none());
-    assert!(back.quantization.is_none());
     assert!(back.persistence.is_none());
     assert!(back.multicore.is_none());
     assert!(back.telemetry.is_none());
     assert_eq!(back.streaming, v1.streaming);
 
-    // v4–v8 baselines carry `incremental` keys that v9 dropped: the loader
-    // ignores them.
+    // v4–v8 baselines carry `incremental` keys that v9 dropped, and v8–v9
+    // baselines a `quantization` section that v10 dropped: the loader
+    // ignores both.
     let legacy = compact.replacen(
         "\"persistence\":null",
-        "\"incremental\":{\"incremental_over_full_speedup\":1.4},\"persistence\":null",
+        "\"incremental\":{\"incremental_over_full_speedup\":1.4},\
+         \"quantization\":{\"footprint_ratio\":0.25,\"max_auc_deviation\":0.004},\
+         \"persistence\":null",
         1,
     );
     assert_ne!(legacy, compact, "fixture lost its persistence marker");
@@ -705,7 +645,6 @@ fn v1_baselines_without_newer_keys_still_load() {
     assert!(md.contains("predates the persistence container"));
     assert!(md.contains("predates the load harness"));
     assert!(md.contains("predates the telemetry substrate"));
-    assert!(md.contains("predates the quant backend"));
 }
 
 #[test]
@@ -715,8 +654,6 @@ fn floor_check_gates_quick_reports_only() {
         quick_min_streaming_samples_per_sec: 500.0,
         quick_min_vector_over_scalar_speedup: 1.0,
         quick_max_telemetry_overhead_pct: Some(2.0),
-        quick_max_quant_footprint_ratio: Some(0.25),
-        quick_max_quant_auc_deviation: Some(0.01),
         note: "test fixture".to_string(),
     };
     // Full-scale reports are exempt regardless of their numbers.
@@ -751,19 +688,6 @@ fn floor_check_gates_quick_reports_only() {
     assert!(err.contains("telemetry"), "{err}");
     assert!(err.contains("ceiling"), "{err}");
 
-    // An int8 packing fatter than a quarter of the f32 weights trips the
-    // footprint ceiling …
-    let mut fat = quick.clone();
-    fat.quantization.as_mut().unwrap().footprint_ratio = 0.4;
-    let err = check_floor(&fat, &floor).unwrap_err().to_string();
-    assert!(err.contains("footprint"), "{err}");
-
-    // … and a quant backend drifting past the AUC contract trips its gate.
-    let mut drifted = quick.clone();
-    drifted.quantization.as_mut().unwrap().max_auc_deviation = 0.05;
-    let err = check_floor(&drifted, &floor).unwrap_err().to_string();
-    assert!(err.contains("AUC deviation"), "{err}");
-
     // The committed floor file parses and matches this schema.
     let committed = varade_bench::report::load_floor(std::path::Path::new(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -775,12 +699,6 @@ fn floor_check_gates_quick_reports_only() {
     assert!(committed
         .quick_max_telemetry_overhead_pct
         .is_some_and(|p| p > 0.0));
-    assert!(committed
-        .quick_max_quant_footprint_ratio
-        .is_some_and(|r| r <= 0.25));
-    assert!(committed
-        .quick_max_quant_auc_deviation
-        .is_some_and(|d| d <= 0.01));
 }
 
 #[test]

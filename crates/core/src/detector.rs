@@ -448,11 +448,6 @@ impl VaradeDetector {
         let report = VaradeTrainer::new(self.config)
             .with_backend(self.backend)
             .train(&mut model, &windows)?;
-        // Re-issue the backend selection now that the weights are final:
-        // training forwards drop any cached int8 plane (the weights were
-        // moving), so under the quant backend this is where post-training
-        // quantization of the fitted weights actually happens.
-        model.set_backend(self.backend);
         self.model = Some(model);
         Ok(report)
     }
@@ -482,7 +477,7 @@ impl AnomalyDetector for VaradeDetector {
     ///
     /// This is the arithmetic of [`crate::StreamState::push_timed`] and of
     /// the cold replay in [`VaradeDetector::score_window_incremental`]. On the
-    /// scalar and quant backends each score is bit-identical to
+    /// scalar backend each score is bit-identical to
     /// [`VaradeDetector::score_window`]'s full `forward_infer` recompute of
     /// the same window; on the vector backend it stays within
     /// [`BackendKind::score_tolerance`] (1e-5 relative).
@@ -738,9 +733,9 @@ mod tests {
         let test = wave_series(40, 2);
         let series_scores = det.score_series(&test).unwrap();
         // `score_series` runs one incremental pass; `score_window` recomputes
-        // each window in full through `forward_infer`. Scalar and quant run
-        // the same per-output arithmetic on both paths, so they agree bit for
-        // bit; vector reassociates its tiled full pass and stays within the
+        // each window in full through `forward_infer`. Scalar runs the same
+        // per-output arithmetic on both paths, so they agree bit for bit;
+        // vector reassociates its tiled full pass and stays within the
         // documented relative tolerance.
         let windows = WindowIter::forecasting(&test, tiny_config().window, 1).unwrap();
         let mut checked = 0;

@@ -334,22 +334,6 @@ impl Layer for VaradeModel {
         self.network.visit_tensors_mut(prefix, visitor);
     }
 
-    fn visit_quant_planes(
-        &self,
-        prefix: &str,
-        visitor: &mut dyn FnMut(&str, &varade_tensor::backend::QuantizedPlane),
-    ) {
-        self.network.visit_quant_planes(prefix, visitor);
-    }
-
-    fn visit_quant_planes_mut(
-        &mut self,
-        prefix: &str,
-        visitor: &mut dyn FnMut(&str, &mut Option<varade_tensor::backend::QuantizedPlane>),
-    ) {
-        self.network.visit_quant_planes_mut(prefix, visitor);
-    }
-
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
         self.network.output_shape(input_shape)
     }

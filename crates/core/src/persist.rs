@@ -11,9 +11,6 @@
 //!
 //! # On-disk layout, byte by byte
 //!
-//! Format **v1** — all-f32, written whenever the model carries no quantized
-//! planes (scalar/vector backends):
-//!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------------
@@ -26,24 +23,8 @@
 //!   28+H     P  payload: all tensors back to back, little-endian f32
 //! ```
 //!
-//! Format **v2** — written whenever the model carries int8 quantized weight
-//! planes (the quant backend). The prelude is identical except for the
-//! version; the payload grows an int8 tail after the f32 region:
-//!
-//! ```text
-//! offset      size  field
-//! ----------  ----  -------------------------------------------------------
-//!          0    28  prelude as in v1, version = 2; P spans BOTH regions
-//!         28     H  JSON header, UTF-8 (gains "quant_planes", see below)
-//!       28+H   4·E  f32 region: the v1 tensors PLUS one appended
-//!                   "quant.<weight>.scales" tensor per plane ([rows] f32)
-//! 28+H+4·E  P−4·E  int8 tail: per plane, in "quant_planes" order:
-//!                   rows zero-point bytes, then rows·row_len weight codes
-//!                   (two's-complement i8)
-//! ```
-//!
-//! In both versions the file length must be exactly `28 + H + P`; anything
-//! shorter fails with [`PersistError::Truncated`], anything longer with
+//! The file length must be exactly `28 + H + P`; anything shorter fails with
+//! [`PersistError::Truncated`], anything longer with
 //! [`PersistError::TrailingBytes`].
 //!
 //! # Header schema
@@ -58,61 +39,46 @@
 //!   "tensors": [
 //!     {"name": "model.0.weight", "shape": [8, 2, 2], "dtype": "f32", "offset": 0},
 //!     ...
-//!   ],
-//!   "quant_planes": [
-//!     {"name": "model.0.weight", "rows": 8, "row_len": 4, "offset": 0},
-//!     ...
 //!   ]
 //! }
 //! ```
 //!
-//! `threshold` is `null` when no calibration was bundled; `quant_planes` is
-//! present only in v2 files (a v1 header is byte-identical to what this
-//! crate wrote before v2 existed). Tensor `offset`s are **element** offsets
-//! into the f32 region (multiply by 4 for bytes); entries must be contiguous
-//! and in file order, and their total element count must equal the region's
-//! size or loading fails with [`PersistError::PayloadMismatch`]. Plane
-//! `offset`s are **byte** offsets into the int8 tail, with the same
-//! contiguity/coverage rule enforced as [`PersistError::Quant`]. Tensor
-//! names follow the [`Layer::visit_tensors`] contract —
-//! `model.<layer>.<param>` for the network (e.g. `model.0.weight` for the
-//! first conv's kernel) and `normalizer.mins` / `normalizer.maxs` for the
-//! bundled normalizer; a plane and its scale tensor
-//! (`quant.<weight>.scales`) are both keyed by the weight tensor the plane
-//! quantizes.
+//! `threshold` is `null` when no calibration was bundled. Tensor `offset`s
+//! are **element** offsets into the payload (multiply by 4 for bytes);
+//! entries must be contiguous and in file order, and their total element
+//! count must equal the payload's size or loading fails with
+//! [`PersistError::PayloadMismatch`]. Tensor names follow the
+//! [`Layer::visit_tensors`] contract — `model.<layer>.<param>` for the
+//! network (e.g. `model.0.weight` for the first conv's kernel) and
+//! `normalizer.mins` / `normalizer.maxs` for the bundled normalizer.
 //!
 //! # Version-compatibility policy
 //!
 //! The format version is bumped on any layout change. Readers accept
-//! exactly the versions they know (currently 1 and 2) and reject newer
-//! files with [`PersistError::UnsupportedVersion`] rather than guessing;
-//! writers emit the *oldest* version that can represent the model (v1
-//! unless quantized planes exist), so upgrading this crate never changes
-//! the bytes of a scalar/vector model. The JSON header may gain *optional*
-//! fields without a version bump (absent keys read as `None`), but renaming
-//! tensors, reordering entries or changing the prelude is a breaking
-//! change. The checked-in fixtures under `crates/core/tests/fixtures/` pin
-//! both layouts.
+//! exactly the version they know — currently only v1 — and reject every
+//! other version with [`PersistError::UnsupportedVersion`] rather than
+//! guessing. The JSON header may gain *optional* fields without a version
+//! bump (absent keys read as `None`), but renaming tensors, reordering
+//! entries or changing the prelude is a breaking change. The checked-in
+//! fixture under `crates/core/tests/fixtures/` pins the layout.
 //!
 //! # Integrity checks on load
 //!
 //! Loading validates, in order: magic, version, declared lengths against the
-//! file length, payload CRC32, header JSON syntax and field validity,
-//! tensor-entry contiguity and coverage, a non-finite (NaN/∞) audit over the
-//! f32 region, per-tensor shape agreement against a model freshly rebuilt
-//! from the persisted config, and — for v2 — plane-table contiguity against
-//! the int8 tail plus every [`QuantizedPlane`] invariant (positive finite
-//! scales, codes and zero points on the `[-127, 127]` grid, dimensions
-//! matching the weight they quantize). Every failure is a typed
+//! file length, payload CRC32, header JSON syntax and field validity
+//! (including a finite threshold calibration), tensor-entry contiguity and
+//! coverage, a non-finite (NaN/∞) audit over the payload, that the model
+//! the config describes fits in the payload (checked before the model is
+//! allocated), per-tensor shape agreement against that model rebuilt from
+//! the persisted config, and ordered (`min ≤ max`) normalizer ranges. Every failure is a typed
 //! [`PersistError`]; nothing panics and nothing loads garbage.
 //!
-//! # Example: quantize → save → load → score
+//! # Example: fit → save → load → score
 //!
-//! A fitted detector re-routed to the quant backend persists its int8
-//! planes; the loaded copy scores **bit-identically** to the saved one:
+//! The loaded copy scores **bit-identically** to the saved one:
 //!
 //! ```
-//! use varade::{BackendKind, VaradeConfig, VaradeDetector};
+//! use varade::{VaradeConfig, VaradeDetector};
 //! use varade_detectors::AnomalyDetector;
 //! use varade_timeseries::MultivariateSeries;
 //!
@@ -126,12 +92,9 @@
 //! let mut detector = VaradeDetector::new(config);
 //! detector.fit(&train)?;
 //!
-//! // Post-training quantization: no refit, weights re-encoded as int8.
-//! detector.set_backend(BackendKind::Quant);
-//! let bytes = detector.to_persist_bytes()?;   // format v2, planes included
-//!
+//! let bytes = detector.to_persist_bytes()?;
 //! let loaded = varade::persist::ModelArtifact::from_bytes(&bytes)?.detector;
-//! assert_eq!(loaded.backend_kind(), BackendKind::Quant);
+//! assert_eq!(loaded.backend_kind(), detector.backend_kind());
 //! let mut context = Vec::new();                // channel-major [2 * window]
 //! for c in 0..2 {
 //!     for t in 0..8 {
@@ -154,7 +117,6 @@ use std::ops::Range;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
-use varade_tensor::backend::QuantizedPlane;
 use varade_tensor::Layer;
 use varade_timeseries::MinMaxNormalizer;
 
@@ -163,15 +125,9 @@ use crate::{ScoringRule, VaradeConfig, VaradeDetector, VaradeModel};
 /// The magic bytes every persisted model file starts with.
 pub const MAGIC: [u8; 6] = *b"VARADE";
 
-/// The newest on-disk format version this build reads and writes (see the
-/// module docs for the policy). Writers emit the oldest version that can
-/// represent the model: [`FORMAT_VERSION_V1`] unless quantized planes exist.
-pub const FORMAT_VERSION: u16 = 2;
-
-/// The original all-f32 layout — still written for every model without
-/// quantized planes, so scalar/vector saves stay byte-identical across
-/// crate upgrades.
-pub const FORMAT_VERSION_V1: u16 = 1;
+/// The on-disk format version this build reads and writes (see the module
+/// docs for the policy).
+pub const FORMAT_VERSION: u16 = 1;
 
 /// Length in bytes of the fixed binary prelude before the JSON header.
 pub const PRELUDE_LEN: usize = 28;
@@ -233,25 +189,7 @@ pub struct TensorEntry {
     pub offset: usize,
 }
 
-/// One quantized plane's entry in a v2 header: which weight it re-encodes,
-/// its dimensions, and where its bytes live in the int8 tail.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QuantPlaneEntry {
-    /// Name of the f32 weight tensor this plane quantizes (e.g.
-    /// `model.0.weight`); its scales live in the f32 region under
-    /// `quant.<name>.scales`.
-    pub name: String,
-    /// Output channels / features (one scale + zero point each).
-    pub rows: usize,
-    /// Weight taps per row.
-    pub row_len: usize,
-    /// **Byte** offset of this plane's first byte in the int8 tail; the
-    /// plane spans `rows` zero-point bytes followed by `rows · row_len`
-    /// weight codes.
-    pub offset: usize,
-}
-
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct PersistHeader {
     config: VaradeConfig,
     n_channels: usize,
@@ -259,28 +197,6 @@ struct PersistHeader {
     backend: String,
     threshold: Option<ThresholdCalibration>,
     tensors: Vec<TensorEntry>,
-    quant_planes: Option<Vec<QuantPlaneEntry>>,
-}
-
-// Hand-written (rather than derived) so the `quant_planes` key is *omitted*
-// when absent instead of serialized as `null`: a v1 header must stay
-// byte-identical to what pre-v2 builds of this crate wrote, or the pinned
-// fixture (and every deployed byte-diff check) would churn.
-impl Serialize for PersistHeader {
-    fn to_json_value(&self) -> serde::json::Value {
-        let mut fields = vec![
-            ("config".to_string(), self.config.to_json_value()),
-            ("n_channels".to_string(), self.n_channels.to_json_value()),
-            ("scoring".to_string(), self.scoring.to_json_value()),
-            ("backend".to_string(), self.backend.to_json_value()),
-            ("threshold".to_string(), self.threshold.to_json_value()),
-            ("tensors".to_string(), self.tensors.to_json_value()),
-        ];
-        if let Some(planes) = &self.quant_planes {
-            fields.push(("quant_planes".to_string(), planes.to_json_value()));
-        }
-        serde::json::Value::Object(fields)
-    }
 }
 
 /// Typed failures of [`ModelArtifact::save`] / [`ModelArtifact::load`] and
@@ -293,7 +209,7 @@ pub enum PersistError {
     Io(String),
     /// The file does not start with the `VARADE` magic bytes.
     BadMagic,
-    /// The file's format version is newer than this reader understands.
+    /// The file's format version is not the one this reader understands.
     UnsupportedVersion {
         /// Version found in the file.
         found: u16,
@@ -319,7 +235,8 @@ pub enum PersistError {
         /// Checksum recomputed over the payload.
         computed: u32,
     },
-    /// The JSON header is malformed or carries an invalid field.
+    /// The JSON header is malformed or carries an invalid field, or a bundled
+    /// normalizer carries an unusable (`min > max`) channel range.
     Header(String),
     /// The header's tensor entries and the payload disagree about the total
     /// element count.
@@ -343,23 +260,21 @@ pub enum PersistError {
     MissingTensor(String),
     /// The file provides a tensor the rebuilt model has no slot for.
     UnknownTensor(String),
-    /// The payload smuggles a NaN or infinity — a model that can only
-    /// produce garbage scores is refused outright.
+    /// The payload or the threshold calibration smuggles a NaN or infinity —
+    /// a model that can only produce garbage scores or alarms is refused
+    /// outright.
     NonFinite {
-        /// Name of the tensor holding the non-finite value.
+        /// Name of the tensor (or `threshold.<field>`) holding the
+        /// non-finite value.
         name: String,
         /// Element index of the first non-finite value within that tensor.
         index: usize,
     },
     /// [`ModelArtifact::save`] was called on an unfitted detector.
     NotFitted,
-    /// Rebuilding the model from the persisted config failed.
+    /// Rebuilding the model from the persisted config failed, or the model
+    /// it describes has more parameters than the payload holds.
     Model(String),
-    /// A v2 file's quantized-plane region is invalid: a broken plane table
-    /// (tail contiguity/coverage, planes in a v1 file, a plane without its
-    /// scale tensor) or a plane violating a [`QuantizedPlane`] invariant
-    /// (non-positive scale, code off the int8 grid, dimension mismatch).
-    Quant(String),
 }
 
 impl fmt::Display for PersistError {
@@ -369,7 +284,7 @@ impl fmt::Display for PersistError {
             PersistError::BadMagic => write!(f, "not a VARADE model file (bad magic)"),
             PersistError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported format version {found} (this reader understands up to {FORMAT_VERSION})"
+                "unsupported format version {found} (this reader understands only {FORMAT_VERSION})"
             ),
             PersistError::Truncated {
                 expected_bytes,
@@ -412,7 +327,6 @@ impl fmt::Display for PersistError {
             }
             PersistError::NotFitted => write!(f, "cannot persist an unfitted detector"),
             PersistError::Model(reason) => write!(f, "cannot rebuild model: {reason}"),
-            PersistError::Quant(reason) => write!(f, "invalid quantized planes: {reason}"),
         }
     }
 }
@@ -472,8 +386,9 @@ impl ModelArtifact {
     ///
     /// Returns [`PersistError::NotFitted`] for an unfitted detector,
     /// [`PersistError::ShapeMismatch`] for a normalizer whose channel count
-    /// disagrees with the detector, and [`PersistError::NonFinite`] if any
-    /// weight is NaN or infinite.
+    /// disagrees with the detector, [`PersistError::Header`] for a normalizer
+    /// channel with `min > max`, and [`PersistError::NonFinite`] if any
+    /// weight, normalizer bound or threshold field is NaN or infinite.
     pub fn to_bytes(&self) -> Result<Vec<u8>, PersistError> {
         serialize_parts(&self.detector, self.normalizer.as_ref(), self.threshold)
     }
@@ -502,7 +417,7 @@ impl ModelArtifact {
             return Err(PersistError::BadMagic);
         }
         let version = u16::from_le_bytes([data[6], data[7]]);
-        if version == 0 || version > FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion { found: version });
         }
         let header_len = u64::from_le_bytes(data[8..16].try_into().expect("8 bytes")) as usize;
@@ -523,7 +438,7 @@ impl ModelArtifact {
                 got_bytes: data.len() as u64,
             });
         }
-        if version == FORMAT_VERSION_V1 && !payload_len.is_multiple_of(4) {
+        if !payload_len.is_multiple_of(4) {
             return Err(PersistError::Header(format!(
                 "payload length {payload_len} is not a multiple of 4"
             )));
@@ -556,6 +471,7 @@ impl ModelArtifact {
         if header.n_channels == 0 {
             return Err(PersistError::Header("n_channels must be positive".into()));
         }
+        audit_threshold(header.threshold)?;
 
         // Decode and validate the f32 region against the entry table.
         let mut running = 0usize;
@@ -572,56 +488,26 @@ impl ModelArtifact {
                     entry.name, entry.offset, running
                 )));
             }
-            let len: usize = entry.shape.iter().product();
+            let len = entry
+                .shape
+                .iter()
+                .try_fold(1usize, |acc, &dim| acc.checked_mul(dim))
+                .ok_or_else(|| {
+                    PersistError::Header(format!(
+                        "tensor {}: shape {:?} overflows",
+                        entry.name, entry.shape
+                    ))
+                })?;
             running = running.saturating_add(len);
         }
-        let f32_bytes = running.saturating_mul(4);
-        let plane_entries: &[QuantPlaneEntry] = header.quant_planes.as_deref().unwrap_or(&[]);
-        if version == FORMAT_VERSION_V1 {
-            // v1: the whole payload is the f32 region, planes are illegal.
-            if !plane_entries.is_empty() {
-                return Err(PersistError::Quant(
-                    "format v1 cannot carry quantized planes".into(),
-                ));
-            }
-            if running != payload_len / 4 {
-                return Err(PersistError::PayloadMismatch {
-                    declared_elements: running,
-                    actual_elements: payload_len / 4,
-                });
-            }
-        } else if payload_len < f32_bytes {
+        if running != payload_len / 4 {
             return Err(PersistError::PayloadMismatch {
                 declared_elements: running,
                 actual_elements: payload_len / 4,
             });
         }
-        let (f32_region, tail) = payload.split_at(f32_bytes);
-        // v2: the plane table must tile the int8 tail exactly, in order.
-        let mut tail_running = 0usize;
-        for entry in plane_entries {
-            if entry.rows == 0 || entry.row_len == 0 {
-                return Err(PersistError::Quant(format!(
-                    "plane {}: dimensions {}x{} must be positive",
-                    entry.name, entry.rows, entry.row_len
-                )));
-            }
-            if entry.offset != tail_running {
-                return Err(PersistError::Quant(format!(
-                    "plane {}: offset {} breaks tail contiguity (expected {})",
-                    entry.name, entry.offset, tail_running
-                )));
-            }
-            tail_running = tail_running.saturating_add(entry.rows + entry.rows * entry.row_len);
-        }
-        if tail_running != tail.len() {
-            return Err(PersistError::Quant(format!(
-                "plane entries declare {tail_running} int8 tail bytes, tail holds {}",
-                tail.len()
-            )));
-        }
         let mut values = Vec::with_capacity(running);
-        for chunk in f32_region.chunks_exact(4) {
+        for chunk in payload.chunks_exact(4) {
             values.push(f32::from_le_bytes(chunk.try_into().expect("4 bytes")));
         }
         audit_finite(&header.tensors, &values)?;
@@ -645,24 +531,17 @@ impl ModelArtifact {
                 )));
             }
         }
-        // Pull the per-plane scale tensors out of the slot table before the
-        // model visitation below (the model itself has no `quant.*` tensor),
-        // re-keyed by the weight tensor they belong to.
-        let mut scale_slots: BTreeMap<String, Range<usize>> = BTreeMap::new();
-        let scale_keys: Vec<String> = slots
-            .keys()
-            .filter(|k| k.starts_with("quant.") && k.ends_with(".scales"))
-            .cloned()
-            .collect();
-        for key in scale_keys {
-            let (shape, range) = slots.remove(&key).expect("key drawn from the map");
-            if shape.len() != 1 {
-                return Err(PersistError::Quant(format!(
-                    "scale tensor {key} must be rank 1, got {shape:?}"
-                )));
+        // The rebuilt model is allocated before its shapes can be compared,
+        // so a config whose parameters could not fit in the payload is
+        // refused first: a forged header never sizes an allocation.
+        match model_parameter_count(&header.config, header.n_channels) {
+            Some(params) if params <= running => {}
+            params => {
+                return Err(PersistError::Model(format!(
+                    "config describes {} parameters, the payload holds {running} values",
+                    params.map_or_else(|| "more than usize::MAX".to_string(), |p| p.to_string())
+                )))
             }
-            let weight = key["quant.".len()..key.len() - ".scales".len()].to_string();
-            scale_slots.insert(weight, range);
         }
         let mut model = VaradeModel::from_config(header.config, header.n_channels)
             .map_err(|e| PersistError::Model(e.to_string()))?;
@@ -703,7 +582,9 @@ impl ModelArtifact {
                 }
                 let ranges: Vec<(f32, f32)> =
                     mins.iter().copied().zip(maxs.iter().copied()).collect();
-                Some(MinMaxNormalizer::from_ranges(&ranges))
+                let normalizer = MinMaxNormalizer::from_ranges(&ranges);
+                audit_ranges(&normalizer)?;
+                Some(normalizer)
             }
             (Some(_), None) => return Err(PersistError::MissingTensor(NORMALIZER_MAXS.into())),
             (None, Some(_)) => return Err(PersistError::MissingTensor(NORMALIZER_MINS.into())),
@@ -711,72 +592,7 @@ impl ModelArtifact {
         if let Some(name) = slots.into_keys().next() {
             return Err(PersistError::UnknownTensor(name));
         }
-        // Re-issue the backend selection now that the weights are final:
-        // under the quant backend this rebuilds each layer's plane from the
-        // loaded f32 weights, giving the persisted planes a dimension oracle.
         model.set_backend(backend);
-        if !plane_entries.is_empty() {
-            if backend != crate::BackendKind::Quant {
-                return Err(PersistError::Quant(format!(
-                    "quantized planes require the quant backend, header says `{}`",
-                    backend.label()
-                )));
-            }
-            let mut decoded: BTreeMap<String, QuantizedPlane> = BTreeMap::new();
-            for entry in plane_entries {
-                let scales_range = scale_slots.remove(&entry.name).ok_or_else(|| {
-                    PersistError::Quant(format!("plane {}: missing scale tensor", entry.name))
-                })?;
-                let zp_bytes = &tail[entry.offset..entry.offset + entry.rows];
-                let data_bytes = &tail
-                    [entry.offset + entry.rows..entry.offset + entry.rows * (entry.row_len + 1)];
-                let plane = QuantizedPlane::from_parts(
-                    entry.rows,
-                    entry.row_len,
-                    data_bytes.iter().map(|&b| b as i8).collect(),
-                    values[scales_range.clone()].to_vec(),
-                    zp_bytes.iter().map(|&b| b as i8).collect(),
-                )
-                .map_err(|reason| PersistError::Quant(format!("plane {}: {reason}", entry.name)))?;
-                if decoded.insert(entry.name.clone(), plane).is_some() {
-                    return Err(PersistError::Quant(format!(
-                        "duplicate plane {}",
-                        entry.name
-                    )));
-                }
-            }
-            let mut first_error: Option<PersistError> = None;
-            model.visit_quant_planes_mut(MODEL_PREFIX, &mut |name, slot| {
-                if first_error.is_some() {
-                    return;
-                }
-                if let Some(plane) = decoded.remove(name) {
-                    let fits = slot.as_ref().is_some_and(|rebuilt| {
-                        rebuilt.rows() == plane.rows() && rebuilt.row_len() == plane.row_len()
-                    });
-                    if fits {
-                        *slot = Some(plane);
-                    } else {
-                        first_error = Some(PersistError::Quant(format!(
-                            "plane {name}: dimensions disagree with the rebuilt model"
-                        )));
-                    }
-                }
-            });
-            if let Some(err) = first_error {
-                return Err(err);
-            }
-            if let Some(name) = decoded.into_keys().next() {
-                return Err(PersistError::Quant(format!(
-                    "plane {name} names no weight in the model"
-                )));
-            }
-        }
-        if let Some(name) = scale_slots.into_keys().next() {
-            return Err(PersistError::Quant(format!(
-                "scale tensor for unknown plane {name}"
-            )));
-        }
         let detector =
             VaradeDetector::from_parts(header.config, scoring, model, header.n_channels, backend);
         Ok(Self {
@@ -852,41 +668,10 @@ fn serialize_parts(
             });
             values.extend_from_slice(slice);
         }
-    }
-    // Quantized planes (if any) extend the file to format v2: scales join
-    // the f32 region as ordinary tensors, codes and zero points go into the
-    // int8 tail.
-    let mut planes: Vec<(String, varade_tensor::backend::QuantizedPlane)> = Vec::new();
-    model.visit_quant_planes(MODEL_PREFIX, &mut |name, plane| {
-        planes.push((name.to_string(), plane.clone()));
-    });
-    let mut plane_entries: Vec<QuantPlaneEntry> = Vec::new();
-    let mut tail: Vec<u8> = Vec::new();
-    for (name, plane) in &planes {
-        entries.push(TensorEntry {
-            name: format!("quant.{name}.scales"),
-            shape: vec![plane.rows()],
-            dtype: "f32".to_string(),
-            offset: values.len(),
-        });
-        values.extend_from_slice(plane.scales());
-        plane_entries.push(QuantPlaneEntry {
-            name: name.clone(),
-            rows: plane.rows(),
-            row_len: plane.row_len(),
-            offset: tail.len(),
-        });
-        tail.extend(plane.zero_points().iter().map(|&z| z as u8));
-        tail.extend(plane.data().iter().map(|&q| q as u8));
+        audit_ranges(norm)?;
     }
     audit_finite(&entries, &values)?;
-    // Emit the oldest version that can represent the model: a plane-free
-    // file is byte-identical to what this crate wrote before v2 existed.
-    let version = if plane_entries.is_empty() {
-        FORMAT_VERSION_V1
-    } else {
-        FORMAT_VERSION
-    };
+    audit_threshold(threshold)?;
     let header = PersistHeader {
         config: *detector.config(),
         n_channels,
@@ -894,23 +679,17 @@ fn serialize_parts(
         backend: detector.backend_kind().label().to_string(),
         threshold,
         tensors: entries,
-        quant_planes: if plane_entries.is_empty() {
-            None
-        } else {
-            Some(plane_entries)
-        },
     };
     let header_json =
         serde_json::to_string(&header).map_err(|e| PersistError::Header(e.to_string()))?;
     let header_bytes = header_json.as_bytes();
-    let mut payload = Vec::with_capacity(values.len() * 4 + tail.len());
+    let mut payload = Vec::with_capacity(values.len() * 4);
     for v in &values {
         payload.extend_from_slice(&v.to_le_bytes());
     }
-    payload.extend_from_slice(&tail);
     let mut out = Vec::with_capacity(PRELUDE_LEN + header_bytes.len() + payload.len());
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(header_bytes.len() as u64).to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -936,6 +715,61 @@ fn audit_finite(entries: &[TensorEntry], values: &[f32]) -> Result<(), PersistEr
     Ok(())
 }
 
+/// Parameter count of the model [`VaradeModel::new`] builds for `config`
+/// and `n_channels`, without allocating it: `None` if it overflows `usize`.
+fn model_parameter_count(config: &VaradeConfig, n_channels: usize) -> Option<usize> {
+    let mut params = 0usize;
+    let mut in_ch = n_channels;
+    for layer in 0..config.n_layers() {
+        let out_ch = config
+            .base_feature_maps
+            .checked_mul(1usize.checked_shl(u32::try_from(layer / 2).ok()?)?)?;
+        params = params.checked_add(
+            out_ch
+                .checked_mul(in_ch)?
+                .checked_mul(2)?
+                .checked_add(out_ch)?,
+        )?;
+        in_ch = out_ch;
+    }
+    let features = in_ch.checked_mul(config.window >> config.n_layers())?;
+    let outputs = n_channels.checked_mul(2)?;
+    params.checked_add(features.checked_mul(outputs)?.checked_add(outputs)?)
+}
+
+/// Refuses a threshold calibration with a NaN or infinite field: it could
+/// never raise (or always raises) an alarm. Shared by save and load.
+fn audit_threshold(threshold: Option<ThresholdCalibration>) -> Result<(), PersistError> {
+    let Some(calibration) = threshold else {
+        return Ok(());
+    };
+    for (name, value) in [
+        ("threshold.threshold", calibration.threshold),
+        ("threshold.best_f1", calibration.best_f1),
+    ] {
+        if !value.is_finite() {
+            return Err(PersistError::NonFinite {
+                name: name.to_string(),
+                index: 0,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Refuses a normalizer channel whose range is inverted (`min > max`): it
+/// would map every sample of that channel to one constant. Shared by save
+/// and load; the bounds were already audited finite.
+fn audit_ranges(normalizer: &MinMaxNormalizer) -> Result<(), PersistError> {
+    let ranges = normalizer.mins().iter().zip(normalizer.maxs());
+    if let Some((channel, (min, max))) = ranges.enumerate().find(|(_, (min, max))| min > max) {
+        return Err(PersistError::Header(format!(
+            "normalizer channel {channel}: min {min} exceeds max {max}"
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -949,6 +783,28 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn parameter_count_matches_the_built_model() {
+        for (window, maps, channels) in [(4, 1, 1), (8, 8, 2), (64, 16, 86), (256, 3, 5)] {
+            let config = VaradeConfig {
+                window,
+                base_feature_maps: maps,
+                ..VaradeConfig::default()
+            };
+            let mut model = VaradeModel::from_config(config, channels).unwrap();
+            assert_eq!(
+                model_parameter_count(&config, channels),
+                Some(model.parameter_count()),
+                "window {window}, maps {maps}, channels {channels}"
+            );
+        }
+        let huge = VaradeConfig {
+            base_feature_maps: usize::MAX / 2,
+            ..VaradeConfig::default()
+        };
+        assert_eq!(model_parameter_count(&huge, 2), None);
     }
 
     #[test]

@@ -100,13 +100,14 @@ fn swap_detector_scores_only_the_new_model_after_a_primed_cache() {
 
 #[test]
 fn set_backend_scores_only_the_new_backend_after_a_primed_cache() {
-    // Prime the cache under the quant backend, then re-route to scalar: the
-    // post-switch scores must bit-match a pure-scalar recompute. Int8 columns
-    // differ from f32 ones at the bit level, so a bypassed invalidation shows
-    // up in the first frontier score that mixes them. (The vector backend
-    // runs the scalar column kernels, so its columns would not differ.)
+    // Prime the cache under the vector backend, then re-route to scalar: the
+    // post-switch scores must bit-match a pure-scalar full recompute. The
+    // vector backend runs the scalar column kernels, so its primed columns
+    // equal scalar ones bit for bit and a bypassed invalidation cannot show
+    // up as a changed score; what this pins is that the re-route itself
+    // (invalidate, re-plan, replay) leaves every later score exact.
     let data = rows(30);
-    let mut stream = StreamingVarade::new(fitted(5, BackendKind::Quant), CHANNELS, None).unwrap();
+    let mut stream = StreamingVarade::new(fitted(5, BackendKind::Vector), CHANNELS, None).unwrap();
     let mut primed = Vec::new();
     for (t, row) in data.iter().enumerate().take(14) {
         if let Some(score) = stream.push(row).unwrap() {
@@ -118,18 +119,17 @@ fn set_backend_scores_only_the_new_backend_after_a_primed_cache() {
     stream.set_backend(BackendKind::Scalar);
     assert_eq!(stream.backend_kind(), BackendKind::Scalar);
 
-    // Same weights, re-routed: training ran with the quant backend selected,
+    // Same weights, re-routed: training ran with the vector backend selected,
     // so the reference must carry those exact weights too, not a refit.
-    let mut reference = fitted(5, BackendKind::Quant);
+    let mut reference = fitted(5, BackendKind::Vector);
     reference.set_backend(BackendKind::Scalar);
-    // The precondition the test's power rests on: the primed quant scores
-    // are not the scalar ones.
-    assert!(
-        primed
-            .iter()
-            .any(|&(t, score)| score.to_bits() != full_recompute(&reference, &data, t).to_bits()),
-        "quant and scalar scores coincide; a stale cache would go unnoticed"
-    );
+    for &(t, score) in &primed {
+        assert_eq!(
+            score.to_bits(),
+            full_recompute(&reference, &data, t).to_bits(),
+            "push {t}: vector columns must equal scalar ones bit for bit"
+        );
+    }
     for (t, row) in data.iter().enumerate().skip(14) {
         let got = stream.push(row).unwrap().expect("warm stream scores");
         let want = full_recompute(&reference, &data, t);

@@ -9,11 +9,11 @@
 //! checksum itself catches bit rot first.
 
 use varade::persist::{self, ModelArtifact, PersistError, FORMAT_VERSION, PRELUDE_LEN};
-use varade::{BackendKind, VaradeConfig, VaradeDetector};
+use varade::{BackendKind, ThresholdCalibration, VaradeConfig, VaradeDetector};
 use varade_detectors::AnomalyDetector;
-use varade_timeseries::MultivariateSeries;
+use varade_timeseries::{MinMaxNormalizer, MultivariateSeries};
 
-fn valid_bytes() -> Vec<u8> {
+fn fitted() -> VaradeDetector {
     let config = VaradeConfig {
         window: 8,
         base_feature_maps: 8,
@@ -31,7 +31,25 @@ fn valid_bytes() -> Vec<u8> {
     }
     let mut det = VaradeDetector::new(config).with_backend(BackendKind::Scalar);
     det.fit(&s).unwrap();
-    det.to_persist_bytes().unwrap()
+    det
+}
+
+fn valid_bytes() -> Vec<u8> {
+    fitted().to_persist_bytes().unwrap()
+}
+
+/// A detector bundled with a two-channel normalizer (`normalizer.mins` and
+/// `normalizer.maxs` are the payload's last four values) and a threshold
+/// calibration of 1.25 / 0.75.
+fn valid_bundle_bytes() -> Vec<u8> {
+    ModelArtifact::new(fitted())
+        .with_normalizer(MinMaxNormalizer::from_ranges(&[(-1.0, 1.0), (-2.0, 2.0)]))
+        .with_threshold(ThresholdCalibration {
+            threshold: 1.25,
+            best_f1: 0.75,
+        })
+        .to_bytes()
+        .unwrap()
 }
 
 fn header_len(bytes: &[u8]) -> usize {
@@ -49,6 +67,40 @@ fn restamp(bytes: &mut [u8]) {
     let crc = persist::crc32(&bytes[start..]);
     bytes[16..24].copy_from_slice(&payload_len.to_le_bytes());
     bytes[24..28].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// `bytes` with its JSON header replaced by `header` (any length) and the
+/// prelude's header length updated; the payload and its CRC are untouched.
+fn with_header(bytes: &[u8], header: &str) -> Vec<u8> {
+    let mut out = bytes[..PRELUDE_LEN].to_vec();
+    out[8..16].copy_from_slice(&(header.len() as u64).to_le_bytes());
+    out.extend_from_slice(header.as_bytes());
+    out.extend_from_slice(&bytes[payload_start(bytes)..]);
+    out
+}
+
+/// Appends a rank-1 tensor named `name` holding `values`: a header entry at
+/// the end of the tensor table plus the payload values, with the prelude's
+/// lengths and CRC re-stamped so every byte-level check passes.
+fn append_tensor(bytes: &[u8], name: &str, values: &[f32]) -> Vec<u8> {
+    let start = payload_start(bytes);
+    let header = std::str::from_utf8(&bytes[PRELUDE_LEN..start]).unwrap();
+    let table_end = header
+        .rfind("]}")
+        .expect("the tensor table closes the header");
+    let offset = (bytes.len() - start) / 4;
+    let header = format!(
+        "{},{{\"name\":\"{name}\",\"shape\":[{}],\"dtype\":\"f32\",\"offset\":{offset}}}{}",
+        &header[..table_end],
+        values.len(),
+        &header[table_end..]
+    );
+    let mut out = with_header(bytes, &header);
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    restamp(&mut out);
+    out
 }
 
 /// Replaces one occurrence of `from` with the equal-length `to` inside the
@@ -134,6 +186,12 @@ fn future_format_version_is_refused() {
         ModelArtifact::from_bytes(&bytes).err(),
         Some(PersistError::UnsupportedVersion { found: future })
     );
+    // Version 2 (int8 weight planes) is no longer read.
+    bytes[6..8].copy_from_slice(&2u16.to_le_bytes());
+    assert_eq!(
+        ModelArtifact::from_bytes(&bytes).err(),
+        Some(PersistError::UnsupportedVersion { found: 2 })
+    );
     // Version 0 never existed either.
     bytes[6..8].copy_from_slice(&0u16.to_le_bytes());
     assert_eq!(
@@ -181,12 +239,54 @@ fn tensor_shape_mismatch_is_detected() {
 }
 
 #[test]
+fn forged_sizes_are_refused_before_allocating() {
+    // The header carries no CRC, so a forged size must fail typed before it
+    // overflows a shape product or sizes the rebuilt model's allocation.
+    let bytes = valid_bytes();
+    let header = std::str::from_utf8(&bytes[PRELUDE_LEN..payload_start(&bytes)]).unwrap();
+    let forge = |from: &str, to: &str| {
+        assert!(header.contains(from), "header does not contain {from:?}");
+        ModelArtifact::from_bytes(&with_header(&bytes, &header.replacen(from, to, 1)))
+    };
+    // 8 · 2 · 2^61 overflows usize.
+    match forge("\"shape\":[8,2,2]", "\"shape\":[8,2,2305843009213693952]") {
+        Err(PersistError::Header(reason)) => assert!(reason.contains("overflows"), "{reason}"),
+        other => panic!("expected Header, got {other:?}"),
+    }
+    // A config whose model needs more parameters than the payload holds:
+    // 2^62 feature maps overflow outright, 10^8 channels would allocate
+    // gigabytes.
+    for (from, to) in [
+        (
+            "\"base_feature_maps\":8",
+            "\"base_feature_maps\":4611686018427387904",
+        ),
+        ("\"n_channels\":2", "\"n_channels\":100000000"),
+    ] {
+        match forge(from, to) {
+            Err(PersistError::Model(reason)) => {
+                assert!(reason.contains("parameters"), "{to}: {reason}")
+            }
+            other => panic!("{to}: expected Model, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn renamed_tensor_is_detected_as_missing() {
     let mut bytes = valid_bytes();
     edit_header(&mut bytes, "model.0.bias", "model.0.bigs");
     assert_eq!(
         ModelArtifact::from_bytes(&bytes).err(),
         Some(PersistError::MissingTensor("model.0.bias".into()))
+    );
+    // The converse: a tensor the model has no slot for, here the per-row
+    // scales an int8 weight plane used to carry, is refused by name.
+    let stray = "quant.model.0.weight.scales";
+    let bytes = append_tensor(&valid_bytes(), stray, &[0.5; 8]);
+    assert_eq!(
+        ModelArtifact::from_bytes(&bytes).err(),
+        Some(PersistError::UnknownTensor(stray.into()))
     );
 }
 
@@ -238,143 +338,71 @@ fn corrupted_header_json_is_a_typed_error() {
         ModelArtifact::from_bytes(&bytes),
         Err(PersistError::Header(_))
     ));
-}
-
-// ---------------------------------------------------------------------------
-// Format v2: the quantized-plane region. Same discipline as above — every
-// way the int8 tail or its header table can rot maps to a typed
-// `PersistError::Quant`, never a panic or a silently-wrong plane.
-// ---------------------------------------------------------------------------
-
-/// A fitted detector persisted on the quant backend: format v2, with the
-/// int8 tail and the `quant.*.scales` tensors present.
-fn valid_quant_bytes() -> Vec<u8> {
-    let config = VaradeConfig {
-        window: 8,
-        base_feature_maps: 8,
-        epochs: 2,
-        batch_size: 8,
-        learning_rate: 2e-3,
-        max_train_windows: 48,
-        kl_weight: 0.05,
-        seed: 11,
-    };
-    let mut s = MultivariateSeries::new(vec!["a".into(), "b".into()], 10.0).unwrap();
-    for t in 0..100 {
-        let v = (t as f32 * 0.29).sin();
-        s.push_row(&[v, -v * 0.4]).unwrap();
-    }
-    let mut det = VaradeDetector::new(config).with_backend(BackendKind::Quant);
-    det.fit(&s).unwrap();
-    det.to_persist_bytes().unwrap()
-}
-
-fn expect_quant_error(bytes: &[u8], needle: &str) {
-    match ModelArtifact::from_bytes(bytes) {
-        Err(PersistError::Quant(reason)) => {
-            assert!(
-                reason.contains(needle),
-                "reason {reason:?} lacks {needle:?}"
-            )
-        }
-        other => panic!("expected Quant({needle:?}…), got {other:?}"),
-    }
-}
-
-#[test]
-fn quant_fixture_is_v2_and_loads() {
-    let bytes = valid_quant_bytes();
-    assert_eq!(
-        u16::from_le_bytes(bytes[6..8].try_into().unwrap()),
-        FORMAT_VERSION,
-        "a plane-carrying model must persist as format v2"
-    );
-    let det = ModelArtifact::from_bytes(&bytes).unwrap().detector;
-    assert_eq!(det.backend_kind(), BackendKind::Quant);
-}
-
-#[test]
-fn truncated_int8_tail_is_detected() {
-    // Drop the tail's last code and re-stamp the prelude: the file is
-    // byte-consistent, but the plane table now declares more tail bytes than
-    // the payload holds.
-    let mut bytes = valid_quant_bytes();
-    bytes.truncate(bytes.len() - 1);
-    restamp(&mut bytes);
-    expect_quant_error(&bytes, "tail holds");
-}
-
-/// Like [`edit_header`], but targets the LAST occurrence — the plane table
-/// follows the tensor table in the header, so this reaches plane entries
-/// whose field text also appears in a tensor entry.
-fn edit_header_last(bytes: &mut [u8], from: &str, to: &str) {
-    assert_eq!(from.len(), to.len(), "header edits must preserve length");
-    let start = PRELUDE_LEN;
-    let end = payload_start(bytes);
-    let header = &bytes[start..end];
-    let pos = header
-        .windows(from.len())
-        .rposition(|w| w == from.as_bytes())
-        .unwrap_or_else(|| panic!("header does not contain {from:?}"));
-    bytes[start + pos..start + pos + from.len()].copy_from_slice(to.as_bytes());
-}
-
-#[test]
-fn broken_plane_offset_is_detected() {
-    // The planes tile the tail contiguously, so the last plane's offset (the
-    // last `"offset"` key in the header — the plane table follows the tensor
-    // table) can never be 0 ... unless corrupted to break the tiling.
-    let mut bytes = valid_quant_bytes();
-    let end = payload_start(&bytes);
-    let header = String::from_utf8(bytes[PRELUDE_LEN..end].to_vec()).unwrap();
-    let last_offset = header.rfind("\"offset\":").expect("plane table present");
-    let digits: String = header[last_offset + "\"offset\":".len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    assert_ne!(digits, "0", "the last plane cannot sit at the tail's start");
-    // Swap the leading digit for a different one: same length, valid JSON,
-    // wrong offset.
-    let mut wrong = digits.clone();
-    let first = wrong.remove(0);
-    wrong.insert(0, if first == '9' { '8' } else { '9' });
-    edit_header_last(
+    // The int8 backend is gone: a header naming it no longer loads.
+    let mut bytes = valid_bytes();
+    edit_header(
         &mut bytes,
-        &format!("\"offset\":{digits}"),
-        &format!("\"offset\":{wrong}"),
+        "\"backend\":\"scalar\"",
+        "\"backend\":\"quant\" ",
     );
-    expect_quant_error(&bytes, "contiguity");
+    match ModelArtifact::from_bytes(&bytes) {
+        Err(PersistError::Header(reason)) => assert!(reason.contains("quant"), "{reason}"),
+        other => panic!("expected Header, got {other:?}"),
+    }
 }
 
 #[test]
-fn out_of_range_int8_code_is_detected() {
-    // -128 never appears in a valid plane (the grid is [-127, 127], keeping
-    // the affine map symmetric). The payload's last byte is the final code
-    // of the last plane; re-stamping makes the checksum genuinely valid, so
-    // only the explicit grid audit can refuse it.
-    let mut bytes = valid_quant_bytes();
-    let last = bytes.len() - 1;
-    bytes[last] = 0x80;
+fn non_finite_threshold_in_the_header_is_refused() {
+    // The header carries no CRC. `null` reads back as NaN and `9e38`
+    // overflows f32 to +inf; neither is a threshold an alarm can use.
+    let bundle = valid_bundle_bytes();
+    assert!(ModelArtifact::from_bytes(&bundle).is_ok());
+    for (from, to, field) in [
+        (
+            "{\"threshold\":1.25",
+            "{\"threshold\":null",
+            "threshold.threshold",
+        ),
+        (
+            "{\"threshold\":1.25",
+            "{\"threshold\":9e38",
+            "threshold.threshold",
+        ),
+        ("\"best_f1\":0.75", "\"best_f1\":null", "threshold.best_f1"),
+    ] {
+        let mut bytes = bundle.clone();
+        edit_header(&mut bytes, from, to);
+        assert_eq!(
+            ModelArtifact::from_bytes(&bytes).err(),
+            Some(PersistError::NonFinite {
+                name: field.into(),
+                index: 0
+            }),
+            "{to}"
+        );
+    }
+}
+
+#[test]
+fn inverted_normalizer_range_in_the_payload_is_refused() {
+    // The payload ends with mins[0], mins[1], maxs[0], maxs[1]. Raise
+    // mins[1] above maxs[1] = 2.0 and re-stamp the CRC, so only the range
+    // audit can refuse it.
+    let mut bytes = valid_bundle_bytes();
+    let mins1 = bytes.len() - 12;
+    assert_eq!(
+        f32::from_le_bytes(bytes[mins1..mins1 + 4].try_into().unwrap()),
+        -2.0
+    );
+    bytes[mins1..mins1 + 4].copy_from_slice(&5.0f32.to_le_bytes());
     restamp(&mut bytes);
-    expect_quant_error(&bytes, "outside [-127, 127]");
-}
-
-#[test]
-fn planes_in_a_v1_file_are_detected() {
-    // Stamp the prelude back to format v1 while the header still declares
-    // planes: v1 payloads are all-f32 by definition.
-    let mut bytes = valid_quant_bytes();
-    bytes[6..8].copy_from_slice(&1u16.to_le_bytes());
-    expect_quant_error(&bytes, "format v1");
-}
-
-#[test]
-fn plane_missing_its_scale_tensor_is_detected() {
-    // Re-key the first plane's scale tensor (the only tensor with the
-    // `quant.` prefix naming `model.0.weight`): its plane is now orphaned.
-    let mut bytes = valid_quant_bytes();
-    edit_header(&mut bytes, "quant.model.0.weight", "quant.model.0.weighx");
-    expect_quant_error(&bytes, "missing scale tensor");
+    match ModelArtifact::from_bytes(&bytes) {
+        Err(PersistError::Header(reason)) => assert!(
+            reason.contains("normalizer channel 1"),
+            "reason must name the channel: {reason}"
+        ),
+        other => panic!("expected Header, got {other:?}"),
+    }
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //! cargo test -p varade --test persist_fixture -- --ignored write_fixture
 //! ```
 
-use varade::persist::{FORMAT_VERSION_V1, MAGIC, PRELUDE_LEN};
+use varade::persist::{FORMAT_VERSION, MAGIC, PRELUDE_LEN};
 use varade::{BackendKind, VaradeConfig, VaradeDetector};
 use varade_detectors::AnomalyDetector;
 use varade_timeseries::MultivariateSeries;
@@ -66,8 +66,8 @@ fn fixture_bytes_pin_the_format() {
 fn fixture_prelude_fields_are_stable() {
     let bytes = std::fs::read(fixture_path()).unwrap();
     assert_eq!(&bytes[..6], &MAGIC);
-    // Plane-free models keep writing format v1 byte-for-byte.
-    assert_eq!(u16::from_le_bytes([bytes[6], bytes[7]]), FORMAT_VERSION_V1);
+    // Format v1, the only version this crate reads and writes.
+    assert_eq!(u16::from_le_bytes([bytes[6], bytes[7]]), FORMAT_VERSION);
     let header_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
     let payload_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
     assert_eq!(bytes.len(), PRELUDE_LEN + header_len + payload_len);

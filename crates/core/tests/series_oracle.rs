@@ -11,8 +11,8 @@
 //! `score_window` on the first scored window, the last one, and a stride
 //! in between:
 //!
-//! * bit for bit on the scalar and quant backends, which keep the same
-//!   per-output summation order on both paths;
+//! * bit for bit on the scalar backend, which keeps the same per-output
+//!   summation order on both paths;
 //! * within 1e-5 relative (`BackendKind::score_tolerance`) on the vector
 //!   backend, whose tiled full pass reassociates the sums.
 //!

@@ -4,55 +4,45 @@
 //! (including the specialized kernel-2/stride-2 inference kernel), the
 //! linear/matmul products, element-wise activations, reductions and the
 //! axpy-style optimizer updates — lives behind the [`Backend`] trait with
-//! three implementations:
+//! two implementations:
 //!
 //! * [`ScalarBackend`] — the original hand-written scalar loops, kept
 //!   **bit-exact**: a model built, trained and scored on the scalar backend
 //!   produces the same bits as the pre-backend versions of this crate, which
-//!   is the reference every other backend is validated against.
+//!   is the reference the vector backend is validated against.
 //! * [`VectorBackend`] — hand-tiled kernels with fixed-width lane
 //!   accumulators, shaped so the autovectorizer emits SIMD on stable Rust.
 //!   With the `nightly-simd` feature (nightly toolchain) the innermost loops
 //!   use `std::simd` explicitly. Results may differ from the scalar backend
 //!   in floating-point association only.
-//! * [`QuantBackend`] — post-training int8 weight quantization for edge
-//!   footprints: selecting it makes conv/linear layers cache their weights as
-//!   per-output-channel affine int8 planes (¼ the bytes) and score through
-//!   int8×f32 kernels with f32 accumulators, while training and every
-//!   non-weight kernel stay f32 (the trait methods delegate to scalar; the
-//!   quantized dispatch lives in the layers, where the planes are). See
-//!   [`quant`] for the encoding and kernel details.
 //!
 //! # Per-backend equivalence guarantees
 //!
 //! Enforced by `tests/backend_equivalence.rs` against the scalar reference,
 //! per fitted model:
 //!
-//! | Backend | Score contract vs scalar | Weight bytes |
-//! |---|---|---|
-//! | `scalar` | bit-exact (it *is* the reference) | 4 per element |
-//! | `vector` | ≤ 1e-5 relative deviation per score | 4 per element |
-//! | `quant`  | AUC deviation ≤ 0.01 per experiment | 1 per element (+ ~5/row affine metadata) |
+//! | Backend | Score contract vs scalar |
+//! |---|---|
+//! | `scalar` | bit-exact (it *is* the reference) |
+//! | `vector` | ≤ 1e-5 relative deviation per score |
 //!
 //! The vector backend only reassociates f32 sums, so a tight per-score bound
-//! holds; quantization deliberately discards weight precision, so its
-//! contract is ranking fidelity (AUC) rather than per-score closeness —
-//! [`BackendKind::score_tolerance`] exposes this distinction to the test
-//! batteries and benchmarks. Element-wise kernels (ReLU, tanh, axpy, Adam
-//! update) are bit-identical across all backends — no reassociation is
-//! possible — and every backend is deterministic and batch-invariant, so
-//! fleet batching stays bit-identical to the one-shot pass *within* any one
-//! backend. Incremental streaming runs its own column kernels (see
+//! holds; [`BackendKind::score_tolerance`] exposes it to the test batteries
+//! and benchmarks. Element-wise kernels (ReLU, tanh, axpy, Adam update) are
+//! bit-identical across both backends — no reassociation is possible — and
+//! every backend is deterministic and batch-invariant, so a window scored
+//! alone gets the same bits as inside a larger training or evaluation batch.
+//! Incremental streaming runs its own column kernels (see
 //! [`crate::layers::incremental`]) with the scalar per-output association:
-//! bit-identical to the one-shot pass on scalar (and on quant, whose columns
-//! are `t = 2` calls of its int8 kernels), within the 1e-5 bound on vector.
+//! bit-identical to the one-shot pass on scalar, within the 1e-5 bound on
+//! vector.
 //!
 //! # Selection
 //!
 //! Layers and optimizers capture a [`BackendKind`] at construction, defaulting
 //! to [`BackendKind::active`] — the process-wide default resolved once from
-//! the `VARADE_BACKEND` environment variable (`scalar` | `vector` | `quant`,
-//! default `scalar`) or from an explicit [`set_process_default`] call (the
+//! the `VARADE_BACKEND` environment variable (`scalar` | `vector`, default
+//! `scalar`) or from an explicit [`set_process_default`] call (the
 //! `--backend` flag of the bench binaries). Call `set_backend` on a layer,
 //! model, detector or optimizer to override per instance — e.g. the backend
 //! benchmark sweeps a fitted detector across backends without refitting:
@@ -60,30 +50,31 @@
 //! ```
 //! use rand::SeedableRng;
 //! use varade_tensor::backend::BackendKind;
-//! use varade_tensor::{layers::Conv1d, Layer};
+//! use varade_tensor::{layers::Conv1d, Layer, Tensor};
 //!
 //! // A "fitted" layer (construction stands in for training here).
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let mut layer = Conv1d::new(2, 4, 2, 2, 0, &mut rng);
+//! let x = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25, 1.5, -0.5, 0.75, 1.0], &[1, 2, 4]).unwrap();
+//! let reference = layer.forward_infer(&x).unwrap();
 //!
-//! // Re-route it to the quantized backend without refitting: the layer
-//! // quantizes its weights once, caches the int8 plane, and scores through
-//! // the int8 kernels from here on.
-//! layer.set_backend(BackendKind::Quant);
-//! assert_eq!(layer.backend(), BackendKind::Quant);
-//!
-//! // Routing back drops the plane and restores exact f32 scoring.
-//! layer.set_backend(BackendKind::Scalar);
+//! // Re-route it to the vector kernels without refitting; the scores move
+//! // by f32 reassociation only.
+//! layer.set_backend(BackendKind::Vector);
+//! assert_eq!(layer.backend(), BackendKind::Vector);
+//! let tolerance = BackendKind::Vector.score_tolerance().unwrap();
+//! let routed = layer.forward_infer(&x).unwrap();
+//! for (a, b) in routed.as_slice().iter().zip(reference.as_slice()) {
+//!     assert!(((a - b) as f64).abs() <= tolerance * b.abs().max(1.0) as f64);
+//! }
 //! ```
 
 use std::fmt;
 use std::sync::OnceLock;
 
-pub mod quant;
 mod scalar;
 mod vector;
 
-pub use quant::{QuantBackend, QuantizedPlane};
 pub use scalar::ScalarBackend;
 pub use vector::VectorBackend;
 
@@ -95,22 +86,17 @@ pub enum BackendKind {
     /// Hand-tiled, autovectorizer-friendly kernels (plus `std::simd` under
     /// the `nightly-simd` feature).
     Vector,
-    /// Post-training int8 per-channel weight quantization with f32
-    /// accumulators (edge-footprint mode).
-    Quant,
 }
 
 impl BackendKind {
     /// Every available backend, in reference-first order.
-    pub const ALL: [BackendKind; 3] =
-        [BackendKind::Scalar, BackendKind::Vector, BackendKind::Quant];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Vector];
 
     /// Lower-case label used by `VARADE_BACKEND`, CLI flags and reports.
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
             BackendKind::Vector => "vector",
-            BackendKind::Quant => "quant",
         }
     }
 
@@ -119,27 +105,24 @@ impl BackendKind {
         match self {
             BackendKind::Scalar => &ScalarBackend,
             BackendKind::Vector => &VectorBackend,
-            BackendKind::Quant => &QuantBackend,
         }
     }
 
-    /// Per-score relative tolerance vs the scalar reference, when one exists:
-    /// `Some(0.0)` for scalar itself, `Some(1e-5)` for vector (f32
-    /// reassociation only), `None` for quant — quantization moves individual
-    /// scores by more than any useful per-score bound, so its contract is the
-    /// AUC-deviation audit (≤ 0.01) instead. Sweeps and equivalence tests
-    /// branch on this rather than hard-coding a backend list.
+    /// Per-score relative tolerance vs the scalar reference: `Some(0.0)` for
+    /// scalar itself, `Some(1e-5)` for vector (f32 reassociation only).
+    /// Every backend has one, so this is always `Some`; sweeps and
+    /// equivalence tests branch on this rather than hard-coding a backend
+    /// list.
     pub fn score_tolerance(self) -> Option<f64> {
         match self {
             BackendKind::Scalar => Some(0.0),
             BackendKind::Vector => Some(1e-5),
-            BackendKind::Quant => None,
         }
     }
 
     /// Human-readable list of accepted labels, derived from [`Self::ALL`] so
     /// help texts and error messages can never drift from the enum: e.g.
-    /// `` `scalar` | `vector` | `quant` ``.
+    /// `` `scalar` | `vector` ``.
     pub fn accepted_labels() -> String {
         let labels: Vec<String> = BackendKind::ALL
             .iter()
@@ -149,8 +132,8 @@ impl BackendKind {
     }
 
     /// The process-wide default backend: an explicit
-    /// [`set_process_default`], else `VARADE_BACKEND` (`scalar` | `vector` |
-    /// `quant`), else [`BackendKind::Scalar`]. Resolved once and then frozen,
+    /// [`set_process_default`], else `VARADE_BACKEND` (`scalar` |
+    /// `vector`), else [`BackendKind::Scalar`]. Resolved once and then frozen,
     /// so every layer constructed in a process agrees on its default.
     ///
     /// # Panics
@@ -180,7 +163,6 @@ impl std::str::FromStr for BackendKind {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Ok(BackendKind::Scalar),
             "vector" | "simd" => Ok(BackendKind::Vector),
-            "quant" | "int8" => Ok(BackendKind::Quant),
             other => Err(format!(
                 "unknown backend `{other}` (expected {})",
                 BackendKind::accepted_labels()
@@ -223,8 +205,8 @@ pub fn set_process_default(kind: BackendKind) -> Result<(), BackendKind> {
 /// All slices are row-major and densely packed; shape arguments are passed
 /// explicitly so the kernels stay allocation-free. Implementations must be
 /// deterministic and **batch-invariant**: the values written for batch row
-/// `i` must not depend on `batch` — the contract the fleet engine's batched
-/// scoring builds its bit-identity guarantee on.
+/// `i` must not depend on `batch`, so a window scores to the same bits
+/// alone as inside a training or evaluation batch.
 pub trait Backend: Send + Sync + fmt::Debug {
     /// Which [`BackendKind`] this implementation is.
     fn kind(&self) -> BackendKind;
@@ -339,14 +321,15 @@ mod tests {
             assert_eq!(kind.backend().kind(), kind);
         }
         assert_eq!("SIMD".parse::<BackendKind>().unwrap(), BackendKind::Vector);
-        assert_eq!("int8".parse::<BackendKind>().unwrap(), BackendKind::Quant);
         assert!(" Vector ".parse::<BackendKind>().is_ok());
-        let err = "cuda".parse::<BackendKind>().unwrap_err();
-        for kind in BackendKind::ALL {
-            assert!(
-                err.contains(kind.label()),
-                "error must list `{kind}`: {err}"
-            );
+        for unknown in ["cuda", "quant", "int8"] {
+            let err = unknown.parse::<BackendKind>().unwrap_err();
+            for kind in BackendKind::ALL {
+                assert!(
+                    err.contains(kind.label()),
+                    "error must list `{kind}`: {err}"
+                );
+            }
         }
     }
 
@@ -354,11 +337,7 @@ mod tests {
     fn score_tolerances_follow_the_documented_contracts() {
         assert_eq!(BackendKind::Scalar.score_tolerance(), Some(0.0));
         assert_eq!(BackendKind::Vector.score_tolerance(), Some(1e-5));
-        assert_eq!(BackendKind::Quant.score_tolerance(), None);
-        assert_eq!(
-            BackendKind::accepted_labels(),
-            "`scalar` | `vector` | `quant`"
-        );
+        assert_eq!(BackendKind::accepted_labels(), "`scalar` | `vector`");
     }
 
     #[test]
@@ -369,7 +348,7 @@ mod tests {
         assert_eq!(set_process_default(first), Ok(()));
         let other = match first {
             BackendKind::Scalar => BackendKind::Vector,
-            BackendKind::Vector | BackendKind::Quant => BackendKind::Scalar,
+            BackendKind::Vector => BackendKind::Scalar,
         };
         assert_eq!(set_process_default(other), Err(first));
     }

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 
-use crate::backend::{quant, BackendKind, QuantizedPlane};
+use crate::backend::BackendKind;
 use crate::init::Init;
 use crate::layers::incremental::{
     self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, PackedColumns, StreamStep,
@@ -44,10 +44,6 @@ pub struct Conv1d {
     bias_grad: Tensor,
     cached_padded_input: Option<Tensor>,
     backend: BackendKind,
-    /// Int8 re-encoding of `weight`, present iff `backend` is
-    /// [`BackendKind::Quant`] and the weights haven't moved since
-    /// [`Layer::set_backend`] built it (a training forward drops it).
-    quant: Option<QuantizedPlane>,
     /// `weight` packed `[in, 2, out]` for the incremental column kernel,
     /// built on the first column and dropped whenever the weights can move.
     columns: PackedColumns,
@@ -83,7 +79,7 @@ impl Conv1d {
             fan_out,
             rng,
         );
-        let mut conv = Self {
+        Self {
             in_channels,
             out_channels,
             kernel_size,
@@ -95,32 +91,14 @@ impl Conv1d {
             bias_grad: Tensor::zeros(&[out_channels]),
             cached_padded_input: None,
             backend: BackendKind::active(),
-            quant: None,
             columns: PackedColumns::default(),
-        };
-        conv.refresh_quant();
-        conv
+        }
     }
 
     /// Replaces the kernel backend (builder form of [`Layer::set_backend`]).
     pub fn with_backend(mut self, kind: BackendKind) -> Self {
         self.set_backend(kind);
         self
-    }
-
-    /// Re-derives the cached int8 plane from the current weights when the
-    /// quant backend is selected, and drops it otherwise. Quantization is
-    /// deterministic, so refreshing over unchanged weights is a no-op in
-    /// value terms. The packed column weights are dropped too.
-    fn refresh_quant(&mut self) {
-        self.columns.clear();
-        self.quant = (self.backend == BackendKind::Quant).then(|| {
-            QuantizedPlane::quantize(
-                self.weight.as_slice(),
-                self.out_channels,
-                self.in_channels * self.kernel_size,
-            )
-        });
     }
 
     /// The kernel backend this layer dispatches to.
@@ -255,11 +233,8 @@ impl Conv1d {
 
 impl Layer for Conv1d {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
-        // Training is about to move the weights: a cached int8 plane or
-        // column packing would go stale, so drop both. `set_backend` (which
-        // the detector re-issues after fitting) re-quantizes from the trained
-        // weights; the packing rebuilds on the next column.
-        self.quant = None;
+        // Training is about to move the weights: the column packing would go
+        // stale, so drop it; it rebuilds on the next column.
         self.columns.clear();
         let (batch, out_len) = self.check_input(input)?;
         let padded = self.pad(input);
@@ -270,38 +245,6 @@ impl Layer for Conv1d {
 
     fn forward_infer(&self, input: &Tensor) -> Result<Tensor, TensorError> {
         let (batch, out_len) = self.check_input(input)?;
-        if let Some(plane) = &self.quant {
-            let mut out = Tensor::zeros(&[batch, self.out_channels, out_len]);
-            if self.kernel_size == 2 && self.stride == 2 && self.padding == 0 {
-                quant::conv1d_k2s2_q8(
-                    input.as_slice(),
-                    plane,
-                    self.bias.as_slice(),
-                    out.as_mut_slice(),
-                    batch,
-                    self.in_channels,
-                    self.out_channels,
-                    input.shape()[2],
-                    out_len,
-                );
-            } else {
-                let padded = self.pad(input);
-                quant::conv1d_q8(
-                    padded.as_slice(),
-                    plane,
-                    self.bias.as_slice(),
-                    out.as_mut_slice(),
-                    batch,
-                    self.in_channels,
-                    self.out_channels,
-                    padded.shape()[2],
-                    out_len,
-                    self.kernel_size,
-                    self.stride,
-                );
-            }
-            return Ok(out);
-        }
         if self.kernel_size == 2 && self.stride == 2 && self.padding == 0 {
             return Ok(self.compute_k2s2(input, batch, out_len));
         }
@@ -342,7 +285,7 @@ impl Layer for Conv1d {
                 ),
             });
         }
-        Ok(IncrementalCache::conv_k2s2(self.in_channels))
+        Ok(IncrementalCache::conv_k2s2())
     }
 
     fn forward_incremental(
@@ -376,30 +319,10 @@ impl Layer for Conv1d {
         };
         let new = phase.prev.as_ref().expect("column stored above");
         let mut out = vec![0.0f32; self.out_channels];
-        if let Some(plane) = &self.quant {
-            // One int8 output column is the t = 2 / out_len = 1 case of the
-            // backbone kernel, with the full pass's per-column association.
-            for ic in 0..self.in_channels {
-                state.packed[ic * 2] = prev[ic];
-                state.packed[ic * 2 + 1] = new[ic];
-            }
-            quant::conv1d_k2s2_q8(
-                &state.packed,
-                plane,
-                self.bias.as_slice(),
-                &mut out,
-                1,
-                self.in_channels,
-                self.out_channels,
-                2,
-                1,
-            );
-        } else {
-            let packed = self.columns.get_or_pack(|| {
-                incremental::pack_k2s2(self.weight.as_slice(), self.in_channels, self.out_channels)
-            });
-            incremental::k2s2_column(packed, self.bias.as_slice(), &prev, new, &mut out);
-        }
+        let packed = self.columns.get_or_pack(|| {
+            incremental::pack_k2s2(self.weight.as_slice(), self.in_channels, self.out_channels)
+        });
+        incremental::k2s2_column(packed, self.bias.as_slice(), &prev, new, &mut out);
         // The pair covers elements (index - 1, index): it starts
         // on an even element exactly when `index` is odd, which
         // routes it to the even phase child `2 * stream`.
@@ -487,20 +410,6 @@ impl Layer for Conv1d {
         visitor(&crate::join_tensor_name(prefix, "bias"), &mut self.bias);
     }
 
-    fn visit_quant_planes(&self, prefix: &str, visitor: &mut dyn FnMut(&str, &QuantizedPlane)) {
-        if let Some(plane) = &self.quant {
-            visitor(&crate::join_tensor_name(prefix, "weight"), plane);
-        }
-    }
-
-    fn visit_quant_planes_mut(
-        &mut self,
-        prefix: &str,
-        visitor: &mut dyn FnMut(&str, &mut Option<QuantizedPlane>),
-    ) {
-        visitor(&crate::join_tensor_name(prefix, "weight"), &mut self.quant);
-    }
-
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
         let out_len = self.output_len(input_shape[2]).unwrap_or(0);
         vec![input_shape[0], self.out_channels, out_len]
@@ -529,7 +438,7 @@ impl Layer for Conv1d {
 
     fn set_backend(&mut self, kind: BackendKind) {
         self.backend = kind;
-        self.refresh_quant();
+        self.columns.clear();
     }
 }
 
@@ -663,8 +572,8 @@ mod tests {
     #[test]
     fn forward_infer_is_batch_invariant() {
         // Scoring a window alone must produce bit-identical values to scoring
-        // it inside a larger batch — the contract the fleet's batched scorer
-        // relies on for its StreamingVarade equivalence guarantee.
+        // it inside a larger batch, so a score does not depend on how many
+        // windows an evaluation pass groups together.
         let conv = Conv1d::new(2, 4, 2, 2, 0, &mut rng());
         let row: Vec<f32> = (0..16).map(|i| (i as f32 * 0.23).sin()).collect();
         let mut batch3 = Vec::new();
@@ -685,50 +594,6 @@ mod tests {
         let conv = Conv1d::new(2, 3, 2, 2, 0, &mut rng());
         assert!(conv.forward_infer(&Tensor::zeros(&[1, 3, 8])).is_err());
         assert!(conv.forward_infer(&Tensor::zeros(&[1, 2, 1])).is_err());
-    }
-
-    #[test]
-    fn quant_backend_caches_invalidates_and_rebuilds_the_plane() {
-        let mut conv = Conv1d::new(2, 4, 2, 2, 0, &mut rng());
-        conv.set_backend(BackendKind::Quant);
-        let mut seen = Vec::new();
-        conv.visit_quant_planes("net.0", &mut |name, plane| {
-            seen.push((name.to_string(), plane.clone()));
-        });
-        assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0].0, "net.0.weight");
-        assert_eq!((seen[0].1.rows(), seen[0].1.row_len()), (4, 4));
-        // Quantized inference stays close to the f32 pass.
-        let x = Tensor::from_vec(
-            (0..16).map(|i| (i as f32 * 0.23).sin()).collect(),
-            &[1, 2, 8],
-        )
-        .unwrap();
-        let q = conv.forward_infer(&x).unwrap();
-        let f = conv
-            .clone()
-            .with_backend(BackendKind::Scalar)
-            .forward_infer(&x)
-            .unwrap();
-        for (a, b) in q.iter().zip(f.iter()) {
-            assert!((a - b).abs() < 0.05, "quant {a} vs f32 {b}");
-        }
-        // A training forward drops the plane (the weights are about to move)…
-        conv.forward(&x).unwrap();
-        let mut live = 0;
-        conv.visit_quant_planes("net.0", &mut |_, _| live += 1);
-        assert_eq!(live, 0);
-        // …and re-selecting the backend rebuilds it bit-identically
-        // (deterministic quantization of unchanged weights).
-        conv.set_backend(BackendKind::Quant);
-        conv.visit_quant_planes("net.0", &mut |_, plane| {
-            assert_eq!(plane, &seen[0].1);
-        });
-        // Routing to a f32 backend drops the plane.
-        conv.set_backend(BackendKind::Vector);
-        let mut after = 0;
-        conv.visit_quant_planes("net.0", &mut |_, _| after += 1);
-        assert_eq!(after, 0);
     }
 
     #[test]

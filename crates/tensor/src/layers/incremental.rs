@@ -62,9 +62,6 @@
 //! [`crate::Layer::forward_infer`] pass. The vector backend runs the same
 //! column kernels, so its columns equal the scalar ones bit for bit and stay
 //! within the usual 1e-5 association tolerance of its own tiled full pass.
-//! The quant backend keeps its int8 plane: a column is the `t = 2`,
-//! `out_len = 1` call of the same `conv1d_k2s2_q8`/`linear_q8` kernels the
-//! full pass uses, which keeps it bit-identical to its own full pass.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -125,9 +122,6 @@ pub(crate) struct ConvK2S2Cache {
     /// length `W` touches at most `W / 2^{depth+1}`... streams at this depth,
     /// bounded by the ids that actually flow in).
     pub(crate) streams: Vec<PhaseStream>,
-    /// Scratch for the packed `[in_channels, 2]` pair the quant column
-    /// kernel consumes, reused across pushes.
-    pub(crate) packed: Vec<f32>,
 }
 
 #[derive(Debug, Clone)]
@@ -141,11 +135,10 @@ pub(crate) struct FlattenCache {
 }
 
 impl IncrementalCache {
-    pub(crate) fn conv_k2s2(in_channels: usize) -> Self {
+    pub(crate) fn conv_k2s2() -> Self {
         Self {
             node: CacheNode::ConvK2S2(ConvK2S2Cache {
                 streams: Vec::new(),
-                packed: vec![0.0; in_channels * 2],
             }),
         }
     }
@@ -349,7 +342,7 @@ mod tests {
 
     #[test]
     fn clear_resets_every_node_kind() {
-        let mut conv = IncrementalCache::conv_k2s2(3);
+        let mut conv = IncrementalCache::conv_k2s2();
         if let CacheNode::ConvK2S2(c) = &mut conv.node {
             c.streams.push(PhaseStream {
                 prev: Some(vec![1.0; 3]),

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 
-use crate::backend::{quant, BackendKind, QuantizedPlane};
+use crate::backend::BackendKind;
 use crate::init::Init;
 use crate::layers::incremental::{
     self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, PackedColumns, StreamStep,
@@ -37,10 +37,6 @@ pub struct Linear {
     bias_grad: Tensor,
     cached_input: Option<Tensor>,
     backend: BackendKind,
-    /// Int8 re-encoding of `weight`, present iff `backend` is
-    /// [`BackendKind::Quant`] and the weights haven't moved since
-    /// [`Layer::set_backend`] built it (a training forward drops it).
-    quant: Option<QuantizedPlane>,
     /// `weight` packed `[in, out]` for the incremental column kernel, built
     /// on the first column and dropped whenever the weights can move.
     columns: PackedColumns,
@@ -55,7 +51,7 @@ impl Linear {
             out_features,
             rng,
         );
-        let mut layer = Self {
+        Self {
             in_features,
             out_features,
             weight,
@@ -64,27 +60,14 @@ impl Linear {
             bias_grad: Tensor::zeros(&[out_features]),
             cached_input: None,
             backend: BackendKind::active(),
-            quant: None,
             columns: PackedColumns::default(),
-        };
-        layer.refresh_quant();
-        layer
+        }
     }
 
     /// Replaces the kernel backend (builder form of [`Layer::set_backend`]).
     pub fn with_backend(mut self, kind: BackendKind) -> Self {
         self.set_backend(kind);
         self
-    }
-
-    /// Re-derives the cached int8 plane from the current weights when the
-    /// quant backend is selected, and drops it otherwise. The packed column
-    /// weights are dropped too.
-    fn refresh_quant(&mut self) {
-        self.columns.clear();
-        self.quant = (self.backend == BackendKind::Quant).then(|| {
-            QuantizedPlane::quantize(self.weight.as_slice(), self.out_features, self.in_features)
-        });
     }
 
     /// The kernel backend this layer dispatches to.
@@ -143,27 +126,12 @@ impl Linear {
         );
         out
     }
-
-    /// Batch-`batch` quantized affine map over the cached plane.
-    fn compute_q8(&self, plane: &QuantizedPlane, x: &[f32], out: &mut [f32], batch: usize) {
-        quant::linear_q8(
-            x,
-            plane,
-            self.bias.as_slice(),
-            out,
-            batch,
-            self.in_features,
-            self.out_features,
-        );
-    }
 }
 
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
-        // Training is about to move the weights; drop any cached int8 plane
-        // (`set_backend`, re-issued after fitting, re-quantizes) and the
-        // column packing (rebuilt on the next column).
-        self.quant = None;
+        // Training is about to move the weights; drop the column packing
+        // (rebuilt on the next column).
         self.columns.clear();
         self.check_input(input)?;
         let out = self.compute(input);
@@ -173,12 +141,6 @@ impl Layer for Linear {
 
     fn forward_infer(&self, input: &Tensor) -> Result<Tensor, TensorError> {
         self.check_input(input)?;
-        if let Some(plane) = &self.quant {
-            let batch = input.shape()[0];
-            let mut out = Tensor::zeros(&[batch, self.out_features]);
-            self.compute_q8(plane, input.as_slice(), out.as_mut_slice(), batch);
-            return Ok(out);
-        }
         Ok(self.compute(input))
     }
 
@@ -220,20 +182,10 @@ impl Layer for Linear {
             });
         }
         let mut out = vec![0.0f32; self.out_features];
-        if let Some(plane) = &self.quant {
-            // Batch-1 call of the quantized kernel the full pass uses, so
-            // incremental stays bit-identical to it.
-            self.compute_q8(plane, &features, &mut out, 1);
-        } else {
-            let packed = self.columns.get_or_pack(|| {
-                incremental::pack_linear(
-                    self.weight.as_slice(),
-                    self.in_features,
-                    self.out_features,
-                )
-            });
-            incremental::linear_column(packed, self.bias.as_slice(), &features, &mut out);
-        }
+        let packed = self.columns.get_or_pack(|| {
+            incremental::pack_linear(self.weight.as_slice(), self.in_features, self.out_features)
+        });
+        incremental::linear_column(packed, self.bias.as_slice(), &features, &mut out);
         Ok(Some(StreamStep::Features(out)))
     }
 
@@ -290,20 +242,6 @@ impl Layer for Linear {
         visitor(&crate::join_tensor_name(prefix, "bias"), &mut self.bias);
     }
 
-    fn visit_quant_planes(&self, prefix: &str, visitor: &mut dyn FnMut(&str, &QuantizedPlane)) {
-        if let Some(plane) = &self.quant {
-            visitor(&crate::join_tensor_name(prefix, "weight"), plane);
-        }
-    }
-
-    fn visit_quant_planes_mut(
-        &mut self,
-        prefix: &str,
-        visitor: &mut dyn FnMut(&str, &mut Option<QuantizedPlane>),
-    ) {
-        visitor(&crate::join_tensor_name(prefix, "weight"), &mut self.quant);
-    }
-
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
         vec![input_shape.first().copied().unwrap_or(1), self.out_features]
     }
@@ -327,7 +265,7 @@ impl Layer for Linear {
 
     fn set_backend(&mut self, kind: BackendKind) {
         self.backend = kind;
-        self.refresh_quant();
+        self.columns.clear();
     }
 }
 

@@ -128,34 +128,6 @@ impl Layer for ResidualConvBlock {
         }
     }
 
-    fn visit_quant_planes(
-        &self,
-        prefix: &str,
-        visitor: &mut dyn FnMut(&str, &crate::backend::QuantizedPlane),
-    ) {
-        self.conv1
-            .visit_quant_planes(&crate::join_tensor_name(prefix, "conv1"), visitor);
-        self.conv2
-            .visit_quant_planes(&crate::join_tensor_name(prefix, "conv2"), visitor);
-        if let Some(proj) = &self.projection {
-            proj.visit_quant_planes(&crate::join_tensor_name(prefix, "projection"), visitor);
-        }
-    }
-
-    fn visit_quant_planes_mut(
-        &mut self,
-        prefix: &str,
-        visitor: &mut dyn FnMut(&str, &mut Option<crate::backend::QuantizedPlane>),
-    ) {
-        self.conv1
-            .visit_quant_planes_mut(&crate::join_tensor_name(prefix, "conv1"), visitor);
-        self.conv2
-            .visit_quant_planes_mut(&crate::join_tensor_name(prefix, "conv2"), visitor);
-        if let Some(proj) = &mut self.projection {
-            proj.visit_quant_planes_mut(&crate::join_tensor_name(prefix, "projection"), visitor);
-        }
-    }
-
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
         vec![input_shape[0], self.out_channels(), input_shape[2]]
     }

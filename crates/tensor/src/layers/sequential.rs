@@ -167,32 +167,6 @@ impl Layer for Sequential {
         }
     }
 
-    fn visit_quant_planes(
-        &self,
-        prefix: &str,
-        visitor: &mut dyn FnMut(&str, &crate::backend::QuantizedPlane),
-    ) {
-        for (index, layer) in self.layers.iter().enumerate() {
-            layer.visit_quant_planes(
-                &crate::join_tensor_name(prefix, &index.to_string()),
-                visitor,
-            );
-        }
-    }
-
-    fn visit_quant_planes_mut(
-        &mut self,
-        prefix: &str,
-        visitor: &mut dyn FnMut(&str, &mut Option<crate::backend::QuantizedPlane>),
-    ) {
-        for (index, layer) in self.layers.iter_mut().enumerate() {
-            layer.visit_quant_planes_mut(
-                &crate::join_tensor_name(prefix, &index.to_string()),
-                visitor,
-            );
-        }
-    }
-
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
         let mut shape = input_shape.to_vec();
         for layer in &self.layers {

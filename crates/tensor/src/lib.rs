@@ -244,33 +244,6 @@ pub trait Layer: Send + Sync {
         let _ = (prefix, visitor);
     }
 
-    /// Visits every cached int8 weight plane under the **name of the weight
-    /// tensor it quantizes** (e.g. `net.0.weight` — the same names
-    /// [`Layer::visit_tensors`] emits), in the same order. Planes exist only
-    /// while the layer's backend is [`BackendKind::Quant`]; layers without
-    /// quantizable weights, and containers that merely forward to children,
-    /// use the default no-op. The persistence layer serializes planes by
-    /// exactly these names.
-    fn visit_quant_planes(
-        &self,
-        prefix: &str,
-        visitor: &mut dyn FnMut(&str, &backend::QuantizedPlane),
-    ) {
-        let _ = (prefix, visitor);
-    }
-
-    /// Mutable counterpart of [`Layer::visit_quant_planes`], visiting the
-    /// plane *slot* of every quantizable weight (even when currently empty,
-    /// so a loader can install deserialized planes into a freshly built
-    /// model). Same names, same order.
-    fn visit_quant_planes_mut(
-        &mut self,
-        prefix: &str,
-        visitor: &mut dyn FnMut(&str, &mut Option<backend::QuantizedPlane>),
-    ) {
-        let _ = (prefix, visitor);
-    }
-
     /// Resets all parameter gradients to zero.
     fn zero_grad(&mut self) {
         self.visit_params(&mut |_, grad| grad.fill_zero());

@@ -1,4 +1,4 @@
-//! Scalar ↔ vector ↔ quant backend equivalence contract, kernel by kernel.
+//! Scalar ↔ vector backend equivalence contract, kernel by kernel.
 //!
 //! Every kernel extracted into the [`varade_tensor::backend`] trait is
 //! exercised on random shapes and values:
@@ -10,17 +10,14 @@
 //!   **bit-identical** — no reassociation is possible, and the golden-score
 //!   guarantees of the fleet tests rely on it.
 //!
-//! The quant backend's *trait* kernels delegate to the scalar reference (its
-//! int8 math lives in the cached-plane layer paths, covered by the
-//! `quant_equivalence` suite in `varade`), so it must track scalar exactly
-//! here; the tolerance loops below compare every non-scalar backend against
+//! The tolerance loops below compare every non-scalar backend against
 //! index 0.
 
 use proptest::prelude::*;
 
-use varade_tensor::backend::{Backend, BackendKind, QuantBackend, ScalarBackend, VectorBackend};
+use varade_tensor::backend::{Backend, BackendKind, ScalarBackend, VectorBackend};
 
-const BACKENDS: [&dyn Backend; 3] = [&ScalarBackend, &VectorBackend, &QuantBackend];
+const BACKENDS: [&dyn Backend; 2] = [&ScalarBackend, &VectorBackend];
 
 /// Asserts `got` within 1e-5 of `reference`, relative to `magnitude` — the
 /// same reduction computed over the absolute values of its terms, which is
@@ -113,8 +110,9 @@ proptest! {
         out_len in 1usize..16,
         seed in 0u64..1000,
     ) {
-        // The fleet's bit-identity guarantee requires every backend to score
-        // a window identically alone and inside a batch.
+        // Every backend must score a window identically alone and inside a
+        // batch, so a score never depends on how an evaluation pass groups
+        // its windows.
         let t = out_len * 2;
         let row = deterministic(in_c * t, seed);
         let w = deterministic(out_c * in_c * 2, seed ^ 1);
@@ -193,9 +191,9 @@ proptest! {
 
     #[test]
     fn elementwise_kernels_are_bit_identical(x in values(97), y in values(97), alpha in -2.0f32..2.0) {
-        let mut relu = [vec![0.0f32; 97], vec![0.0f32; 97], vec![0.0f32; 97]];
-        let mut tanh = [vec![0.0f32; 97], vec![0.0f32; 97], vec![0.0f32; 97]];
-        let mut axpy = [y.clone(), y.clone(), y.clone()];
+        let mut relu = vec![vec![0.0f32; 97]; BACKENDS.len()];
+        let mut tanh = vec![vec![0.0f32; 97]; BACKENDS.len()];
+        let mut axpy = vec![y.clone(); BACKENDS.len()];
         for (i, be) in BACKENDS.iter().enumerate() {
             be.relu(&x, &mut relu[i]);
             be.tanh(&x, &mut tanh[i]);

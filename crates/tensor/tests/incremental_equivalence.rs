@@ -1,9 +1,9 @@
 //! Property tests of the incremental streaming path: for every sliding
 //! window of a stream, the parity-phased incremental pipeline must emit the
 //! same head output as a full [`Layer::forward_infer`] recompute of that
-//! window — bit-identical on the scalar and quant backends (the same
-//! per-output association as their full-pass kernels), within 1e-5 relative
-//! deviation on the vector backend.
+//! window — bit-identical on the scalar backend (the same per-output
+//! association as its full-pass kernels), within 1e-5 relative deviation on
+//! the vector backend.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,7 +98,7 @@ fn check_net(net: &Sequential, channels: usize, window: usize, backend: BackendK
         assert_eq!(incremental.len(), full.len());
         for (i, (a, b)) in incremental.iter().zip(full.iter()).enumerate() {
             match backend {
-                BackendKind::Scalar | BackendKind::Quant => assert_eq!(
+                BackendKind::Scalar => assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
                     "{backend:?} bit mismatch at t={t} out={i}: {a} vs {b} (w={window}, c={channels})"
@@ -167,9 +167,9 @@ fn packed_column_weights_never_outlive_the_weights_they_were_packed_from() {
     net.visit_tensors_mut("net", &mut |_, t| *t = next.next().unwrap());
     check_net(&net, channels, window, scalar);
 
-    // A quant -> scalar round trip re-derives everything from the f32 weights.
-    net.set_backend(BackendKind::Quant);
-    check_net(&net, channels, window, BackendKind::Quant);
+    // A vector -> scalar round trip re-derives everything from the f32 weights.
+    net.set_backend(BackendKind::Vector);
+    check_net(&net, channels, window, BackendKind::Vector);
     net.set_backend(scalar);
     check_net(&net, channels, window, scalar);
 }
