@@ -51,8 +51,8 @@ impl Table2Result {
 /// robot dataset and estimates their behaviour on both boards.
 ///
 /// Returns the full [`ExperimentOutcome`] so callers can reuse the generated
-/// dataset (the ablation and streaming experiments run on the same splits);
-/// convert with [`Table2Result::from`] for serialization.
+/// dataset (the ablation, telemetry and persistence experiments run on the
+/// same splits); convert with [`Table2Result::from`] for serialization.
 ///
 /// # Errors
 ///

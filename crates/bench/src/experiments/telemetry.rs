@@ -28,10 +28,12 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use varade::VaradeDetector;
+use varade::{VaradeConfig, VaradeDetector};
+use varade_detectors::AnomalyDetector;
 use varade_fleet::{Fleet, FleetConfig, FleetError, TelemetryConfig, TelemetrySnapshot};
 use varade_obs::Stage;
 use varade_robot::dataset::RobotDataset;
+use varade_timeseries::MultivariateSeries;
 
 use crate::experiments::ExperimentScale;
 use crate::timing::LatencyStats;
@@ -90,6 +92,31 @@ pub struct TelemetryResult {
 
 fn fleet_err(err: FleetError) -> BenchError {
     BenchError::Report(format!("telemetry fleet: {err}"))
+}
+
+/// The tiny detector [`capture`] serves: single channel, window 8, a few
+/// hundred parameters — large enough to exercise the real scoring path and
+/// emit every stage span, small enough to train in milliseconds.
+fn tiny_detector() -> Result<Arc<VaradeDetector>, BenchError> {
+    let series_err = |e| BenchError::Report(format!("capture series: {e}"));
+    let mut train = MultivariateSeries::new(vec!["capture".into()], 10.0).map_err(series_err)?;
+    for t in 0..160 {
+        train
+            .push_row(&[(t as f32 * 0.37).sin()])
+            .map_err(series_err)?;
+    }
+    let mut det = VaradeDetector::new(VaradeConfig {
+        window: 8,
+        base_feature_maps: 4,
+        epochs: 1,
+        batch_size: 8,
+        learning_rate: 2e-3,
+        max_train_windows: 64,
+        ..VaradeConfig::default()
+    });
+    det.fit(&train)
+        .map_err(|e| BenchError::Report(format!("capture fit: {e}")))?;
+    Ok(Arc::new(det))
 }
 
 /// Total CPU time consumed by this process, in nanoseconds, or `None` where
@@ -260,8 +287,7 @@ fn run_with_rows(
 }
 
 /// Runs the overhead measurement with the report's fitted detector on the
-/// dataset's collision split (the same data the headline streaming section
-/// pushes).
+/// dataset's collision split.
 ///
 /// # Errors
 ///
@@ -293,7 +319,7 @@ pub fn run_fitted(
 ///
 /// Returns [`BenchError`] if the fleet run fails.
 pub fn capture() -> Result<TelemetrySnapshot, BenchError> {
-    let detector = crate::experiments::load::tiny_detector()?;
+    let detector = tiny_detector()?;
     let mut fleet = Fleet::new(FleetConfig {
         n_shards: 2,
         telemetry: TelemetryConfig::enabled(),
@@ -328,7 +354,6 @@ pub fn capture() -> Result<TelemetrySnapshot, BenchError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::load::tiny_detector;
 
     #[test]
     fn mini_overhead_run_is_internally_consistent() {

@@ -4,17 +4,21 @@
 //!
 //! The [`experiments`] module holds the library implementations of the
 //! paper's experiments; each `exp_*` binary is a thin CLI wrapper over one of
-//! them, and `exp_report` runs them all, measures streaming throughput with
-//! the [`timing`] harness, and emits the `BENCH_<date>.json` /
-//! `EXPERIMENTS.md` artifacts via the [`report`] module:
+//! them, and `exp_report` runs them all plus the telemetry-overhead and
+//! persistence audits, and emits the `BENCH_<date>.json` / `EXPERIMENTS.md`
+//! artifacts via the [`report`] module:
 //!
 //! * `exp_architecture` — Figure 1 (model summary of the paper-scale VARADE);
 //! * `exp_channels` — Table 1 (the 86-channel data schema);
 //! * `exp_table2` — Table 2 (six detectors × two boards);
 //! * `exp_figure3` — Figure 3 (inference frequency vs. accuracy);
 //! * `exp_ablation` — the ablation study over VARADE's design choices;
-//! * `exp_report` — all of the above plus streaming latency percentiles,
-//!   serialized to a schema-versioned `BENCH_*.json` baseline.
+//! * `exp_report` — all of the above plus the telemetry-overhead and
+//!   persistence audits, serialized to a schema-versioned `BENCH_*.json`
+//!   baseline.
+//!
+//! Throughput and latency are measured by the outside-in benchmark in
+//! `perfbench/`, not by this crate.
 //!
 //! All experiment binaries accept `--quick` for a reduced-scale run with
 //! deterministic seeds — the exact code path CI exercises — so paper-scale

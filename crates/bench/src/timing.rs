@@ -1,11 +1,9 @@
-//! Lightweight wall-clock timing harness for the experiment report.
+//! Latency summaries for the experiment report.
 //!
-//! Criterion (under `benches/`) is the right tool for micro-benchmarks, but
-//! the experiment report needs something simpler: time a closure once per
-//! sample, keep every latency, and summarize them as throughput plus
-//! percentiles. That is all this module does — no warm-up logic, no outlier
-//! rejection, so the numbers in `BENCH_*.json` are raw and comparable across
-//! PRs.
+//! [`LatencyStats`] condenses a set of latencies — exact measured durations
+//! or a telemetry histogram snapshot — into mean, percentiles and max. The
+//! telemetry-overhead experiment reports its stage distributions through it.
+//! Throughput and latency benchmarking proper lives in `perfbench/`.
 
 use std::time::Duration;
 

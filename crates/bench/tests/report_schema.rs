@@ -4,13 +4,9 @@
 
 use varade_bench::experiments::ablation::{AblationEntry, AblationResultSet};
 use varade_bench::experiments::architecture;
-use varade_bench::experiments::backend::{BackendCell, BackendSweepResult};
 use varade_bench::experiments::channels;
 use varade_bench::experiments::figure3::Figure3Result;
-use varade_bench::experiments::fleet::{FleetResult, FleetSweepCell};
-use varade_bench::experiments::load::{LoadCell, MulticoreResult, StageLatencyCell};
 use varade_bench::experiments::persist::PersistenceResult;
-use varade_bench::experiments::streaming::StreamingResult;
 use varade_bench::experiments::table2::Table2Result;
 use varade_bench::experiments::telemetry::TelemetryResult;
 use varade_bench::experiments::ExperimentScale;
@@ -20,140 +16,6 @@ use varade_bench::report::{
 };
 use varade_bench::timing::LatencyStats;
 use varade_edge::table::{DetectorAccuracy, Table2, Table2Row};
-
-/// Hand-built backend sweep: the vector backend at twice the scalar
-/// throughput, within the deviation contract.
-fn fixture_backends(samples_per_sec: f64) -> BackendSweepResult {
-    let cell = |backend: &str, factor: f64, dev: f64| BackendCell {
-        backend: backend.to_string(),
-        samples_per_sec: samples_per_sec * factor,
-        push_latency: LatencyStats {
-            samples: 3750,
-            mean_us: 1e6 / (samples_per_sec * factor),
-            p50_us: 900.0 / factor,
-            p90_us: 1200.0 / factor,
-            p99_us: 2000.0 / factor,
-            max_us: 4000.0 / factor,
-        },
-        model_scoring_mean_us: 850.0 / factor,
-        max_rel_deviation_vs_scalar: dev,
-    };
-    BackendSweepResult {
-        n_channels: 86,
-        window: 64,
-        streamed_samples: 3750,
-        cells: vec![cell("scalar", 1.0, 0.0), cell("vector", 2.0, 3e-7)],
-        vector_over_scalar_speedup: 2.0,
-    }
-}
-
-/// Hand-built fleet sweep whose peak scales with the streaming throughput.
-fn fixture_fleet(samples_per_sec: f64) -> FleetResult {
-    let cell = |streams: usize, shards: usize, factor: f64| FleetSweepCell {
-        streams,
-        shards,
-        samples_per_stream: 512,
-        total_pushes: (streams * 512) as u64,
-        total_scores: (streams * (512 - 64)) as u64,
-        dropped: 0,
-        samples_per_sec: samples_per_sec * factor,
-        scores_per_sec: samples_per_sec * factor * 0.9,
-        sample_latency: LatencyStats {
-            samples: streams * (512 - 64),
-            mean_us: 50.0,
-            p50_us: 45.0,
-            p90_us: 60.0,
-            p99_us: 80.0,
-            max_us: 200.0,
-        },
-    };
-    FleetResult {
-        n_channels: 86,
-        window: 64,
-        queue_capacity: 512,
-        overload_policy: "Block".to_string(),
-        one_stream_bit_identical: true,
-        equivalence_samples: 128,
-        cells: vec![cell(1, 1, 1.0), cell(8, 4, 4.0)],
-        peak_samples_per_sec: samples_per_sec * 4.0,
-    }
-}
-
-/// Hand-built Zipf load harness result: three balanced policy cells whose
-/// peak tracks the streaming throughput.
-fn fixture_multicore(samples_per_sec: f64) -> MulticoreResult {
-    let lat = |scale: f64| LatencyStats {
-        samples: 9_000,
-        mean_us: 120.0 * scale,
-        p50_us: 90.0 * scale,
-        p90_us: 200.0 * scale,
-        p99_us: 400.0 * scale,
-        max_us: 900.0 * scale,
-    };
-    let cell = |policy: &str, rejected: u64, dropped: u64| {
-        let attempted = 30_000u64;
-        let accepted = attempted - rejected;
-        let admitted = accepted - dropped;
-        let scored = admitted - 12_000;
-        LoadCell {
-            policy: policy.to_string(),
-            attempted,
-            accepted,
-            rejected,
-            admitted,
-            dropped,
-            scored,
-            warmup: admitted - scored,
-            steals: 7,
-            elapsed_secs: 3.0,
-            samples_per_sec: samples_per_sec * 8.0,
-            scores_per_sec: samples_per_sec * 5.0,
-            active_streams: 9_500,
-            scored_streams: 1_200,
-            end_to_end_latency: lat(1.0),
-            stream_p99: lat(3.0),
-            slo_us: 1_000.0,
-            slo_met_fraction: 0.97,
-            stages: Some(
-                [
-                    ("queue_wait", 30.0),
-                    ("assembly", 2.0),
-                    ("normalize", 2.0),
-                    ("forward", 60.0),
-                    ("emit", 6.0),
-                ]
-                .iter()
-                .map(|&(stage, share)| StageLatencyCell {
-                    stage: stage.to_string(),
-                    latency: lat(0.5),
-                    share_pct: share,
-                })
-                .collect(),
-            ),
-            dominant_stage: Some("forward".to_string()),
-            stage_sum_mean_us: Some(300.0),
-            telemetry_end_to_end: Some(lat(1.0)),
-        }
-    };
-    MulticoreResult {
-        cpu_cores: 1,
-        queue_impl: "lock-free-ring".to_string(),
-        workers: 2,
-        producer_lanes: 2,
-        streams: 10_000,
-        total_pushes_per_cell: 30_000,
-        zipf_s: 1.1,
-        window: 8,
-        queue_capacity: 512,
-        one_stream_bit_identical: true,
-        cells: vec![
-            cell("Block", 0, 0),
-            cell("DropOldest", 0, 250),
-            cell("Reject", 400, 0),
-        ],
-        peak_samples_per_sec: samples_per_sec * 8.0,
-    }
-}
 
 /// Hand-built telemetry overhead measurement: enabling the substrate costs
 /// half a percent of fleet throughput.
@@ -233,28 +95,7 @@ fn fixture_report(date: &str, samples_per_sec: f64, varade_auc: f64) -> BenchRep
             active_backend: "scalar".to_string(),
             cpu_cores: 1,
         }),
-        streaming: StreamingResult {
-            n_channels: 86,
-            window: 64,
-            train_samples: 7500,
-            streamed_samples: 3750,
-            scores_emitted: 3686,
-            samples_per_sec,
-            push_latency: LatencyStats {
-                samples: 3750,
-                mean_us: 1e6 / samples_per_sec,
-                p50_us: 900.0,
-                p90_us: 1200.0,
-                p99_us: 2000.0,
-                max_us: 4000.0,
-            },
-            model_scoring_mean_us: 850.0,
-            score_summary: None,
-        },
         persistence: Some(fixture_persistence()),
-        backends: Some(fixture_backends(samples_per_sec)),
-        fleet: Some(fixture_fleet(samples_per_sec)),
-        multicore: Some(fixture_multicore(samples_per_sec)),
         telemetry: Some(fixture_telemetry(samples_per_sec)),
         figure3: Figure3Result {
             points: varade_edge::figure::figure3_points(&table),
@@ -354,27 +195,8 @@ fn deltas_against_a_fixture_baseline_report_relative_change() {
             .find(|d| d.metric == metric)
             .unwrap_or_else(|| panic!("missing delta row `{metric}`"))
     };
-    let throughput = row("streaming samples/sec");
-    assert_eq!(throughput.previous, 1000.0);
-    assert_eq!(throughput.current, 1250.0);
-    assert!((throughput.change_percent - 25.0).abs() < 1e-9);
-
     let auc = row("VARADE AUC-ROC");
     assert!((auc.change_percent - 5.0).abs() < 1e-9);
-
-    // The fleet peak tracks the sweep (4x the streaming figure in the
-    // fixture), so its relative change matches the streaming one.
-    let fleet = row("fleet peak samples/sec");
-    assert_eq!(fleet.previous, 4000.0);
-    assert_eq!(fleet.current, 5000.0);
-    assert!((fleet.change_percent - 25.0).abs() < 1e-9);
-
-    // The multicore peak (8x the streaming figure in the fixture) joins the
-    // trajectory, as does the Block cell's SLO attainment.
-    let multicore = row("multicore peak samples/sec");
-    assert_eq!(multicore.previous, 8000.0);
-    assert_eq!(multicore.current, 10000.0);
-    assert!(row("multicore Block SLO met").change_percent.abs() < 1e-9);
 
     // The telemetry overhead joins the trajectory: the enabled throughput
     // tracks the fixture's scaling and the overhead percentage is stable.
@@ -383,10 +205,17 @@ fn deltas_against_a_fixture_baseline_report_relative_change() {
     assert!(row("telemetry overhead (%)").change_percent.abs() < 1e-9);
 
     // Same-valued metrics report a 0% change.
-    assert!(row("streaming p50 latency (us)").change_percent.abs() < 1e-9);
+    assert!(row("model file size (bytes)").change_percent.abs() < 1e-9);
     // Both boards are covered.
     assert!(deltas.iter().any(|d| d.metric.contains("Xavier")));
     assert!(deltas.iter().any(|d| d.metric.contains("Orin")));
+    // The retired timing cells left no rows behind.
+    for gone in ["streaming", "fleet", "multicore", "backend samples/sec"] {
+        assert!(
+            deltas.iter().all(|d| !d.metric.contains(gone)),
+            "a `{gone}` delta row survived"
+        );
+    }
 }
 
 #[test]
@@ -407,63 +236,34 @@ fn rendered_markdown_is_deterministic_and_contains_every_section() {
         render_experiments_md(&baselines),
         "renderer must be pure"
     );
-    // A pre-v10 baseline's cell for the deleted int8 backend is not
-    // rendered; the backends this build has still are.
-    let mut legacy = baselines.clone();
-    let mut legacy_cell = fixture_backends(1250.0).cells[0].clone();
-    legacy_cell.backend = "quant".to_string();
-    legacy[1]
-        .report
-        .backends
-        .as_mut()
-        .unwrap()
-        .cells
-        .push(legacy_cell);
-    let legacy_md = render_experiments_md(&legacy);
-    assert!(!legacy_md.contains("| quant |"));
-    assert!(legacy_md.contains("| vector |"));
     for section in [
-        "## 1. Streaming throughput",
-        "## 2. Kernel backends",
-        "## 3. Fleet serving throughput",
-        "## 4. Table 2",
-        "## 5. Figure 3",
-        "## 6. Ablations",
-        "## 7. Architecture",
-        "## 8. Channel schema",
-        "## 9. Trajectory",
-        "## 10. Caveats",
+        "## 1. Table 2",
+        "## 2. Figure 3",
+        "## 3. Ablations",
+        "## 4. Architecture",
+        "## 5. Channel schema",
+        "## 6. Telemetry substrate overhead (`varade-obs`)",
+        "## 7. Model persistence (`varade::persist`)",
+        "## 8. Trajectory",
+        "## 9. Caveats",
     ] {
         assert!(md.contains(section), "missing section {section}");
     }
-    // The fleet section reports the equivalence verdict and the sweep peak.
-    assert!(md.contains("bit-identity"));
-    assert!(md.contains("**confirmed**"));
-    // The load harness renders inside §3 with its ledger framing and SLO
-    // column.
-    assert!(md.contains("### Multi-core Zipf load harness (`experiments::load`)"));
-    assert!(md.contains("admitted = scored + warm-up"));
-    assert!(md.contains("SLO met"));
-    // The telemetry overhead comparison renders inside §3 with its ceiling
-    // framing, and the load-harness table gains the per-stage decomposition
-    // with the dominant stage marked.
-    assert!(md.contains("### Telemetry substrate overhead (`varade-obs`)"));
+    assert!(!md.contains("## 10."), "a tenth section survived");
+    // Throughput and latency questions are pointed at perfbench.
+    assert!(md.contains("perfbench/README.md"));
+    assert!(md.contains("**Timing lives in perfbench.**"));
+    // The telemetry overhead comparison renders with its ceiling framing.
     assert!(md.contains("Enabled overhead: **0.50%**"));
-    assert!(md.contains("| forward |"));
-    assert!(md.contains(" ◀"));
-    // The persistence audit renders inside §3 with its footprint and the
-    // bit-identity verdict, and its deltas join the trajectory.
-    assert!(md.contains("### Model persistence (`varade::persist`)"));
+    // The persistence audit renders with its footprint and the bit-identity
+    // verdict, and its deltas join the trajectory.
     assert!(md.contains("**bit-for-bit**"));
     assert!(md.contains("model file size (bytes)"));
-    // The backend section reports the speedup and the host metadata line is
-    // rendered from `meta`.
-    assert!(md.contains("speedup: **2.00x**"));
+    // The host metadata line is rendered from `meta`.
     assert!(md.contains("1 CPU core(s)"));
-    // The delta table compares the two baselines, including per-backend rows.
+    // The delta table compares the two baselines.
     assert!(md.contains("`BENCH_2026-07-01.json` → `BENCH_2026-07-30.json`"));
     assert!(md.contains("+25.0%"));
-    assert!(md.contains("vector backend samples/sec"));
     // The toy-scale variance caveat is surfaced.
     assert!(md.contains("variance-score fidelity"));
 }
@@ -484,15 +284,7 @@ fn quick_report_end_to_end() {
     assert_eq!(report.table2.accuracies.len(), 6);
     assert_eq!(report.figure3.points.len(), 12);
     assert_eq!(report.channels.total, 86);
-    assert!(report.streaming.samples_per_sec > 0.0);
     assert_eq!(report.ablation.scoring_rules.len(), 2);
-    let fleet = report
-        .fleet
-        .as_ref()
-        .expect("v2 reports carry a fleet section");
-    assert!(fleet.one_stream_bit_identical);
-    assert_eq!(fleet.cells.len(), 4);
-    assert!(fleet.peak_samples_per_sec > 0.0);
     let meta = report.meta.as_ref().expect("v3 reports carry metadata");
     assert!(meta.cpu_cores >= 1);
     assert_eq!(
@@ -500,62 +292,12 @@ fn quick_report_end_to_end() {
         varade::BackendKind::active().label(),
         "meta must record the backend the run used"
     );
-    let backends = report
-        .backends
-        .as_ref()
-        .expect("v3 reports carry a backend sweep");
-    assert_eq!(backends.cells.len(), varade::BackendKind::ALL.len());
-    assert!(backends.vector_over_scalar_speedup > 0.0);
-    for cell in &backends.cells {
-        let kind: varade::BackendKind = cell.backend.parse().expect("cell labels a backend");
-        let tolerance = kind.score_tolerance().expect("every backend has one");
-        assert!(
-            cell.max_rel_deviation_vs_scalar <= tolerance,
-            "{}: raw-score deviation {} above {tolerance}",
-            cell.backend,
-            cell.max_rel_deviation_vs_scalar
-        );
-    }
     let persistence = report
         .persistence
         .as_ref()
         .expect("v5 reports carry a persistence audit");
     assert!(persistence.file_bytes > 0);
     assert_eq!(persistence.max_abs_deviation, 0.0);
-    let multicore = report
-        .multicore
-        .as_ref()
-        .expect("v6 reports carry the load harness");
-    assert!(multicore.one_stream_bit_identical);
-    assert_eq!(multicore.cells.len(), 3);
-    assert_eq!(multicore.streams, 10_000);
-    assert!(multicore.peak_samples_per_sec > 0.0);
-    // run() already hard-errored on any ledger imbalance; pin the policy
-    // contracts here too.
-    assert_eq!(multicore.cell("Block").unwrap().rejected, 0);
-    assert_eq!(multicore.cell("Block").unwrap().dropped, 0);
-    assert_eq!(multicore.cell("DropOldest").unwrap().rejected, 0);
-    assert_eq!(multicore.cell("Reject").unwrap().dropped, 0);
-    // v7: every load cell decomposes its latency into the five pipeline
-    // stages, names the dominant one, and carries the telemetry end-to-end
-    // distribution. run() already hard-errored on any span-count mismatch.
-    for cell in &multicore.cells {
-        let stages = cell
-            .stages
-            .as_ref()
-            .expect("v7 load cells carry the stage decomposition");
-        assert_eq!(stages.len(), 5, "{}: five pipeline stages", cell.policy);
-        let share: f64 = stages.iter().map(|s| s.share_pct).sum();
-        assert!(
-            (share - 100.0).abs() < 1e-6,
-            "{}: shares sum to 100",
-            cell.policy
-        );
-        let dominant = cell.dominant_stage.as_ref().expect("dominant stage named");
-        assert!(stages.iter().any(|s| &s.stage == dominant));
-        assert!(cell.stage_sum_mean_us.is_some_and(|s| s > 0.0));
-        assert!(cell.telemetry_end_to_end.is_some());
-    }
     let telemetry = report
         .telemetry
         .as_ref()
@@ -574,32 +316,33 @@ fn quick_report_end_to_end() {
     let back: BenchReport = serde_json::from_str(&text).unwrap();
     assert_eq!(back, report);
     assert!(load_baselines(&dir).unwrap().is_empty());
+    // v11 writes none of the retired timing sections.
+    for gone in ["streaming", "backends", "fleet", "multicore"] {
+        assert!(
+            !text.contains(&format!("\"{gone}\":")),
+            "the v11 report still writes `{gone}`"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A v1 baseline has no `fleet`, `meta` or `backends` key at all (not even
-/// `null`): the loader must read it with those sections as `None` — the
-/// committed pre-fleet and pre-backend baselines stay part of the trajectory
-/// forever.
+/// A v1 baseline has no `meta`, `persistence` or `telemetry` key at all (not
+/// even `null`): the loader must read it with those sections as `None` — the
+/// committed early baselines stay part of the trajectory forever. Keys that
+/// later schemas dropped are ignored.
 #[test]
 fn v1_baselines_without_newer_keys_still_load() {
     let mut v1 = fixture_report("2026-07-30", 1000.0, 0.8);
     v1.schema_version = 1;
-    v1.fleet = None;
     v1.meta = None;
-    v1.backends = None;
     v1.persistence = None;
-    v1.multicore = None;
     v1.telemetry = None;
     let compact = serde_json::to_string(&v1).unwrap();
     // Simulate the genuine v1 file: the keys are absent, not null.
     let without_keys = compact
-        .replace("\"fleet\":null,", "")
         .replace("\"meta\":null,", "")
-        .replace("\"backends\":null,", "")
         .replace("\"persistence\":null,", "")
-        .replace("\"multicore\":null,", "")
         .replace("\"telemetry\":null,", "");
     assert_ne!(compact, without_keys, "fixture lost its null markers");
     assert!(
@@ -611,82 +354,109 @@ fn v1_baselines_without_newer_keys_still_load() {
         "a telemetry key survived the v1 simulation"
     );
     let back: BenchReport = serde_json::from_str(&without_keys).unwrap();
-    assert_eq!(back.schema_version, 1);
-    assert!(back.fleet.is_none());
-    assert!(back.meta.is_none());
-    assert!(back.backends.is_none());
-    assert!(back.persistence.is_none());
-    assert!(back.multicore.is_none());
-    assert!(back.telemetry.is_none());
-    assert_eq!(back.streaming, v1.streaming);
+    assert_eq!(back, v1);
 
-    // v4–v8 baselines carry `incremental` keys that v9 dropped, and v8–v9
-    // baselines a `quantization` section that v10 dropped: the loader
-    // ignores both.
-    let legacy = compact.replacen(
-        "\"persistence\":null",
-        "\"incremental\":{\"incremental_over_full_speedup\":1.4},\
-         \"quantization\":{\"footprint_ratio\":0.25,\"max_auc_deviation\":0.004},\
-         \"persistence\":null",
-        1,
+    // v4–v8 baselines carry `incremental` keys that v9 dropped, v8–v9
+    // baselines a `quantization` section that v10 dropped, and v1–v10
+    // baselines the `streaming`, `backends`, `fleet` and `multicore` timing
+    // sections that v11 dropped: the loader ignores all of them.
+    let mut v10 = fixture_report("2026-07-30", 1000.0, 0.8);
+    v10.schema_version = 10;
+    let latency = r#"{"samples":3750,"mean_us":30.4,"p50_us":29.0,"p90_us":33.0,"p99_us":61.0,"max_us":420.0}"#;
+    let retired = format!(
+        "\"incremental\":{{\"incremental_over_full_speedup\":1.4}},\
+         \"quantization\":{{\"footprint_ratio\":0.25,\"max_auc_deviation\":0.004}},\
+         \"streaming\":{{\"n_channels\":86,\"window\":64,\"train_samples\":7500,\
+         \"streamed_samples\":3750,\"scores_emitted\":3686,\"samples_per_sec\":32900.0,\
+         \"push_latency\":{latency},\"model_scoring_mean_us\":25.1,\"score_summary\":null}},\
+         \"backends\":{{\"n_channels\":86,\"window\":64,\"streamed_samples\":3750,\
+         \"cells\":[{{\"backend\":\"scalar\",\"samples_per_sec\":16700.0,\
+         \"push_latency\":{latency},\"model_scoring_mean_us\":50.2,\
+         \"max_rel_deviation_vs_scalar\":0.0}}],\"vector_over_scalar_speedup\":1.1}},\
+         \"fleet\":{{\"n_channels\":86,\"window\":64,\"queue_capacity\":512,\
+         \"overload_policy\":\"Block\",\"one_stream_bit_identical\":true,\
+         \"equivalence_samples\":128,\"cells\":[],\"peak_samples_per_sec\":40000.0}},\
+         \"multicore\":{{\"cpu_cores\":1,\"queue_impl\":\"lock-free-ring\",\"workers\":4,\
+         \"producer_lanes\":2,\"streams\":100000,\"total_pushes_per_cell\":1000000,\
+         \"zipf_s\":1.1,\"window\":8,\"queue_capacity\":1024,\
+         \"one_stream_bit_identical\":true,\"cells\":[{{\"policy\":\"Block\",\
+         \"stages\":[{{\"stage\":\"forward\",\"latency\":{latency},\"share_pct\":60.0}}],\
+         \"dominant_stage\":\"queue_wait\",\"telemetry_end_to_end\":null}}],\
+         \"peak_samples_per_sec\":90000.0}},"
     );
-    assert_ne!(legacy, compact, "fixture lost its persistence marker");
-    let legacy: BenchReport = serde_json::from_str(&legacy).unwrap();
-    assert_eq!(legacy, v1);
+    let v10_compact = serde_json::to_string(&v10).unwrap();
+    let legacy = v10_compact.replacen("\"persistence\":", &format!("{retired}\"persistence\":"), 1);
+    assert_ne!(legacy, v10_compact, "fixture lost its persistence marker");
+    let loaded: BenchReport = serde_json::from_str(&legacy).unwrap();
+    assert_eq!(loaded, v10);
 
-    // And the renderer degrades gracefully for baselines predating the newer
-    // sections.
+    // The v10 baseline renders without the retired sections …
+    let md = render_experiments_md(&[Baseline {
+        file_name: file_name("2026-07-30"),
+        report: loaded,
+    }]);
+    for gone in [
+        "Streaming throughput",
+        "Kernel backends",
+        "Fleet serving throughput",
+        "Zipf load harness",
+    ] {
+        assert!(!md.contains(gone), "a `{gone}` section survived");
+    }
+    // … and the renderer degrades gracefully for baselines predating the
+    // newer sections.
     let md = render_experiments_md(&[Baseline {
         file_name: file_name("2026-07-30"),
         report: back,
     }]);
-    assert!(md.contains("predates the fleet engine"));
-    assert!(md.contains("predates the multi-backend substrate"));
     assert!(md.contains("predates the persistence container"));
-    assert!(md.contains("predates the load harness"));
     assert!(md.contains("predates the telemetry substrate"));
+
+    // Every committed baseline still loads.
+    let committed = load_baselines(std::path::Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../.."
+    )))
+    .expect("committed BENCH_*.json baselines load");
+    assert!(!committed.is_empty());
 }
 
 #[test]
 fn floor_check_gates_quick_reports_only() {
     let floor = BenchFloor {
-        schema_version: 2,
-        quick_min_streaming_samples_per_sec: 500.0,
-        quick_min_vector_over_scalar_speedup: 1.0,
+        schema_version: 7,
         quick_max_telemetry_overhead_pct: Some(2.0),
         note: "test fixture".to_string(),
     };
     // Full-scale reports are exempt regardless of their numbers.
-    let slow_full = fixture_report("2026-07-30", 1.0, 0.8);
-    check_floor(&slow_full, &floor).expect("full reports are not gated");
+    let mut heavy_full = fixture_report("2026-07-30", 1000.0, 0.8);
+    heavy_full.telemetry.as_mut().unwrap().overhead_pct = 5.0;
+    check_floor(&heavy_full, &floor).expect("full reports are not gated");
 
-    // A quick report above the floor passes …
+    // A quick report under the ceiling passes …
     let mut quick = fixture_report("2026-07-30", 1000.0, 0.8);
     quick.scale = "quick".to_string();
     check_floor(&quick, &floor).expect("healthy quick report");
 
-    // … below the throughput floor fails with a description …
-    let mut slow = quick.clone();
-    slow.streaming.samples_per_sec = 100.0;
-    let err = check_floor(&slow, &floor).unwrap_err().to_string();
-    assert!(err.contains("below the floor"), "{err}");
-
-    // … and a vector backend slower than scalar trips the speedup floor.
-    let mut regressed = quick.clone();
-    regressed
-        .backends
-        .as_mut()
-        .unwrap()
-        .vector_over_scalar_speedup = 0.8;
-    let err = check_floor(&regressed, &floor).unwrap_err().to_string();
-    assert!(err.contains("speedup"), "{err}");
-
-    // A telemetry substrate costing more than the ceiling trips its gate.
+    // … and a telemetry substrate costing more than the ceiling trips it.
     let mut heavy = quick.clone();
     heavy.telemetry.as_mut().unwrap().overhead_pct = 5.0;
     let err = check_floor(&heavy, &floor).unwrap_err().to_string();
     assert!(err.contains("telemetry"), "{err}");
     assert!(err.contains("ceiling"), "{err}");
+
+    // A pre-7 floor file still carrying the retired throughput keys loads,
+    // and the keys gate nothing.
+    let legacy: BenchFloor = serde_json::from_str(
+        r#"{"schema_version": 6,
+            "quick_min_streaming_samples_per_sec": 1e12,
+            "quick_min_vector_over_scalar_speedup": 1e6,
+            "quick_max_telemetry_overhead_pct": 2.0,
+            "note": "pre-7 floor"}"#,
+    )
+    .expect("a floor file with retired keys loads");
+    assert_eq!(legacy.quick_max_telemetry_overhead_pct, Some(2.0));
+    check_floor(&quick, &legacy).expect("retired keys gate nothing");
 
     // The committed floor file parses and matches this schema.
     let committed = varade_bench::report::load_floor(std::path::Path::new(concat!(
@@ -694,11 +464,8 @@ fn floor_check_gates_quick_reports_only() {
         "/../../bench_floor.json"
     )))
     .expect("committed bench_floor.json parses");
-    assert!(committed.schema_version >= 1);
-    assert!(committed.quick_min_streaming_samples_per_sec > 0.0);
-    assert!(committed
-        .quick_max_telemetry_overhead_pct
-        .is_some_and(|p| p > 0.0));
+    assert_eq!(committed.schema_version, 7);
+    assert_eq!(committed.quick_max_telemetry_overhead_pct, Some(2.0));
 }
 
 #[test]

@@ -235,7 +235,7 @@ pub enum PersistError {
         /// Checksum recomputed over the payload.
         computed: u32,
     },
-    /// The JSON header is malformed or carries an invalid field, or a bundled
+    /// The JSON header is malformed or carries an invalid field, or a loaded
     /// normalizer carries an unusable (`min > max`) channel range.
     Header(String),
     /// The header's tensor entries and the payload disagree about the total
@@ -386,9 +386,10 @@ impl ModelArtifact {
     ///
     /// Returns [`PersistError::NotFitted`] for an unfitted detector,
     /// [`PersistError::ShapeMismatch`] for a normalizer whose channel count
-    /// disagrees with the detector, [`PersistError::Header`] for a normalizer
-    /// channel with `min > max`, and [`PersistError::NonFinite`] if any
-    /// weight, normalizer bound or threshold field is NaN or infinite.
+    /// disagrees with the detector, and [`PersistError::NonFinite`] if any
+    /// weight or threshold field is NaN or infinite. A normalizer needs no
+    /// audit here: [`MinMaxNormalizer::from_ranges`] refuses inverted and
+    /// non-finite ranges at construction.
     pub fn to_bytes(&self) -> Result<Vec<u8>, PersistError> {
         serialize_parts(&self.detector, self.normalizer.as_ref(), self.threshold)
     }
@@ -582,9 +583,10 @@ impl ModelArtifact {
                 }
                 let ranges: Vec<(f32, f32)> =
                     mins.iter().copied().zip(maxs.iter().copied()).collect();
-                let normalizer = MinMaxNormalizer::from_ranges(&ranges);
-                audit_ranges(&normalizer)?;
-                Some(normalizer)
+                Some(
+                    MinMaxNormalizer::from_ranges(&ranges)
+                        .map_err(|e| PersistError::Header(e.to_string()))?,
+                )
             }
             (Some(_), None) => return Err(PersistError::MissingTensor(NORMALIZER_MAXS.into())),
             (None, Some(_)) => return Err(PersistError::MissingTensor(NORMALIZER_MINS.into())),
@@ -668,7 +670,6 @@ fn serialize_parts(
             });
             values.extend_from_slice(slice);
         }
-        audit_ranges(norm)?;
     }
     audit_finite(&entries, &values)?;
     audit_threshold(threshold)?;
@@ -753,19 +754,6 @@ fn audit_threshold(threshold: Option<ThresholdCalibration>) -> Result<(), Persis
                 index: 0,
             });
         }
-    }
-    Ok(())
-}
-
-/// Refuses a normalizer channel whose range is inverted (`min > max`): it
-/// would map every sample of that channel to one constant. Shared by save
-/// and load; the bounds were already audited finite.
-fn audit_ranges(normalizer: &MinMaxNormalizer) -> Result<(), PersistError> {
-    let ranges = normalizer.mins().iter().zip(normalizer.maxs());
-    if let Some((channel, (min, max))) = ranges.enumerate().find(|(_, (min, max))| min > max) {
-        return Err(PersistError::Header(format!(
-            "normalizer channel {channel}: min {min} exceeds max {max}"
-        )));
     }
     Ok(())
 }

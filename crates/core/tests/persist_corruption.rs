@@ -43,7 +43,7 @@ fn valid_bytes() -> Vec<u8> {
 /// calibration of 1.25 / 0.75.
 fn valid_bundle_bytes() -> Vec<u8> {
     ModelArtifact::new(fitted())
-        .with_normalizer(MinMaxNormalizer::from_ranges(&[(-1.0, 1.0), (-2.0, 2.0)]))
+        .with_normalizer(MinMaxNormalizer::from_ranges(&[(-1.0, 1.0), (-2.0, 2.0)]).unwrap())
         .with_threshold(ThresholdCalibration {
             threshold: 1.25,
             best_f1: 0.75,

@@ -138,7 +138,7 @@ fn bundle_bytes() -> Vec<u8> {
     let mut det = VaradeDetector::new(config).with_backend(BackendKind::Scalar);
     det.fit(&s).unwrap();
     ModelArtifact::new(det)
-        .with_normalizer(MinMaxNormalizer::from_ranges(&[(-1.0, 1.0), (-0.7, 0.3)]))
+        .with_normalizer(MinMaxNormalizer::from_ranges(&[(-1.0, 1.0), (-0.7, 0.3)]).unwrap())
         .with_threshold(ThresholdCalibration {
             threshold: 1.25,
             best_f1: 0.75,

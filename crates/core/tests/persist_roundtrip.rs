@@ -185,20 +185,18 @@ fn non_finite_threshold_is_refused_on_save() {
 
 #[test]
 fn inverted_normalizer_range_is_refused_on_save() {
-    // min > max would map every sample of the channel to one constant.
-    let artifact = ModelArtifact::new(fitted(8, 2, BackendKind::Scalar))
-        .with_normalizer(MinMaxNormalizer::from_ranges(&[(0.0, 2.0), (1.0, -1.0)]));
-    match artifact.to_bytes() {
-        Err(PersistError::Header(reason)) => assert!(
-            reason.contains("normalizer channel 1"),
-            "reason must name the channel: {reason}"
-        ),
-        other => panic!("expected Header, got {other:?}"),
-    }
+    // min > max would map every sample of the channel to one constant. The
+    // constructor refuses it, so no artifact can carry one into `to_bytes`.
+    let err = MinMaxNormalizer::from_ranges(&[(0.0, 2.0), (1.0, -1.0)]).unwrap_err();
+    assert!(
+        err.to_string().contains("normalizer channel 1"),
+        "reason must name the channel: {err}"
+    );
     // A constant channel (min == max) is a valid, degenerate range.
     let constant = ModelArtifact::new(fitted(8, 2, BackendKind::Scalar))
-        .with_normalizer(MinMaxNormalizer::from_ranges(&[(0.0, 2.0), (3.0, 3.0)]));
-    assert!(constant.to_bytes().is_ok());
+        .with_normalizer(MinMaxNormalizer::from_ranges(&[(0.0, 2.0), (3.0, 3.0)]).unwrap());
+    let loaded = ModelArtifact::from_bytes(&constant.to_bytes().unwrap()).unwrap();
+    assert_eq!(loaded.normalizer, constant.normalizer);
 }
 
 #[test]

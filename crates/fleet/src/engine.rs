@@ -168,7 +168,7 @@ pub struct FleetOutcome {
     /// [`FleetConfig::record_latencies`] is on. Each entry is the sample's
     /// *end-to-end* latency — from the producer's push to the score landing,
     /// including queue wait — which is what a per-stream p99 SLO should
-    /// measure (the load harness in `varade-bench` consumes this).
+    /// measure.
     pub latencies: Vec<Vec<Duration>>,
     /// Merged telemetry snapshot taken at the close of the serve window;
     /// `None` unless [`FleetConfig::telemetry`] is enabled. Taking it drains
@@ -643,7 +643,8 @@ impl Drop for CloseOnDrop<'_> {
 /// The handle is `Sync`: a multi-threaded driver may share it across its own
 /// producer threads, giving each thread its own lane via
 /// [`FleetHandle::push_from`] so every producer→shard edge stays
-/// single-producer (the load harness in `varade-bench` does exactly this).
+/// single-producer (the Zipf ledger test in `tests/zipf_ledger.rs` does
+/// exactly this).
 pub struct FleetHandle<'a> {
     queues: &'a [RingQueue],
     lanes: usize,

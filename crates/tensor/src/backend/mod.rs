@@ -42,10 +42,9 @@
 //! Layers and optimizers capture a [`BackendKind`] at construction, defaulting
 //! to [`BackendKind::active`] — the process-wide default resolved once from
 //! the `VARADE_BACKEND` environment variable (`scalar` | `vector`, default
-//! `scalar`) or from an explicit [`set_process_default`] call (the
-//! `--backend` flag of the bench binaries). Call `set_backend` on a layer,
-//! model, detector or optimizer to override per instance — e.g. the backend
-//! benchmark sweeps a fitted detector across backends without refitting:
+//! `scalar`). Call `set_backend` on a layer, model, detector or optimizer to
+//! override per instance — e.g. to re-route a fitted detector onto another
+//! backend without refitting:
 //!
 //! ```
 //! use rand::SeedableRng;
@@ -131,8 +130,7 @@ impl BackendKind {
         labels.join(" | ")
     }
 
-    /// The process-wide default backend: an explicit
-    /// [`set_process_default`], else `VARADE_BACKEND` (`scalar` |
+    /// The process-wide default backend: `VARADE_BACKEND` (`scalar` |
     /// `vector`), else [`BackendKind::Scalar`]. Resolved once and then frozen,
     /// so every layer constructed in a process agrees on its default.
     ///
@@ -141,7 +139,8 @@ impl BackendKind {
     /// Panics if `VARADE_BACKEND` is set to an unknown value — a misconfigured
     /// CI matrix should fail loudly, not silently measure the wrong backend.
     pub fn active() -> Self {
-        *process_default().get_or_init(|| match std::env::var("VARADE_BACKEND") {
+        static DEFAULT: OnceLock<BackendKind> = OnceLock::new();
+        *DEFAULT.get_or_init(|| match std::env::var("VARADE_BACKEND") {
             Ok(value) => value
                 .parse()
                 .unwrap_or_else(|e: String| panic!("VARADE_BACKEND: {e}")),
@@ -167,35 +166,6 @@ impl std::str::FromStr for BackendKind {
                 "unknown backend `{other}` (expected {})",
                 BackendKind::accepted_labels()
             )),
-        }
-    }
-}
-
-fn process_default() -> &'static OnceLock<BackendKind> {
-    static DEFAULT: OnceLock<BackendKind> = OnceLock::new();
-    &DEFAULT
-}
-
-/// Fixes the process-wide default backend (what [`BackendKind::active`]
-/// returns) before it is first resolved — how the bench binaries implement
-/// `--backend`. Takes precedence over `VARADE_BACKEND`.
-///
-/// # Errors
-///
-/// Returns the already-resolved kind if the default was set or read earlier:
-/// layers constructed before this call would keep the old default, so a late
-/// override is refused rather than half-applied.
-pub fn set_process_default(kind: BackendKind) -> Result<(), BackendKind> {
-    let lock = process_default();
-    match lock.set(kind) {
-        Ok(()) => Ok(()),
-        Err(_) => {
-            let resolved = *lock.get().expect("set failed, so the lock is filled");
-            if resolved == kind {
-                Ok(())
-            } else {
-                Err(resolved)
-            }
         }
     }
 }
@@ -341,15 +311,11 @@ mod tests {
     }
 
     #[test]
-    fn active_is_stable_and_late_conflicting_override_is_refused() {
+    fn active_is_stable_and_follows_varade_backend() {
         let first = BackendKind::active();
         assert_eq!(BackendKind::active(), first);
-        // Re-setting the resolved value is fine; conflicting values are not.
-        assert_eq!(set_process_default(first), Ok(()));
-        let other = match first {
-            BackendKind::Scalar => BackendKind::Vector,
-            BackendKind::Vector => BackendKind::Scalar,
-        };
-        assert_eq!(set_process_default(other), Err(first));
+        let expected =
+            std::env::var("VARADE_BACKEND").map_or(BackendKind::Scalar, |v| v.parse().unwrap());
+        assert_eq!(first, expected);
     }
 }

@@ -5,8 +5,6 @@
 //! importance" (§4.3). The same fitted normalizer is then applied to the test
 //! stream.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{MultivariateSeries, SeriesError};
 
 /// A fitted per-channel min-max scaler mapping training ranges to `[-1, 1]`.
@@ -31,7 +29,7 @@ use crate::{MultivariateSeries, SeriesError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinMaxNormalizer {
     mins: Vec<f32>,
     maxs: Vec<f32>,
@@ -54,11 +52,30 @@ impl MinMaxNormalizer {
     }
 
     /// Builds a normalizer from explicit per-channel `(min, max)` pairs.
-    pub fn from_ranges(ranges: &[(f32, f32)]) -> Self {
-        Self {
+    ///
+    /// A constant range (`min == max`) is valid and maps its channel to
+    /// `0.0`, like a channel that was constant during fitting.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SeriesError::InvalidRange`], naming the first offending
+    /// channel, if a bound is NaN or infinite or if `min > max` — an inverted
+    /// range would silently map every sample of its channel to `0.0`.
+    pub fn from_ranges(ranges: &[(f32, f32)]) -> Result<Self, SeriesError> {
+        for (channel, &(min, max)) in ranges.iter().enumerate() {
+            let reason = if !min.is_finite() || !max.is_finite() {
+                format!("bounds must be finite, got min {min}, max {max}")
+            } else if min > max {
+                format!("min {min} exceeds max {max}")
+            } else {
+                continue;
+            };
+            return Err(SeriesError::InvalidRange { channel, reason });
+        }
+        Ok(Self {
             mins: ranges.iter().map(|r| r.0).collect(),
             maxs: ranges.iter().map(|r| r.1).collect(),
-        }
+        })
     }
 
     /// Number of channels this normalizer was fitted on.
@@ -244,7 +261,7 @@ mod tests {
         // old absolute-epsilon check was one wrong constant away from calling
         // it constant) but perfectly real relative to the channel's
         // resolution — it must normalize to [-1, 1], not flatten to 0.
-        let n = MinMaxNormalizer::from_ranges(&[(1.0e4, 1.0e4 + 1.0e-3)]);
+        let n = MinMaxNormalizer::from_ranges(&[(1.0e4, 1.0e4 + 1.0e-3)]).unwrap();
         let lo = n.transform_value(0, 1.0e4);
         let hi = n.transform_value(0, 1.0e4 + 1.0e-3);
         assert_eq!(lo, -1.0, "training min must map to -1");
@@ -261,7 +278,7 @@ mod tests {
     fn tiny_magnitude_channel_below_absolute_epsilon_still_normalizes() {
         // A genuine range of 4e-8 sits far below the old absolute epsilon
         // (f32::EPSILON ≈ 1.19e-7), which flattened the whole channel to 0.
-        let n = MinMaxNormalizer::from_ranges(&[(1.0e-8, 5.0e-8)]);
+        let n = MinMaxNormalizer::from_ranges(&[(1.0e-8, 5.0e-8)]).unwrap();
         assert_eq!(n.transform_value(0, 1.0e-8), -1.0);
         assert!((n.transform_value(0, 5.0e-8) - 1.0).abs() < 1e-5);
         assert!((n.transform_value(0, 3.0e-8)).abs() < 1e-5);
@@ -271,11 +288,30 @@ mod tests {
     #[test]
     fn truly_constant_channels_stay_flattened_at_any_offset() {
         for &value in &[0.0f32, 3.0, -2.5e6, 1.0e-9] {
-            let n = MinMaxNormalizer::from_ranges(&[(value, value)]);
+            let n = MinMaxNormalizer::from_ranges(&[(value, value)]).unwrap();
             assert_eq!(n.transform_value(0, value), 0.0);
             assert_eq!(n.transform_value(0, value + 1.0), 0.0);
             assert_eq!(n.inverse_value(0, 0.7), value);
         }
+    }
+
+    #[test]
+    fn from_ranges_refuses_inverted_and_non_finite_ranges_naming_the_channel() {
+        let refused = |ranges: &[(f32, f32)]| match MinMaxNormalizer::from_ranges(ranges) {
+            Err(SeriesError::InvalidRange { channel, reason }) => (channel, reason),
+            other => panic!("{ranges:?}: expected InvalidRange, got {other:?}"),
+        };
+        let (channel, reason) = refused(&[(0.0, 2.0), (1.0, -1.0)]);
+        assert_eq!(channel, 1);
+        assert!(reason.contains("exceeds"), "{reason}");
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(refused(&[(0.0, 1.0), (0.0, 1.0), (bad, 1.0)]).0, 2);
+            assert_eq!(refused(&[(0.0, bad)]).0, 0);
+        }
+        let err = MinMaxNormalizer::from_ranges(&[(3.0, 2.0)]).unwrap_err();
+        assert!(err.to_string().contains("normalizer channel 0"), "{err}");
+        // A constant range is valid and degenerate, not refused.
+        assert!(MinMaxNormalizer::from_ranges(&[(0.0, 2.0), (3.0, 3.0)]).is_ok());
     }
 
     #[test]

@@ -27,6 +27,14 @@ pub enum SeriesError {
     },
     /// A window or split request does not fit the series length.
     InvalidWindow(String),
+    /// A normalizer range is inverted (`min > max`) or has a non-finite
+    /// bound.
+    InvalidRange {
+        /// Channel index of the offending range.
+        channel: usize,
+        /// What is wrong with the range.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SeriesError {
@@ -41,6 +49,9 @@ impl fmt::Display for SeriesError {
                 write!(f, "non-finite value at step {step}, channel {channel}")
             }
             SeriesError::InvalidWindow(reason) => write!(f, "invalid window request: {reason}"),
+            SeriesError::InvalidRange { channel, reason } => {
+                write!(f, "normalizer channel {channel}: {reason}")
+            }
         }
     }
 }

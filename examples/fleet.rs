@@ -135,6 +135,6 @@ pub(crate) fn main() -> Result<(), Box<dyn Error>> {
         detector.config().window,
     );
     println!("\nThe fleet path is bit-identical to StreamingVarade: see");
-    println!("crates/fleet/tests/equivalence.rs and EXPERIMENTS.md section 2.");
+    println!("crates/fleet/tests/equivalence.rs.");
     Ok(())
 }
