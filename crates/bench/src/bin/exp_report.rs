@@ -14,8 +14,7 @@
 //! ```
 //!
 //! Throughput and latency are measured by the outside-in benchmark in
-//! `perfbench/`, not here. The kernel backend is chosen with
-//! `VARADE_BACKEND`.
+//! `perfbench/`, not here.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

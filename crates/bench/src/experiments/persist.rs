@@ -54,8 +54,8 @@ pub struct PersistenceResult {
     pub audited_windows: usize,
     /// Largest absolute score difference between the loaded and the original
     /// detector across the audit. The format contract pins this to exactly
-    /// 0.0: the round trip restores weights, config and backend routing
-    /// bit-for-bit, so the forwards are the same arithmetic.
+    /// 0.0: the round trip restores weights and config bit-for-bit, so the
+    /// forwards are the same arithmetic.
     pub max_abs_deviation: f64,
 }
 

@@ -66,12 +66,12 @@ pub const SCHEMA_VERSION: u32 = 11;
 pub const MIN_SCHEMA_VERSION: u32 = 1;
 
 /// Host and configuration metadata recorded with every report, so the
-/// `BENCH_*.json` trajectory stays comparable across machines and backend
-/// configurations (schema v3).
+/// `BENCH_*.json` trajectory stays comparable across machines (schema v3).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunMeta {
-    /// The process-default kernel backend the run's models were built on —
-    /// `"scalar"` unless `VARADE_BACKEND` selected another.
+    /// The kernel label the run's models were built on: always `"scalar"`
+    /// now that there is one kernel set; older baselines may read
+    /// `"vector"`.
     pub active_backend: String,
     /// CPU cores available to the run (`std::thread::available_parallelism`;
     /// 0 if the platform cannot say).
@@ -82,7 +82,7 @@ impl RunMeta {
     /// Captures the current process' metadata.
     pub fn capture() -> Self {
         Self {
-            active_backend: varade::BackendKind::active().label().to_string(),
+            active_backend: "scalar".to_string(),
             cpu_cores: std::thread::available_parallelism().map_or(0, |n| n.get()),
         }
     }

@@ -1,19 +1,14 @@
 //! Latency summaries for the experiment report.
 //!
-//! [`LatencyStats`] condenses a set of latencies — exact measured durations
-//! or a telemetry histogram snapshot — into mean, percentiles and max. The
-//! telemetry-overhead experiment reports its stage distributions through it.
-//! Throughput and latency benchmarking proper lives in `perfbench/`.
-
-use std::time::Duration;
+//! [`LatencyStats`] condenses a telemetry histogram snapshot into mean,
+//! percentiles and max. The telemetry-overhead experiment reports its stage
+//! distributions through it. Throughput and latency benchmarking proper
+//! lives in `perfbench/`.
 
 use serde::{Deserialize, Serialize};
 use varade_obs::HistogramSnapshot;
 
 /// Latency summary of a series of timed calls, in microseconds.
-///
-/// Percentiles use the nearest-rank method on the sorted sample set, so every
-/// reported value is an actually observed latency.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
     /// Number of timed calls.
@@ -31,24 +26,6 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Summarizes a set of measured durations; `None` when empty.
-    pub fn from_durations(latencies: &[Duration]) -> Option<Self> {
-        if latencies.is_empty() {
-            return None;
-        }
-        let mut micros: Vec<f64> = latencies.iter().map(|d| d.as_secs_f64() * 1e6).collect();
-        micros.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        let mean = micros.iter().sum::<f64>() / micros.len() as f64;
-        Some(LatencyStats {
-            samples: micros.len(),
-            mean_us: mean,
-            p50_us: percentile(&micros, 50.0),
-            p90_us: percentile(&micros, 90.0),
-            p99_us: percentile(&micros, 99.0),
-            max_us: micros[micros.len() - 1],
-        })
-    }
-
     /// Summarizes a telemetry histogram snapshot; `None` when empty.
     ///
     /// The mean and max are exact (the histogram keeps an exact sum and
@@ -68,27 +45,43 @@ impl LatencyStats {
             max_us: hist.max_us(),
         })
     }
-
-    /// Mean throughput implied by the mean latency, in calls per second.
-    pub fn calls_per_sec(&self) -> f64 {
-        if self.mean_us > 0.0 {
-            1e6 / self.mean_us
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice (`q` in percent).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
+
+    impl LatencyStats {
+        /// The exact summary of a set of measured durations, the reference
+        /// [`LatencyStats::from_histogram`] is checked against; `None` when
+        /// empty. Percentiles use the nearest-rank method on the sorted
+        /// samples, so every reported value is an observed latency.
+        fn from_durations(latencies: &[Duration]) -> Option<Self> {
+            if latencies.is_empty() {
+                return None;
+            }
+            let mut micros: Vec<f64> = latencies.iter().map(|d| d.as_secs_f64() * 1e6).collect();
+            micros.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
+            let mean = micros.iter().sum::<f64>() / micros.len() as f64;
+            Some(LatencyStats {
+                samples: micros.len(),
+                mean_us: mean,
+                p50_us: percentile(&micros, 50.0),
+                p90_us: percentile(&micros, 90.0),
+                p99_us: percentile(&micros, 99.0),
+                max_us: micros[micros.len() - 1],
+            })
+        }
+    }
+
+    /// Nearest-rank percentile of an ascending-sorted slice (`q` in percent).
+    fn percentile(sorted: &[f64], q: f64) -> f64 {
+        debug_assert!(!sorted.is_empty());
+        let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    }
 
     fn micros(values: &[u64]) -> Vec<Duration> {
         values.iter().map(|&v| Duration::from_micros(v)).collect()
@@ -109,7 +102,6 @@ mod tests {
         assert_eq!(stats.p90_us, 9.0);
         assert_eq!(stats.p99_us, 10.0);
         assert_eq!(stats.max_us, 10.0);
-        assert!((stats.calls_per_sec() - 1e6 / 5.5).abs() < 1e-6);
     }
 
     #[test]

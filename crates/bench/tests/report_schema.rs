@@ -288,9 +288,8 @@ fn quick_report_end_to_end() {
     let meta = report.meta.as_ref().expect("v3 reports carry metadata");
     assert!(meta.cpu_cores >= 1);
     assert_eq!(
-        meta.active_backend,
-        varade::BackendKind::active().label(),
-        "meta must record the backend the run used"
+        meta.active_backend, "scalar",
+        "meta records the kernel label"
     );
     let persistence = report
         .persistence

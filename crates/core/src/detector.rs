@@ -3,7 +3,7 @@
 use std::borrow::Cow;
 
 use varade_detectors::{AnomalyDetector, DetectorError};
-use varade_tensor::{numerics::clamp_log_var, BackendKind, ComputeProfile, Layer, Tensor};
+use varade_tensor::{numerics::clamp_log_var, BackendKind, ComputeProfile, Tensor};
 use varade_timeseries::{MultivariateSeries, StreamingWindow, WindowIter};
 
 use crate::{EncoderCache, VaradeConfig, VaradeError, VaradeModel, VaradeTrainer};
@@ -79,7 +79,6 @@ pub struct VaradeDetector {
     scoring: ScoringRule,
     model: Option<VaradeModel>,
     n_channels: usize,
-    backend: BackendKind,
 }
 
 impl std::fmt::Debug for VaradeDetector {
@@ -87,7 +86,6 @@ impl std::fmt::Debug for VaradeDetector {
         f.debug_struct("VaradeDetector")
             .field("config", &self.config)
             .field("scoring", &self.scoring)
-            .field("backend", &self.backend)
             .field("fitted", &self.model.is_some())
             .finish()
     }
@@ -101,7 +99,6 @@ impl VaradeDetector {
             scoring: ScoringRule::Variance,
             model: None,
             n_channels: 0,
-            backend: BackendKind::active(),
         }
     }
 
@@ -122,14 +119,12 @@ impl VaradeDetector {
         scoring: ScoringRule,
         model: VaradeModel,
         n_channels: usize,
-        backend: BackendKind,
     ) -> Self {
         Self {
             config,
             scoring,
             model: Some(model),
             n_channels,
-            backend,
         }
     }
 
@@ -173,28 +168,10 @@ impl VaradeDetector {
         Ok(crate::persist::ModelArtifact::load(path)?.detector)
     }
 
-    /// Selects the kernel backend (see [`varade_tensor::backend`]) the
-    /// detector trains and scores with, builder style. The scalar backend is
-    /// the bit-exact reference; the vector backend is faster within 1e-5
-    /// relative deviation.
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.set_backend(kind);
-        self
-    }
-
-    /// Switches the kernel backend in place; a fitted model is re-routed
-    /// immediately, so subsequent scoring runs on `kind` without refitting —
-    /// how the backend benchmark sweeps one fitted detector across backends.
-    pub fn set_backend(&mut self, kind: BackendKind) {
-        self.backend = kind;
-        if let Some(model) = &mut self.model {
-            model.set_backend(kind);
-        }
-    }
-
-    /// The kernel backend this detector trains and scores with.
+    /// [`BackendKind::Scalar`], a constant. Stays until ROADMAP item 6(c)'s
+    /// benchmark-tagged change removes perfbench's calls.
     pub fn backend_kind(&self) -> BackendKind {
-        self.backend
+        BackendKind::Scalar
     }
 
     /// The configuration in use.
@@ -283,10 +260,8 @@ impl VaradeDetector {
     /// recompute: the context window is replayed through the pipeline, which
     /// both yields this window's head output and re-primes every phase line.
     ///
-    /// The scalar backend's incremental scores are bit-identical to
-    /// [`VaradeDetector::score_window`]; the vector backend stays within the
-    /// usual 1e-5 relative deviation (per-column kernel association differs
-    /// from the tiled full pass).
+    /// The incremental scores are bit-identical to
+    /// [`VaradeDetector::score_window`].
     ///
     /// A caller must copy `context` out to call this. Streams pushed
     /// through [`crate::StreamState::push_timed`] (and so
@@ -444,10 +419,7 @@ impl VaradeDetector {
         let stride = (usable / self.config.max_train_windows.max(1)).max(1);
         let windows: Vec<_> = WindowIter::forecasting(train, self.config.window, stride)?.collect();
         let mut model = VaradeModel::from_config(self.config, self.n_channels)?;
-        model.set_backend(self.backend);
-        let report = VaradeTrainer::new(self.config)
-            .with_backend(self.backend)
-            .train(&mut model, &windows)?;
+        let report = VaradeTrainer::new(self.config).train(&mut model, &windows)?;
         self.model = Some(model);
         Ok(report)
     }
@@ -476,11 +448,9 @@ impl AnomalyDetector for VaradeDetector {
     /// warm-up and take the minimum of the rest.
     ///
     /// This is the arithmetic of [`crate::StreamState::push_timed`] and of
-    /// the cold replay in [`VaradeDetector::score_window_incremental`]. On the
-    /// scalar backend each score is bit-identical to
-    /// [`VaradeDetector::score_window`]'s full `forward_infer` recompute of
-    /// the same window; on the vector backend it stays within
-    /// [`BackendKind::score_tolerance`] (1e-5 relative).
+    /// the cold replay in [`VaradeDetector::score_window_incremental`]. Each
+    /// score is bit-identical to [`VaradeDetector::score_window`]'s full
+    /// `forward_infer` recompute of the same window.
     ///
     /// # Errors
     ///
@@ -733,65 +703,22 @@ mod tests {
         let test = wave_series(40, 2);
         let series_scores = det.score_series(&test).unwrap();
         // `score_series` runs one incremental pass; `score_window` recomputes
-        // each window in full through `forward_infer`. Scalar runs the same
-        // per-output arithmetic on both paths, so they agree bit for bit;
-        // vector reassociates its tiled full pass and stays within the
-        // documented relative tolerance.
+        // each window in full through `forward_infer`. Both run the same
+        // per-output arithmetic, so they agree bit for bit.
         let windows = WindowIter::forecasting(&test, tiny_config().window, 1).unwrap();
         let mut checked = 0;
         for w in windows {
             let manual = det.score_window(&w.context, &w.target).unwrap();
             let series = series_scores[w.target_index];
-            if det.backend_kind() == BackendKind::Vector {
-                assert!(
-                    (manual - series).abs() <= 1e-5 * manual.abs().max(1.0),
-                    "window {}: score_window {manual} vs score_series {series}",
-                    w.target_index
-                );
-            } else {
-                assert_eq!(
-                    manual.to_bits(),
-                    series.to_bits(),
-                    "window {}: score_window {manual} vs score_series {series}",
-                    w.target_index
-                );
-            }
+            assert_eq!(
+                manual.to_bits(),
+                series.to_bits(),
+                "window {}: score_window {manual} vs score_series {series}",
+                w.target_index
+            );
             checked += 1;
         }
         assert_eq!(checked, test.len() - tiny_config().window);
-    }
-
-    #[test]
-    fn backend_threads_through_fit_and_scoring() {
-        use varade_tensor::BackendKind;
-        let train = wave_series(200, 2);
-        // Train on the scalar backend, then re-route the fitted model.
-        let mut det = VaradeDetector::new(tiny_config()).with_backend(BackendKind::Scalar);
-        assert_eq!(det.backend_kind(), BackendKind::Scalar);
-        det.fit(&train).unwrap();
-        let test = wave_series(40, 2);
-        let window = tiny_config().window;
-        let mut ctx = Vec::new();
-        for c in 0..2 {
-            for t in 20 - window..20 {
-                ctx.push(test.value(t, c));
-            }
-        }
-        let target = test.row(20).to_vec();
-        let scalar_score = det.score_window(&ctx, &target).unwrap();
-        det.set_backend(BackendKind::Vector);
-        assert_eq!(det.backend_kind(), BackendKind::Vector);
-        let vector_score = det.score_window(&ctx, &target).unwrap();
-        // Same weights, reassociated kernels: close but not necessarily
-        // bit-identical.
-        assert!(
-            (vector_score - scalar_score).abs() <= 1e-5 * scalar_score.abs().max(1.0),
-            "vector {vector_score} vs scalar {scalar_score}"
-        );
-        // Round-trip back to scalar restores the exact original bits.
-        det.set_backend(BackendKind::Scalar);
-        let again = det.score_window(&ctx, &target).unwrap();
-        assert_eq!(again.to_bits(), scalar_score.to_bits());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! plus the bookkeeping the detector needs to trust it: the newest head
 //! output, the last ingested sample and a running sample count. The cache is
 //! fed by [`crate::VaradeDetector::score_window_incremental`]; when it is
-//! cold or does not match the context being scored (fresh stream, backend
-//! re-route, an out-of-band reset), the detector rebuilds it by replaying
+//! cold or does not match the context being scored (fresh stream, model
+//! swap, an out-of-band reset), the detector rebuilds it by replaying
 //! the context window — the cold-start fallback that keeps every push's
 //! score equal to a full `forward_infer` recompute.
 
@@ -62,8 +62,8 @@ impl EncoderCache {
     /// Invalidates the cache: all phase state, the head output and the
     /// ingestion counter are dropped. The next score request replays its
     /// context window to re-prime — used after anything that changes what
-    /// the history would have produced (a backend re-route, a recycled
-    /// stream slot).
+    /// the history would have produced (a model swap, a recycled stream
+    /// slot).
     pub fn reset(&mut self) {
         self.net.clear();
         self.head = None;

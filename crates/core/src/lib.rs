@@ -63,9 +63,8 @@ pub use model::{LayerSummary, VaradeModel, VariationalHead};
 pub use persist::{ModelArtifact, PersistError, ThresholdCalibration};
 pub use streaming::{PushStats, ScoreRequest, StreamState, StreamingVarade, TimedPush};
 pub use trainer::{TrainingReport, VaradeTrainer};
-/// Re-export of the tensor crate's kernel-backend selector, so downstream
-/// crates (fleet, bench) can pick a backend without depending on
-/// `varade-tensor` directly.
+/// Re-export of the tensor crate's one-variant kernel label. It stays until
+/// ROADMAP item 6(c)'s benchmark-tagged change removes perfbench's calls.
 pub use varade_tensor::BackendKind;
 
 use std::fmt;

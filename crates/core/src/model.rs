@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use varade_tensor::layers::{
     Conv1d, Flatten, IncrementalCache, Linear, Relu, Sequential, StreamStep,
 };
-use varade_tensor::{BackendKind, ComputeProfile, Layer, Tensor, TensorError};
+use varade_tensor::{ComputeProfile, Layer, Tensor, TensorError};
 
 use crate::{VaradeConfig, VaradeError};
 
@@ -344,13 +344,6 @@ impl Layer for VaradeModel {
 
     fn name(&self) -> &'static str {
         "varade"
-    }
-
-    /// Routes every layer of the network onto the given kernel backend (see
-    /// [`varade_tensor::backend`]). The scalar backend reproduces the
-    /// original bits; the vector backend trades final-bit rounding for speed.
-    fn set_backend(&mut self, kind: BackendKind) {
-        self.network.set_backend(kind);
     }
 }
 

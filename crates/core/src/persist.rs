@@ -7,7 +7,7 @@
 //! dtype, and one contiguous little-endian `f32` payload. Weights round-trip
 //! **bit-exactly** (`f32::to_le_bytes`/`from_le_bytes`, no text formatting in
 //! the payload), so a loaded detector scores bit-identically to the one that
-//! was saved, per backend.
+//! was saved.
 //!
 //! # On-disk layout, byte by byte
 //!
@@ -43,7 +43,10 @@
 //! }
 //! ```
 //!
-//! `threshold` is `null` when no calibration was bundled. Tensor `offset`s
+//! `threshold` is `null` when no calibration was bundled. `backend` is
+//! written as `"scalar"`; a loader also accepts `"vector"`, the label of
+//! files saved when a second kernel set existed, and ignores either, since
+//! the weights are stored the same way. Tensor `offset`s
 //! are **element** offsets into the payload (multiply by 4 for bytes);
 //! entries must be contiguous and in file order, and their total element
 //! count must equal the payload's size or loading fails with
@@ -94,7 +97,6 @@
 //!
 //! let bytes = detector.to_persist_bytes()?;
 //! let loaded = varade::persist::ModelArtifact::from_bytes(&bytes)?.detector;
-//! assert_eq!(loaded.backend_kind(), detector.backend_kind());
 //! let mut context = Vec::new();                // channel-major [2 * window]
 //! for c in 0..2 {
 //!     for t in 0..8 {
@@ -461,10 +463,14 @@ impl ModelArtifact {
             .scoring
             .parse()
             .map_err(|e: String| PersistError::Header(e))?;
-        let backend: crate::BackendKind = header
-            .backend
-            .parse()
-            .map_err(|e: String| PersistError::Header(e))?;
+        // Files saved when a vector kernel set existed carry `vector`; the
+        // weights are stored the same way under either label.
+        if !matches!(header.backend.as_str(), "scalar" | "vector") {
+            return Err(PersistError::Header(format!(
+                "unknown backend `{}` (expected `scalar` or `vector`)",
+                header.backend
+            )));
+        }
         header
             .config
             .validate()
@@ -594,9 +600,7 @@ impl ModelArtifact {
         if let Some(name) = slots.into_keys().next() {
             return Err(PersistError::UnknownTensor(name));
         }
-        model.set_backend(backend);
-        let detector =
-            VaradeDetector::from_parts(header.config, scoring, model, header.n_channels, backend);
+        let detector = VaradeDetector::from_parts(header.config, scoring, model, header.n_channels);
         Ok(Self {
             detector,
             normalizer,
@@ -677,7 +681,7 @@ fn serialize_parts(
         config: *detector.config(),
         n_channels,
         scoring: detector.scoring_rule().label().to_string(),
-        backend: detector.backend_kind().label().to_string(),
+        backend: "scalar".to_string(),
         threshold,
         tensors: entries,
     };

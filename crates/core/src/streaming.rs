@@ -152,13 +152,11 @@ impl StreamState {
 
     /// Drops the stream's [`EncoderCache`], if any: the next scored push
     /// plans a fresh one from the detector it scores against, then replays
-    /// its context window to prime it under whatever model and backend are
-    /// current.
+    /// its context window to prime it under whatever model is current.
     ///
     /// This is the **single** invalidation point shared by every path that
-    /// changes what the cache's history would have produced — a backend
-    /// re-route ([`StreamingVarade::set_backend`]), a model hot swap
-    /// ([`StreamingVarade::swap_detector`], the fleet's `publish_model`
+    /// changes what the cache's history would have produced — a model hot
+    /// swap ([`StreamingVarade::swap_detector`], the fleet's `publish_model`
     /// pickup) — so no caller can forget half the bookkeeping and score a
     /// new model against columns computed under an old one.
     pub fn invalidate_cache(&mut self) {
@@ -480,22 +478,11 @@ impl StreamingVarade {
         Ok(Self { detector, state })
     }
 
-    /// Re-routes the wrapped detector onto another kernel backend (see
-    /// [`VaradeDetector::set_backend`]) mid-stream. The stream's cache — its
-    /// columns were computed under the old backend — is dropped through
-    /// [`StreamState::invalidate_cache`] (the same helper the hot-swap path
-    /// uses), so the next scored push re-primes with a full replay under the
-    /// new backend and the stream scores exactly like a fresh one on `kind`.
-    pub fn set_backend(&mut self, kind: crate::BackendKind) {
-        self.detector.set_backend(kind);
-        self.state.invalidate_cache();
-    }
-
     /// Hot-swaps the wrapped detector mid-stream, returning the old one —
     /// the single-stream counterpart of the fleet's `publish_model`. The new
     /// detector must be fitted with the same window and channel count (the
     /// stream's buffer layout); everything else — weights, scoring rule,
-    /// backend, even `base_feature_maps` — may differ. The stream's cache is
+    /// even `base_feature_maps` — may differ. The stream's cache is
     /// dropped through [`StreamState::invalidate_cache`], so the next scored
     /// push plans one against the new detector (its layer shapes may have
     /// changed) and replays the shared window history under the new model:
@@ -564,8 +551,8 @@ impl StreamingVarade {
         &self.detector
     }
 
-    /// The kernel backend the wrapped detector scores with (see
-    /// [`crate::BackendKind`]).
+    /// [`crate::BackendKind::Scalar`], a constant. Stays until ROADMAP item
+    /// 6(c)'s benchmark-tagged change removes perfbench's call.
     pub fn backend_kind(&self) -> crate::BackendKind {
         self.detector.backend_kind()
     }
@@ -672,7 +659,7 @@ mod tests {
             assert!(s.is_nan(), "warm-up push {t} emitted a score");
         }
         // `score_series` runs the same incremental arithmetic over the whole
-        // series, so every push is bit-identical to it on every backend.
+        // series, so every push is bit-identical to it.
         for (t, (streamed, batch)) in streamed.iter().zip(&batch_scores).enumerate().skip(window) {
             assert_eq!(
                 streamed.to_bits(),
@@ -982,13 +969,7 @@ mod tests {
             .map(|(t, c)| test.value(t, c))
             .collect();
         let want = det.score_window(&context, test.row(window)).unwrap();
-        assert!(
-            (got - want).abs() <= 1e-5 * want.abs().max(1.0),
-            "{got} vs {want}"
-        );
-        if crate::BackendKind::active() == crate::BackendKind::Scalar {
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
+        assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
     }
 
     #[test]
@@ -1098,58 +1079,6 @@ mod tests {
         assert_eq!(scores.len(), reference.len());
         for (t, (a, b)) in scores.iter().zip(&reference).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "score {t} diverged after reset");
-        }
-    }
-
-    #[test]
-    fn backend_reroute_invalidates_the_cache_and_matches_a_fresh_stream() {
-        use crate::BackendKind;
-        let test = wave_series(50);
-        // Reference: a stream that runs on the vector backend from the start
-        // (same scalar-trained weights).
-        let mut fresh = {
-            let mut det = VaradeDetector::new(tiny_config()).with_backend(BackendKind::Scalar);
-            det.fit(&wave_series(200)).unwrap();
-            det.set_backend(BackendKind::Vector);
-            StreamingVarade::new(det, 2, None).unwrap()
-        };
-
-        let mut rerouted = {
-            let mut det = VaradeDetector::new(tiny_config()).with_backend(BackendKind::Scalar);
-            det.fit(&wave_series(200)).unwrap();
-            StreamingVarade::new(det, 2, None).unwrap()
-        };
-
-        let mut fresh_scores = Vec::new();
-        let mut rerouted_scores = Vec::new();
-        for t in 0..test.len() {
-            if t == 25 {
-                // Mid-stream re-route: the cache must not keep scalar columns.
-                rerouted.set_backend(BackendKind::Vector);
-                assert_eq!(rerouted.backend_kind(), BackendKind::Vector);
-            }
-            if let Some(s) = fresh.push(test.row(t)).unwrap() {
-                fresh_scores.push(s);
-            }
-            if let Some(s) = rerouted.push(test.row(t)).unwrap() {
-                rerouted_scores.push(s);
-            }
-        }
-        // From the re-route on, the re-routed stream scores exactly like the
-        // stream that was on the vector backend all along (the invalidated
-        // cache re-primes from the shared window history).
-        let window = tiny_config().window;
-        for (t, (a, b)) in rerouted_scores
-            .iter()
-            .zip(&fresh_scores)
-            .enumerate()
-            .skip(25 - window)
-        {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "score {t} after re-route: {a} vs fresh-vector {b}"
-            );
         }
     }
 

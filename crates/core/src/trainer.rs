@@ -1,6 +1,6 @@
 //! Training loop for the VARADE model.
 
-use varade_tensor::{loss, optim::Adam, BackendKind, Layer, Tensor};
+use varade_tensor::{loss, optim::Adam, Layer, Tensor};
 use varade_timeseries::ForecastWindow;
 
 use crate::{VaradeConfig, VaradeError, VaradeModel};
@@ -35,25 +35,12 @@ impl TrainingReport {
 #[derive(Debug, Clone)]
 pub struct VaradeTrainer {
     config: VaradeConfig,
-    backend: BackendKind,
 }
 
 impl VaradeTrainer {
-    /// Creates a trainer for the given configuration, using the
-    /// process-default kernel backend.
+    /// Creates a trainer for the given configuration.
     pub fn new(config: VaradeConfig) -> Self {
-        Self {
-            config,
-            backend: BackendKind::active(),
-        }
-    }
-
-    /// Selects the kernel backend the optimizer's update loops run on
-    /// (the model carries its own backend; [`crate::VaradeDetector`] keeps
-    /// the two in sync).
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
+        Self { config }
     }
 
     /// The configuration in use.
@@ -105,9 +92,7 @@ impl VaradeTrainer {
             ));
         }
         let n_channels = model.n_channels();
-        let mut optimizer = Adam::new(self.config.learning_rate)
-            .with_clip_norm(5.0)
-            .with_backend(self.backend);
+        let mut optimizer = Adam::new(self.config.learning_rate).with_clip_norm(5.0);
         let mut report = TrainingReport::default();
         for _epoch in 0..self.config.epochs {
             let mut total = 0.0f32;

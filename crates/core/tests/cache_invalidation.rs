@@ -2,22 +2,21 @@
 //! ([`StreamState::invalidate_cache`]).
 //!
 //! Every path that changes what a stream's incremental cache would have
-//! produced — a backend re-route ([`StreamingVarade::set_backend`]) or a
-//! model hot swap ([`StreamingVarade::swap_detector`], the same mechanics
-//! the fleet's `publish_model` pickup uses) — must funnel through that one
-//! helper. These tests fail if any of those paths ever bypasses it: a stale
-//! cache leaves columns computed under the old model/backend in the frontier
-//! recompute, and the bit-exact comparisons below catch the first polluted
-//! score.
+//! produced — a model hot swap ([`StreamingVarade::swap_detector`], the same
+//! mechanics the fleet's `publish_model` pickup uses) — must funnel through
+//! that one helper. These tests fail if any of those paths ever bypasses
+//! it: a stale cache leaves columns computed under the old model in the
+//! frontier recompute, and the bit-exact comparisons below catch the first
+//! polluted score.
 
-use varade::{BackendKind, StreamState, StreamingVarade, VaradeConfig, VaradeDetector};
+use varade::{StreamState, StreamingVarade, VaradeConfig, VaradeDetector};
 use varade_detectors::AnomalyDetector;
 use varade_timeseries::MultivariateSeries;
 
 const WINDOW: usize = 8;
 const CHANNELS: usize = 2;
 
-fn fitted(seed: u64, backend: BackendKind) -> VaradeDetector {
+fn fitted(seed: u64) -> VaradeDetector {
     let config = VaradeConfig {
         window: WINDOW,
         base_feature_maps: 8,
@@ -33,7 +32,7 @@ fn fitted(seed: u64, backend: BackendKind) -> VaradeDetector {
         let v = (t as f32 * 0.29 + seed as f32).sin();
         s.push_row(&[v, -v * 0.4]).unwrap();
     }
-    let mut det = VaradeDetector::new(config).with_backend(backend);
+    let mut det = VaradeDetector::new(config);
     det.fit(&s).unwrap();
     det
 }
@@ -49,7 +48,7 @@ fn rows(n: usize) -> Vec<Vec<f32>> {
 
 /// `det`'s full-recompute score for the push at index `t` of `rows` — the
 /// ground truth a healthy (invalidated, replayed) cache must reproduce
-/// bit-for-bit on the scalar backend.
+/// bit-for-bit.
 fn full_recompute(det: &VaradeDetector, rows: &[Vec<f32>], t: usize) -> f32 {
     let mut ctx = Vec::with_capacity(CHANNELS * WINDOW);
     for c in 0..CHANNELS {
@@ -62,8 +61,8 @@ fn full_recompute(det: &VaradeDetector, rows: &[Vec<f32>], t: usize) -> f32 {
 
 #[test]
 fn swap_detector_scores_only_the_new_model_after_a_primed_cache() {
-    let old = fitted(5, BackendKind::Scalar);
-    let new = fitted(17, BackendKind::Scalar);
+    let old = fitted(5);
+    let new = fitted(17);
     let data = rows(30);
 
     let mut stream = StreamingVarade::new(old, CHANNELS, None).unwrap();
@@ -75,13 +74,11 @@ fn swap_detector_scores_only_the_new_model_after_a_primed_cache() {
     }
     assert!(stream.scores_emitted() > 0, "cache must be primed");
 
-    let returned = stream
-        .swap_detector(fitted(17, BackendKind::Scalar))
-        .unwrap();
+    let returned = stream.swap_detector(fitted(17)).unwrap();
     // The displaced detector comes back intact (same weights as `old`).
     assert_eq!(
         returned.to_persist_bytes().unwrap(),
-        fitted(5, BackendKind::Scalar).to_persist_bytes().unwrap()
+        fitted(5).to_persist_bytes().unwrap()
     );
 
     // Every post-swap score must bit-match the new model's full recompute
@@ -99,52 +96,9 @@ fn swap_detector_scores_only_the_new_model_after_a_primed_cache() {
 }
 
 #[test]
-fn set_backend_scores_only_the_new_backend_after_a_primed_cache() {
-    // Prime the cache under the vector backend, then re-route to scalar: the
-    // post-switch scores must bit-match a pure-scalar full recompute. The
-    // vector backend runs the scalar column kernels, so its primed columns
-    // equal scalar ones bit for bit and a bypassed invalidation cannot show
-    // up as a changed score; what this pins is that the re-route itself
-    // (invalidate, re-plan, replay) leaves every later score exact.
-    let data = rows(30);
-    let mut stream = StreamingVarade::new(fitted(5, BackendKind::Vector), CHANNELS, None).unwrap();
-    let mut primed = Vec::new();
-    for (t, row) in data.iter().enumerate().take(14) {
-        if let Some(score) = stream.push(row).unwrap() {
-            primed.push((t, score));
-        }
-    }
-    assert!(!primed.is_empty(), "cache must be primed");
-
-    stream.set_backend(BackendKind::Scalar);
-    assert_eq!(stream.backend_kind(), BackendKind::Scalar);
-
-    // Same weights, re-routed: training ran with the vector backend selected,
-    // so the reference must carry those exact weights too, not a refit.
-    let mut reference = fitted(5, BackendKind::Vector);
-    reference.set_backend(BackendKind::Scalar);
-    for &(t, score) in &primed {
-        assert_eq!(
-            score.to_bits(),
-            full_recompute(&reference, &data, t).to_bits(),
-            "push {t}: vector columns must equal scalar ones bit for bit"
-        );
-    }
-    for (t, row) in data.iter().enumerate().skip(14) {
-        let got = stream.push(row).unwrap().expect("warm stream scores");
-        let want = full_recompute(&reference, &data, t);
-        assert_eq!(
-            got.to_bits(),
-            want.to_bits(),
-            "push {t}: cache columns from the old backend survived the re-route"
-        );
-    }
-}
-
-#[test]
 fn swap_detector_validates_and_leaves_the_stream_untouched_on_error() {
     let data = rows(16);
-    let mut stream = StreamingVarade::new(fitted(5, BackendKind::Scalar), CHANNELS, None).unwrap();
+    let mut stream = StreamingVarade::new(fitted(5), CHANNELS, None).unwrap();
     for row in &data[..12] {
         stream.push(row).unwrap();
     }
@@ -174,7 +128,7 @@ fn swap_detector_validates_and_leaves_the_stream_untouched_on_error() {
 
     // After all three refusals the stream still scores like the original
     // model — nothing was invalidated, nothing swapped.
-    let reference = fitted(5, BackendKind::Scalar);
+    let reference = fitted(5);
     for (t, row) in data.iter().enumerate().skip(12) {
         let got = stream.push(row).unwrap().expect("warm stream scores");
         assert_eq!(
@@ -198,7 +152,7 @@ fn sync_model_version_funnels_through_the_shared_helper() {
 
     // And on a live stream, a version change mid-serve forces a replay that
     // matches full recompute bit-for-bit (the invalidation actually bites).
-    let det = fitted(5, BackendKind::Scalar);
+    let det = fitted(5);
     let data = rows(26);
     let mut state = StreamState::new(CHANNELS, WINDOW, None).unwrap();
     state.sync_model_version(1);

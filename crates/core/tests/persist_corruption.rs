@@ -9,7 +9,7 @@
 //! checksum itself catches bit rot first.
 
 use varade::persist::{self, ModelArtifact, PersistError, FORMAT_VERSION, PRELUDE_LEN};
-use varade::{BackendKind, ThresholdCalibration, VaradeConfig, VaradeDetector};
+use varade::{ThresholdCalibration, VaradeConfig, VaradeDetector};
 use varade_detectors::AnomalyDetector;
 use varade_timeseries::{MinMaxNormalizer, MultivariateSeries};
 
@@ -29,7 +29,7 @@ fn fitted() -> VaradeDetector {
         let v = (t as f32 * 0.29).sin();
         s.push_row(&[v, -v * 0.4]).unwrap();
     }
-    let mut det = VaradeDetector::new(config).with_backend(BackendKind::Scalar);
+    let mut det = VaradeDetector::new(config);
     det.fit(&s).unwrap();
     det
 }

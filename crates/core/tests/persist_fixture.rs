@@ -1,7 +1,7 @@
 //! Checked-in fixture pinning the on-disk format.
 //!
 //! `tests/fixtures/model-v1.varade` is a small detector fitted with a pinned
-//! config on the bit-exact scalar backend, serialized once and committed.
+//! config, serialized once and committed.
 //! Re-fitting the same detector today must reproduce the file **byte for
 //! byte** — any drift in the prelude layout, header field order, tensor
 //! naming, payload encoding *or* training determinism breaks this test and
@@ -15,7 +15,7 @@
 //! ```
 
 use varade::persist::{FORMAT_VERSION, MAGIC, PRELUDE_LEN};
-use varade::{BackendKind, VaradeConfig, VaradeDetector};
+use varade::{VaradeConfig, VaradeDetector};
 use varade_detectors::AnomalyDetector;
 use varade_timeseries::MultivariateSeries;
 
@@ -24,8 +24,8 @@ fn fixture_path() -> std::path::PathBuf {
 }
 
 /// The fixture's detector, refit from scratch. Everything is pinned: config,
-/// training data, scoring rule and the scalar backend (bit-exact on every
-/// machine), so serialization is fully deterministic.
+/// training data and scoring rule, and the kernels are bit-exact on every
+/// machine, so serialization is fully deterministic.
 fn fixture_detector() -> VaradeDetector {
     let config = VaradeConfig {
         window: 8,
@@ -42,7 +42,7 @@ fn fixture_detector() -> VaradeDetector {
         let v = (t as f32 * 0.27).sin();
         s.push_row(&[v, v * -0.5]).unwrap();
     }
-    let mut det = VaradeDetector::new(config).with_backend(BackendKind::Scalar);
+    let mut det = VaradeDetector::new(config);
     det.fit(&s).unwrap();
     det
 }
@@ -81,7 +81,6 @@ fn fixture_loads_and_scores_like_a_fresh_fit() {
     let loaded = VaradeDetector::load(fixture_path()).unwrap();
     let fresh = fixture_detector();
     assert_eq!(loaded.config(), fresh.config());
-    assert_eq!(loaded.backend_kind(), BackendKind::Scalar);
     let ctx: Vec<f32> = (0..16).map(|i| (i as f32 * 0.11).cos() * 0.5).collect();
     let target = [0.1f32, -0.2];
     assert_eq!(

@@ -16,7 +16,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use varade::persist::{self, ModelArtifact, PRELUDE_LEN};
-use varade::{BackendKind, ThresholdCalibration, VaradeConfig, VaradeDetector};
+use varade::{ThresholdCalibration, VaradeConfig, VaradeDetector};
 use varade_detectors::AnomalyDetector;
 use varade_timeseries::{MinMaxNormalizer, MultivariateSeries};
 
@@ -135,7 +135,7 @@ fn bundle_bytes() -> Vec<u8> {
         let v = (t as f32 * 0.37).sin();
         s.push_row(&[v, v * 0.5 - 0.2]).unwrap();
     }
-    let mut det = VaradeDetector::new(config).with_backend(BackendKind::Scalar);
+    let mut det = VaradeDetector::new(config);
     det.fit(&s).unwrap();
     ModelArtifact::new(det)
         .with_normalizer(MinMaxNormalizer::from_ranges(&[(-1.0, 1.0), (-0.7, 0.3)]).unwrap())

@@ -1,24 +1,22 @@
 //! Save/load round-trip contract for the persistence format.
 //!
-//! Two properties pin the format, mirroring the `backend_equivalence.rs`
-//! matrix in the tensor crate:
+//! Two properties pin the format:
 //!
 //! 1. **Byte identity**: save → load → save reproduces the file byte for
-//!    byte, across window sizes {4, 8, 16, 32} × channel counts {1, 2, 3, 5}
-//!    × every kernel backend. Weights travel as raw little-endian bits and
-//!    the header serializer is deterministic, so nothing may drift.
+//!    byte, across window sizes {4, 8, 16, 32} × channel counts {1, 2, 3, 5}.
+//!    Weights travel as raw little-endian bits and the header serializer is
+//!    deterministic, so nothing may drift.
 //! 2. **Score identity**: a loaded detector scores **bit-identically** to
-//!    the original across the same matrix — same backend, same bits, every
-//!    window of a test stream.
+//!    the original across the same matrix, every window of a test stream.
 
+use varade::persist::PRELUDE_LEN;
 use varade::persist::{ModelArtifact, PersistError};
-use varade::{BackendKind, ThresholdCalibration, VaradeConfig, VaradeDetector};
+use varade::{ThresholdCalibration, VaradeConfig, VaradeDetector};
 use varade_detectors::AnomalyDetector;
 use varade_timeseries::{MinMaxNormalizer, MultivariateSeries};
 
 const WINDOWS: [usize; 4] = [4, 8, 16, 32];
 const CHANNELS: [usize; 4] = [1, 2, 3, 5];
-const BACKENDS: [BackendKind; 2] = BackendKind::ALL;
 
 fn tiny_config(window: usize) -> VaradeConfig {
     VaradeConfig {
@@ -45,10 +43,24 @@ fn wave_series(n: usize, channels: usize) -> MultivariateSeries {
     s
 }
 
-fn fitted(window: usize, channels: usize, backend: BackendKind) -> VaradeDetector {
-    let mut det = VaradeDetector::new(tiny_config(window)).with_backend(backend);
+fn fitted(window: usize, channels: usize) -> VaradeDetector {
+    let mut det = VaradeDetector::new(tiny_config(window));
     det.fit(&wave_series(window * 4 + 60, channels)).unwrap();
     det
+}
+
+/// `bytes` with the header's backend label rewritten to `label`, a
+/// six-letter label so no length or offset moves (the header has no CRC).
+fn with_backend_label(bytes: &[u8], label: &str) -> Vec<u8> {
+    let from = br#""backend":"scalar""#;
+    let pos = bytes[PRELUDE_LEN..]
+        .windows(from.len())
+        .position(|w| w == from)
+        .expect("the header names its backend")
+        + PRELUDE_LEN;
+    let mut out = bytes.to_vec();
+    out[pos..pos + from.len()].copy_from_slice(format!(r#""backend":"{label}""#).as_bytes());
+    out
 }
 
 /// Channel-major context windows + targets covering a few positions of a
@@ -75,16 +87,14 @@ fn score_jobs(
 fn save_load_save_is_byte_identical_across_the_matrix() {
     for &window in &WINDOWS {
         for &channels in &CHANNELS {
-            for &backend in &BACKENDS {
-                let det = fitted(window, channels, backend);
-                let first = det.to_persist_bytes().unwrap();
-                let loaded = ModelArtifact::from_bytes(&first).unwrap();
-                let second = loaded.to_bytes().unwrap();
-                assert_eq!(
-                    first, second,
-                    "w={window} c={channels} {backend:?}: round-trip changed the bytes"
-                );
-            }
+            let det = fitted(window, channels);
+            let first = det.to_persist_bytes().unwrap();
+            let loaded = ModelArtifact::from_bytes(&first).unwrap();
+            let second = loaded.to_bytes().unwrap();
+            assert_eq!(
+                first, second,
+                "w={window} c={channels}: round-trip changed the bytes"
+            );
         }
     }
 }
@@ -93,25 +103,22 @@ fn save_load_save_is_byte_identical_across_the_matrix() {
 fn loaded_detectors_score_bit_identically_across_the_matrix() {
     for &window in &WINDOWS {
         for &channels in &CHANNELS {
-            for &backend in &BACKENDS {
-                let det = fitted(window, channels, backend);
-                let loaded = ModelArtifact::from_bytes(&det.to_persist_bytes().unwrap())
-                    .unwrap()
-                    .detector;
-                assert_eq!(loaded.backend_kind(), backend);
-                assert_eq!(loaded.n_channels(), Some(channels));
-                assert_eq!(loaded.scoring_rule(), det.scoring_rule());
-                assert_eq!(loaded.config(), det.config());
-                let test = wave_series(window * 2 + 20, channels);
-                for (i, (ctx, target)) in score_jobs(&test, window, channels).iter().enumerate() {
-                    let original = det.score_window(ctx, target).unwrap();
-                    let reloaded = loaded.score_window(ctx, target).unwrap();
-                    assert_eq!(
-                        original.to_bits(),
-                        reloaded.to_bits(),
-                        "w={window} c={channels} {backend:?} job {i}: {original} vs {reloaded}"
-                    );
-                }
+            let det = fitted(window, channels);
+            let loaded = ModelArtifact::from_bytes(&det.to_persist_bytes().unwrap())
+                .unwrap()
+                .detector;
+            assert_eq!(loaded.n_channels(), Some(channels));
+            assert_eq!(loaded.scoring_rule(), det.scoring_rule());
+            assert_eq!(loaded.config(), det.config());
+            let test = wave_series(window * 2 + 20, channels);
+            for (i, (ctx, target)) in score_jobs(&test, window, channels).iter().enumerate() {
+                let original = det.score_window(ctx, target).unwrap();
+                let reloaded = loaded.score_window(ctx, target).unwrap();
+                assert_eq!(
+                    original.to_bits(),
+                    reloaded.to_bits(),
+                    "w={window} c={channels} job {i}: {original} vs {reloaded}"
+                );
             }
         }
     }
@@ -130,7 +137,7 @@ fn artifact_round_trips_normalizer_and_threshold() {
     };
     let normalizer = MinMaxNormalizer::fit(&raw).unwrap();
     let train = normalizer.transform(&raw).unwrap();
-    let mut det = VaradeDetector::new(tiny_config(8)).with_backend(BackendKind::Scalar);
+    let mut det = VaradeDetector::new(tiny_config(8));
     det.fit(&train).unwrap();
     let artifact = ModelArtifact::new(det)
         .with_normalizer(normalizer.clone())
@@ -171,8 +178,7 @@ fn non_finite_threshold_is_refused_on_save() {
             "threshold.best_f1",
         ),
     ] {
-        let artifact =
-            ModelArtifact::new(fitted(8, 2, BackendKind::Scalar)).with_threshold(calibration);
+        let artifact = ModelArtifact::new(fitted(8, 2)).with_threshold(calibration);
         assert_eq!(
             artifact.to_bytes(),
             Err(PersistError::NonFinite {
@@ -193,7 +199,7 @@ fn inverted_normalizer_range_is_refused_on_save() {
         "reason must name the channel: {err}"
     );
     // A constant channel (min == max) is a valid, degenerate range.
-    let constant = ModelArtifact::new(fitted(8, 2, BackendKind::Scalar))
+    let constant = ModelArtifact::new(fitted(8, 2))
         .with_normalizer(MinMaxNormalizer::from_ranges(&[(0.0, 2.0), (3.0, 3.0)]).unwrap());
     let loaded = ModelArtifact::from_bytes(&constant.to_bytes().unwrap()).unwrap();
     assert_eq!(loaded.normalizer, constant.normalizer);
@@ -204,7 +210,7 @@ fn save_and_load_round_trip_through_the_filesystem() {
     let dir = std::env::temp_dir().join(format!("varade-persist-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("roundtrip.varade");
-    let det = fitted(8, 2, BackendKind::Scalar);
+    let det = fitted(8, 2);
     det.save(&path).unwrap();
     let loaded = VaradeDetector::load(&path).unwrap();
     let test = wave_series(40, 2);
@@ -224,17 +230,21 @@ fn save_and_load_round_trip_through_the_filesystem() {
 #[test]
 fn loaded_detector_scores_streams_and_series_like_the_original() {
     // Beyond single windows: the full score_series path and the incremental
-    // streaming path both agree with the original, per backend.
-    for &backend in &BACKENDS {
-        let mut det = fitted(8, 2, backend);
-        let mut loaded = ModelArtifact::from_bytes(&det.to_persist_bytes().unwrap())
-            .unwrap()
-            .detector;
+    // streaming path both agree with the original. Files saved when a vector
+    // kernel set existed carry `"backend":"vector"` over the same weight
+    // format: they load, score the same bits and re-save as `scalar`.
+    let mut det = fitted(8, 2);
+    let saved = det.to_persist_bytes().unwrap();
+    for label in ["scalar", "vector"] {
+        let bytes = with_backend_label(&saved, label);
+        let artifact = ModelArtifact::from_bytes(&bytes).unwrap();
+        assert_eq!(artifact.to_bytes().unwrap(), saved, "{label} re-save");
+        let mut loaded = artifact.detector;
         let test = wave_series(60, 2);
         let a = det.score_series(&test).unwrap();
         let b = loaded.score_series(&test).unwrap();
         for (t, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{backend:?} series score {t}");
+            assert_eq!(x.to_bits(), y.to_bits(), "{label} series score {t}");
         }
         let mut cache_a = det.incremental_cache().unwrap();
         let mut cache_b = loaded.incremental_cache().unwrap();
@@ -245,7 +255,7 @@ fn loaded_detector_scores_streams_and_series_like_the_original() {
             let y = loaded
                 .score_window_incremental(&mut cache_b, &ctx, &target)
                 .unwrap();
-            assert_eq!(x.to_bits(), y.to_bits(), "{backend:?} incremental score");
+            assert_eq!(x.to_bits(), y.to_bits(), "{label} incremental score");
         }
     }
 }

@@ -9,17 +9,10 @@
 //! at window 64 with 86 channels (the robot schema's width, above every
 //! SIMD lane width the kernels block by) and checks `score_series` against
 //! `score_window` on the first scored window, the last one, and a stride
-//! in between:
-//!
-//! * bit for bit on the scalar backend, which keeps the same per-output
-//!   summation order on both paths;
-//! * within 1e-5 relative (`BackendKind::score_tolerance`) on the vector
-//!   backend, whose tiled full pass reassociates the sums.
-//!
-//! The backend is the process default (`VARADE_BACKEND`), so each CI lane
-//! checks its own kernels; CI also runs the suite under release codegen.
+//! in between, bit for bit: both paths keep the same per-output summation
+//! order. CI also runs the suite under release codegen.
 
-use varade::{BackendKind, ScoringRule, VaradeConfig, VaradeDetector};
+use varade::{ScoringRule, VaradeConfig, VaradeDetector};
 use varade_detectors::AnomalyDetector;
 use varade_timeseries::MultivariateSeries;
 
@@ -63,7 +56,6 @@ fn context(s: &MultivariateSeries, t: usize) -> Vec<f32> {
 fn check(scoring: ScoringRule) {
     let mut det = VaradeDetector::with_scoring(config(), scoring);
     det.fit(&series(WINDOW + 120, 0.0)).unwrap();
-    let backend = det.backend_kind();
     let test = series(WINDOW + 160, 1.3);
     let scores = det.score_series(&test).unwrap();
     assert_eq!(scores.len(), test.len());
@@ -75,18 +67,11 @@ fn check(scoring: ScoringRule) {
         let oracle = det.score_window(&context(&test, t), test.row(t)).unwrap();
         let got = scores[t];
         assert!(got.is_finite(), "{scoring} t={t}: non-finite score {got}");
-        if backend == BackendKind::Vector {
-            assert!(
-                (got - oracle).abs() <= 1e-5 * oracle.abs().max(1.0),
-                "{scoring} t={t}: score_series {got} vs score_window {oracle}"
-            );
-        } else {
-            assert_eq!(
-                got.to_bits(),
-                oracle.to_bits(),
-                "{scoring} t={t} on {backend:?}: score_series {got} vs score_window {oracle}"
-            );
-        }
+        assert_eq!(
+            got.to_bits(),
+            oracle.to_bits(),
+            "{scoring} t={t}: score_series {got} vs score_window {oracle}"
+        );
     }
 }
 

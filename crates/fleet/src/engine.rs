@@ -281,8 +281,8 @@ impl Fleet {
     /// [`FleetError::NotFitted`] for an unfitted replacement, and
     /// [`FleetError::InvalidConfig`] if the replacement's window or channel
     /// count differs from the served model's (stream buffers are sized for
-    /// them; everything else — weights, feature-map widths, scoring rule,
-    /// backend — may change).
+    /// them; everything else — weights, feature-map widths and scoring rule
+    /// — may change).
     pub fn publish_model(
         &self,
         group: ModelGroupId,
@@ -398,19 +398,6 @@ impl Fleet {
         state.sync_model_version(version);
         self.states.push(state);
         Ok(id)
-    }
-
-    /// The kernel backend a model group's *currently served* detector scores
-    /// with (see [`varade::BackendKind`]). Each published detector carries
-    /// its own backend choice, so this may change across
-    /// [`Fleet::publish_model`] calls. Lets an operator confirm which
-    /// backend a fleet node serves on.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::UnknownId`] for a foreign [`ModelGroupId`].
-    pub fn model_backend(&self, group: ModelGroupId) -> Result<varade::BackendKind, FleetError> {
-        Ok(self.slot(group)?.load().0.backend_kind())
     }
 
     /// Number of registered streams.

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use varade::{BackendKind, StreamingVarade, VaradeConfig, VaradeDetector};
+use varade::{StreamingVarade, VaradeConfig, VaradeDetector};
 use varade_fleet::{Fleet, FleetConfig, FleetError, OverloadPolicy};
 use varade_timeseries::{MinMaxNormalizer, MultivariateSeries};
 
@@ -52,10 +52,10 @@ fn reference_scores(detector: VaradeDetector, test: &MultivariateSeries) -> Vec<
 
 /// Golden scores of the pre-backend-refactor crate (PR 3 state), captured as
 /// raw `f32` bits: the detector below, trained and streamed exactly like
-/// `reference_scores` does, produced these 32 scores. `ScalarBackend` commits
-/// to reproducing them **bit for bit** — if this test fails, a change
-/// reassociated or otherwise altered the scalar reference kernels, which
-/// silently invalidates every calibrated threshold downstream.
+/// `reference_scores` does, produced these 32 scores. The kernels commit to
+/// reproducing them **bit for bit** — if this test fails, a change
+/// reassociated or otherwise altered the scalar kernels, which silently
+/// invalidates every calibrated threshold downstream.
 const GOLDEN_SCALAR_BITS: [u32; 32] = [
     1065462350, 1065474405, 1065247046, 1064302227, 1062580342, 1061311242, 1059940651, 1059245890,
     1058609120, 1058439876, 1058492148, 1058834112, 1059339609, 1059316586, 1060658719, 1063069786,
@@ -65,80 +65,12 @@ const GOLDEN_SCALAR_BITS: [u32; 32] = [
 
 #[test]
 fn scalar_backend_reproduces_the_pre_refactor_golden_scores_bit_for_bit() {
-    // Explicitly pinned to the scalar backend so the test holds under any
-    // `VARADE_BACKEND` the CI matrix runs the suite with.
-    let mut det = VaradeDetector::new(tiny_config()).with_backend(BackendKind::Scalar);
+    let mut det = VaradeDetector::new(tiny_config());
     det.fit_with_report(&wave_series(200, 0.0)).unwrap();
     let test = wave_series(40, 1.0);
     let scores = reference_scores(det, &test);
     let bits: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
     assert_eq!(bits, GOLDEN_SCALAR_BITS);
-}
-
-#[test]
-fn vector_backend_scores_match_the_scalar_reference_within_tolerance() {
-    // Same fitted weights, scored on both backends: training runs once on
-    // the scalar backend (so the weights are the golden ones), then the
-    // fitted detector is re-routed. End-to-end deviation must stay within
-    // the 1e-5 kernel contract.
-    let mut det = VaradeDetector::new(tiny_config()).with_backend(BackendKind::Scalar);
-    det.fit_with_report(&wave_series(200, 0.0)).unwrap();
-    let test = wave_series(40, 1.0);
-
-    det.set_backend(BackendKind::Vector);
-    assert_eq!(det.backend_kind(), BackendKind::Vector);
-    let vector_scores = reference_scores(det, &test);
-    assert_eq!(vector_scores.len(), GOLDEN_SCALAR_BITS.len());
-    for (t, (&v, &bits)) in vector_scores.iter().zip(&GOLDEN_SCALAR_BITS).enumerate() {
-        let s = f32::from_bits(bits);
-        assert!(
-            (v - s).abs() <= 1e-5 * s.abs().max(1.0),
-            "score {t}: vector {v} vs scalar {s}"
-        );
-    }
-}
-
-#[test]
-fn fleet_bit_identity_holds_on_the_vector_backend_too() {
-    // The fleet's transparency contract is per backend: fleet vector
-    // scoring must equal single-stream vector scoring bit for bit (both
-    // run the same incremental push path).
-    let mut det = VaradeDetector::new(tiny_config()).with_backend(BackendKind::Scalar);
-    det.fit_with_report(&wave_series(200, 0.0)).unwrap();
-    det.set_backend(BackendKind::Vector);
-    let mut reference = VaradeDetector::new(tiny_config()).with_backend(BackendKind::Scalar);
-    reference.fit_with_report(&wave_series(200, 0.0)).unwrap();
-    reference.set_backend(BackendKind::Vector);
-
-    let test = wave_series(60, 1.0);
-    let expected = reference_scores(reference, &test);
-
-    let mut fleet = Fleet::new(FleetConfig {
-        n_shards: 1,
-        overload: OverloadPolicy::Block,
-        ..FleetConfig::default()
-    })
-    .unwrap();
-    let group = fleet.register_model(Arc::new(det)).unwrap();
-    assert_eq!(fleet.model_backend(group).unwrap(), BackendKind::Vector);
-    let stream = fleet.register_stream(group, None).unwrap();
-    let (_, outcome) = fleet
-        .run(|handle| {
-            for t in 0..test.len() {
-                handle.push(stream, test.row(t))?;
-            }
-            Ok(())
-        })
-        .unwrap();
-    let fleet_scores = &outcome.scores[stream.index()];
-    assert_eq!(fleet_scores.len(), expected.len());
-    for (t, (a, b)) in fleet_scores.iter().zip(&expected).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "vector-backend score {t} differs: fleet {a} vs streaming {b}"
-        );
-    }
 }
 
 #[test]

@@ -1,8 +1,6 @@
 //! Zero-downtime hot-swap contract of the fleet engine.
 //!
-//! Four properties pin the publish/rollback path, each on the bit-exact
-//! scalar backend pinned explicitly (so the battery is deterministic under
-//! every CI backend lane):
+//! Four properties pin the publish/rollback path, each bit-exact:
 //!
 //! 1. Publishing a **bit-identical** model (a persistence round-trip clone)
 //!    mid-serve changes no score, drops no push.
@@ -16,7 +14,7 @@
 use std::sync::Arc;
 
 use varade::persist::ModelArtifact;
-use varade::{BackendKind, VaradeConfig, VaradeDetector};
+use varade::{VaradeConfig, VaradeDetector};
 use varade_detectors::AnomalyDetector;
 use varade_fleet::{Fleet, FleetConfig, FleetError};
 use varade_timeseries::MultivariateSeries;
@@ -40,7 +38,7 @@ fn fitted(seed: u64) -> VaradeDetector {
         let v = (t as f32 * 0.29 + seed as f32).sin();
         s.push_row(&[v, -v * 0.4]).unwrap();
     }
-    let mut det = VaradeDetector::new(config).with_backend(BackendKind::Scalar);
+    let mut det = VaradeDetector::new(config);
     det.fit(&s).unwrap();
     det
 }
@@ -65,8 +63,8 @@ fn rows(n: usize) -> Vec<Vec<f32>> {
 
 /// What `det` scores for pushes `from..to` of `rows` (pushes below `WINDOW`
 /// never score): the channel-major context window ending at each push, per
-/// the engine's admission contract. On the scalar backend the fleet's
-/// incremental path, cache replays included, matches it bit for bit.
+/// the engine's admission contract. The fleet's incremental path, cache
+/// replays included, matches it bit for bit.
 fn expected_scores(det: &VaradeDetector, rows: &[Vec<f32>], from: usize, to: usize) -> Vec<f32> {
     (from.max(WINDOW)..to)
         .map(|t| {

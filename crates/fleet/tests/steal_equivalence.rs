@@ -8,14 +8,11 @@
 //! ownership compare-exchange — so the fleet total equals the per-shard sum,
 //! is positive when stealing demonstrably happened, and is exactly zero when
 //! stealing is disabled or impossible (one shard).
-//!
-//! Like the hot-swap battery, everything runs on the bit-exact scalar
-//! backend pinned per fleet, so assertions hold under every CI backend lane.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use varade::{BackendKind, VaradeConfig, VaradeDetector};
+use varade::{VaradeConfig, VaradeDetector};
 use varade_detectors::AnomalyDetector;
 use varade_fleet::{Fleet, FleetConfig, FleetOutcome, StreamId};
 use varade_timeseries::MultivariateSeries;
@@ -38,8 +35,7 @@ fn fitted() -> Arc<VaradeDetector> {
         learning_rate: 2e-3,
         max_train_windows: 48,
         ..VaradeConfig::default()
-    })
-    .with_backend(BackendKind::Scalar);
+    });
     det.fit(&s).unwrap();
     Arc::new(det)
 }

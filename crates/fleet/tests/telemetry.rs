@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use varade::{BackendKind, VaradeConfig, VaradeDetector};
+use varade::{VaradeConfig, VaradeDetector};
 use varade_fleet::{Fleet, FleetConfig, OverloadPolicy, TelemetryConfig, TelemetrySnapshot};
 use varade_obs::Stage;
 use varade_timeseries::MultivariateSeries;
@@ -40,7 +40,7 @@ fn fitted() -> Arc<VaradeDetector> {
         let v = (t as f32 * 0.29).sin();
         s.push_row(&[v, -v * 0.4]).unwrap();
     }
-    let mut det = VaradeDetector::new(config).with_backend(BackendKind::Scalar);
+    let mut det = VaradeDetector::new(config);
     det.fit_with_report(&s).unwrap();
     Arc::new(det)
 }

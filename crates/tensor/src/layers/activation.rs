@@ -1,11 +1,6 @@
 //! Element-wise activation layers.
-//!
-//! The element-wise kernels cannot reassociate floating-point operations, so
-//! every [`BackendKind`] produces bit-identical activations — switching
-//! backends on a fitted model only changes convolution/linear/reduction
-//! results.
 
-use crate::backend::BackendKind;
+use crate::kernels;
 use crate::layers::incremental::{cache_mismatch, CacheNode, IncrementalCache, StreamStep};
 use crate::profile::{ComputeProfile, ExecutionUnit};
 use crate::{Layer, Tensor, TensorError};
@@ -27,7 +22,6 @@ use crate::{Layer, Tensor, TensorError};
 #[derive(Debug, Clone)]
 pub struct Relu {
     mask: Option<Vec<bool>>,
-    backend: BackendKind,
 }
 
 impl Default for Relu {
@@ -39,17 +33,12 @@ impl Default for Relu {
 impl Relu {
     /// Creates a new ReLU activation.
     pub fn new() -> Self {
-        Self {
-            mask: None,
-            backend: BackendKind::active(),
-        }
+        Self { mask: None }
     }
 
     fn apply(&self, input: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(input.shape());
-        self.backend
-            .backend()
-            .relu(input.as_slice(), out.as_mut_slice());
+        kernels::relu(input.as_slice(), out.as_mut_slice());
         out
     }
 }
@@ -83,7 +72,7 @@ impl Layer for Relu {
         }
         // Whatever flows past keeps its step kind and phase stream. The step
         // owns its values, so rectify them in place: the same `max(0, x)`
-        // every backend's `relu` kernel computes, without an allocation.
+        // `kernels::relu` computes, without an allocation.
         let relu = |mut values: Vec<f32>| {
             for v in &mut values {
                 *v = if *v > 0.0 { *v } else { 0.0 };
@@ -139,17 +128,12 @@ impl Layer for Relu {
     fn name(&self) -> &'static str {
         "relu"
     }
-
-    fn set_backend(&mut self, kind: BackendKind) {
-        self.backend = kind;
-    }
 }
 
 /// Hyperbolic tangent activation applied element-wise to any shape.
 #[derive(Debug, Clone)]
 pub struct Tanh {
     output: Option<Tensor>,
-    backend: BackendKind,
 }
 
 impl Default for Tanh {
@@ -161,17 +145,12 @@ impl Default for Tanh {
 impl Tanh {
     /// Creates a new tanh activation.
     pub fn new() -> Self {
-        Self {
-            output: None,
-            backend: BackendKind::active(),
-        }
+        Self { output: None }
     }
 
     fn apply(&self, input: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(input.shape());
-        self.backend
-            .backend()
-            .tanh(input.as_slice(), out.as_mut_slice());
+        kernels::tanh(input.as_slice(), out.as_mut_slice());
         out
     }
 }
@@ -214,10 +193,6 @@ impl Layer for Tanh {
 
     fn name(&self) -> &'static str {
         "tanh"
-    }
-
-    fn set_backend(&mut self, kind: BackendKind) {
-        self.backend = kind;
     }
 }
 

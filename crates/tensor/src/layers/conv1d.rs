@@ -2,8 +2,8 @@
 
 use rand::rngs::StdRng;
 
-use crate::backend::BackendKind;
 use crate::init::Init;
+use crate::kernels;
 use crate::layers::incremental::{
     self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, PackedColumns, StreamStep,
 };
@@ -43,7 +43,6 @@ pub struct Conv1d {
     weight_grad: Tensor,
     bias_grad: Tensor,
     cached_padded_input: Option<Tensor>,
-    backend: BackendKind,
     /// `weight` packed `[in, 2, out]` for the incremental column kernel,
     /// built on the first column and dropped whenever the weights can move.
     columns: PackedColumns,
@@ -90,20 +89,8 @@ impl Conv1d {
             weight_grad: Tensor::zeros(&[out_channels, in_channels, kernel_size]),
             bias_grad: Tensor::zeros(&[out_channels]),
             cached_padded_input: None,
-            backend: BackendKind::active(),
             columns: PackedColumns::default(),
         }
-    }
-
-    /// Replaces the kernel backend (builder form of [`Layer::set_backend`]).
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.set_backend(kind);
-        self
-    }
-
-    /// The kernel backend this layer dispatches to.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
     }
 
     /// Number of input channels.
@@ -184,12 +171,11 @@ impl Conv1d {
 
     /// The convolution itself, over an already padded input. Shared by the
     /// training forward (which caches `padded` afterwards) and the generic
-    /// inference path; the inner loops live in the selected
-    /// [`Backend`](crate::backend::Backend).
+    /// inference path; the inner loops are [`kernels::conv1d`].
     fn compute(&self, padded: &Tensor, batch: usize, out_len: usize) -> Tensor {
         let padded_len = padded.shape()[2];
         let mut out = Tensor::zeros(&[batch, self.out_channels, out_len]);
-        self.backend.backend().conv1d(
+        kernels::conv1d(
             padded.as_slice(),
             self.weight.as_slice(),
             self.bias.as_slice(),
@@ -207,16 +193,15 @@ impl Conv1d {
 
     /// Specialized inference kernel for the `kernel 2 / stride 2 / padding 0`
     /// convolutions of the VARADE backbone (paper §3.1). Instead of walking
-    /// every output element through two-element sub-slices, the backend
-    /// kernels stream each input-channel row once per feature map with the
-    /// time loop innermost over contiguous output memory — the same FLOPs,
-    /// but bounds checks and loop overhead amortize over the row, which
-    /// roughly halves the cost of the backbone on the streaming path (and
-    /// gives the vector backend a register-resident accumulator tile).
+    /// every output element through two-element sub-slices,
+    /// [`kernels::conv1d_k2s2`] streams each input-channel row once per
+    /// feature map with the time loop innermost over contiguous output memory
+    /// — the same FLOPs, but bounds checks and loop overhead amortize over the
+    /// row, which roughly halves the cost of the full-window pass.
     fn compute_k2s2(&self, input: &Tensor, batch: usize, out_len: usize) -> Tensor {
         let t = input.shape()[2];
         let mut out = Tensor::zeros(&[batch, self.out_channels, out_len]);
-        self.backend.backend().conv1d_k2s2(
+        kernels::conv1d_k2s2(
             input.as_slice(),
             self.weight.as_slice(),
             self.bias.as_slice(),
@@ -434,11 +419,6 @@ impl Layer for Conv1d {
 
     fn name(&self) -> &'static str {
         "conv1d"
-    }
-
-    fn set_backend(&mut self, kind: BackendKind) {
-        self.backend = kind;
-        self.columns.clear();
     }
 }
 

@@ -50,18 +50,16 @@
 //! The packing belongs to the layer, so a fitted model behind an `Arc` holds
 //! one copy however many streams it serves. It is built on the first column
 //! and dropped by every `&mut` path that can move the weights (training
-//! `forward`, `visit_params`, `visit_tensors_mut`, `set_backend`), so it
-//! never outlives the weights it was packed from.
+//! `forward`, `visit_params`, `visit_tensors_mut`), so it never outlives
+//! the weights it was packed from.
 //!
 //! Each output lane starts from its bias and adds the inputs in input
 //! order, `o += w0·a + w1·b` per input channel for the convolution and
 //! `o += x·w` per feature for the head. That is exactly the per-output
-//! association of the scalar backend's `conv1d_k2s2` and `linear` kernels —
-//! only the loop nest is interchanged, and lanes never combine — so the
-//! scalar backend's incremental columns are **bit-identical** to its full
-//! [`crate::Layer::forward_infer`] pass. The vector backend runs the same
-//! column kernels, so its columns equal the scalar ones bit for bit and stay
-//! within the usual 1e-5 association tolerance of its own tiled full pass.
+//! association of [`crate::kernels::conv1d_k2s2`] and
+//! [`crate::kernels::linear`] — only the loop nest is interchanged, and lanes
+//! never combine — so the incremental columns are **bit-identical** to the
+//! full [`crate::Layer::forward_infer`] pass.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -174,8 +172,8 @@ impl IncrementalCache {
     /// Forgets every buffered column and phase state, returning the cache to
     /// its freshly planned condition (the layer topology it was planned for
     /// is kept). Used to invalidate a cache after anything that changes what
-    /// the stream's history would have produced — a backend re-route, a
-    /// stream reset — before re-priming from scratch.
+    /// the stream's history would have produced — a model swap, a stream
+    /// reset — before re-priming from scratch.
     pub fn clear(&mut self) {
         match &mut self.node {
             CacheNode::ConvK2S2(c) => c.streams.clear(),

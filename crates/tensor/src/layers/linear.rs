@@ -2,8 +2,8 @@
 
 use rand::rngs::StdRng;
 
-use crate::backend::BackendKind;
 use crate::init::Init;
+use crate::kernels;
 use crate::layers::incremental::{
     self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, PackedColumns, StreamStep,
 };
@@ -36,7 +36,6 @@ pub struct Linear {
     weight_grad: Tensor,
     bias_grad: Tensor,
     cached_input: Option<Tensor>,
-    backend: BackendKind,
     /// `weight` packed `[in, out]` for the incremental column kernel, built
     /// on the first column and dropped whenever the weights can move.
     columns: PackedColumns,
@@ -59,20 +58,8 @@ impl Linear {
             weight_grad: Tensor::zeros(&[out_features, in_features]),
             bias_grad: Tensor::zeros(&[out_features]),
             cached_input: None,
-            backend: BackendKind::active(),
             columns: PackedColumns::default(),
         }
-    }
-
-    /// Replaces the kernel backend (builder form of [`Layer::set_backend`]).
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.set_backend(kind);
-        self
-    }
-
-    /// The kernel backend this layer dispatches to.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
     }
 
     /// Number of input features.
@@ -110,12 +97,12 @@ impl Linear {
     }
 
     /// The affine map itself; shared by the training forward (which caches
-    /// the input afterwards) and the inference path. The inner loops live in
-    /// the selected [`Backend`](crate::backend::Backend).
+    /// the input afterwards) and the inference path. The inner loops are
+    /// [`kernels::linear`].
     fn compute(&self, input: &Tensor) -> Tensor {
         let batch = input.shape()[0];
         let mut out = Tensor::zeros(&[batch, self.out_features]);
-        self.backend.backend().linear(
+        kernels::linear(
             input.as_slice(),
             self.weight.as_slice(),
             self.bias.as_slice(),
@@ -261,11 +248,6 @@ impl Layer for Linear {
 
     fn name(&self) -> &'static str {
         "linear"
-    }
-
-    fn set_backend(&mut self, kind: BackendKind) {
-        self.backend = kind;
-        self.columns.clear();
     }
 }
 

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 
-use crate::backend::BackendKind;
 use crate::layers::{Conv1d, Relu};
 use crate::profile::ComputeProfile;
 use crate::{Layer, Tensor, TensorError};
@@ -147,16 +146,6 @@ impl Layer for ResidualConvBlock {
 
     fn name(&self) -> &'static str {
         "residual_conv_block"
-    }
-
-    fn set_backend(&mut self, kind: BackendKind) {
-        self.conv1.set_backend(kind);
-        self.relu1.set_backend(kind);
-        self.conv2.set_backend(kind);
-        if let Some(proj) = &mut self.projection {
-            proj.set_backend(kind);
-        }
-        self.relu_out.set_backend(kind);
     }
 }
 

@@ -1,6 +1,5 @@
 //! Sequential container chaining layers.
 
-use crate::backend::BackendKind;
 use crate::layers::incremental::{cache_mismatch, CacheNode, IncrementalCache, StreamStep};
 use crate::profile::ComputeProfile;
 use crate::{Layer, Tensor, TensorError};
@@ -187,12 +186,6 @@ impl Layer for Sequential {
 
     fn name(&self) -> &'static str {
         "sequential"
-    }
-
-    fn set_backend(&mut self, kind: BackendKind) {
-        for layer in &mut self.layers {
-            layer.set_backend(kind);
-        }
     }
 }
 

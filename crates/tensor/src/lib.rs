@@ -7,10 +7,8 @@
 //! Gaussian negative-log-likelihood and KL-divergence losses, and the Adam
 //! optimizer — with hand-written forward and backward passes.
 //!
-//! The compute-heavy inner loops are pluggable: see [`backend`] for the
-//! [`Backend`] trait, its bit-exact scalar reference and its vectorized
-//! implementation, and how `VARADE_BACKEND` / [`BackendKind`] select between
-//! them at runtime.
+//! The compute-heavy inner loops are the scalar [`kernels`], called directly
+//! by the layers, the optimizers and [`Tensor`].
 //!
 //! Every layer also reports a [`profile::ComputeProfile`] describing its
 //! per-inference cost (FLOPs, parameter bytes, activation bytes, parallel
@@ -47,10 +45,9 @@
 //! # }
 //! ```
 #![forbid(unsafe_code)]
-#![cfg_attr(feature = "nightly-simd", feature(portable_simd))]
 
-pub mod backend;
 pub mod init;
+pub mod kernels;
 pub mod layers;
 pub mod loss;
 pub mod numerics;
@@ -60,7 +57,7 @@ mod tensor;
 
 use std::fmt;
 
-pub use backend::{Backend, BackendKind, ScalarBackend, VectorBackend};
+pub use kernels::BackendKind;
 pub use profile::{ComputeProfile, ExecutionUnit};
 pub use tensor::Tensor;
 
@@ -258,12 +255,8 @@ pub trait Layer: Send + Sync {
     /// Short human-readable layer name used in model summaries.
     fn name(&self) -> &'static str;
 
-    /// Selects the kernel [`backend`] this layer's compute-heavy paths
-    /// dispatch to. Containers propagate the call to their children; layers
-    /// without extracted kernels (e.g. the LSTM, pure shape ops) ignore it —
-    /// the default implementation is a no-op.
-    ///
-    /// [`backend`]: crate::backend
+    /// A no-op: every layer runs the one set of [`kernels`]. It stays until
+    /// ROADMAP item 6(c)'s benchmark-tagged change removes perfbench's call.
     fn set_backend(&mut self, kind: BackendKind) {
         let _ = kind;
     }

@@ -1,13 +1,8 @@
 //! Gradient-descent optimizers.
 //!
-//! The per-parameter update loops are extracted into the kernel
-//! [`backend`](crate::backend): both optimizers capture a
-//! [`BackendKind`] at construction (the process default unless overridden
-//! with `with_backend`) and dispatch their axpy/Adam inner loops through it.
-//! The update kernels are element-wise and therefore bit-identical across
-//! backends; only the gradient-norm reduction used by clipping reassociates.
+//! The per-parameter update loops are the axpy and Adam [`kernels`].
 
-use crate::backend::BackendKind;
+use crate::kernels;
 use crate::{Layer, Tensor};
 
 /// Plain stochastic gradient descent with an optional gradient-norm clip.
@@ -15,7 +10,6 @@ use crate::{Layer, Tensor};
 pub struct Sgd {
     learning_rate: f32,
     clip_norm: Option<f32>,
-    backend: BackendKind,
 }
 
 impl Sgd {
@@ -24,19 +18,12 @@ impl Sgd {
         Self {
             learning_rate,
             clip_norm: None,
-            backend: BackendKind::active(),
         }
     }
 
     /// Enables global gradient-norm clipping.
     pub fn with_clip_norm(mut self, clip_norm: f32) -> Self {
         self.clip_norm = Some(clip_norm);
-        self
-    }
-
-    /// Selects the kernel backend for the update loops.
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
         self
     }
 
@@ -47,14 +34,13 @@ impl Sgd {
 
     /// Applies one update step to every parameter of `model`.
     pub fn step(&mut self, model: &mut dyn Layer) {
-        let backend = self.backend.backend();
-        let scale = clip_scale(model, self.clip_norm, self.backend);
+        let scale = clip_scale(model, self.clip_norm);
         let lr = self.learning_rate;
         model.visit_params(&mut |param, grad| {
             // p -= lr·scale·g, as y += alpha·x with alpha = -(lr·scale):
             // negating a product is exact, so this matches the historical
             // subtraction loop bit for bit.
-            backend.axpy(-(lr * scale), grad.as_slice(), param.as_mut_slice());
+            kernels::axpy(-(lr * scale), grad.as_slice(), param.as_mut_slice());
         });
     }
 }
@@ -74,7 +60,6 @@ pub struct Adam {
     clip_norm: Option<f32>,
     step_count: u64,
     moments: Vec<(Tensor, Tensor)>,
-    backend: BackendKind,
 }
 
 impl Adam {
@@ -88,19 +73,12 @@ impl Adam {
             clip_norm: None,
             step_count: 0,
             moments: Vec::new(),
-            backend: BackendKind::active(),
         }
     }
 
     /// Enables global gradient-norm clipping.
     pub fn with_clip_norm(mut self, clip_norm: f32) -> Self {
         self.clip_norm = Some(clip_norm);
-        self
-    }
-
-    /// Selects the kernel backend for the update loops.
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
         self
     }
 
@@ -116,8 +94,7 @@ impl Adam {
 
     /// Applies one Adam update to every parameter of `model`.
     pub fn step(&mut self, model: &mut dyn Layer) {
-        let backend = self.backend.backend();
-        let scale = clip_scale(model, self.clip_norm, self.backend);
+        let scale = clip_scale(model, self.clip_norm);
         self.step_count += 1;
         let t = self.step_count as f32;
         let bias1 = 1.0 - self.beta1.powf(t);
@@ -131,7 +108,7 @@ impl Adam {
             }
             let (m, v) = &mut moments[index];
             debug_assert_eq!(m.shape(), param.shape(), "optimizer state shape drift");
-            backend.adam_update(
+            kernels::adam_update(
                 param.as_mut_slice(),
                 grad.as_slice(),
                 m.as_mut_slice(),
@@ -150,13 +127,12 @@ impl Adam {
 }
 
 /// Computes the scale factor implementing global gradient-norm clipping.
-fn clip_scale(model: &mut dyn Layer, clip_norm: Option<f32>, backend: BackendKind) -> f32 {
+fn clip_scale(model: &mut dyn Layer, clip_norm: Option<f32>) -> f32 {
     let Some(max_norm) = clip_norm else {
         return 1.0;
     };
-    let backend = backend.backend();
     let mut total = 0.0f32;
-    model.visit_params(&mut |_, grad| total += backend.norm_sq(grad.as_slice()));
+    model.visit_params(&mut |_, grad| total += kernels::norm_sq(grad.as_slice()));
     let norm = total.sqrt();
     if norm > max_norm && norm > 0.0 {
         max_norm / norm

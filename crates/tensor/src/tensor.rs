@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::backend::BackendKind;
+use crate::kernels;
 use crate::TensorError;
 
 /// A dense, row-major, dynamically shaped tensor of `f32` values.
@@ -286,17 +286,13 @@ impl Tensor {
                 got: other.shape.clone(),
             });
         }
-        BackendKind::active()
-            .backend()
-            .axpy(alpha, &other.data, &mut self.data);
+        kernels::axpy(alpha, &other.data, &mut self.data);
         Ok(())
     }
 
-    /// Sum of all elements, computed by the process-default
-    /// [`backend`](crate::backend) (the vector backend reassociates the
-    /// reduction).
+    /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        BackendKind::active().backend().sum(&self.data)
+        kernels::sum(&self.data)
     }
 
     /// Arithmetic mean of all elements; zero for an empty tensor.
@@ -318,10 +314,9 @@ impl Tensor {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// Squared Euclidean norm of the flattened tensor, computed by the
-    /// process-default [`backend`](crate::backend).
+    /// Squared Euclidean norm of the flattened tensor.
     pub fn norm_sq(&self) -> f32 {
-        BackendKind::active().backend().norm_sq(&self.data)
+        kernels::norm_sq(&self.data)
     }
 
     /// Euclidean norm of the flattened tensor.
@@ -341,8 +336,7 @@ impl Tensor {
         }
     }
 
-    /// Matrix multiplication of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`,
-    /// computed by the process-default [`backend`](crate::backend).
+    /// Matrix multiplication of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
     /// # Errors
     ///
@@ -358,9 +352,7 @@ impl Tensor {
         let (m, k) = (self.shape[0], self.shape[1]);
         let n = other.shape[1];
         let mut out = vec![0.0f32; m * n];
-        BackendKind::active()
-            .backend()
-            .matmul(&self.data, &other.data, &mut out, m, k, n);
+        kernels::matmul(&self.data, &other.data, &mut out, m, k, n);
         Ok(Self {
             data: out,
             shape: vec![m, n],

@@ -1,9 +1,8 @@
 //! Property tests of the incremental streaming path: for every sliding
 //! window of a stream, the parity-phased incremental pipeline must emit the
 //! same head output as a full [`Layer::forward_infer`] recompute of that
-//! window — bit-identical on the scalar backend (the same per-output
-//! association as its full-pass kernels), within 1e-5 relative deviation on
-//! the vector backend.
+//! window — bit-identical, because the column kernels keep the same
+//! per-output association as the full-pass kernels.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -12,17 +11,12 @@ use varade_tensor::layers::{
     Conv1d, Flatten, Linear, Relu, ResidualConvBlock, Sequential, StreamStep,
 };
 use varade_tensor::optim::Sgd;
-use varade_tensor::{BackendKind, Layer, Tensor};
+use varade_tensor::{Layer, Tensor};
 
 /// Builds a VARADE-shaped backbone for `channels` input channels and a
 /// power-of-two `window`: k2/s2 convolutions halving the time axis to 2,
 /// ReLU between, then flatten + linear head to `2 * channels` outputs.
-fn varade_stack(
-    channels: usize,
-    window: usize,
-    base_maps: usize,
-    backend: BackendKind,
-) -> Sequential {
+fn varade_stack(channels: usize, window: usize, base_maps: usize) -> Sequential {
     let mut rng = StdRng::seed_from_u64(11 + window as u64 + channels as u64);
     let n_layers = (window.trailing_zeros() as usize).saturating_sub(1);
     let mut net = Sequential::empty();
@@ -39,7 +33,6 @@ fn varade_stack(
         2 * channels,
         &mut rng,
     )));
-    net.set_backend(backend);
     net
 }
 
@@ -50,17 +43,12 @@ fn sample(t: usize, c: usize) -> f32 {
 
 /// Feeds `total` samples through the incremental pipeline and, for every
 /// emission, compares against the full forward_infer of the same window.
-fn check_stack(channels: usize, window: usize, base_maps: usize, backend: BackendKind) {
-    check_net(
-        &varade_stack(channels, window, base_maps, backend),
-        channels,
-        window,
-        backend,
-    );
+fn check_stack(channels: usize, window: usize, base_maps: usize) {
+    check_net(&varade_stack(channels, window, base_maps), channels, window);
 }
 
 /// [`check_stack`] for an already built network.
-fn check_net(net: &Sequential, channels: usize, window: usize, backend: BackendKind) {
+fn check_net(net: &Sequential, channels: usize, window: usize) {
     let mut cache = net
         .make_incremental_cache(&[1, channels, window])
         .expect("backbone plans an incremental cache");
@@ -97,17 +85,11 @@ fn check_net(net: &Sequential, channels: usize, window: usize, backend: BackendK
         let full = net.forward_infer(&x).unwrap();
         assert_eq!(incremental.len(), full.len());
         for (i, (a, b)) in incremental.iter().zip(full.iter()).enumerate() {
-            match backend {
-                BackendKind::Scalar => assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{backend:?} bit mismatch at t={t} out={i}: {a} vs {b} (w={window}, c={channels})"
-                ),
-                BackendKind::Vector => assert!(
-                    (a - b).abs() <= 1e-5 * b.abs().max(1.0),
-                    "vector deviation at t={t} out={i}: {a} vs {b} (w={window}, c={channels})"
-                ),
-            }
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "bit mismatch at t={t} out={i}: {a} vs {b} (w={window}, c={channels})"
+            );
         }
     }
     assert_eq!(emissions, total - window + 1);
@@ -115,17 +97,15 @@ fn check_net(net: &Sequential, channels: usize, window: usize, backend: BackendK
 
 #[test]
 fn incremental_matches_full_recompute_across_windows_channels_and_backends() {
-    for &backend in &BackendKind::ALL {
-        for &window in &[4usize, 8, 16, 32, 64] {
-            for &channels in &[1usize, 2, 3, 5] {
-                check_stack(channels, window, 4, backend);
-            }
+    for &window in &[4usize, 8, 16, 32, 64] {
+        for &channels in &[1usize, 2, 3, 5] {
+            check_stack(channels, window, 4);
         }
-        // The paper's robot shape: 86 channels, window 64, 16 base feature
-        // maps and a 172-wide head. The column kernels' full blocks and
-        // remainder lanes only both run at widths like these.
-        check_stack(86, 64, 16, backend);
     }
+    // The paper's robot shape: 86 channels, window 64, 16 base feature maps
+    // and a 172-wide head. The column kernels' full blocks and remainder
+    // lanes only both run at widths like these.
+    check_stack(86, 64, 16);
 }
 
 #[test]
@@ -133,11 +113,10 @@ fn packed_column_weights_never_outlive_the_weights_they_were_packed_from() {
     // 9 channels and 16 base maps: every layer has a full 16-lane block, and
     // the 18-wide head a remainder too. Each check_net streams a window
     // through the incremental path (packing every layer) and bit-matches the
-    // scalar forward_infer of the weights as they are now.
+    // forward_infer of the weights as they are now.
     let (channels, window) = (9, 16);
-    let scalar = BackendKind::Scalar;
-    let mut net = varade_stack(channels, window, 16, scalar);
-    check_net(&net, channels, window, scalar);
+    let mut net = varade_stack(channels, window, 16);
+    check_net(&net, channels, window);
 
     // A fit: the training forward drops the packing, and the optimizer step
     // moves the weights through visit_params after it was rebuilt.
@@ -150,14 +129,14 @@ fn packed_column_weights_never_outlive_the_weights_they_were_packed_from() {
     .unwrap();
     let y = net.forward(&x).unwrap();
     net.backward(&y).unwrap();
-    check_net(&net, channels, window, scalar);
+    check_net(&net, channels, window);
     Sgd::new(0.05).step(&mut net);
-    check_net(&net, channels, window, scalar);
+    check_net(&net, channels, window);
 
     // visit_tensors_mut, the way a persisted model loads or perfbench's
     // mirror copies weights in: overwrite with another network's tensors.
     let donor = {
-        let mut d = varade_stack(channels, window, 16, scalar);
+        let mut d = varade_stack(channels, window, 16);
         d.visit_tensors_mut("net", &mut |_, t| *t = t.scale(-0.75));
         d
     };
@@ -165,13 +144,7 @@ fn packed_column_weights_never_outlive_the_weights_they_were_packed_from() {
     donor.visit_tensors("net", &mut |_, t| donated.push(t.clone()));
     let mut next = donated.into_iter();
     net.visit_tensors_mut("net", &mut |_, t| *t = next.next().unwrap());
-    check_net(&net, channels, window, scalar);
-
-    // A vector -> scalar round trip re-derives everything from the f32 weights.
-    net.set_backend(BackendKind::Vector);
-    check_net(&net, channels, window, BackendKind::Vector);
-    net.set_backend(scalar);
-    check_net(&net, channels, window, scalar);
+    check_net(&net, channels, window);
 }
 
 /// Asserts one k2/s2 column of `conv` over the pair `(a, b)` bit-matches
@@ -224,8 +197,8 @@ fn assert_linear_column_exact(head: &Linear, x: &[f32]) {
 fn a_clone_keeps_its_packing_consistent_with_its_own_weights() {
     // 40 and 21 outputs: full 16-lane blocks plus remainder lanes.
     let mut rng = StdRng::seed_from_u64(5);
-    let mut conv = Conv1d::new(20, 40, 2, 2, 0, &mut rng).with_backend(BackendKind::Scalar);
-    let mut head = Linear::new(37, 21, &mut rng).with_backend(BackendKind::Scalar);
+    let mut conv = Conv1d::new(20, 40, 2, 2, 0, &mut rng);
+    let mut head = Linear::new(37, 21, &mut rng);
     let a: Vec<f32> = (0..20).map(|i| (i as f32 * 0.7).sin()).collect();
     let b: Vec<f32> = (0..20).map(|i| (i as f32 * 0.3).cos()).collect();
     let x: Vec<f32> = (0..37).map(|i| (i as f32 * 0.41).sin()).collect();

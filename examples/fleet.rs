@@ -97,11 +97,10 @@ pub(crate) fn main() -> Result<(), Box<dyn Error>> {
     println!("== varade-fleet: one detector, {N_STREAMS} streams ==\n");
     let (dataset, detector) = train_shared_detector()?;
     println!(
-        "trained on {} samples x {} channels (window {}, {} kernel backend)",
+        "trained on {} samples x {} channels (window {})",
         dataset.train.len(),
         dataset.train.n_channels(),
         detector.config().window,
-        detector.backend_kind(),
     );
 
     let (stats, score_counts) = serve_streams(&dataset, &detector)?;

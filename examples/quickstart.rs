@@ -70,10 +70,7 @@ pub(crate) fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|t| t >= anomaly_start && t < anomaly_start + 10)
         .collect();
 
-    // 3. Train VARADE and score with both rules. Training and scoring run on
-    //    the process-default kernel backend: set VARADE_BACKEND=vector for
-    //    the hand-tiled vectorized kernels (same results within 1e-5).
-    println!("kernel backend: {}\n", varade_tensor::BackendKind::active());
+    // 3. Train VARADE and score with both rules.
     let config = quickstart_config();
     for rule in [ScoringRule::Variance, ScoringRule::PredictionError] {
         let mut detector = VaradeDetector::with_scoring(config, rule);
