@@ -32,6 +32,32 @@ fn wave_series(n: usize, phase: f32) -> MultivariateSeries {
     s
 }
 
+/// A config wide enough that training runs full 16-lane output blocks: the
+/// first conv maps 20 channels to 16 maps and the head emits 40 values (two
+/// blocks plus remainder lanes). `tiny_config` only ever runs remainder lanes.
+fn full_block_config() -> VaradeConfig {
+    VaradeConfig {
+        window: 16,
+        base_feature_maps: 16,
+        ..tiny_config()
+    }
+}
+
+/// `channels` phase-shifted sine channels with per-channel gains.
+fn wide_wave_series(n: usize, channels: usize, phase: f32) -> MultivariateSeries {
+    let names = (0..channels).map(|c| format!("c{c}")).collect();
+    let mut s = MultivariateSeries::new(names, 10.0).unwrap();
+    let mut row = vec![0.0f32; channels];
+    for t in 0..n {
+        for (c, v) in row.iter_mut().enumerate() {
+            let gain = 1.0 - c as f32 / (2 * channels) as f32;
+            *v = gain * (t as f32 * (0.3 + 0.02 * c as f32) + phase + c as f32).sin();
+        }
+        s.push_row(&row).unwrap();
+    }
+    s
+}
+
 fn fitted_detector() -> VaradeDetector {
     let mut det = VaradeDetector::new(tiny_config());
     det.fit_with_report(&wave_series(200, 0.0)).unwrap();
@@ -40,7 +66,7 @@ fn fitted_detector() -> VaradeDetector {
 
 /// Scores `test` through a plain `StreamingVarade` — the reference.
 fn reference_scores(detector: VaradeDetector, test: &MultivariateSeries) -> Vec<f32> {
-    let mut stream = StreamingVarade::new(detector, 2, None).unwrap();
+    let mut stream = StreamingVarade::new(detector, test.n_channels(), None).unwrap();
     let mut scores = Vec::new();
     for t in 0..test.len() {
         if let Some(s) = stream.push(test.row(t)).unwrap() {
@@ -63,6 +89,17 @@ const GOLDEN_SCALAR_BITS: [u32; 32] = [
     1064205292, 1062500560, 1061223013, 1059891938, 1059218526, 1058588563, 1058441558, 1058502336,
 ];
 
+/// Golden scores of [`full_block_config`] trained on 20 channels and
+/// streamed over 48 rows, captured with the pre-column training kernels: the
+/// training passes' 16-lane blocks must reproduce the per-output loops'
+/// weights bit for bit.
+const GOLDEN_FULL_BLOCK_BITS: [u32; 32] = [
+    1051585292, 1051954513, 1051204494, 1049674646, 1050916354, 1051271062, 1050691088, 1050881466,
+    1052590008, 1052230733, 1052022109, 1051652024, 1054086435, 1052939522, 1051829565, 1053445089,
+    1054696595, 1054292971, 1052445450, 1052158095, 1053070962, 1051622658, 1052121228, 1053442655,
+    1053570616, 1051391270, 1051713526, 1051404870, 1051784974, 1051417277, 1053117690, 1053676824,
+];
+
 #[test]
 fn scalar_backend_reproduces_the_pre_refactor_golden_scores_bit_for_bit() {
     let mut det = VaradeDetector::new(tiny_config());
@@ -71,6 +108,13 @@ fn scalar_backend_reproduces_the_pre_refactor_golden_scores_bit_for_bit() {
     let scores = reference_scores(det, &test);
     let bits: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
     assert_eq!(bits, GOLDEN_SCALAR_BITS);
+
+    let mut wide = VaradeDetector::new(full_block_config());
+    wide.fit_with_report(&wide_wave_series(200, 20, 0.0))
+        .unwrap();
+    let scores = reference_scores(wide, &wide_wave_series(48, 20, 1.0));
+    let bits: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
+    assert_eq!(bits, GOLDEN_FULL_BLOCK_BITS);
 }
 
 #[test]

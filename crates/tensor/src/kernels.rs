@@ -1,62 +1,23 @@
-//! The numeric kernels behind every compute-heavy loop of the crate.
+//! The scalar loops behind the crate's element-wise and reduction work.
 //!
-//! The 1-D convolutions (including the specialized kernel-2/stride-2
-//! inference kernel), the linear/matmul products, the element-wise
-//! activations, the reductions and the axpy-style optimizer updates are the
-//! hand-written scalar loops below, called directly by the layers, the
-//! optimizers and [`Tensor`](crate::Tensor). Their iteration order and
-//! accumulation association are fixed, so a model built, trained and scored
-//! here reproduces the same bits on every run (the golden-score tests in
-//! `varade-fleet/tests/equivalence.rs` pin this).
+//! The loops here are the kernel-2/stride-2 full-window inference kernel
+//! ([`conv1d_k2s2`]), the matrix product, the element-wise activations, the
+//! reductions and the axpy-style gradient and optimizer updates, called
+//! directly by the layers, the optimizers and [`Tensor`](crate::Tensor).
+//! The training passes of [`Conv1d`](crate::layers::Conv1d) and
+//! [`Linear`](crate::layers::Linear), and their generic inference path, run
+//! the output-vectorized column kernel of [`crate::layers::incremental`]
+//! instead: every output starts at its bias and adds its inputs one by one
+//! in input order.
+//! Every iteration order and accumulation association is fixed, so a model
+//! built, trained and scored here reproduces the same bits on every run (the
+//! golden-score tests in `varade-fleet/tests/equivalence.rs` pin this).
 //!
 //! All slices are row-major and densely packed; shape arguments are passed
 //! explicitly so the kernels stay allocation-free. Every kernel is
 //! **batch-invariant**: the values written for batch row `i` do not depend
 //! on `batch`, so a window scores to the same bits alone as inside a
-//! training or evaluation batch. Incremental streaming runs its own column
-//! kernels (see [`crate::layers::incremental`]) with the same per-output
-//! association, so it is bit-identical to the one-shot pass.
-
-/// Generic 1-D convolution over an already padded input.
-///
-/// `x` is `[batch, in_c, padded_len]`, `w` is `[out_c, in_c, kernel]`,
-/// `bias` is `[out_c]` and `out` is `[batch, out_c, out_len]` with
-/// `out_len = (padded_len - kernel) / stride + 1`.
-#[allow(clippy::too_many_arguments)]
-pub fn conv1d(
-    x: &[f32],
-    w: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-    batch: usize,
-    in_c: usize,
-    out_c: usize,
-    padded_len: usize,
-    out_len: usize,
-    kernel: usize,
-    stride: usize,
-) {
-    let (ci_n, k) = (in_c, kernel);
-    for bi in 0..batch {
-        for oc in 0..out_c {
-            let w_oc = &w[oc * ci_n * k..(oc + 1) * ci_n * k];
-            let o_row = &mut out[(bi * out_c + oc) * out_len..(bi * out_c + oc + 1) * out_len];
-            for (ot, o_val) in o_row.iter_mut().enumerate() {
-                let start = ot * stride;
-                let mut acc = bias[oc];
-                for ic in 0..ci_n {
-                    let x_row = &x[(bi * ci_n + ic) * padded_len + start
-                        ..(bi * ci_n + ic) * padded_len + start + k];
-                    let w_row = &w_oc[ic * k..(ic + 1) * k];
-                    for (xv, wv) in x_row.iter().zip(w_row.iter()) {
-                        acc += xv * wv;
-                    }
-                }
-                *o_val = acc;
-            }
-        }
-    }
-}
+//! training or evaluation batch.
 
 /// Specialized kernel-2 / stride-2 / padding-0 convolution — the VARADE
 /// backbone's full-window inference loop. `x` is `[batch, in_c, t]`, `out`
@@ -89,31 +50,6 @@ pub fn conv1d_k2s2(
                     *o_val += w0 * pair[0] + w1 * pair[1];
                 }
             }
-        }
-    }
-}
-
-/// Fully connected affine map `out = x Wᵀ + bias`: `x` is `[batch, in_f]`,
-/// `w` is `[out_f, in_f]`, `bias` is `[out_f]`, `out` is `[batch, out_f]`.
-pub fn linear(
-    x: &[f32],
-    w: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-    batch: usize,
-    in_f: usize,
-    out_f: usize,
-) {
-    for bi in 0..batch {
-        let x_row = &x[bi * in_f..(bi + 1) * in_f];
-        let o_row = &mut out[bi * out_f..(bi + 1) * out_f];
-        for (oi, o_val) in o_row.iter_mut().enumerate() {
-            let w_row = &w[oi * in_f..(oi + 1) * in_f];
-            let mut acc = bias[oi];
-            for (xv, wv) in x_row.iter().zip(w_row.iter()) {
-                acc += xv * wv;
-            }
-            *o_val = acc;
         }
     }
 }

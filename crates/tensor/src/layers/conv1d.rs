@@ -1,5 +1,7 @@
 //! One-dimensional convolution over the time axis.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 
 use crate::init::Init;
@@ -42,9 +44,11 @@ pub struct Conv1d {
     bias: Tensor,
     weight_grad: Tensor,
     bias_grad: Tensor,
-    cached_padded_input: Option<Tensor>,
-    /// `weight` packed `[in, 2, out]` for the incremental column kernel,
-    /// built on the first column and dropped whenever the weights can move.
+    /// The training forward's input rows and time length, kept for the
+    /// backward.
+    cached_rows: Option<(Vec<f32>, usize)>,
+    /// `weight` packed `[in · kernel, out]` for the column kernel, built on
+    /// first use and dropped whenever the weights can move.
     columns: PackedColumns,
 }
 
@@ -88,7 +92,7 @@ impl Conv1d {
             bias: Tensor::zeros(&[out_channels]),
             weight_grad: Tensor::zeros(&[out_channels, in_channels, kernel_size]),
             bias_grad: Tensor::zeros(&[out_channels]),
-            cached_padded_input: None,
+            cached_rows: None,
             columns: PackedColumns::default(),
         }
     }
@@ -129,20 +133,51 @@ impl Conv1d {
         }
     }
 
-    fn pad(&self, input: &Tensor) -> Tensor {
-        if self.padding == 0 {
-            return input.clone();
+    /// The taps of output position `ot` that land inside an input of length
+    /// `t`: kernel offsets `taps`, reading input samples from `first` on. The
+    /// taps outside it fall on the zero padding.
+    fn live_taps(&self, ot: usize, t: usize) -> (Range<usize>, usize) {
+        // In padded coordinates the kernel covers `start..start + kernel`
+        // and the input `padding..padding + t`.
+        let start = ot * self.stride;
+        let lo = start.max(self.padding);
+        let hi = (start + self.kernel_size).min(self.padding + t);
+        if lo >= hi {
+            return (0..0, 0);
         }
-        let (b, c, t) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let mut out = Tensor::zeros(&[b, c, t + 2 * self.padding]);
-        for bi in 0..b {
-            for ci in 0..c {
-                for ti in 0..t {
-                    *out.at_mut(&[bi, ci, ti + self.padding]) = input.at(&[bi, ci, ti]);
-                }
+        (lo - start..hi - start, lo - self.padding)
+    }
+
+    /// Lays `input` `[batch, in, t]` out as rows `[batch · out_len, in ·
+    /// kernel]`: element `(ic, kk)` of row `(b, ot)` is the zero-padded input
+    /// at `(b, ic, ot · stride + kk)`. The padding taps stay zero, so no
+    /// padded copy of the input is made.
+    fn rows(&self, input: &Tensor, batch: usize, out_len: usize) -> Vec<f32> {
+        let (ci_n, k, t) = (self.in_channels, self.kernel_size, input.shape()[2]);
+        let x = input.as_slice();
+        let mut rows = vec![0.0f32; batch * out_len * ci_n * k];
+        for (r, row) in rows.chunks_exact_mut(ci_n * k).enumerate() {
+            let (bi, ot) = (r / out_len, r % out_len);
+            let (taps, first) = self.live_taps(ot, t);
+            let n = taps.len();
+            for (ic, taps_ic) in row.chunks_exact_mut(k).enumerate() {
+                let x_row = &x[(bi * ci_n + ic) * t..(bi * ci_n + ic + 1) * t];
+                taps_ic[taps.clone()].copy_from_slice(&x_row[first..first + n]);
             }
         }
-        out
+        rows
+    }
+
+    /// `weight` packed `[in · kernel, out]`. Shared by every pass: for
+    /// kernel 2 it is also the incremental column's `[in, 2, out]` layout.
+    fn packed(&self) -> &[f32] {
+        self.columns.get_or_pack(|| {
+            incremental::pack_linear(
+                self.weight.as_slice(),
+                self.in_channels * self.kernel_size,
+                self.out_channels,
+            )
+        })
     }
 
     fn check_input(&self, input: &Tensor) -> Result<(usize, usize), TensorError> {
@@ -169,25 +204,25 @@ impl Conv1d {
         Ok((input.shape()[0], out_len))
     }
 
-    /// The convolution itself, over an already padded input. Shared by the
-    /// training forward (which caches `padded` afterwards) and the generic
-    /// inference path; the inner loops are [`kernels::conv1d`].
-    fn compute(&self, padded: &Tensor, batch: usize, out_len: usize) -> Tensor {
-        let padded_len = padded.shape()[2];
-        let mut out = Tensor::zeros(&[batch, self.out_channels, out_len]);
-        kernels::conv1d(
-            padded.as_slice(),
-            self.weight.as_slice(),
-            self.bias.as_slice(),
-            out.as_mut_slice(),
-            batch,
-            self.in_channels,
-            self.out_channels,
-            padded_len,
-            out_len,
-            self.kernel_size,
-            self.stride,
-        );
+    /// The convolution itself, over the input's [`Conv1d::rows`]: one
+    /// [`incremental::linear_column`] per row, so every output starts at its
+    /// bias and adds `x·w` tap by tap in `(ic, kk)` order. Shared by the
+    /// training forward (which caches the rows afterwards) and the generic
+    /// inference path.
+    fn compute(&self, rows: &[f32], batch: usize, out_len: usize) -> Tensor {
+        let out_c = self.out_channels;
+        let packed = self.packed();
+        let mut out = Tensor::zeros(&[batch, out_c, out_len]);
+        let o = out.as_mut_slice();
+        let mut column = vec![0.0f32; out_c];
+        let width = self.in_channels * self.kernel_size;
+        for (r, row) in rows.chunks_exact(width).enumerate() {
+            incremental::linear_column(packed, self.bias.as_slice(), row, &mut column);
+            let (bi, ot) = (r / out_len, r % out_len);
+            for (oc, &v) in column.iter().enumerate() {
+                o[(bi * out_c + oc) * out_len + ot] = v;
+            }
+        }
         out
     }
 
@@ -218,13 +253,10 @@ impl Conv1d {
 
 impl Layer for Conv1d {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
-        // Training is about to move the weights: the column packing would go
-        // stale, so drop it; it rebuilds on the next column.
-        self.columns.clear();
         let (batch, out_len) = self.check_input(input)?;
-        let padded = self.pad(input);
-        let out = self.compute(&padded, batch, out_len);
-        self.cached_padded_input = Some(padded);
+        let rows = self.rows(input, batch, out_len);
+        let out = self.compute(&rows, batch, out_len);
+        self.cached_rows = Some((rows, input.shape()[2]));
         Ok(out)
     }
 
@@ -233,7 +265,7 @@ impl Layer for Conv1d {
         if self.kernel_size == 2 && self.stride == 2 && self.padding == 0 {
             return Ok(self.compute_k2s2(input, batch, out_len));
         }
-        Ok(self.compute(&self.pad(input), batch, out_len))
+        Ok(self.compute(&self.rows(input, batch, out_len), batch, out_len))
     }
 
     fn make_incremental_cache(
@@ -304,10 +336,7 @@ impl Layer for Conv1d {
         };
         let new = phase.prev.as_ref().expect("column stored above");
         let mut out = vec![0.0f32; self.out_channels];
-        let packed = self.columns.get_or_pack(|| {
-            incremental::pack_k2s2(self.weight.as_slice(), self.in_channels, self.out_channels)
-        });
-        incremental::k2s2_column(packed, self.bias.as_slice(), &prev, new, &mut out);
+        incremental::k2s2_column(self.packed(), self.bias.as_slice(), &prev, new, &mut out);
         // The pair covers elements (index - 1, index): it starts
         // on an even element exactly when `index` is odd, which
         // routes it to the even phase child `2 * stream`.
@@ -319,60 +348,83 @@ impl Layer for Conv1d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let padded = self
-            .cached_padded_input
+        let (rows, t) = self
+            .cached_rows
             .as_ref()
             .ok_or(TensorError::BackwardBeforeForward { layer: "conv1d" })?;
-        let batch = padded.shape()[0];
-        let padded_len = padded.shape()[2];
-        let out_len = (padded_len - self.kernel_size) / self.stride + 1;
+        let t = *t;
+        let out_len = self.output_len(t).expect("the forward checked the length");
+        let (ci_n, k) = (self.in_channels, self.kernel_size);
+        let width = ci_n * k;
+        let batch = rows.len() / (out_len * width);
         if grad_output.shape() != [batch, self.out_channels, out_len] {
             return Err(TensorError::ShapeMismatch {
                 expected: vec![batch, self.out_channels, out_len],
                 got: grad_output.shape().to_vec(),
             });
         }
-        let mut grad_padded = Tensor::zeros(&[batch, self.in_channels, padded_len]);
-        let x = padded.as_slice();
+        // With `kernel <= stride` no two taps read the same input sample, so
+        // each input gradient sums over `oc` alone: accumulate it per row and
+        // scatter the rows back. Overlapping taps also sum over `ot`, in
+        // `(oc, ot)` order, so they accumulate into a padded input gradient.
+        let overlapping = k > self.stride;
+        let padded_len = t + 2 * self.padding;
+        let (mut grad_rows, mut grad_padded) = if overlapping {
+            (Vec::new(), vec![0.0f32; batch * ci_n * padded_len])
+        } else {
+            (vec![0.0f32; rows.len()], Vec::new())
+        };
         let w = self.weight.as_slice();
         let go = grad_output.as_slice();
         let gw = self.weight_grad.as_mut_slice();
         let gb = self.bias_grad.as_mut_slice();
-        let gp = grad_padded.as_mut_slice();
-        let (ci_n, k) = (self.in_channels, self.kernel_size);
         for bi in 0..batch {
             for oc in 0..self.out_channels {
                 let go_row = &go[(bi * self.out_channels + oc) * out_len
                     ..(bi * self.out_channels + oc + 1) * out_len];
+                let w_oc = &w[oc * width..(oc + 1) * width];
                 for (ot, &g) in go_row.iter().enumerate() {
                     if g == 0.0 {
                         continue;
                     }
                     gb[oc] += g;
-                    let start = ot * self.stride;
-                    for ic in 0..ci_n {
-                        let x_base = (bi * ci_n + ic) * padded_len + start;
-                        let w_base = (oc * ci_n + ic) * k;
-                        for kk in 0..k {
-                            gw[w_base + kk] += g * x[x_base + kk];
-                            gp[x_base + kk] += g * w[w_base + kk];
+                    let r = (bi * out_len + ot) * width;
+                    kernels::axpy(
+                        g,
+                        &rows[r..r + width],
+                        &mut gw[oc * width..(oc + 1) * width],
+                    );
+                    if overlapping {
+                        let start = ot * self.stride;
+                        for ic in 0..ci_n {
+                            let x_base = (bi * ci_n + ic) * padded_len + start;
+                            for kk in 0..k {
+                                grad_padded[x_base + kk] += g * w_oc[ic * k + kk];
+                            }
                         }
+                    } else {
+                        kernels::axpy(g, w_oc, &mut grad_rows[r..r + width]);
                     }
                 }
             }
         }
-        // Strip padding from the input gradient.
-        if self.padding == 0 {
-            return Ok(grad_padded);
+        let mut grad_input = Tensor::zeros(&[batch, ci_n, t]);
+        let gi = grad_input.as_mut_slice();
+        if overlapping {
+            // Strip padding from the input gradient.
+            for ch in 0..batch * ci_n {
+                let from = ch * padded_len + self.padding;
+                gi[ch * t..(ch + 1) * t].copy_from_slice(&grad_padded[from..from + t]);
+            }
+            return Ok(grad_input);
         }
-        let t = padded_len - 2 * self.padding;
-        let mut grad_input = Tensor::zeros(&[batch, self.in_channels, t]);
-        for bi in 0..batch {
-            for ci in 0..self.in_channels {
-                for ti in 0..t {
-                    *grad_input.at_mut(&[bi, ci, ti]) =
-                        grad_padded.at(&[bi, ci, ti + self.padding]);
-                }
+        for (r, grad_row) in grad_rows.chunks_exact(width).enumerate() {
+            let (bi, ot) = (r / out_len, r % out_len);
+            let (taps, first) = self.live_taps(ot, t);
+            let n = taps.len();
+            for (ic, taps_ic) in grad_row.chunks_exact(k).enumerate() {
+                let gi_row = &mut gi[(bi * ci_n + ic) * t..(bi * ci_n + ic + 1) * t];
+                gi_row[first..first + n].copy_from_slice(&taps_ic[taps.clone()]);
             }
         }
         Ok(grad_input)

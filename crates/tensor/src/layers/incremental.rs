@@ -44,22 +44,37 @@
 //! weights packed once per layer, transposed so the innermost loop — and so
 //! the SIMD lanes — runs over output channels:
 //!
-//! * convolution: `[in, 2, out]`, element `(i, k, o)` = `weight[o, i, k]`;
+//! * convolution: `[in · kernel, out]`, element `(i·kernel + k, o)` =
+//!   `weight[o, i, k]` — `[in, 2, out]` for a k2/s2 convolution;
 //! * head: `[in, out]`, element `(i, o)` = `weight[o, i]`.
 //!
 //! The packing belongs to the layer, so a fitted model behind an `Arc` holds
-//! one copy however many streams it serves. It is built on the first column
-//! and dropped by every `&mut` path that can move the weights (training
-//! `forward`, `visit_params`, `visit_tensors_mut`), so it never outlives
-//! the weights it was packed from.
+//! one copy however many streams it serves. It is built on first use and
+//! dropped by every `&mut` path that can move the weights (`visit_params`,
+//! `visit_tensors_mut`), so it never outlives the weights it was packed
+//! from.
 //!
 //! Each output lane starts from its bias and adds the inputs in input
-//! order, `o += w0·a + w1·b` per input channel for the convolution and
-//! `o += x·w` per feature for the head. That is exactly the per-output
-//! association of [`crate::kernels::conv1d_k2s2`] and
-//! [`crate::kernels::linear`] — only the loop nest is interchanged, and lanes
-//! never combine — so the incremental columns are **bit-identical** to the
-//! full [`crate::Layer::forward_infer`] pass.
+//! order, `o += w0·a + w1·b` per input channel for the k2/s2 convolution
+//! (`k2s2_column`) and `o += x·w` per feature for the head
+//! (`linear_column`). That is exactly the per-output association of the
+//! full-window passes — [`crate::kernels::conv1d_k2s2`] for the
+//! convolution, `linear_column` itself, once per row, for the head — only
+//! the loop nest is interchanged, and lanes never combine — so the
+//! incremental columns are **bit-identical** to the full
+//! [`crate::Layer::forward_infer`] pass.
+//!
+//! `linear_column` serves training too. The training forward of
+//! [`Linear`](crate::layers::Linear) runs it once per batch row; the
+//! training forward of [`Conv1d`](crate::layers::Conv1d), and its inference
+//! path for any shape but unpadded k2/s2, runs it once per output position
+//! over a row holding the `in · kernel` input taps under that position. So
+//! every conv output adds `x·w` **tap by tap**, in `(ic, kk)` order:
+//! `o += w0·a` then `o += w1·b`. The k2/s2 kernels (`k2s2_column`,
+//! `conv1d_k2s2`) add the two taps of an input channel to each other first,
+//! `o += (w0·a + w1·b)`. The two associations round differently in the
+//! last bit, so they stay apart: merging them either way would move every
+//! trained weight or every served score.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -215,19 +230,6 @@ impl std::fmt::Debug for PackedColumns {
 /// Output lanes one register-resident accumulator block covers: four SSE or
 /// two AVX vectors of `f32`.
 const BLOCK: usize = 16;
-
-/// Packs a k2/s2 convolution weight `[out, in, 2]` as `[in, 2, out]`.
-pub(crate) fn pack_k2s2(weight: &[f32], in_c: usize, out_c: usize) -> Vec<f32> {
-    let mut packed = vec![0.0f32; weight.len()];
-    for oc in 0..out_c {
-        for ic in 0..in_c {
-            for k in 0..2 {
-                packed[(ic * 2 + k) * out_c + oc] = weight[(oc * in_c + ic) * 2 + k];
-            }
-        }
-    }
-    packed
-}
 
 /// Packs a dense weight `[out, in]` as `[in, out]`.
 pub(crate) fn pack_linear(weight: &[f32], in_f: usize, out_f: usize) -> Vec<f32> {

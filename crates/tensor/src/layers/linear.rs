@@ -3,7 +3,6 @@
 use rand::rngs::StdRng;
 
 use crate::init::Init;
-use crate::kernels;
 use crate::layers::incremental::{
     self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, PackedColumns, StreamStep,
 };
@@ -36,14 +35,22 @@ pub struct Linear {
     weight_grad: Tensor,
     bias_grad: Tensor,
     cached_input: Option<Tensor>,
-    /// `weight` packed `[in, out]` for the incremental column kernel, built
-    /// on the first column and dropped whenever the weights can move.
+    /// `weight` packed `[in, out]` for the column kernel, built on first use
+    /// and dropped whenever the weights can move.
     columns: PackedColumns,
 }
 
 impl Linear {
     /// Creates a new layer with Xavier-uniform weights and zero biases.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `in_features` or `out_features` is zero.
     pub fn new(in_features: usize, out_features: usize, rng: &mut StdRng) -> Self {
+        assert!(
+            in_features > 0 && out_features > 0,
+            "feature counts must be positive"
+        );
         let weight = Init::XavierUniform.tensor(
             &[out_features, in_features],
             in_features,
@@ -96,30 +103,37 @@ impl Linear {
         Ok(())
     }
 
-    /// The affine map itself; shared by the training forward (which caches
-    /// the input afterwards) and the inference path. The inner loops are
-    /// [`kernels::linear`].
+    /// `weight` packed `[in, out]`, shared by every pass.
+    fn packed(&self) -> &[f32] {
+        self.columns.get_or_pack(|| {
+            incremental::pack_linear(self.weight.as_slice(), self.in_features, self.out_features)
+        })
+    }
+
+    /// The affine map itself, one [`incremental::linear_column`] per batch
+    /// row: every output starts at its bias and adds `x·w` in input order.
+    /// Shared by the training forward (which caches the input afterwards)
+    /// and the inference path.
     fn compute(&self, input: &Tensor) -> Tensor {
         let batch = input.shape()[0];
-        let mut out = Tensor::zeros(&[batch, self.out_features]);
-        kernels::linear(
-            input.as_slice(),
-            self.weight.as_slice(),
-            self.bias.as_slice(),
-            out.as_mut_slice(),
-            batch,
-            self.in_features,
-            self.out_features,
-        );
+        let (in_f, out_f) = (self.in_features, self.out_features);
+        let packed = self.packed();
+        let mut out = Tensor::zeros(&[batch, out_f]);
+        let (x, o) = (input.as_slice(), out.as_mut_slice());
+        for bi in 0..batch {
+            incremental::linear_column(
+                packed,
+                self.bias.as_slice(),
+                &x[bi * in_f..(bi + 1) * in_f],
+                &mut o[bi * out_f..(bi + 1) * out_f],
+            );
+        }
         out
     }
 }
 
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
-        // Training is about to move the weights; drop the column packing
-        // (rebuilt on the next column).
-        self.columns.clear();
         self.check_input(input)?;
         let out = self.compute(input);
         self.cached_input = Some(input.clone());
@@ -169,10 +183,7 @@ impl Layer for Linear {
             });
         }
         let mut out = vec![0.0f32; self.out_features];
-        let packed = self.columns.get_or_pack(|| {
-            incremental::pack_linear(self.weight.as_slice(), self.in_features, self.out_features)
-        });
-        incremental::linear_column(packed, self.bias.as_slice(), &features, &mut out);
+        incremental::linear_column(self.packed(), self.bias.as_slice(), &features, &mut out);
         Ok(Some(StreamStep::Features(out)))
     }
 

@@ -118,8 +118,8 @@ fn packed_column_weights_never_outlive_the_weights_they_were_packed_from() {
     let mut net = varade_stack(channels, window, 16);
     check_net(&net, channels, window);
 
-    // A fit: the training forward drops the packing, and the optimizer step
-    // moves the weights through visit_params after it was rebuilt.
+    // A fit: the training forward packs the weights, and the optimizer step
+    // moves them through visit_params, which drops that packing.
     let x = Tensor::from_vec(
         (0..2 * channels * window)
             .map(|i| (i as f32 * 0.21).sin())
