@@ -20,6 +20,18 @@
 //! the arithmetic changes, so a stolen stream's scores are bit-identical to
 //! an unstolen run (pinned by `tests/steal_equivalence.rs`).
 //!
+//! **Idle workers park on a doorbell.** A worker whose pass drained nothing,
+//! scored nothing and stole nothing parks on its shard's [`Doorbell`]: it
+//! raises the doorbell's flag, re-checks its rings, an uncounted close, the
+//! backlog of every stream it owns and the endgame, and sleeps only if all
+//! four are idle. Whatever can give it work rings the doorbell after
+//! publishing that work: [`FleetHandle::push_from`], a ring close, a delivery
+//! to a stream a peer stole, and the last worker to finish its ingest. A
+//! delivery that makes a backlog stealable rings one parked peer. The 1 ms
+//! backstop bounds every wait; no wait depends on it for correctness (see
+//! docs/CONCURRENCY.md), so an idle worker costs about one wake per
+//! millisecond, and a sample at a parked worker one futex wake.
+//!
 //! **Hot-swap ordering**: a worker loads a group's published
 //! `(detector, version)` *after* popping the samples of the current round,
 //! so a sample pushed after [`FleetHandle::publish_model`] returns is always
@@ -27,7 +39,6 @@
 //! model load happens after pop). A version change drops the stream's
 //! cache, and its next push re-plans it against the new model.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -36,7 +47,8 @@ use varade_obs::spanclock::SpanStamp;
 use varade_obs::{FleetEvent, ShardTelemetry, Stage, StageRecorder, Telemetry, TelemetrySnapshot};
 use varade_timeseries::MinMaxNormalizer;
 
-use crate::queue::{Envelope, RingQueue};
+use crate::queue::{Doorbell, Envelope, RingQueue, Wake};
+use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::{shard_of, FleetConfig, FleetError, FleetStats, GroupModelStats, ShardStats, StreamId};
 
 /// Identifier of one model group — a fitted detector shared by any number of
@@ -483,7 +495,8 @@ impl Fleet {
             .collect();
         let shared = SharedState {
             ingest_done: AtomicUsize::new(0),
-            n_workers: n_shards,
+            bells: (0..n_shards).map(|_| Doorbell::new()).collect(),
+            work_stealing: self.config.work_stealing && cells.len() > 1,
         };
 
         // LINT-ALLOW: instant-hot-path — once-per-serve-window wall clock for the outcome's elapsed field, not per-sample timing.
@@ -504,6 +517,7 @@ impl Fleet {
                 .collect();
             let handle = FleetHandle {
                 queues: &queues,
+                bells: &shared.bells,
                 lanes,
                 meta: &self.meta,
                 groups: &self.groups,
@@ -520,7 +534,11 @@ impl Fleet {
             // panic from deadlocking `thread::scope` on workers blocked on
             // ingest, and from corrupting the fleet's registry. The guard
             // backstops the close even if the catch machinery itself unwinds.
-            let closer = CloseOnDrop(&queues);
+            let closer = CloseOnDrop {
+                queues: &queues,
+                lanes,
+                bells: &shared.bells,
+            };
             let driver_result =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver(&handle)));
             drop(closer);
@@ -577,6 +595,8 @@ impl Fleet {
                         push: std::mem::take(&mut home_push[shard]),
                         dropped: output.dropped,
                         steals: output.counters.steals,
+                        parks: output.counters.parks,
+                        park_timeouts: output.counters.park_timeouts,
                         sample_latencies: output.counters.sample_latencies,
                         queue_depth_high_water: output.counters.queue_depth_high_water,
                     });
@@ -614,14 +634,32 @@ impl Fleet {
 
 /// Closes every queue when dropped — normally or during a panic unwind — so
 /// shard workers always see end-of-stream and [`Fleet::run`] can join them.
-struct CloseOnDrop<'a>(&'a [RingQueue]);
+struct CloseOnDrop<'a> {
+    /// Every ingress ring, shard-major (`lanes` per shard).
+    queues: &'a [RingQueue],
+    lanes: usize,
+    bells: &'a [Doorbell],
+}
 
 impl Drop for CloseOnDrop<'_> {
     fn drop(&mut self) {
-        for queue in self.0 {
-            queue.close();
+        for (shard, bell) in self.bells.iter().enumerate() {
+            close_shard(
+                &self.queues[shard * self.lanes..(shard + 1) * self.lanes],
+                bell,
+            );
         }
     }
+}
+
+/// Closes one shard's ingress rings, then rings its doorbell: the SeqCst
+/// `closed` stores come first, so a worker that parked before them is woken
+/// and one that parks after them sees the close in its re-check.
+fn close_shard(queues: &[RingQueue], bell: &Doorbell) {
+    for queue in queues {
+        queue.close();
+    }
+    bell.ring();
 }
 
 /// The driver's view of a serving fleet: push samples, observe backpressure,
@@ -634,6 +672,8 @@ impl Drop for CloseOnDrop<'_> {
 /// exactly this).
 pub struct FleetHandle<'a> {
     queues: &'a [RingQueue],
+    /// One doorbell per shard, rung after every push into its rings.
+    bells: &'a [Doorbell],
     lanes: usize,
     meta: &'a [StreamMeta],
     groups: &'a [ModelSlot],
@@ -700,7 +740,12 @@ impl FleetHandle<'_> {
             // in the end-to-end latency — as it should.
             enqueued_at: self.stamp_ingress.then(SpanStamp::now),
         };
-        self.queues[meta.shard * self.lanes + lane].push(envelope, self.policy, meta.shard)
+        let pushed =
+            self.queues[meta.shard * self.lanes + lane].push(envelope, self.policy, meta.shard);
+        // After the push's SeqCst `in_flight` decrement: a worker parked
+        // before it wakes, one that parks after it sees the sample.
+        self.bells[meta.shard].ring();
+        pushed
     }
 
     /// Publishes a new detector to a model group **while the fleet is
@@ -837,16 +882,38 @@ impl StreamCell {
         }
     }
 
-    fn deliver(&self, sample: PendingSample) {
+    /// Queues one sample for whichever worker owns the stream, then rings
+    /// the worker that should act on it: the owner when a peer stole the
+    /// stream, or one parked peer when this delivery makes the backlog
+    /// stealable. `shard` is the delivering worker, awake by definition.
+    fn deliver(&self, sample: PendingSample, shard: usize, shared: &SharedState) {
         // ORDERING: SeqCst — `queued` is the cross-worker work-visibility
-        // signal: the endgame emptiness sweep must totally order against
-        // every deliver/pop so a worker can never terminate while a sample
-        // it cannot see is pending (see docs/CONCURRENCY.md).
-        self.queued.fetch_add(1, Ordering::SeqCst);
+        // signal: the endgame emptiness sweep and the owner's doorbell
+        // re-check must totally order against every deliver/pop, so a worker
+        // can neither terminate nor sleep while a sample it cannot see is
+        // pending (see docs/CONCURRENCY.md).
+        let backlog = self.queued.fetch_add(1, Ordering::SeqCst) + 1;
         self.pending
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .push_back(sample);
+        // ORDERING: SeqCst — read after the `queued` increment and ordered
+        // with the SeqCst steal CAS, so a thief that parks after stealing
+        // this stream is either seen here (and rung) or sees the increment
+        // in its re-check.
+        let owner = self.owner.load(Ordering::SeqCst);
+        if owner != shard {
+            shared.bells[owner].ring();
+        } else if shared.work_stealing && backlog == STEAL_MIN_PENDING {
+            // Best effort, for prompt stealing: the peers' re-checks do not
+            // scan for steal candidates, so a peer that parks after this
+            // ring waits for its next wake.
+            let _ = shared
+                .bells
+                .iter()
+                .enumerate()
+                .any(|(peer, bell)| peer != shard && bell.ring());
+        }
     }
 
     /// Pops one pending sample. Callers must hold the cell's slot lock —
@@ -890,10 +957,39 @@ impl StreamCell {
 /// Cross-worker coordination for one serve window.
 struct SharedState {
     /// Workers whose ingress rings are closed and fully drained. Once this
-    /// reaches `n_workers`, no new pending sample can appear anywhere, so
-    /// "every pending deque empty" becomes a stable termination condition.
+    /// reaches the worker count, no new pending sample can appear anywhere,
+    /// so "every pending deque empty" becomes a stable termination condition.
     ingest_done: AtomicUsize,
-    n_workers: usize,
+    /// One doorbell per shard worker (see [`Doorbell`]).
+    bells: Vec<Doorbell>,
+    /// Whether idle workers steal: on in the config and more than one
+    /// stream to steal from.
+    work_stealing: bool,
+}
+
+impl SharedState {
+    /// Whether every worker has finished its ingest.
+    fn endgame(&self) -> bool {
+        // ORDERING: SeqCst — the endgame read must order after every
+        // worker's `ingest_done` increment and before the `queued` sweep
+        // that follows it; any deliver racing this pair is seen by one of
+        // the two.
+        self.ingest_done.load(Ordering::SeqCst) == self.bells.len()
+    }
+
+    /// Counts one worker's ingest as finished. The last count starts the
+    /// endgame, so it rings every doorbell: parked workers must wake to
+    /// steal the leftovers or to exit.
+    fn finish_ingest(&self) {
+        // ORDERING: SeqCst — `ingest_done` anchors the endgame total order
+        // with `queued` (see `StreamCell::deliver`), and precedes the
+        // doorbells' flag loads (see `Doorbell::ring`).
+        if self.ingest_done.fetch_add(1, Ordering::SeqCst) + 1 == self.bells.len() {
+            for bell in &self.bells {
+                bell.ring();
+            }
+        }
+    }
 }
 
 /// A thief only bothers with streams whose backlog is at least this deep
@@ -919,6 +1015,10 @@ struct WorkerOutput {
 #[derive(Default)]
 struct WorkerCounters {
     steals: u64,
+    /// Doorbell waits: parks whose re-check found nothing to do.
+    parks: u64,
+    /// The parks that ran the whole backstop without a ring.
+    park_timeouts: u64,
     sample_latencies: Vec<Duration>,
     /// Largest ingress backlog seen at any of this worker's drain points
     /// (summed across its lanes) — feeds
@@ -930,7 +1030,8 @@ struct WorkerCounters {
 /// The shard worker: drain this shard's ingress rings, deliver to the target
 /// streams' pending deques, then process one *round* — one pending sample
 /// per owned stream, scored through the stream's incremental cache. Idle
-/// workers steal backlogged streams from peers; all workers exit once every
+/// workers steal backlogged streams from peers, and park on their shard's
+/// doorbell when there is nothing to steal; all workers exit once every
 /// ring is closed-and-drained and every pending deque is empty.
 ///
 /// Never loses the stream states (they live in the shared cells): on a
@@ -974,12 +1075,12 @@ fn run_worker(
         // shut down. Other live workers may still steal and finish streams
         // we owned; anything we clear here is simply abandoned, exactly as
         // the old single-queue engine abandoned its backlog.
+        close_shard(my_queues, &shared.bells[shard]);
         for queue in my_queues {
-            queue.close();
             while !queue.try_drain(usize::MAX).is_empty() {}
         }
         for &index in &owned {
-            // ORDERING: Acquire — pairs with the AcqRel owner CAS in
+            // ORDERING: Acquire — pairs with the SeqCst owner CAS in
             // `try_steal`; seeing ourselves as owner orders us after the
             // last completed steal of this cell.
             if cells[index].owner.load(Ordering::Acquire) == shard {
@@ -989,9 +1090,7 @@ fn run_worker(
         if !ingest_counted {
             // Without this the surviving workers would wait forever for our
             // rings to drain.
-            // ORDERING: SeqCst — `ingest_done` anchors the endgame total
-            // order with `queued` (see `deliver`).
-            shared.ingest_done.fetch_add(1, Ordering::SeqCst);
+            shared.finish_ingest();
         }
     }
     WorkerOutput {
@@ -1004,6 +1103,12 @@ fn run_worker(
 
 /// The worker's serve loop proper (see [`run_worker`] for the error
 /// contract).
+///
+/// Each pass drains the shard's rings, scores one round, and — when both
+/// were empty — tries one steal and the termination check. A pass that did
+/// none of these parks on the shard's doorbell (see the module docs); there
+/// is no spin or poll phase, so an idle worker sleeps until a ring or the
+/// 1 ms backstop.
 #[allow(clippy::too_many_arguments)]
 fn serve_loop(
     shard: usize,
@@ -1025,7 +1130,7 @@ fn serve_loop(
     let shard_telemetry = telemetry.shard(shard);
     let mut recorder = shard_telemetry.map(ShardTelemetry::recorder);
     let mut steal_cursor = shard % cells.len().max(1);
-    let mut idle_spins = 0u32;
+    let bell = &shared.bells[shard];
     loop {
         // --- Ingest: drain up to one capacity's worth per lane, deliver to
         // the target streams (wherever they are currently owned).
@@ -1039,10 +1144,14 @@ fn serve_loop(
                     drained_any = true;
                     drained_total += batch.len() as u64;
                     for envelope in batch {
-                        cells[envelope.stream.index()].deliver(PendingSample {
-                            sample: envelope.sample,
-                            enqueued_at: envelope.enqueued_at,
-                        });
+                        cells[envelope.stream.index()].deliver(
+                            PendingSample {
+                                sample: envelope.sample,
+                                enqueued_at: envelope.enqueued_at,
+                            },
+                            shard,
+                            shared,
+                        );
                     }
                 }
                 if !queue.is_quiescent() {
@@ -1060,9 +1169,7 @@ fn serve_loop(
                 }
             }
             if all_done {
-                // ORDERING: SeqCst — `ingest_done` anchors the endgame
-                // total order with `queued` (see `deliver`).
-                shared.ingest_done.fetch_add(1, Ordering::SeqCst);
+                shared.finish_ingest();
                 *ingest_counted = true;
             }
         }
@@ -1086,7 +1193,6 @@ fn serve_loop(
             recorder.as_mut(),
         )?;
         if processed > 0 || drained_any {
-            idle_spins = 0;
             continue;
         }
 
@@ -1097,11 +1203,8 @@ fn serve_loop(
         }
 
         // --- Idle: steal backlog, or terminate once nothing can arrive.
-        // ORDERING: SeqCst — the endgame read must order after every
-        // worker's `ingest_done` increment and before the `queued` sweep
-        // below; any deliver racing this pair is seen by one of the two.
-        let endgame = shared.ingest_done.load(Ordering::SeqCst) == shared.n_workers;
-        if config.work_stealing && cells.len() > 1 {
+        let endgame = shared.endgame();
+        if shared.work_stealing {
             let min_pending = if endgame { 1 } else { STEAL_MIN_PENDING };
             if try_steal(
                 shard,
@@ -1112,7 +1215,6 @@ fn serve_loop(
                 counters,
                 telemetry,
             ) {
-                idle_spins = 0;
                 continue;
             }
         }
@@ -1126,13 +1228,24 @@ fn serve_loop(
         {
             return Ok(());
         }
-        idle_spins = idle_spins.saturating_add(1);
-        if idle_spins < 16 {
-            std::hint::spin_loop();
-        } else if idle_spins < 64 {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(Duration::from_micros(100));
+
+        // --- Park until something rings. The re-check covers every source
+        // that rings this doorbell (a stealable backlog at a peer is best
+        // effort, see `StreamCell::deliver`).
+        let woke = bell.park(|| {
+            my_queues.iter().any(RingQueue::has_pending)
+                || (!*ingest_counted && my_queues.iter().all(RingQueue::is_quiescent))
+                // ORDERING: SeqCst — backlog gauge read after the doorbell
+                // flag store; pairs with the SeqCst RMW in `deliver`.
+                || owned.iter().any(|&index| cells[index].queued.load(Ordering::SeqCst) > 0)
+                || (!endgame && shared.endgame())
+        });
+        if woke != Wake::Busy {
+            counters.parks += 1;
+            counters.park_timeouts += u64::from(woke == Wake::TimedOut);
+            if let Some(tel) = shard_telemetry {
+                tel.record_park(woke == Wake::TimedOut);
+            }
         }
     }
 }
@@ -1161,19 +1274,21 @@ fn try_steal(
         if cell.queued.load(Ordering::SeqCst) < min_pending {
             continue;
         }
-        // ORDERING: Acquire — pairs with the AcqRel CAS below so the read
+        // ORDERING: Acquire — pairs with the SeqCst CAS below so the read
         // sits in the cell's ownership chain.
         let owner = cell.owner.load(Ordering::Acquire);
         if owner == shard {
             continue;
         }
-        // ORDERING: AcqRel success — the steal is a link in the ownership
+        // ORDERING: SeqCst success — the steal is a link in the ownership
         // release chain (the loser's prior writes happen-before the
-        // winner's first slot access); Relaxed failure — a lost race needs
-        // no ordering, we just move on.
+        // winner's first slot access), and it precedes the thief's doorbell
+        // flag store in the total order, so a delivery's SeqCst owner load
+        // that misses the thief's re-check names the thief; Relaxed failure
+        // — a lost race needs no ordering, we just move on.
         if cell
             .owner
-            .compare_exchange(owner, shard, Ordering::AcqRel, Ordering::Relaxed)
+            .compare_exchange(owner, shard, Ordering::SeqCst, Ordering::Relaxed)
             .is_ok()
         {
             *cursor = (index + 1) % n;
@@ -1229,7 +1344,7 @@ fn run_round(
 ) -> Result<usize, FleetError> {
     // Cheap pruning of streams stolen from us; the authoritative check is
     // the owner re-read under the slot lock below.
-    // ORDERING: Acquire — pairs with the AcqRel owner CAS in `try_steal`.
+    // ORDERING: Acquire — pairs with the SeqCst owner CAS in `try_steal`.
     owned.retain(|&index| cells[index].owner.load(Ordering::Acquire) == shard);
     let mut processed = 0usize;
     let mut open_emit: Option<OpenEmit> = None;
@@ -1247,7 +1362,7 @@ fn run_round(
             continue;
         };
         // ORDERING: Acquire — authoritative ownership re-check under the
-        // slot lock; pairs with the AcqRel owner CAS in `try_steal`.
+        // slot lock; pairs with the SeqCst owner CAS in `try_steal`.
         if cell.owner.load(Ordering::Acquire) != shard {
             continue;
         }

@@ -16,7 +16,8 @@
 //! * **Shards** — streams are partitioned across worker threads by a
 //!   deterministic hash of their id ([`shard_of`]). Each shard owns one
 //!   bounded lock-free ingress ring ([`RingQueue`]) per producer lane; the
-//!   producer threads feed samples through a [`FleetHandle`].
+//!   producer threads feed samples through a [`FleetHandle`]. An idle
+//!   worker sleeps on its shard's [`Doorbell`], which every push rings.
 //! * **Backpressure** — queue overflow behavior is an explicit, tested
 //!   contract ([`OverloadPolicy`]): `Block` the producer, `DropOldest` with a
 //!   drop counter, or `Reject` with a typed error. Overload is never an
@@ -87,7 +88,7 @@ mod stats;
 pub(crate) mod sync;
 
 pub use engine::{Fleet, FleetHandle, FleetOutcome, ModelGroupId};
-pub use queue::{Envelope, RingQueue};
+pub use queue::{Doorbell, Envelope, RingQueue, Wake};
 pub use stats::{FleetStats, GroupModelStats, ShardStats};
 /// Re-export of the telemetry substrate's configuration and snapshot types,
 /// so fleet consumers can enable and consume telemetry without depending on

@@ -4,10 +4,14 @@
 //! (Vyukov-style), atomic head/tail counters and a producer-side cached head
 //! index. The engine gives every shard one ring per producer lane. The hot
 //! push/drain path never takes a lock; a `Mutex`+`Condvar` pair exists only
-//! as the *parking lot* for the two blocking slow paths
-//! ([`OverloadPolicy::Block`] producers on a full ring, consumers on an empty
-//! one), with a timed backstop so a missed wakeup can never hang a thread.
-//! Its interleavings are explored exhaustively by `tests/model_check.rs`.
+//! as the *parking lot* for [`OverloadPolicy::Block`] producers on a full
+//! ring, with a timed backstop so a missed wakeup can never hang a thread.
+//!
+//! The consumer side never blocks inside a ring: it drains with
+//! [`RingQueue::try_drain`] and, when every ring it serves is empty, waits on
+//! the shard's [`Doorbell`] — one flag plus one parking lot per shard, rung by
+//! whatever can give the worker work (a push, a close, a delivery). Both
+//! protocols are explored exhaustively by `tests/model_check.rs`.
 //!
 //! Every full-queue outcome is decided by the caller's [`OverloadPolicy`],
 //! never by accident, and drop accounting is exact: a sample is counted in
@@ -47,17 +51,17 @@ impl QueueEvents {
         });
     }
 
-    fn park(&self, producer: bool) {
+    fn park(&self) {
         self.telemetry.record_event(FleetEvent::QueuePark {
             lane: self.lane,
-            producer,
+            producer: true,
         });
     }
 
-    fn unpark(&self, producer: bool) {
+    fn unpark(&self) {
         self.telemetry.record_event(FleetEvent::QueueUnpark {
             lane: self.lane,
-            producer,
+            producer: true,
         });
     }
 }
@@ -105,15 +109,16 @@ struct Slot {
     value: UnsafeCell<MaybeUninit<Envelope>>,
 }
 
-/// How long a parked thread sleeps at most before re-checking the ring: the
-/// liveness backstop that makes a lost wakeup cost a millisecond instead of a
-/// hang. Wakeups are normally delivered explicitly via the condvars.
+/// How long a parked thread sleeps at most before re-checking: the liveness
+/// backstop that makes a lost wakeup cost a millisecond instead of a hang.
+/// Wakeups are normally delivered explicitly via the condvars.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
-/// Spins on the hot path before parking; each iteration hints the CPU and
-/// yields to the scheduler every few rounds. Shrunk under model checking so
-/// bounded exploration reaches the parking slow path within a few decisions
-/// instead of burning the schedule budget on spin iterations.
+/// Spins a `Block` producer makes on a full ring before parking; each
+/// iteration hints the CPU and yields to the scheduler every few rounds.
+/// Shrunk under model checking so bounded exploration reaches the parking
+/// slow path within a few decisions instead of burning the schedule budget
+/// on spin iterations.
 const SPIN_LIMIT: u32 = if cfg!(varade_check) { 2 } else { 64 };
 
 /// A lock-free bounded ring of [`Envelope`]s for one producer→shard edge.
@@ -134,13 +139,14 @@ const SPIN_LIMIT: u32 = if cfg!(varade_check) { 2 } else { 64 };
 /// two dequeuers — which [`OverloadPolicy::DropOldest`] needs, because the
 /// producer evicts the head concurrently with the draining consumer.
 ///
-/// Blocking ([`OverloadPolicy::Block`] on full, [`RingQueue::drain`] on
-/// empty) parks on a `Mutex<()>`+`Condvar` pair that the fast path never
-/// touches: waiters raise an atomic "parked" flag, the other side notifies
-/// only when it sees the flag, and every wait carries a `PARK_TIMEOUT`
-/// backstop. [`RingQueue::close`] wakes both sides promptly, so a producer
-/// parked on a full ring returns [`FleetError::Closed`] instead of hanging —
-/// the shutdown-liveness contract pinned by `tests/queue_stress.rs`.
+/// [`OverloadPolicy::Block`] on a full ring parks on a `Mutex<()>`+`Condvar`
+/// pair that the fast path never touches: the producer raises an atomic
+/// "parked" flag, a dequeue notifies only when it sees the flag, and every
+/// wait carries a `PARK_TIMEOUT` backstop. [`RingQueue::close`] wakes it
+/// promptly, so a producer parked on a full ring returns
+/// [`FleetError::Closed`] instead of hanging — the shutdown-liveness
+/// contract pinned by `tests/queue_stress.rs`. The ring never blocks its
+/// consumer; an empty ring's consumer waits on a [`Doorbell`].
 pub struct RingQueue {
     slots: Box<[Slot]>,
     mask: usize,
@@ -162,9 +168,7 @@ pub struct RingQueue {
     /// flag accesses).
     in_flight: AtomicUsize,
     park: Mutex<()>,
-    not_empty: Condvar,
     not_full: Condvar,
-    consumer_parked: AtomicBool,
     producer_parked: AtomicBool,
     events: Option<QueueEvents>,
 }
@@ -219,9 +223,7 @@ impl RingQueue {
             closed: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             park: Mutex::new(()),
-            not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            consumer_parked: AtomicBool::new(false),
             producer_parked: AtomicBool::new(false),
             events: None,
         }
@@ -275,6 +277,21 @@ impl RingQueue {
         self.is_closed() && self.in_flight.load(Ordering::SeqCst) == 0 && self.is_empty()
     }
 
+    /// Whether a sample is queued, read the way a consumer re-checks after
+    /// raising its [`Doorbell`] flag. A push rings the doorbell after its
+    /// SeqCst `in_flight` decrement; if that ring found the flag clear, the
+    /// decrement precedes this read in the total order, the read
+    /// synchronizes with it, and the emptiness check sees the sample. A push
+    /// still in flight needs no answer here: it rings when it completes.
+    pub fn has_pending(&self) -> bool {
+        // ORDERING: SeqCst — the value is not needed, only the order: this
+        // read comes after the consumer's SeqCst flag store and
+        // synchronizes with every `in_flight` decrement before it (see
+        // docs/CONCURRENCY.md).
+        let _ = self.in_flight.load(Ordering::SeqCst);
+        !self.is_empty()
+    }
+
     /// One lock-free enqueue attempt: claims the tail position when the ring
     /// is not at logical capacity, otherwise hands the envelope back.
     fn try_enqueue(&self, envelope: Envelope) -> TryEnqueue {
@@ -318,7 +335,6 @@ impl RingQueue {
                         // ORDERING: Release publishes the value write above
                         // to the dequeuer's Acquire stamp load.
                         slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        self.wake_consumer();
                         return TryEnqueue::Done;
                     }
                     Err(current) => pos = current,
@@ -385,20 +401,12 @@ impl RingQueue {
         }
     }
 
-    fn wake_consumer(&self) {
-        // ORDERING: SeqCst — totally ordered against the consumer's
-        // flag-store/ring-recheck sequence in `drain`, so either we see the
-        // parked flag here or the consumer's recheck sees our enqueue (the
-        // timed backstop covers the remaining machine-level window).
-        if self.consumer_parked.load(Ordering::SeqCst) {
-            let _guard = self.park.lock().expect("park lock");
-            self.not_empty.notify_all();
-        }
-    }
-
     fn wake_producer(&self) {
-        // ORDERING: SeqCst — mirror of `wake_consumer` for the producer-side
-        // parked flag in `push_inner`.
+        // ORDERING: SeqCst — totally ordered against the producer's
+        // flag-store/fullness-recheck sequence in `push_inner`, so either we
+        // see the parked flag here or the producer's recheck sees our
+        // dequeue (the timed backstop covers the remaining machine-level
+        // window).
         if self.producer_parked.load(Ordering::SeqCst) {
             let _guard = self.park.lock().expect("park lock");
             self.not_full.notify_all();
@@ -477,7 +485,7 @@ impl RingQueue {
                     if self.is_closed() {
                         if park_reported {
                             if let Some(events) = &self.events {
-                                events.unpark(true);
+                                events.unpark();
                             }
                         }
                         return Err(FleetError::Closed);
@@ -486,7 +494,7 @@ impl RingQueue {
                         TryEnqueue::Done => {
                             if park_reported {
                                 if let Some(events) = &self.events {
-                                    events.unpark(true);
+                                    events.unpark();
                                 }
                             }
                             return Ok(());
@@ -505,7 +513,7 @@ impl RingQueue {
                     let guard = self.park.lock().expect("park lock");
                     // ORDERING: SeqCst — flag store totally ordered before
                     // the fullness re-check below; pairs with the SeqCst
-                    // flag load in `wake_producer` (see `wake_consumer`).
+                    // flag load in `wake_producer`.
                     self.producer_parked.store(true, Ordering::SeqCst);
                     // Re-check under the flag: a dequeue or close between our
                     // last attempt and the flag store would otherwise be
@@ -521,7 +529,7 @@ impl RingQueue {
                     if full && !park_reported {
                         park_reported = true;
                         if let Some(events) = &self.events {
-                            events.park(true);
+                            events.park();
                         }
                     }
                     if full && !self.is_closed() {
@@ -551,91 +559,16 @@ impl RingQueue {
         batch
     }
 
-    /// Removes and returns up to `max` samples in arrival order, parking
-    /// while the ring is empty and open. Returns `None` only once the ring
-    /// is closed *and* fully drained — the worker's signal to exit without
-    /// ever abandoning accepted samples.
-    pub fn drain(&self, max: usize) -> Option<Vec<Envelope>> {
-        let mut spins = 0u32;
-        // One park/unpark pair per empty-wait episode (see `push_inner`).
-        let mut park_reported = false;
-        loop {
-            let batch = self.try_drain(max);
-            if !batch.is_empty() {
-                if park_reported {
-                    if let Some(events) = &self.events {
-                        events.unpark(false);
-                    }
-                }
-                return Some(batch);
-            }
-            // ORDERING: SeqCst — the close/`in_flight` quiescence protocol
-            // (see the `in_flight` field docs): a racing push either landed
-            // before this read or will observe `closed` and bail.
-            if self.is_closed() && self.in_flight.load(Ordering::SeqCst) == 0 {
-                // Closed with no push in flight: one final sweep for
-                // stragglers enqueued before the close became visible, then
-                // end-of-stream. (A push still in flight either lands before
-                // the sweep or observes the close and bails — see
-                // `in_flight` — so nothing accepted is ever abandoned.)
-                if park_reported {
-                    if let Some(events) = &self.events {
-                        events.unpark(false);
-                    }
-                }
-                let batch = self.try_drain(max);
-                return if batch.is_empty() { None } else { Some(batch) };
-            }
-            if spins < SPIN_LIMIT {
-                spins += 1;
-                if spins.is_multiple_of(8) {
-                    crate::sync::thread::yield_now();
-                } else {
-                    crate::sync::hint::spin_loop();
-                }
-                continue;
-            }
-            let guard = self.park.lock().expect("park lock");
-            // ORDERING: SeqCst — flag store totally ordered before the
-            // emptiness re-check; pairs with `wake_consumer`'s SeqCst load.
-            self.consumer_parked.store(true, Ordering::SeqCst);
-            if !park_reported && self.is_empty() && !self.is_closed() {
-                park_reported = true;
-                if let Some(events) = &self.events {
-                    events.park(false);
-                }
-            }
-            if self.is_empty() && !self.is_closed() {
-                let (_guard, _timeout) = self
-                    .not_empty
-                    .wait_timeout(guard, PARK_TIMEOUT)
-                    .expect("park lock");
-            } else if self.is_empty() {
-                // Closed but a push is still in flight (the quiescence check
-                // above saw `in_flight != 0`): it will land or bail within a
-                // few instructions, and it never notifies, so don't park —
-                // but don't busy-spin against it either; on a loaded core
-                // that starves the very push we are waiting out. (Found by
-                // the model checker as a schedule where this loop spins
-                // forever while the pusher never runs.)
-                drop(guard);
-                crate::sync::thread::yield_now();
-            }
-            // ORDERING: SeqCst — symmetric clear of the parked flag.
-            self.consumer_parked.store(false, Ordering::SeqCst);
-        }
-    }
-
     /// Closes the ring: subsequent pushes fail with [`FleetError::Closed`],
-    /// parked producers and consumers wake promptly, and
-    /// [`RingQueue::drain`] returns the backlog until empty, then `None`.
+    /// parked producers wake promptly, and [`RingQueue::try_drain`] keeps
+    /// returning the backlog until [`RingQueue::is_quiescent`]. The caller
+    /// rings the consumer's [`Doorbell`] afterwards.
     pub fn close(&self) {
         // ORDERING: SeqCst — anchors the close/`in_flight` total order: any
         // push whose SeqCst increment follows this store must also see
         // `closed` in `push_inner` and bail (see the `in_flight` docs).
         self.closed.store(true, Ordering::SeqCst);
         let _guard = self.park.lock().expect("park lock");
-        self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 }
@@ -644,6 +577,124 @@ impl Drop for RingQueue {
     fn drop(&mut self) {
         // Envelopes still in flight own heap memory; release them.
         while self.try_dequeue().is_some() {}
+    }
+}
+
+/// How one [`Doorbell::park`] call ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wake {
+    /// The re-check after raising the flag found work: no wait happened.
+    Busy,
+    /// A [`Doorbell::ring`] ended the wait (or landed between the re-check
+    /// and the wait, which then never slept).
+    Rung,
+    /// The wait ran the whole `PARK_TIMEOUT` backstop without a ring.
+    TimedOut,
+}
+
+/// One consumer's wait point: a parked flag plus a `Mutex`+`Condvar` parking
+/// lot, the idiom [`RingQueue`] uses for `Block` producers.
+///
+/// The engine gives each shard worker one doorbell. Anything that can hand
+/// the worker work rings it after making that work visible: a push into one
+/// of its rings, a ring close, a delivery to a stream it owns, the last
+/// worker finishing its ingest. A ring costs one SeqCst load while the
+/// worker is busy, and takes the lock to notify only once the worker has
+/// raised its flag.
+///
+/// No wakeup is lost: the consumer stores the flag (SeqCst) *before* its
+/// re-check, and every ringer loads it (SeqCst) *after* the SeqCst write
+/// that published its work, so either the ringer sees the flag or the
+/// re-check sees the work (the argument is written out in
+/// docs/CONCURRENCY.md and explored by `tests/model_check.rs`). A ring
+/// between the re-check and the wait leaves a token under the lock, so the
+/// wait does not start; `PARK_TIMEOUT` bounds every wait regardless.
+pub struct Doorbell {
+    parked: AtomicBool,
+    /// Whether a ring landed since the consumer last woke.
+    rung: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl std::fmt::Debug for Doorbell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Doorbell")
+            .field("parked", &self.is_parked())
+            .finish()
+    }
+}
+
+impl Default for Doorbell {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Doorbell {
+    /// A doorbell with no consumer parked.
+    pub fn new() -> Self {
+        Self {
+            parked: AtomicBool::new(false),
+            rung: Mutex::new(false),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Whether the consumer has raised its flag: it is re-checking or
+    /// asleep.
+    pub fn is_parked(&self) -> bool {
+        // ORDERING: SeqCst — in `ring`, read after the caller's SeqCst
+        // publication (`in_flight` decrement, `closed` store, `queued`
+        // increment, `ingest_done` increment); with `park`'s SeqCst flag
+        // store before its re-check this is a Dekker pair: either this load
+        // sees the flag or the re-check sees the work.
+        self.parked.load(Ordering::SeqCst)
+    }
+
+    /// Wakes the consumer if it has raised its flag, returning whether it
+    /// had. Call it after the SeqCst write that makes the work visible.
+    pub fn ring(&self) -> bool {
+        if !self.is_parked() {
+            return false;
+        }
+        let mut rung = self.rung.lock().expect("doorbell lock");
+        *rung = true;
+        self.wake.notify_one();
+        true
+    }
+
+    /// Raises the flag, runs `has_work` (the consumer's re-check of every
+    /// source that rings this doorbell), and sleeps until a ring or the
+    /// `PARK_TIMEOUT` backstop unless the re-check found work.
+    pub fn park(&self, has_work: impl FnOnce() -> bool) -> Wake {
+        // ORDERING: SeqCst — the flag store precedes every read of the
+        // re-check in the total order (see `ring`).
+        self.parked.store(true, Ordering::SeqCst);
+        let woke = if has_work() {
+            Wake::Busy
+        } else {
+            let mut rung = self.rung.lock().expect("doorbell lock");
+            while !*rung {
+                let (guard, waited) = self
+                    .wake
+                    .wait_timeout(rung, PARK_TIMEOUT)
+                    .expect("doorbell lock");
+                rung = guard;
+                if waited.timed_out() {
+                    break;
+                }
+            }
+            if std::mem::take(&mut *rung) {
+                Wake::Rung
+            } else {
+                Wake::TimedOut
+            }
+        };
+        // ORDERING: SeqCst — symmetric clear. A ring that loaded the flag
+        // before this store leaves a token, and the next park returns
+        // without sleeping.
+        self.parked.store(false, Ordering::SeqCst);
+        woke
     }
 }
 
@@ -722,12 +773,9 @@ mod tests {
             .push(envelope(0, 1.0), OverloadPolicy::Block, 0)
             .unwrap();
         queue.close();
-        assert_eq!(
-            queue.drain(usize::MAX).unwrap()[0].sample,
-            vec![1.0],
-            "backlog survives the close"
-        );
-        assert!(queue.drain(usize::MAX).is_none());
+        assert!(!queue.is_quiescent(), "the backlog outlives the close");
+        assert_eq!(values(&queue), vec![1.0], "backlog survives the close");
+        assert!(queue.is_quiescent());
         assert_eq!(
             queue.push(envelope(0, 2.0), OverloadPolicy::Block, 0),
             Err(FleetError::Closed)
@@ -743,13 +791,15 @@ mod tests {
     #[test]
     fn block_waits_for_space_and_never_loses_data() {
         let queue = Arc::new(RingQueue::new(2));
+        let bell = Arc::new(Doorbell::new());
         let producer = {
-            let queue = Arc::clone(&queue);
+            let (queue, bell) = (Arc::clone(&queue), Arc::clone(&bell));
             std::thread::spawn(move || {
                 for v in 0..50 {
                     queue
                         .push(envelope(0, v as f32), OverloadPolicy::Block, 0)
                         .unwrap();
+                    bell.ring();
                 }
             })
         };
@@ -757,9 +807,11 @@ mod tests {
         while seen.len() < 50 {
             // Consume slowly so the producer actually hits the full ring.
             std::thread::sleep(Duration::from_micros(200));
-            if let Some(batch) = queue.drain(3) {
-                seen.extend(batch.iter().map(|e| e.sample[0]));
+            let batch = queue.try_drain(3);
+            if batch.is_empty() {
+                bell.park(|| queue.has_pending());
             }
+            seen.extend(batch.iter().map(|e| e.sample[0]));
         }
         producer.join().unwrap();
         assert_eq!(seen, (0..50).map(|v| v as f32).collect::<Vec<_>>());
@@ -779,5 +831,43 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         queue.close();
         assert_eq!(blocked.join().unwrap(), Err(FleetError::Closed));
+    }
+
+    #[test]
+    fn doorbell_park_reports_how_it_ended() {
+        let bell = Doorbell::new();
+        assert!(!bell.ring(), "nobody is parked");
+        assert_eq!(bell.park(|| true), Wake::Busy);
+        assert_eq!(bell.park(|| false), Wake::TimedOut);
+        // A ring that lands while the flag is up but before the wait leaves
+        // a token: the park returns without sleeping.
+        assert_eq!(
+            bell.park(|| {
+                assert!(bell.ring(), "the flag is up during the re-check");
+                false
+            }),
+            Wake::Rung
+        );
+        assert!(!bell.ring(), "the flag is down again after the park");
+    }
+
+    #[test]
+    fn doorbell_ring_wakes_a_parked_consumer() {
+        let bell = Arc::new(Doorbell::new());
+        let ringer = {
+            let bell = Arc::clone(&bell);
+            std::thread::spawn(move || {
+                // Keep ringing until a ring finds the consumer parked.
+                while !bell.ring() {
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let mut woke = bell.park(|| false);
+        while woke == Wake::TimedOut {
+            woke = bell.park(|| false);
+        }
+        ringer.join().unwrap();
+        assert_eq!(woke, Wake::Rung);
     }
 }

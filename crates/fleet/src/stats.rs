@@ -28,6 +28,12 @@ pub struct ShardStats {
     /// [`crate::FleetConfig::work_stealing`] is off or the fleet has one
     /// shard.
     pub steals: u64,
+    /// Times this shard's worker slept on its doorbell: parks whose re-check
+    /// found no work. Each ended by a ring or by the 1 ms backstop. Exact.
+    pub parks: u64,
+    /// The parks that ran the whole backstop without a ring. On an idle
+    /// shard nearly every park times out, about one per millisecond.
+    pub park_timeouts: u64,
     /// Per-scored-sample latency (admit plus incremental forward), recorded
     /// only when [`crate::FleetConfig::record_latencies`] is on.
     pub sample_latencies: Vec<Duration>,
@@ -65,6 +71,11 @@ pub struct FleetStats {
     /// Total stream steals across shards (the sum of
     /// [`ShardStats::steals`]).
     pub steals: u64,
+    /// Total doorbell parks across shards (the sum of [`ShardStats::parks`]).
+    pub parks: u64,
+    /// Total backstop-ended parks across shards (the sum of
+    /// [`ShardStats::park_timeouts`]).
+    pub park_timeouts: u64,
     /// Per-group model version and swap counters, sorted by group index
     /// (filled in by the engine after the shard merge).
     pub groups: Vec<GroupModelStats>,
@@ -81,11 +92,15 @@ impl FleetStats {
         let mut global = PushStats::default();
         let mut dropped = 0;
         let mut steals = 0;
+        let mut parks = 0;
+        let mut park_timeouts = 0;
         let mut queue_depth_high_water = 0;
         for shard in &shards {
             global.merge(&shard.push);
             dropped += shard.dropped;
             steals += shard.steals;
+            parks += shard.parks;
+            park_timeouts += shard.park_timeouts;
             queue_depth_high_water = queue_depth_high_water.max(shard.queue_depth_high_water);
         }
         Self {
@@ -94,6 +109,8 @@ impl FleetStats {
             global,
             dropped,
             steals,
+            parks,
+            park_timeouts,
             groups: Vec::new(),
             queue_depth_high_water,
         }
@@ -144,6 +161,8 @@ mod tests {
             },
             dropped,
             steals: index as u64,
+            parks: 10 + index as u64,
+            park_timeouts: index as u64,
             sample_latencies: vec![Duration::from_micros(micros)],
             queue_depth_high_water: 3 * index as u64,
         }
@@ -161,6 +180,8 @@ mod tests {
         assert_eq!(stats.global.scores, 23);
         assert_eq!(stats.dropped, 3);
         assert_eq!(stats.steals, 1);
+        assert_eq!(stats.parks, 21);
+        assert_eq!(stats.park_timeouts, 1);
         // Shard high-water marks fold by max, not by sum.
         assert_eq!(stats.queue_depth_high_water, 3);
         // 30 pushes over 2 ms of wall clock.

@@ -5,12 +5,15 @@
 //! existing golden/equivalence suites. Under `RUSTFLAGS="--cfg
 //! varade_check"` the same names resolve to `varade_check::sync`'s
 //! instrumented facade, so `tests/model_check.rs` can exhaustively explore
-//! every bounded interleaving of [`crate::queue`]'s atomics through the
-//! *production* code path (no test-only forks of the queue logic).
+//! every bounded interleaving of [`crate::queue`]'s ring and doorbell
+//! atomics through the *production* code path (no test-only forks of the
+//! queue logic).
 //!
-//! Only `queue.rs` routes through this module; `engine.rs`'s round/steal
-//! counters stay on `std::sync::atomic` (model-checking the whole engine is
-//! a ROADMAP follow-on).
+//! Every atomic in the crate routes through this module: the ring and the
+//! doorbell in `queue.rs`, and the engine's `owner`, `queued` and
+//! `ingest_done` words in `engine.rs`. The engine's per-stream and
+//! model-slot mutexes stay on `std::sync` (its scoring round needs
+//! `try_lock`); only the engine's protocol words are model-visible.
 
 pub(crate) mod atomic {
     #[cfg(not(varade_check))]

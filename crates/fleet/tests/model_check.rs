@@ -1,10 +1,11 @@
-//! Exhaustive interleaving verification of the lock-free ingress ring.
+//! Exhaustive interleaving verification of the lock-free ingress ring and
+//! the shard worker's doorbell.
 //!
 //! These tests only compile under `--cfg varade_check`, which swaps the
 //! `crate::sync` alias inside `varade-fleet` from `std` to varade-check's
 //! instrumented facade. Every atomic load/store/RMW, mutex acquire, and
-//! condvar wait in [`varade_fleet::RingQueue`] then becomes a scheduling
-//! point, and [`varade_check::model`] runs the closure under every distinct
+//! condvar wait in [`varade_fleet::RingQueue`] and [`varade_fleet::Doorbell`]
+//! then becomes a scheduling point, and [`varade_check::model`] runs the closure under every distinct
 //! interleaving within the preemption bound (default 2, override with
 //! `VARADE_CHECK_PREEMPTIONS`, `unbounded` for full DFS).
 //!
@@ -21,8 +22,9 @@
 
 use std::sync::Arc;
 
+use varade_check::sync::atomic::{AtomicBool, Ordering};
 use varade_check::thread;
-use varade_fleet::{Envelope, FleetError, OverloadPolicy, RingQueue, StreamId};
+use varade_fleet::{Doorbell, Envelope, FleetError, OverloadPolicy, RingQueue, StreamId};
 
 fn env(stream: usize) -> Envelope {
     Envelope::new(StreamId::from_index(stream), vec![stream as f32])
@@ -134,18 +136,21 @@ fn two_producer_one_consumer_conservation() {
 
 /// Regression for the close-burst stranding bug: a `close` racing an
 /// in-flight push must never strand a sample the push reported as accepted.
-/// The consumer's `drain` loop must return every `Ok` push before yielding
-/// `None`, and the ring must report quiescent afterwards.
+/// The consumer — `try_drain` plus a doorbell park, the shard worker's
+/// loop — must take every `Ok` push before it sees the ring quiescent.
 #[test]
 fn close_never_strands_accepted_samples() {
     let report = varade_check::model("fleet_close_quiescence", || {
         let q = Arc::new(RingQueue::new(2));
+        let bell = Arc::new(Doorbell::new());
         let producer = {
-            let q = Arc::clone(&q);
+            let (q, bell) = (Arc::clone(&q), Arc::clone(&bell));
             thread::spawn(move || {
                 let mut accepted = 0usize;
                 for i in 0..2 {
-                    match q.push(env(i), OverloadPolicy::Reject, 0) {
+                    let pushed = q.push(env(i), OverloadPolicy::Reject, 0);
+                    bell.ring();
+                    match pushed {
                         Ok(()) => accepted += 1,
                         Err(FleetError::Closed) => break,
                         Err(e) => panic!("unexpected push error: {e:?}"),
@@ -155,12 +160,22 @@ fn close_never_strands_accepted_samples() {
             })
         };
         let closer = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.close())
+            let (q, bell) = (Arc::clone(&q), Arc::clone(&bell));
+            thread::spawn(move || {
+                q.close();
+                bell.ring();
+            })
         };
         let mut popped = 0usize;
-        while let Some(batch) = q.drain(4) {
-            popped += batch.len();
+        loop {
+            let batch = q.try_drain(4);
+            if !batch.is_empty() {
+                popped += batch.len();
+            } else if q.is_quiescent() {
+                break;
+            } else {
+                bell.park(|| q.has_pending() || q.is_quiescent());
+            }
         }
         let accepted = producer.join().expect("producer panicked");
         closer.join().expect("closer panicked");
@@ -168,9 +183,110 @@ fn close_never_strands_accepted_samples() {
             popped, accepted,
             "close-burst stranding: {accepted} pushes accepted but only {popped} drained"
         );
+        assert!(q.is_quiescent(), "the ring left quiescence after the close");
+    });
+    assert!(report.schedules > 0);
+}
+
+/// The shard worker's wait protocol on the production ring and doorbell:
+/// two producers on two lanes each push one sample and ring (as
+/// `FleetHandle::push_from` does), a closer closes both lanes and rings (as
+/// the engine's `close_shard` does), and one worker drains with `try_drain`
+/// and parks with the engine's ring re-check. In every schedule:
+///
+/// - every accepted sample is drained exactly once;
+/// - the worker exits only once both rings are closed and empty;
+/// - no wakeup is lost: no producer finds the flag clear while the worker
+///   sleeps on a re-check that missed its sample.
+///
+/// The last property is checked by the producer, after its ring, against
+/// two ghost flags: `committed` (the worker's re-check found nothing and its
+/// park has not returned) and `taken[lane]` (the worker has drained the
+/// sample). While the worker's flag is up and `committed` holds, a ring that
+/// found the flag clear must have loaded it before the park raised it, so
+/// its sample was queued before the re-check: the re-check can only have
+/// found nothing if the sample was already taken.
+#[test]
+fn doorbell_never_loses_a_wakeup() {
+    let (opts, _) = bounded(100_000);
+    let report = varade_check::model_with(opts, "fleet_doorbell_wakeup", || {
+        let lanes = Arc::new([RingQueue::new(2), RingQueue::new(2)]);
+        let bell = Arc::new(Doorbell::new());
+        let committed = Arc::new(AtomicBool::new(false));
+        let taken = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
+        let producers: Vec<_> = (0..2)
+            .map(|lane| {
+                let (lanes, bell) = (Arc::clone(&lanes), Arc::clone(&bell));
+                let (committed, taken) = (Arc::clone(&committed), Arc::clone(&taken));
+                thread::spawn(move || {
+                    let pushed = lanes[lane].push(env(lane), OverloadPolicy::Reject, 0);
+                    let rang = bell.ring();
+                    // ORDERING: SeqCst — ghost reads; the model executes
+                    // sequentially consistently anyway.
+                    let asleep = committed.load(Ordering::SeqCst) && bell.is_parked();
+                    match pushed {
+                        Ok(()) => {
+                            assert!(
+                                rang || !asleep || taken[lane].load(Ordering::SeqCst),
+                                "lost wakeup: lane {lane}'s ring found the flag clear \
+                                 while the worker sleeps on a re-check that missed it"
+                            );
+                            true
+                        }
+                        Err(FleetError::Closed) => false,
+                        Err(e) => panic!("unexpected push error: {e:?}"),
+                    }
+                })
+            })
+            .collect();
+        let closer = {
+            let (lanes, bell) = (Arc::clone(&lanes), Arc::clone(&bell));
+            thread::spawn(move || {
+                for q in lanes.iter() {
+                    q.close();
+                }
+                bell.ring();
+            })
+        };
+
+        let mut drained = Vec::new();
+        loop {
+            for q in lanes.iter() {
+                for e in q.try_drain(4) {
+                    let lane = e.stream.index();
+                    // ORDERING: SeqCst — ghost state (see above).
+                    taken[lane].store(true, Ordering::SeqCst);
+                    drained.push(lane);
+                }
+            }
+            if lanes.iter().all(RingQueue::is_quiescent) {
+                break;
+            }
+            bell.park(|| {
+                let busy = lanes.iter().any(RingQueue::has_pending)
+                    || lanes.iter().all(RingQueue::is_quiescent);
+                // ORDERING: SeqCst — ghost state (see above).
+                committed.store(!busy, Ordering::SeqCst);
+                busy
+            });
+            // ORDERING: SeqCst — ghost state (see above).
+            committed.store(false, Ordering::SeqCst);
+        }
+
+        let accepted: Vec<usize> = producers
+            .into_iter()
+            .enumerate()
+            .filter_map(|(lane, p)| p.join().expect("producer panicked").then_some(lane))
+            .collect();
+        closer.join().expect("closer panicked");
+        drained.sort_unstable();
+        assert_eq!(
+            drained, accepted,
+            "every accepted sample is drained exactly once"
+        );
         assert!(
-            q.is_quiescent(),
-            "drain returned None but the ring is not quiescent"
+            lanes.iter().all(|q| q.is_closed() && q.is_empty()),
+            "the worker exited before both rings were closed and empty"
         );
     });
     assert!(report.schedules > 0);

@@ -11,7 +11,12 @@
 //!   producers).
 //! * **Shutdown liveness**: a `Block` producer parked on a full queue wakes
 //!   *promptly* with a typed [`FleetError::Closed`] when the queue closes —
-//!   the regression that motivated the timed-backstop parking design.
+//!   the regression that motivated the timed-backstop parking design — and a
+//!   consumer parked on its [`Doorbell`] wakes promptly when the close rings.
+//!
+//! Consumers here are shard workers reduced to one ring (see [`consume`]):
+//! they drain with `try_drain` and park on a doorbell that every push and
+//! close rings, the way `FleetHandle::push_from` and the engine's close do.
 //!
 //! Edge geometry (capacity 1, wraparound at tiny capacities) gets dedicated
 //! coverage because the ring's counter-based fullness and slot-stamp laps
@@ -24,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use varade_fleet::{Envelope, FleetError, OverloadPolicy, RingQueue, StreamId};
+use varade_fleet::{Doorbell, Envelope, FleetError, OverloadPolicy, RingQueue, StreamId};
 
 fn envelope(value: u32) -> Envelope {
     Envelope::new(StreamId::from_index(0), vec![f32::from_bits(value)])
@@ -40,6 +45,27 @@ fn jitter(rng: &mut StdRng) {
         thread::yield_now();
     } else {
         std::hint::spin_loop();
+    }
+}
+
+/// A shard worker's consumer side for one ring: drain batches of `max()`
+/// samples into `take`, park on `bell` while the ring is open and empty, and
+/// return once it is closed and quiescent.
+fn consume(
+    queue: &RingQueue,
+    bell: &Doorbell,
+    mut max: impl FnMut() -> usize,
+    mut take: impl FnMut(Vec<Envelope>),
+) {
+    loop {
+        let batch = queue.try_drain(max());
+        if !batch.is_empty() {
+            take(batch);
+        } else if queue.is_quiescent() {
+            return;
+        } else {
+            bell.park(|| queue.has_pending() || queue.is_quiescent());
+        }
     }
 }
 
@@ -98,25 +124,33 @@ fn cross_thread_block_delivers_every_sample_exactly_once_in_order() {
     const N: u32 = 20_000;
     for seed in [7u64, 1312, 90210] {
         let queue = Arc::new(RingQueue::new(8));
+        let bell = Arc::new(Doorbell::new());
         let producer = {
-            let queue = Arc::clone(&queue);
+            let (queue, bell) = (Arc::clone(&queue), Arc::clone(&bell));
             thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
                 for v in 0..N {
                     queue.push(envelope(v), OverloadPolicy::Block, 0).unwrap();
+                    bell.ring();
                     jitter(&mut rng);
                 }
                 queue.close();
+                bell.ring();
             })
         };
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
+        let rng = std::cell::RefCell::new(StdRng::seed_from_u64(seed ^ 0xD00D));
         let mut seen = Vec::with_capacity(N as usize);
         // Randomize batch sizes too, so drains split the stream at
         // arbitrary points.
-        while let Some(batch) = queue.drain(rng.gen_range(1..17)) {
-            seen.extend(batch.iter().map(value_of));
-            jitter(&mut rng);
-        }
+        consume(
+            &queue,
+            &bell,
+            || rng.borrow_mut().gen_range(1..17),
+            |batch| {
+                seen.extend(batch.iter().map(value_of));
+                jitter(&mut rng.borrow_mut());
+            },
+        );
         producer.join().unwrap();
         assert_eq!(
             seen,
@@ -136,30 +170,38 @@ fn drop_oldest_under_contention_balances_the_ledger_and_keeps_order() {
     const N: u32 = 20_000;
     for seed in [11u64, 2024] {
         let queue = Arc::new(RingQueue::new(4));
+        let bell = Arc::new(Doorbell::new());
         let producer = {
-            let queue = Arc::clone(&queue);
+            let (queue, bell) = (Arc::clone(&queue), Arc::clone(&bell));
             thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
                 for v in 0..N {
                     queue
                         .push(envelope(v), OverloadPolicy::DropOldest, 0)
                         .unwrap();
+                    bell.ring();
                     if rng.gen_range(0..8) == 0 {
                         jitter(&mut rng);
                     }
                 }
                 queue.close();
+                bell.ring();
             })
         };
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
         let mut seen = Vec::new();
-        while let Some(batch) = queue.drain(16) {
-            seen.extend(batch.iter().map(value_of));
-            jitter(&mut rng);
-        }
+        consume(
+            &queue,
+            &bell,
+            || 16,
+            |batch| {
+                seen.extend(batch.iter().map(value_of));
+                jitter(&mut rng);
+            },
+        );
         producer.join().unwrap();
         // Conservation at quiescence: producer joined (in_flight == 0),
-        // drain returned None (queue empty).
+        // the consumer returned (queue closed and empty).
         assert_eq!(
             seen.len() as u64 + queue.dropped(),
             u64::from(N),
@@ -179,9 +221,10 @@ fn drop_oldest_under_contention_balances_the_ledger_and_keeps_order() {
 fn reject_under_contention_conserves_accepted_samples_exactly() {
     const N: u32 = 20_000;
     let queue = Arc::new(RingQueue::new(4));
+    let bell = Arc::new(Doorbell::new());
     let accepted = Arc::new(AtomicU64::new(0));
     let producer = {
-        let queue = Arc::clone(&queue);
+        let (queue, bell) = (Arc::clone(&queue), Arc::clone(&bell));
         let accepted = Arc::clone(&accepted);
         thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(99);
@@ -193,25 +236,32 @@ fn reject_under_contention_conserves_accepted_samples_exactly() {
                     Err(FleetError::QueueFull { .. }) => {}
                     Err(other) => panic!("unexpected error: {other:?}"),
                 }
+                bell.ring();
                 if rng.gen_range(0..16) == 0 {
                     jitter(&mut rng);
                 }
             }
             queue.close();
+            bell.ring();
         })
     };
     let mut drained = 0u64;
     let mut last = None;
-    while let Some(batch) = queue.drain(8) {
-        for envelope in &batch {
-            let v = value_of(envelope);
-            // Accepted samples keep their relative order even when some
-            // pushes in between were refused.
-            assert!(last.is_none_or(|prev| prev < v), "reordered");
-            last = Some(v);
-        }
-        drained += batch.len() as u64;
-    }
+    consume(
+        &queue,
+        &bell,
+        || 8,
+        |batch| {
+            for envelope in &batch {
+                let v = value_of(envelope);
+                // Accepted samples keep their relative order even when some
+                // pushes in between were refused.
+                assert!(last.is_none_or(|prev| prev < v), "reordered");
+                last = Some(v);
+            }
+            drained += batch.len() as u64;
+        },
+    );
     producer.join().unwrap();
     assert_eq!(
         drained,
@@ -261,18 +311,21 @@ fn close_wakes_a_block_producer_promptly() {
 #[test]
 fn close_wakes_an_empty_queue_consumer_promptly() {
     let queue = Arc::new(RingQueue::new(4));
+    let bell = Arc::new(Doorbell::new());
     let consumer = {
-        let queue = Arc::clone(&queue);
+        let (queue, bell) = (Arc::clone(&queue), Arc::clone(&bell));
         thread::spawn(move || {
-            let result = queue.drain(usize::MAX);
-            (result, Instant::now())
+            let mut drained = 0usize;
+            consume(&queue, &bell, || usize::MAX, |batch| drained += batch.len());
+            (drained, Instant::now())
         })
     };
     thread::sleep(Duration::from_millis(30));
     let closed_at = Instant::now();
     queue.close();
-    let (result, woke_at) = consumer.join().unwrap();
-    assert!(result.is_none(), "consumer should see end-of-stream");
+    bell.ring();
+    let (drained, woke_at) = consumer.join().unwrap();
+    assert_eq!(drained, 0, "consumer should see end-of-stream");
     assert!(
         woke_at.duration_since(closed_at) < WAKE_BUDGET,
         "close-to-wake took {:?}",

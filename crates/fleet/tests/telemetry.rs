@@ -14,9 +14,12 @@
 //! 4. **Disabled is empty** — a disabled fleet produces no snapshot in its
 //!    outcome and an empty one on demand, while the queue-depth high-water
 //!    satellite in [`ShardStats`] keeps working regardless.
+//! 5. **Worker waits** — the doorbell park counters agree exactly between
+//!    [`ShardStats`] and the exposition, and an idle window's parks are its
+//!    backstop timeouts plus at most the close and endgame rings.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use varade::{VaradeConfig, VaradeDetector};
 use varade_fleet::{Fleet, FleetConfig, OverloadPolicy, TelemetryConfig, TelemetrySnapshot};
@@ -287,4 +290,123 @@ fn mid_serve_handle_snapshot_splits_events_without_losing_any() {
     };
     assert_eq!(seen(&mid) + seen(&last), 1);
     assert!(last.events.drained + last.events.overwritten == last.events.recorded);
+}
+
+/// Serves one window with telemetry on and the given driver; returns the
+/// outcome, its snapshot and the window's wall time.
+fn serve_window(
+    n_streams: usize,
+    driver: impl FnOnce(&varade_fleet::FleetHandle<'_>, &[varade_fleet::StreamId]),
+) -> (varade_fleet::FleetOutcome, TelemetrySnapshot, Duration) {
+    let mut fleet = Fleet::new(FleetConfig {
+        n_shards: 2,
+        telemetry: TelemetryConfig::enabled(),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let group = fleet.register_model(fitted()).unwrap();
+    let streams: Vec<_> = (0..n_streams)
+        .map(|_| fleet.register_stream(group, None).unwrap())
+        .collect();
+    let started = Instant::now();
+    let (_, outcome) = fleet
+        .run(|handle| {
+            driver(handle, &streams);
+            Ok(())
+        })
+        .unwrap();
+    let elapsed = started.elapsed();
+    let snap = outcome.telemetry.clone().expect("telemetry was enabled");
+    (outcome, snap, elapsed)
+}
+
+/// Both accounting surfaces of the worker waits carry the same exact counts.
+fn assert_waits_agree(outcome: &varade_fleet::FleetOutcome, snap: &TelemetrySnapshot) {
+    let stats = &outcome.stats;
+    assert_eq!(snap.worker_waits.len(), stats.shards.len());
+    let prom = varade_obs::prometheus_text(snap);
+    for (cell, shard) in snap.worker_waits.iter().zip(&stats.shards) {
+        assert_eq!(cell.shard, shard.shard);
+        assert_eq!(cell.parks, shard.parks, "shard {}", shard.shard);
+        assert_eq!(
+            cell.park_timeouts, shard.park_timeouts,
+            "shard {}",
+            shard.shard
+        );
+        assert!(shard.park_timeouts <= shard.parks);
+        assert!(prom.contains(&format!(
+            "varade_worker_parks_total{{shard=\"{}\"}} {}",
+            shard.shard, shard.parks
+        )));
+        assert!(prom.contains(&format!(
+            "varade_worker_park_timeouts_total{{shard=\"{}\"}} {}",
+            shard.shard, shard.park_timeouts
+        )));
+    }
+    assert_eq!(
+        stats.parks,
+        stats.shards.iter().map(|s| s.parks).sum::<u64>()
+    );
+    assert_eq!(
+        stats.park_timeouts,
+        stats.shards.iter().map(|s| s.park_timeouts).sum::<u64>()
+    );
+}
+
+#[test]
+fn paced_window_parks_between_samples_and_counts_agree() {
+    // One sample every 2 ms: far below capacity, so the workers park
+    // between samples and pushes ring them awake.
+    let samples = rows(12);
+    let (outcome, snap, _) = serve_window(4, |handle, streams| {
+        for row in &samples {
+            for &s in streams {
+                handle.push(s, row).unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+    });
+    assert_eq!(outcome.stats.global.pushes, 4 * 12);
+    assert_waits_agree(&outcome, &snap);
+    for shard in &outcome.stats.shards {
+        assert!(shard.parks > 0, "shard {} never parked", shard.shard);
+    }
+    // Every park ended by a ring or by the backstop; with 48 pushes each
+    // ringing its shard, most parks end by a ring.
+    assert!(
+        outcome.stats.parks > outcome.stats.park_timeouts,
+        "no park was ended by a ring: {:?}",
+        outcome.stats
+    );
+}
+
+#[test]
+fn idle_window_parks_are_its_backstop_timeouts() {
+    let (outcome, snap, elapsed) = serve_window(4, |_, _| {
+        std::thread::sleep(Duration::from_millis(200));
+    });
+    assert_eq!(outcome.stats.global.pushes, 0);
+    assert_waits_agree(&outcome, &snap);
+    // A timed-out wait lasted at least the 1 ms backstop, so a shard cannot
+    // time out more often than once per elapsed millisecond — about 200
+    // here, where a polling worker would wake thousands of times.
+    let bound = elapsed.as_millis() as u64 + 1;
+    for shard in &outcome.stats.shards {
+        assert!(shard.parks > 0, "shard {} never parked", shard.shard);
+        assert!(
+            shard.park_timeouts <= bound,
+            "shard {}: {} timeouts in {elapsed:?}",
+            shard.shard,
+            shard.park_timeouts
+        );
+        // Nothing was pushed, so the only rings are the close and the
+        // endgame: every other park ran the whole backstop.
+        assert!(
+            shard.parks - shard.park_timeouts <= 2,
+            "shard {}: {} parks, {} timeouts",
+            shard.shard,
+            shard.parks,
+            shard.park_timeouts
+        );
+    }
 }

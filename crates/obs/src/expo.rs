@@ -16,6 +16,8 @@ use std::fmt::Write;
 /// * `varade_stage_latency_ns` — histogram, labels `stage`, `group`, `shard`
 /// * `varade_end_to_end_latency_ns` — histogram, label `shard`
 /// * `varade_queue_depth` / `varade_queue_depth_high_water` — gauges, label `shard`
+/// * `varade_worker_parks_total` / `varade_worker_park_timeouts_total` —
+///   counters, label `shard`
 /// * `varade_events_total` — counter, label `kind`
 /// * `varade_events_recorded_total` / `varade_events_overwritten_total` — counters
 pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
@@ -58,6 +60,26 @@ pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
             out,
             "varade_queue_depth_high_water{{shard=\"{}\"}} {}",
             cell.shard, cell.high_water
+        );
+    }
+    out.push_str("# HELP varade_worker_parks_total Shard worker waits on its doorbell.\n");
+    out.push_str("# TYPE varade_worker_parks_total counter\n");
+    for cell in &snap.worker_waits {
+        let _ = writeln!(
+            out,
+            "varade_worker_parks_total{{shard=\"{}\"}} {}",
+            cell.shard, cell.parks
+        );
+    }
+    out.push_str(
+        "# HELP varade_worker_park_timeouts_total Shard worker waits that ran the backstop without a ring.\n",
+    );
+    out.push_str("# TYPE varade_worker_park_timeouts_total counter\n");
+    for cell in &snap.worker_waits {
+        let _ = writeln!(
+            out,
+            "varade_worker_park_timeouts_total{{shard=\"{}\"}} {}",
+            cell.shard, cell.park_timeouts
         );
     }
     out.push_str("# HELP varade_events_total Structured events recorded, by kind.\n");
@@ -120,6 +142,8 @@ mod tests {
             .unwrap()
             .record_end_to_end(Duration::from_micros(120));
         t.shard(0).unwrap().observe_queue_depth(3);
+        t.shard(0).unwrap().record_park(true);
+        t.shard(0).unwrap().record_park(false);
         t.record_event(FleetEvent::SampleDrop { lane: 0, stream: 7 });
         let text = prometheus_text(&t.snapshot());
         assert!(text.contains(
@@ -131,6 +155,8 @@ mod tests {
         assert!(text.contains("varade_end_to_end_latency_ns_bucket{shard=\"0\",le=\"+Inf\"} 1"));
         assert!(text.contains("varade_queue_depth{shard=\"0\"} 3"));
         assert!(text.contains("varade_queue_depth_high_water{shard=\"0\"} 3"));
+        assert!(text.contains("varade_worker_parks_total{shard=\"0\"} 2"));
+        assert!(text.contains("varade_worker_park_timeouts_total{shard=\"0\"} 1"));
         assert!(text.contains("varade_events_total{kind=\"sample_drop\"} 1"));
         assert!(text.contains("varade_events_recorded_total 1"));
     }

@@ -143,6 +143,8 @@ pub struct ShardTelemetry {
     stage_hists: Vec<AtomicHistogram>,
     end_to_end: AtomicHistogram,
     queue_depth: Gauge,
+    parks: Counter,
+    park_timeouts: Counter,
 }
 
 impl ShardTelemetry {
@@ -154,6 +156,8 @@ impl ShardTelemetry {
                 .collect(),
             end_to_end: AtomicHistogram::new(),
             queue_depth: Gauge::new(),
+            parks: Counter::new(),
+            park_timeouts: Counter::new(),
         }
     }
 
@@ -174,6 +178,16 @@ impl ShardTelemetry {
     #[inline]
     pub fn observe_queue_depth(&self, depth: u64) {
         self.queue_depth.set(depth);
+    }
+
+    /// Records one worker wait on the shard's doorbell, and whether it ran
+    /// the whole backstop without a ring.
+    #[inline]
+    pub fn record_park(&self, timed_out: bool) {
+        self.parks.inc();
+        if timed_out {
+            self.park_timeouts.inc();
+        }
     }
 
     /// The shard's queue-depth gauge.
@@ -380,6 +394,7 @@ impl Telemetry {
         let mut stages = Vec::new();
         let mut end_to_end = Vec::new();
         let mut queue_depth = Vec::new();
+        let mut worker_waits = Vec::new();
         for (shard, reg) in self.shards.iter().enumerate() {
             for group in 0..self.n_groups {
                 for stage in Stage::ALL {
@@ -403,6 +418,11 @@ impl Telemetry {
                 shard,
                 depth: g.value,
                 high_water: g.high_water,
+            });
+            worker_waits.push(WorkerWaitCell {
+                shard,
+                parks: reg.parks.get(),
+                park_timeouts: reg.park_timeouts.get(),
             });
         }
         let drain = self.events.drain();
@@ -434,6 +454,7 @@ impl Telemetry {
             stages,
             end_to_end,
             queue_depth,
+            worker_waits,
             events: EventsSnapshot {
                 recorded: drain.recorded,
                 drained: drain.drained,
@@ -508,6 +529,17 @@ pub struct QueueDepthCell {
     pub high_water: u64,
 }
 
+/// Per-shard worker wait counters.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WorkerWaitCell {
+    /// Worker shard.
+    pub shard: usize,
+    /// Times the worker slept on its doorbell.
+    pub parks: u64,
+    /// The sleeps that ran the whole backstop without a ring.
+    pub park_timeouts: u64,
+}
+
 /// Cumulative count of one event kind.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventKindCount {
@@ -562,6 +594,8 @@ pub struct TelemetrySnapshot {
     pub end_to_end: Vec<EndToEndCell>,
     /// Per-shard queue depth gauges.
     pub queue_depth: Vec<QueueDepthCell>,
+    /// Per-shard worker wait counters.
+    pub worker_waits: Vec<WorkerWaitCell>,
     /// Event ring accounting and recent events.
     pub events: EventsSnapshot,
 }
@@ -576,6 +610,7 @@ impl TelemetrySnapshot {
             stages: Vec::new(),
             end_to_end: Vec::new(),
             queue_depth: Vec::new(),
+            worker_waits: Vec::new(),
             events: EventsSnapshot {
                 recorded: 0,
                 drained: 0,
