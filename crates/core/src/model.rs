@@ -253,6 +253,18 @@ impl VaradeModel {
         Ok(self.network.backward(&combined)?)
     }
 
+    /// [`VaradeModel::backward_variational`] for training: accumulates the
+    /// same parameter gradients but never forms the gradient with respect to
+    /// the input window, which an optimizer step does not read.
+    pub(crate) fn backward_variational_params(
+        &mut self,
+        grad_mean: &Tensor,
+        grad_log_var: &Tensor,
+    ) -> Result<(), VaradeError> {
+        let combined = self.merge_grads(grad_mean, grad_log_var)?;
+        Ok(self.network.backward_params(&combined)?)
+    }
+
     /// Splits a raw `[batch, 2 * channels]` output into `(mean, log_variance)`.
     fn split_output(&self, output: &Tensor) -> Result<(Tensor, Tensor), TensorError> {
         let batch = output.shape()[0];
@@ -432,6 +444,30 @@ mod tests {
             .backward_variational(&Tensor::ones(mu.shape()), &Tensor::ones(log_var.shape()))
             .unwrap();
         assert_eq!(grad.shape(), x.shape());
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_same_gradients() {
+        let x: Vec<f32> = (0..2 * 3 * 16).map(|v| (v as f32 * 0.37).sin()).collect();
+        let x = Tensor::from_vec(x, &[2, 3, 16]).unwrap();
+        let grads = |params_only: bool| {
+            let mut model = VaradeModel::from_config(tiny_config(), 3).unwrap();
+            let (mu, log_var) = model.forward_variational(&x).unwrap();
+            let g = mu.map(|v| v - 0.25);
+            if params_only {
+                model.backward_variational_params(&g, &log_var).unwrap();
+            } else {
+                model.backward_variational(&g, &log_var).unwrap();
+            }
+            let mut bits = Vec::new();
+            model.visit_params(&mut |_, grad| {
+                bits.extend(grad.as_slice().iter().map(|v| v.to_bits()));
+            });
+            bits
+        };
+        let full = grads(false);
+        assert!(full.iter().any(|&b| f32::from_bits(b) != 0.0));
+        assert_eq!(grads(true), full);
     }
 
     #[test]

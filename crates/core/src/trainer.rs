@@ -111,7 +111,7 @@ impl VaradeTrainer {
                 let mut grad_lv = grad_lv_recon;
                 grad_mu.axpy(self.config.kl_weight, &grad_mu_kl)?;
                 grad_lv.axpy(self.config.kl_weight, &grad_lv_kl)?;
-                model.backward_variational(&grad_mu, &grad_lv)?;
+                model.backward_variational_params(&grad_mu, &grad_lv)?;
                 optimizer.step(model);
                 total += recon + self.config.kl_weight * kl;
                 total_recon += recon;

@@ -182,10 +182,16 @@ pub struct FleetOutcome {
     /// including queue wait — which is what a per-stream p99 SLO should
     /// measure.
     pub latencies: Vec<Vec<Duration>>,
-    /// Merged telemetry snapshot taken at the close of the serve window;
-    /// `None` unless [`FleetConfig::telemetry`] is enabled. Taking it drains
-    /// the event ring, so events appear either here or in an earlier
-    /// [`FleetHandle::telemetry`] snapshot, never both (totals stay exact).
+    /// Merged telemetry snapshot taken when the serve window closes; `None`
+    /// unless [`FleetConfig::telemetry`] is enabled. Like
+    /// [`Fleet::telemetry`], its histograms and counters are cumulative:
+    /// they cover every serve window since [`Fleet::new`] (or since the last
+    /// [`Fleet::register_model`] re-partitioned them), not this window
+    /// alone. One window's own distribution is the bucket-wise difference
+    /// from a snapshot taken before it.
+    /// Taking it drains the event ring, so events appear either here or in
+    /// an earlier [`FleetHandle::telemetry`] snapshot, never both (totals
+    /// stay exact).
     pub telemetry: Option<TelemetrySnapshot>,
 }
 

@@ -17,6 +17,9 @@
 //! 5. **Worker waits** — the doorbell park counters agree exactly between
 //!    [`ShardStats`] and the exposition, and an idle window's parks are its
 //!    backstop timeouts plus at most the close and endgame rings.
+//! 6. **Cumulative histograms** — a serve window's snapshot counts every
+//!    span since [`Fleet::new`], earlier windows included, so a figure read
+//!    from it describes all windows, not the last one.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -290,6 +293,43 @@ fn mid_serve_handle_snapshot_splits_events_without_losing_any() {
     };
     assert_eq!(seen(&mid) + seen(&last), 1);
     assert!(last.events.drained + last.events.overwritten == last.events.recorded);
+}
+
+#[test]
+fn a_window_snapshot_counts_every_earlier_window() {
+    let mut fleet = Fleet::new(FleetConfig {
+        n_shards: 2,
+        telemetry: TelemetryConfig::enabled(),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let group = fleet.register_model(fitted()).unwrap();
+    let streams: Vec<_> = (0..3)
+        .map(|_| fleet.register_stream(group, None).unwrap())
+        .collect();
+    let mut serve = |samples: Vec<Vec<f32>>| {
+        let (_, outcome) = fleet
+            .run(|handle| {
+                for row in &samples {
+                    for &s in &streams {
+                        handle.push(s, row)?;
+                    }
+                }
+                Ok(())
+            })
+            .unwrap();
+        outcome.telemetry.expect("telemetry was enabled")
+    };
+    let first = serve(rows(20));
+    let second = serve(rows(30));
+    // The first window warms each stream up (WINDOW samples score
+    // nothing); the second is all scores.
+    let (pushes, scores) = (3 * 20, 3 * (20 - WINDOW as u64));
+    assert_eq!(first.merged_stage(Stage::QueueWait).count, pushes);
+    assert_eq!(first.merged_stage(Stage::Forward).count, scores);
+    assert_eq!(second.merged_stage(Stage::QueueWait).count, pushes + 3 * 30);
+    assert_eq!(second.merged_stage(Stage::Forward).count, scores + 3 * 30);
+    assert_eq!(second.merged_end_to_end().count, scores + 3 * 30);
 }
 
 /// Serves one window with telemetry on and the given driver; returns the

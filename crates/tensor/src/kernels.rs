@@ -8,7 +8,10 @@
 //! [`Linear`](crate::layers::Linear), and their generic inference path, run
 //! the output-vectorized column kernel of [`crate::layers::incremental`]
 //! instead: every output starts at its bias and adds its inputs one by one
-//! in input order.
+//! in input order. Only those column kernels are also built with AVX2 and
+//! picked at run time; the loops here are built for the baseline target
+//! alone. [`conv1d_k2s2`] is the full-window pass the incremental oracles
+//! check the served column kernels against.
 //! Every iteration order and accumulation association is fixed, so a model
 //! built, trained and scored here reproduces the same bits on every run (the
 //! golden-score tests in `varade-fleet/tests/equivalence.rs` pin this).

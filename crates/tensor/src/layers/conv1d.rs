@@ -7,7 +7,8 @@ use rand::rngs::StdRng;
 use crate::init::Init;
 use crate::kernels;
 use crate::layers::incremental::{
-    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, PackedColumns, StreamStep,
+    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, Lanes, PackedColumns,
+    StreamStep,
 };
 use crate::profile::{ComputeProfile, ExecutionUnit};
 use crate::{Layer, Tensor, TensorError};
@@ -47,8 +48,9 @@ pub struct Conv1d {
     /// The training forward's input rows and time length, kept for the
     /// backward.
     cached_rows: Option<(Vec<f32>, usize)>,
-    /// `weight` packed `[in · kernel, out]` for the column kernel, built on
-    /// first use and dropped whenever the weights can move.
+    /// `weight` and `bias` packed block-major over `in · kernel` rows for
+    /// the column kernel, built on first use and dropped whenever the
+    /// parameters can move.
     columns: PackedColumns,
 }
 
@@ -168,14 +170,15 @@ impl Conv1d {
         rows
     }
 
-    /// `weight` packed `[in · kernel, out]`. Shared by every pass: for
-    /// kernel 2 it is also the incremental column's `[in, 2, out]` layout.
-    fn packed(&self) -> &[f32] {
+    /// `weight` and `bias` packed block-major over `in · kernel` rows.
+    /// Shared by every pass: for kernel 2 it is also the incremental
+    /// column's `[in, 2, 16]`-per-block layout.
+    fn packed(&self) -> &[Lanes] {
         self.columns.get_or_pack(|| {
             incremental::pack_linear(
                 self.weight.as_slice(),
+                self.bias.as_slice(),
                 self.in_channels * self.kernel_size,
-                self.out_channels,
             )
         })
     }
@@ -217,7 +220,7 @@ impl Conv1d {
         let mut column = vec![0.0f32; out_c];
         let width = self.in_channels * self.kernel_size;
         for (r, row) in rows.chunks_exact(width).enumerate() {
-            incremental::linear_column(packed, self.bias.as_slice(), row, &mut column);
+            incremental::linear_column(packed, row, &mut column);
             let (bi, ot) = (r / out_len, r % out_len);
             for (oc, &v) in column.iter().enumerate() {
                 o[(bi * out_c + oc) * out_len + ot] = v;
@@ -248,6 +251,101 @@ impl Conv1d {
             out_len,
         );
         out
+    }
+
+    /// The backward pass: accumulates the weight and bias gradients and, if
+    /// `input_grad`, returns the gradient with respect to the input.
+    fn accumulate_grads(
+        &mut self,
+        grad_output: &Tensor,
+        input_grad: bool,
+    ) -> Result<Option<Tensor>, TensorError> {
+        let (rows, t) = self
+            .cached_rows
+            .as_ref()
+            .ok_or(TensorError::BackwardBeforeForward { layer: "conv1d" })?;
+        let t = *t;
+        let out_len = self.output_len(t).expect("the forward checked the length");
+        let (ci_n, k) = (self.in_channels, self.kernel_size);
+        let width = ci_n * k;
+        let batch = rows.len() / (out_len * width);
+        if grad_output.shape() != [batch, self.out_channels, out_len] {
+            return Err(TensorError::ShapeMismatch {
+                expected: vec![batch, self.out_channels, out_len],
+                got: grad_output.shape().to_vec(),
+            });
+        }
+        // With `kernel <= stride` no two taps read the same input sample, so
+        // each input gradient sums over `oc` alone: accumulate it per row and
+        // scatter the rows back. Overlapping taps also sum over `ot`, in
+        // `(oc, ot)` order, so they accumulate into a padded input gradient.
+        let overlapping = k > self.stride;
+        let padded_len = t + 2 * self.padding;
+        let (mut grad_rows, mut grad_padded) = match (input_grad, overlapping) {
+            (false, _) => (Vec::new(), Vec::new()),
+            (true, true) => (Vec::new(), vec![0.0f32; batch * ci_n * padded_len]),
+            (true, false) => (vec![0.0f32; rows.len()], Vec::new()),
+        };
+        let w = self.weight.as_slice();
+        let go = grad_output.as_slice();
+        let gw = self.weight_grad.as_mut_slice();
+        let gb = self.bias_grad.as_mut_slice();
+        for bi in 0..batch {
+            for oc in 0..self.out_channels {
+                let go_row = &go[(bi * self.out_channels + oc) * out_len
+                    ..(bi * self.out_channels + oc + 1) * out_len];
+                let w_oc = &w[oc * width..(oc + 1) * width];
+                for (ot, &g) in go_row.iter().enumerate() {
+                    if g == 0.0 {
+                        continue;
+                    }
+                    gb[oc] += g;
+                    let r = (bi * out_len + ot) * width;
+                    kernels::axpy(
+                        g,
+                        &rows[r..r + width],
+                        &mut gw[oc * width..(oc + 1) * width],
+                    );
+                    if !input_grad {
+                        continue;
+                    }
+                    if overlapping {
+                        let start = ot * self.stride;
+                        for ic in 0..ci_n {
+                            let x_base = (bi * ci_n + ic) * padded_len + start;
+                            for kk in 0..k {
+                                grad_padded[x_base + kk] += g * w_oc[ic * k + kk];
+                            }
+                        }
+                    } else {
+                        kernels::axpy(g, w_oc, &mut grad_rows[r..r + width]);
+                    }
+                }
+            }
+        }
+        if !input_grad {
+            return Ok(None);
+        }
+        let mut grad_input = Tensor::zeros(&[batch, ci_n, t]);
+        let gi = grad_input.as_mut_slice();
+        if overlapping {
+            // Strip padding from the input gradient.
+            for ch in 0..batch * ci_n {
+                let from = ch * padded_len + self.padding;
+                gi[ch * t..(ch + 1) * t].copy_from_slice(&grad_padded[from..from + t]);
+            }
+            return Ok(Some(grad_input));
+        }
+        for (r, grad_row) in grad_rows.chunks_exact(width).enumerate() {
+            let (bi, ot) = (r / out_len, r % out_len);
+            let (taps, first) = self.live_taps(ot, t);
+            let n = taps.len();
+            for (ic, taps_ic) in grad_row.chunks_exact(k).enumerate() {
+                let gi_row = &mut gi[(bi * ci_n + ic) * t..(bi * ci_n + ic + 1) * t];
+                gi_row[first..first + n].copy_from_slice(&taps_ic[taps.clone()]);
+            }
+        }
+        Ok(Some(grad_input))
     }
 }
 
@@ -336,7 +434,7 @@ impl Layer for Conv1d {
         };
         let new = phase.prev.as_ref().expect("column stored above");
         let mut out = vec![0.0f32; self.out_channels];
-        incremental::k2s2_column(self.packed(), self.bias.as_slice(), &prev, new, &mut out);
+        incremental::k2s2_column(self.packed(), &prev, new, &mut out);
         // The pair covers elements (index - 1, index): it starts
         // on an even element exactly when `index` is odd, which
         // routes it to the even phase child `2 * stream`.
@@ -348,86 +446,13 @@ impl Layer for Conv1d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let (rows, t) = self
-            .cached_rows
-            .as_ref()
-            .ok_or(TensorError::BackwardBeforeForward { layer: "conv1d" })?;
-        let t = *t;
-        let out_len = self.output_len(t).expect("the forward checked the length");
-        let (ci_n, k) = (self.in_channels, self.kernel_size);
-        let width = ci_n * k;
-        let batch = rows.len() / (out_len * width);
-        if grad_output.shape() != [batch, self.out_channels, out_len] {
-            return Err(TensorError::ShapeMismatch {
-                expected: vec![batch, self.out_channels, out_len],
-                got: grad_output.shape().to_vec(),
-            });
-        }
-        // With `kernel <= stride` no two taps read the same input sample, so
-        // each input gradient sums over `oc` alone: accumulate it per row and
-        // scatter the rows back. Overlapping taps also sum over `ot`, in
-        // `(oc, ot)` order, so they accumulate into a padded input gradient.
-        let overlapping = k > self.stride;
-        let padded_len = t + 2 * self.padding;
-        let (mut grad_rows, mut grad_padded) = if overlapping {
-            (Vec::new(), vec![0.0f32; batch * ci_n * padded_len])
-        } else {
-            (vec![0.0f32; rows.len()], Vec::new())
-        };
-        let w = self.weight.as_slice();
-        let go = grad_output.as_slice();
-        let gw = self.weight_grad.as_mut_slice();
-        let gb = self.bias_grad.as_mut_slice();
-        for bi in 0..batch {
-            for oc in 0..self.out_channels {
-                let go_row = &go[(bi * self.out_channels + oc) * out_len
-                    ..(bi * self.out_channels + oc + 1) * out_len];
-                let w_oc = &w[oc * width..(oc + 1) * width];
-                for (ot, &g) in go_row.iter().enumerate() {
-                    if g == 0.0 {
-                        continue;
-                    }
-                    gb[oc] += g;
-                    let r = (bi * out_len + ot) * width;
-                    kernels::axpy(
-                        g,
-                        &rows[r..r + width],
-                        &mut gw[oc * width..(oc + 1) * width],
-                    );
-                    if overlapping {
-                        let start = ot * self.stride;
-                        for ic in 0..ci_n {
-                            let x_base = (bi * ci_n + ic) * padded_len + start;
-                            for kk in 0..k {
-                                grad_padded[x_base + kk] += g * w_oc[ic * k + kk];
-                            }
-                        }
-                    } else {
-                        kernels::axpy(g, w_oc, &mut grad_rows[r..r + width]);
-                    }
-                }
-            }
-        }
-        let mut grad_input = Tensor::zeros(&[batch, ci_n, t]);
-        let gi = grad_input.as_mut_slice();
-        if overlapping {
-            // Strip padding from the input gradient.
-            for ch in 0..batch * ci_n {
-                let from = ch * padded_len + self.padding;
-                gi[ch * t..(ch + 1) * t].copy_from_slice(&grad_padded[from..from + t]);
-            }
-            return Ok(grad_input);
-        }
-        for (r, grad_row) in grad_rows.chunks_exact(width).enumerate() {
-            let (bi, ot) = (r / out_len, r % out_len);
-            let (taps, first) = self.live_taps(ot, t);
-            let n = taps.len();
-            for (ic, taps_ic) in grad_row.chunks_exact(k).enumerate() {
-                let gi_row = &mut gi[(bi * ci_n + ic) * t..(bi * ci_n + ic + 1) * t];
-                gi_row[first..first + n].copy_from_slice(&taps_ic[taps.clone()]);
-            }
-        }
-        Ok(grad_input)
+        Ok(self
+            .accumulate_grads(grad_output, true)?
+            .expect("the input gradient was asked for"))
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), TensorError> {
+        self.accumulate_grads(grad_output, false).map(drop)
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -566,6 +591,24 @@ mod tests {
         conv.backward(&Tensor::ones(y.shape())).unwrap();
         // 4 output positions, gradient 1 each.
         assert_eq!(conv.bias_grad.at(&[0]), 4.0);
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_same_gradients_as_backward() {
+        // Non-overlapping k2/s2 taps and overlapping padded k3/s1 taps.
+        for (kernel, stride, padding) in [(2, 2, 0), (3, 1, 1)] {
+            let x: Vec<f32> = (0..2 * 3 * 8).map(|v| (v as f32 * 0.61).cos()).collect();
+            let x = Tensor::from_vec(x, &[2, 3, 8]).unwrap();
+            let mut full = Conv1d::new(3, 4, kernel, stride, padding, &mut rng());
+            let mut params = full.clone();
+            let y = full.forward(&x).unwrap();
+            params.forward(&x).unwrap();
+            let g = y.map(|v| v - 0.5);
+            full.backward(&g).unwrap();
+            params.backward_params(&g).unwrap();
+            assert_eq!(params.weight_grad, full.weight_grad);
+            assert_eq!(params.bias_grad, full.bias_grad);
+        }
     }
 
     #[test]

@@ -41,18 +41,30 @@
 //! convolution maps the pair `(a, b)` of `in` values to `out` values, the
 //! head maps `in` features to `out` values. [`Conv1d`](crate::layers::Conv1d)
 //! and [`Linear`](crate::layers::Linear) each run one column kernel over
-//! weights packed once per layer, transposed so the innermost loop — and so
-//! the SIMD lanes — runs over output channels:
+//! weights packed once per layer, so the innermost loop — and so the SIMD
+//! lanes — runs over output channels, 16 at a time:
 //!
-//! * convolution: `[in · kernel, out]`, element `(i·kernel + k, o)` =
-//!   `weight[o, i, k]` — `[in, 2, out]` for a k2/s2 convolution;
-//! * head: `[in, out]`, element `(i, o)` = `weight[o, i]`.
+//! * outputs are split into blocks of 16, and each block is **one contiguous
+//!   slab** `[1 + rows, 16]`: its 16 bias lanes, then one 16-lane row per
+//!   input — `rows = in · kernel`, row `i·kernel + k` holding `weight[o, i,
+//!   k]` for the convolution (`[in, 2, 16]` for k2/s2), row `i` holding
+//!   `weight[o, i]` for the head;
+//! * the last block is padded with zero bias lanes and zero weights up to
+//!   16 lanes, so every block runs the same full-width loop and there is no
+//!   remainder loop. Padded lanes are computed and discarded;
+//! * each 16-lane row is one `Lanes` value, aligned to its 64-byte cache
+//!   line, so a kernel's speed does not depend on where the allocator put
+//!   the packing.
+//!
+//! A block pass therefore reads its slab front to back instead of striding
+//! through the whole matrix once per block, which is what bounds a push at
+//! the paper's model size, where the weights do not fit in cache.
 //!
 //! The packing belongs to the layer, so a fitted model behind an `Arc` holds
 //! one copy however many streams it serves. It is built on first use and
-//! dropped by every `&mut` path that can move the weights (`visit_params`,
-//! `visit_tensors_mut`), so it never outlives the weights it was packed
-//! from.
+//! dropped by every `&mut` path that can move the weights or the bias
+//! (`visit_params`, `visit_tensors_mut`), so it never outlives the
+//! parameters it was packed from.
 //!
 //! Each output lane starts from its bias and adds the inputs in input
 //! order, `o += w0·a + w1·b` per input channel for the k2/s2 convolution
@@ -63,6 +75,17 @@
 //! the loop nest is interchanged, and lanes never combine — so the
 //! incremental columns are **bit-identical** to the full
 //! [`crate::Layer::forward_infer`] pass.
+//!
+//! Each kernel body is compiled twice: for the baseline target (SSE2 on
+//! x86-64, four lanes per vector) and, on x86, again with AVX2 enabled
+//! (eight lanes). The wider build is picked at run time when the CPU has
+//! AVX2; there is no switch to pick it by hand. The two builds agree bit
+//! for bit: each lane runs the same IEEE multiply and add in the same
+//! order whatever the vector width, lanes never combine, and Rust never
+//! contracts a multiply and an add into an FMA. The unit tests in this
+//! module compare both builds against a per-output loop. A third build for
+//! AVX-512 (one 16-lane register per block) measured no faster than AVX2,
+//! so there is none.
 //!
 //! `linear_column` serves training too. The training forward of
 //! [`Linear`](crate::layers::Linear) runs it once per batch row; the
@@ -199,16 +222,16 @@ impl IncrementalCache {
     }
 }
 
-/// A layer's weights repacked for its column kernel (see the module docs):
-/// built on the first incremental call, dropped with
-/// [`PackedColumns::clear`] wherever the weights can move. A clone carries
-/// the packing along with the weights it was built from.
+/// A layer's weights and bias repacked for its column kernel (see the
+/// module docs): built on first use, dropped with [`PackedColumns::clear`]
+/// wherever the parameters can move. A clone carries the packing along with
+/// the parameters it was built from.
 #[derive(Clone, Default)]
-pub(crate) struct PackedColumns(OnceLock<Vec<f32>>);
+pub(crate) struct PackedColumns(OnceLock<Vec<Lanes>>);
 
 impl PackedColumns {
     /// The packed weights, running `pack` if none are cached.
-    pub(crate) fn get_or_pack(&self, pack: impl FnOnce() -> Vec<f32>) -> &[f32] {
+    pub(crate) fn get_or_pack(&self, pack: impl FnOnce() -> Vec<Lanes>) -> &[Lanes] {
         self.0.get_or_init(pack)
     }
 
@@ -221,7 +244,7 @@ impl PackedColumns {
 impl std::fmt::Debug for PackedColumns {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.0.get() {
-            Some(packed) => write!(f, "PackedColumns({} values)", packed.len()),
+            Some(packed) => write!(f, "PackedColumns({} values)", packed.len() * BLOCK),
             None => f.write_str("PackedColumns(empty)"),
         }
     }
@@ -231,80 +254,144 @@ impl std::fmt::Debug for PackedColumns {
 /// two AVX vectors of `f32`.
 const BLOCK: usize = 16;
 
-/// Packs a dense weight `[out, in]` as `[in, out]`.
-pub(crate) fn pack_linear(weight: &[f32], in_f: usize, out_f: usize) -> Vec<f32> {
-    let mut packed = vec![0.0f32; weight.len()];
-    for o in 0..out_f {
-        for i in 0..in_f {
-            packed[i * out_f + o] = weight[o * in_f + i];
+/// One 16-lane row of a packed layer: exactly one 64-byte cache line, and
+/// aligned to one, so no vector load of either build straddles two lines
+/// and a push costs the same wherever the allocator puts the packing. (Rows
+/// 16 or 48 bytes past a line split half the AVX2 loads, which made a push
+/// slower and its latency tail wider.)
+#[derive(Clone, Copy, Default)]
+#[repr(C, align(64))]
+pub(crate) struct Lanes([f32; BLOCK]);
+
+/// Packs a layer's weight `[out, rows]` and bias `[out]` block-major for
+/// the column kernels: output block `b` (outputs `16·b .. 16·b + 16`) is one
+/// contiguous slab `[1 + rows, 16]` whose first row is the block's bias and
+/// whose row `1 + r` holds `weight[16·b + l, r]` in lane `l`. The last block
+/// is padded with zero bias lanes and zero weights up to a full 16 lanes.
+pub(crate) fn pack_linear(weight: &[f32], bias: &[f32], rows: usize) -> Vec<Lanes> {
+    let out_f = bias.len();
+    let slab = 1 + rows;
+    let mut packed = vec![Lanes::default(); out_f.div_ceil(BLOCK) * slab];
+    for (o, (w_o, &b)) in weight.chunks_exact(rows).zip(bias).enumerate() {
+        let (block, lane) = (&mut packed[(o / BLOCK) * slab..], o % BLOCK);
+        block[0].0[lane] = b;
+        for (r, &w) in w_o.iter().enumerate() {
+            block[1 + r].0[lane] = w;
         }
     }
     packed
 }
 
-/// One k2/s2 convolution column over `[in, 2, out]`-packed weights: for
-/// every output `o`, `bias[o]` plus `w[o, i, 0]·prev[i] + w[o, i, 1]·new[i]`
-/// accumulated in input order — the scalar `conv1d_k2s2` association.
-pub(crate) fn k2s2_column(
-    packed: &[f32],
-    bias: &[f32],
+/// The builds of the column kernels: one Rust body, compiled for the
+/// baseline target and, on x86, again with AVX2 enabled (see the module
+/// docs for why the two agree bit for bit).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KernelBuild {
+    Baseline,
+    /// Only ever returned by [`KernelBuild::host`] on a CPU that has AVX2:
+    /// the dispatch calls rely on it.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Avx2,
+}
+
+impl KernelBuild {
+    /// The widest build this CPU runs.
+    fn host() -> Self {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Self::Avx2;
+        }
+        Self::Baseline
+    }
+}
+
+/// One k2/s2 convolution column over `pack_linear(w, b, 2·in)` weights:
+/// for every output `o`, `b[o]` plus `w[o, i, 0]·prev[i] + w[o, i,
+/// 1]·new[i]` accumulated in input order — the scalar `conv1d_k2s2`
+/// association.
+pub(crate) fn k2s2_column(packed: &[Lanes], prev: &[f32], new: &[f32], out: &mut [f32]) {
+    k2s2_column_on(KernelBuild::host(), packed, prev, new, out);
+}
+
+#[allow(unsafe_code)]
+fn k2s2_column_on(
+    build: KernelBuild,
+    packed: &[Lanes],
     prev: &[f32],
     new: &[f32],
     out: &mut [f32],
 ) {
-    let out_c = out.len();
-    let taps = prev.iter().zip(new);
-    let mut start = 0;
-    while start + BLOCK <= out_c {
-        let mut acc: [f32; BLOCK] = bias[start..start + BLOCK]
-            .try_into()
-            .expect("block-sized bias slice");
-        for (row, (&a, &b)) in packed.chunks_exact(2 * out_c).zip(taps.clone()) {
-            let w0 = &row[start..start + BLOCK];
-            let w1 = &row[out_c + start..out_c + start + BLOCK];
+    match build {
+        KernelBuild::Baseline => k2s2_column_body(packed, prev, new, out),
+        // SAFETY: `KernelBuild::Avx2` comes only from `KernelBuild::host`
+        // on a CPU where AVX2 was detected, the one feature the call needs.
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        KernelBuild::Avx2 => unsafe { k2s2_column_avx2(packed, prev, new, out) },
+    }
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn k2s2_column_avx2(packed: &[Lanes], prev: &[f32], new: &[f32], out: &mut [f32]) {
+    k2s2_column_body(packed, prev, new, out);
+}
+
+#[inline(always)]
+fn k2s2_column_body(packed: &[Lanes], prev: &[f32], new: &[f32], out: &mut [f32]) {
+    for (slab, out) in packed
+        .chunks_exact(1 + 2 * prev.len())
+        .zip(out.chunks_mut(BLOCK))
+    {
+        let (bias, taps) = slab.split_first().expect("a slab starts with its bias");
+        let (pairs, _) = taps.as_chunks::<2>();
+        let mut acc = bias.0;
+        for ([Lanes(w0), Lanes(w1)], (&a, &b)) in pairs.iter().zip(prev.iter().zip(new)) {
             for l in 0..BLOCK {
                 acc[l] += w0[l] * a + w1[l] * b;
             }
         }
-        out[start..start + BLOCK].copy_from_slice(&acc);
-        start += BLOCK;
-    }
-    // Remainder lanes: the same association, one output at a time.
-    let tail = &mut out[start..];
-    tail.copy_from_slice(&bias[start..]);
-    for (row, (&a, &b)) in packed.chunks_exact(2 * out_c).zip(taps) {
-        let w0 = &row[start..out_c];
-        let w1 = &row[out_c + start..];
-        for ((o, &w0), &w1) in tail.iter_mut().zip(w0).zip(w1) {
-            *o += w0 * a + w1 * b;
+        for (o, v) in out.iter_mut().zip(acc) {
+            *o = v;
         }
     }
 }
 
-/// One dense column over `[in, out]`-packed weights: for every output `o`,
-/// `bias[o]` plus `x[i]·w[o, i]` accumulated in input order — the scalar
+/// One dense column over `pack_linear(w, b, in)` weights: for every output
+/// `o`, `b[o]` plus `x[i]·w[o, i]` accumulated in input order — the scalar
 /// `linear` association.
-pub(crate) fn linear_column(packed: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
-    let out_f = out.len();
-    let mut start = 0;
-    while start + BLOCK <= out_f {
-        let mut acc: [f32; BLOCK] = bias[start..start + BLOCK]
-            .try_into()
-            .expect("block-sized bias slice");
-        for (row, &xv) in packed.chunks_exact(out_f).zip(x) {
-            let w = &row[start..start + BLOCK];
+pub(crate) fn linear_column(packed: &[Lanes], x: &[f32], out: &mut [f32]) {
+    linear_column_on(KernelBuild::host(), packed, x, out);
+}
+
+#[allow(unsafe_code)]
+fn linear_column_on(build: KernelBuild, packed: &[Lanes], x: &[f32], out: &mut [f32]) {
+    match build {
+        KernelBuild::Baseline => linear_column_body(packed, x, out),
+        // SAFETY: `KernelBuild::Avx2` comes only from `KernelBuild::host`
+        // on a CPU where AVX2 was detected, the one feature the call needs.
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        KernelBuild::Avx2 => unsafe { linear_column_avx2(packed, x, out) },
+    }
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn linear_column_avx2(packed: &[Lanes], x: &[f32], out: &mut [f32]) {
+    linear_column_body(packed, x, out);
+}
+
+#[inline(always)]
+fn linear_column_body(packed: &[Lanes], x: &[f32], out: &mut [f32]) {
+    for (slab, out) in packed.chunks_exact(1 + x.len()).zip(out.chunks_mut(BLOCK)) {
+        let (bias, weights) = slab.split_first().expect("a slab starts with its bias");
+        let mut acc = bias.0;
+        for (Lanes(w), &xv) in weights.iter().zip(x) {
             for l in 0..BLOCK {
                 acc[l] += xv * w[l];
             }
         }
-        out[start..start + BLOCK].copy_from_slice(&acc);
-        start += BLOCK;
-    }
-    let tail = &mut out[start..];
-    tail.copy_from_slice(&bias[start..]);
-    for (row, &xv) in packed.chunks_exact(out_f).zip(x) {
-        for (o, &w) in tail.iter_mut().zip(&row[start..]) {
-            *o += xv * w;
+        for (o, v) in out.iter_mut().zip(acc) {
+            *o = v;
         }
     }
 }
@@ -339,6 +426,79 @@ pub(crate) fn grow_to<T: Default>(streams: &mut Vec<T>, stream: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Deterministic values mixing exact `±0.0`, magnitudes up to `1e5` and
+    /// fractions of order one, so a change of association rounds
+    /// differently in the last bits.
+    fn values(n: usize, seed: u32) -> Vec<f32> {
+        (0..n as u32)
+            .map(|i| match (i * 7 + seed) % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1.0e5 * ((i + seed) as f32 * 0.7).sin(),
+                _ => ((i * 13 + seed) as f32 * 0.37).sin() * 3.0,
+            })
+            .collect()
+    }
+
+    /// The shapes the kernels must agree on: a full 16-lane block, a block
+    /// plus a padded one, padded blocks only, a single lane and the
+    /// window-64 head.
+    const SHAPES: [(usize, usize); 5] = [(86, 16), (16, 24), (3, 5), (1, 1), (128, 172)];
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every build this CPU runs; says so when the AVX2 one is skipped.
+    fn builds() -> Vec<KernelBuild> {
+        let host = KernelBuild::host();
+        if host == KernelBuild::Baseline {
+            println!("AVX2 not detected: only the baseline build is compared");
+            return vec![host];
+        }
+        vec![KernelBuild::Baseline, host]
+    }
+
+    #[test]
+    fn linear_column_builds_match_the_per_output_loop_bit_for_bit() {
+        for (in_f, out_f) in SHAPES {
+            let (weight, bias, x) = (values(out_f * in_f, 1), values(out_f, 2), values(in_f, 3));
+            let mut expected = bias.clone();
+            for (o, e) in expected.iter_mut().enumerate() {
+                for (i, &xv) in x.iter().enumerate() {
+                    *e += xv * weight[o * in_f + i];
+                }
+            }
+            let packed = pack_linear(&weight, &bias, in_f);
+            for build in builds() {
+                let mut out = vec![f32::NAN; out_f];
+                linear_column_on(build, &packed, &x, &mut out);
+                assert_eq!(bits(&out), bits(&expected), "{build:?} {in_f}->{out_f}");
+            }
+        }
+    }
+
+    #[test]
+    fn k2s2_column_builds_match_the_per_output_loop_bit_for_bit() {
+        for (in_c, out_c) in SHAPES {
+            let (weight, bias) = (values(out_c * in_c * 2, 4), values(out_c, 5));
+            let (prev, new) = (values(in_c, 6), values(in_c, 7));
+            let mut expected = bias.clone();
+            for (o, e) in expected.iter_mut().enumerate() {
+                for i in 0..in_c {
+                    let w = &weight[(o * in_c + i) * 2..];
+                    *e += w[0] * prev[i] + w[1] * new[i];
+                }
+            }
+            let packed = pack_linear(&weight, &bias, 2 * in_c);
+            for build in builds() {
+                let mut out = vec![f32::NAN; out_c];
+                k2s2_column_on(build, &packed, &prev, &new, &mut out);
+                assert_eq!(bits(&out), bits(&expected), "{build:?} {in_c}->{out_c}");
+            }
+        }
+    }
 
     #[test]
     fn clear_resets_every_node_kind() {

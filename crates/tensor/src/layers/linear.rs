@@ -4,7 +4,8 @@ use rand::rngs::StdRng;
 
 use crate::init::Init;
 use crate::layers::incremental::{
-    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, PackedColumns, StreamStep,
+    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, Lanes, PackedColumns,
+    StreamStep,
 };
 use crate::profile::{ComputeProfile, ExecutionUnit};
 use crate::{Layer, Tensor, TensorError};
@@ -35,8 +36,9 @@ pub struct Linear {
     weight_grad: Tensor,
     bias_grad: Tensor,
     cached_input: Option<Tensor>,
-    /// `weight` packed `[in, out]` for the column kernel, built on first use
-    /// and dropped whenever the weights can move.
+    /// `weight` and `bias` packed block-major over `in` rows for the column
+    /// kernel, built on first use and dropped whenever the parameters can
+    /// move.
     columns: PackedColumns,
 }
 
@@ -103,10 +105,14 @@ impl Linear {
         Ok(())
     }
 
-    /// `weight` packed `[in, out]`, shared by every pass.
-    fn packed(&self) -> &[f32] {
+    /// `weight` and `bias` packed block-major, shared by every pass.
+    fn packed(&self) -> &[Lanes] {
         self.columns.get_or_pack(|| {
-            incremental::pack_linear(self.weight.as_slice(), self.in_features, self.out_features)
+            incremental::pack_linear(
+                self.weight.as_slice(),
+                self.bias.as_slice(),
+                self.in_features,
+            )
         })
     }
 
@@ -123,7 +129,6 @@ impl Linear {
         for bi in 0..batch {
             incremental::linear_column(
                 packed,
-                self.bias.as_slice(),
                 &x[bi * in_f..(bi + 1) * in_f],
                 &mut o[bi * out_f..(bi + 1) * out_f],
             );
@@ -183,7 +188,7 @@ impl Layer for Linear {
             });
         }
         let mut out = vec![0.0f32; self.out_features];
-        incremental::linear_column(self.packed(), self.bias.as_slice(), &features, &mut out);
+        incremental::linear_column(self.packed(), &features, &mut out);
         Ok(Some(StreamStep::Features(out)))
     }
 

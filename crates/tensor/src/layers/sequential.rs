@@ -142,6 +142,20 @@ impl Layer for Sequential {
         Ok(grad)
     }
 
+    /// Back-propagates through every layer, the first one through its own
+    /// [`Layer::backward_params`]: the container's input gradient is never
+    /// formed.
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), TensorError> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut grad = grad_output.clone();
+        for layer in rest.iter_mut().rev() {
+            grad = layer.backward(&grad)?;
+        }
+        first.backward_params(&grad)
+    }
+
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         for layer in &mut self.layers {
             layer.visit_params(visitor);

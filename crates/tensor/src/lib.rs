@@ -8,7 +8,10 @@
 //! optimizer — with hand-written forward and backward passes.
 //!
 //! The compute-heavy inner loops are the scalar [`kernels`], called directly
-//! by the layers, the optimizers and [`Tensor`].
+//! by the layers, the optimizers and [`Tensor`], and the column kernels of
+//! [`layers::incremental`], which the convolution and dense layers run for
+//! serving and training. The column kernels are the crate's only `unsafe`:
+//! two calls into their AVX2 build, made only on a CPU that has AVX2.
 //!
 //! Every layer also reports a [`profile::ComputeProfile`] describing its
 //! per-inference cost (FLOPs, parameter bytes, activation bytes, parallel
@@ -44,7 +47,7 @@
 //! # Ok(())
 //! # }
 //! ```
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod init;
 pub mod kernels;
@@ -143,6 +146,18 @@ pub trait Layer: Send + Sync {
     /// Returns an error if called before `forward` or if `grad_output` has an
     /// unexpected shape.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError>;
+
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads, such
+    /// as the first layer of a network being trained: accumulates the same
+    /// parameter gradients and may skip forming the input gradient. The
+    /// default runs `backward` and drops its result.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), TensorError> {
+        self.backward(grad_output).map(drop)
+    }
 
     /// Runs an inference-only forward pass through `&self`: no activations
     /// are cached (so `backward` cannot follow), which lets one fitted model
