@@ -230,6 +230,10 @@ pub(crate) enum OpDesc {
     MutexLock {
         id: u32,
     },
+    MutexTryLock {
+        id: u32,
+        acquired: bool,
+    },
     MutexUnlock {
         id: u32,
     },
@@ -255,6 +259,8 @@ impl OpDesc {
             OpDesc::Load { val, .. } => Some(val),
             OpDesc::Rmw { prev, .. } => Some(prev),
             OpDesc::Cas { prev, ok, .. } => Some(prev ^ u64::from(ok) << 63),
+            // The outcome steers the caller's continuation, like a load.
+            OpDesc::MutexTryLock { acquired, .. } => Some(u64::from(acquired)),
             _ => None,
         }
     }
@@ -281,6 +287,13 @@ impl OpDesc {
                 }
             }
             OpDesc::MutexLock { id } => format!("mutex#{id}.lock"),
+            OpDesc::MutexTryLock { id, acquired } => {
+                if acquired {
+                    format!("mutex#{id}.try_lock (acquired)")
+                } else {
+                    format!("mutex#{id}.try_lock (would block)")
+                }
+            }
             OpDesc::MutexUnlock { id } => format!("mutex#{id}.unlock"),
             OpDesc::CondWait { timed } => {
                 if timed {
@@ -645,6 +658,18 @@ impl Execution {
             true
         } else {
             st.threads[me].phase = Phase::BlockedMutex(id as usize);
+            false
+        }
+    }
+
+    /// The non-blocking acquire behind `try_lock`: takes a free mutex, and
+    /// leaves a held one (and the caller's phase) alone.
+    pub(crate) fn mutex_try_lock(st: &mut ExecState, id: u32, me: usize) -> bool {
+        let held = &mut st.mutexes[id as usize];
+        if held.is_none() {
+            *held = Some(me);
+            true
+        } else {
             false
         }
     }

@@ -26,9 +26,10 @@
 //! * `Condvar::wait`/`wait_timeout` are modeled as unlock → yield → relock,
 //!   i.e. an immediate spurious wakeup, and `notify_*` are no-ops. The std
 //!   contract requires tolerating exactly this, so any invariant that holds
-//!   in the model holds under real condvars too — at the cost of not
-//!   modeling *missed-wakeup liveness* (parking is a timed backstop in the
-//!   structures under test, so liveness never depends on a wakeup);
+//!   in the model holds under real condvars too. A missed wakeup is not a
+//!   blocked thread here: an untimed wait loop (the fleet's doorbell)
+//!   re-checks its condition forever instead, which the step limit reports
+//!   as a livelock;
 //! * `Mutex` poisoning is not modeled (a panicking model thread aborts the
 //!   whole execution as a counterexample instead).
 
@@ -293,9 +294,14 @@ pub mod atomic {
 /// operations always return `Ok`.
 pub type LockResult<T> = Result<T, std::sync::PoisonError<T>>;
 
+/// `std`-compatible `TryLockResult`: inside a model a `try_lock` fails only
+/// with [`std::sync::TryLockError::WouldBlock`].
+pub type TryLockResult<T> = Result<T, std::sync::TryLockError<T>>;
+
 /// Instrumented mutex: lock/unlock are schedule points; contention parks the
 /// model thread until a scheduling decision after the owner's unlock picks
-/// it again.
+/// it again. `try_lock` is one schedule point that never parks: on a held
+/// mutex it returns `WouldBlock`.
 pub struct Mutex<T> {
     id: std::sync::OnceLock<u32>,
     inner: std::sync::Mutex<T>,
@@ -343,6 +349,53 @@ impl<T> Mutex<T> {
                 })
             }
         }
+    }
+
+    /// Acquires the mutex only if it is free. Inside a model the attempt is
+    /// one schedule point whose outcome (acquired or would-block) is
+    /// explored like a load's value; it never blocks the model thread.
+    pub fn try_lock(&self) -> TryLockResult<MutexGuard<'_, T>> {
+        match current_ctx() {
+            None => {
+                let g = match self.inner.try_lock() {
+                    Ok(g) => g,
+                    Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+                    Err(std::sync::TryLockError::WouldBlock) => {
+                        return Err(std::sync::TryLockError::WouldBlock)
+                    }
+                };
+                Ok(MutexGuard {
+                    mutex: self,
+                    inner: Some(g),
+                    ctx: None,
+                })
+            }
+            Some(ctx) => {
+                let id = self.id_for(&ctx.exec);
+                let acquired = ctx.exec.schedule(ctx.tid, |st| {
+                    let acquired = Execution::mutex_try_lock(st, id, ctx.tid);
+                    (acquired, OpDesc::MutexTryLock { id, acquired })
+                });
+                if !acquired {
+                    return Err(std::sync::TryLockError::WouldBlock);
+                }
+                let g = self
+                    .inner
+                    .try_lock()
+                    .expect("model mutex granted but std mutex contended");
+                Ok(MutexGuard {
+                    mutex: self,
+                    inner: Some(g),
+                    ctx: Some(ctx),
+                })
+            }
+        }
+    }
+
+    /// Consumes the mutex, returning its value (no schedule point: the
+    /// caller owns the mutex, so no other thread can reach it).
+    pub fn into_inner(self) -> LockResult<T> {
+        Ok(self.inner.into_inner().unwrap_or_else(|e| e.into_inner()))
     }
 }
 

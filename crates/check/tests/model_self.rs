@@ -211,3 +211,78 @@ fn preemption_bound_zero_misses_the_race_bound_one_finds_it() {
     }))
     .expect_err("one preemption suffices to expose the lost update");
 }
+
+/// Seeded bug: code that assumes `try_lock` always succeeds. Some schedule
+/// runs it while the helper thread holds the mutex, so the explorer must try
+/// the would-block outcome and report it with a replayable seed; falling
+/// back to `lock` on that outcome verifies exhaustively.
+#[test]
+fn try_lock_would_block_outcome_is_explored() {
+    fn claim(fall_back: bool) -> impl Fn() + Send + Sync + 'static {
+        move || {
+            let m = Arc::new(Mutex::new(0u32));
+            let m2 = Arc::clone(&m);
+            let h = thread::spawn(move || {
+                *m2.lock().unwrap() += 1;
+            });
+            let mut guard = match m.try_lock() {
+                Ok(guard) => guard,
+                Err(_) if fall_back => m.lock().unwrap(),
+                Err(_) => panic!("try_lock found the mutex held"),
+            };
+            *guard += 1;
+            drop(guard);
+            h.join().unwrap();
+            assert_eq!(*m.lock().unwrap(), 2);
+        }
+    }
+
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        model_with(opts(), "try-lock-assumed", claim(false));
+    }))
+    .expect_err("a held mutex must make try_lock fail in some schedule");
+    let seed = seed_from_panic(&*err);
+    let mut replay_opts = opts();
+    replay_opts.replay = Some(seed);
+    catch_unwind(AssertUnwindSafe(|| {
+        model_with(replay_opts, "try-lock-assumed-replay", claim(false));
+    }))
+    .expect_err("replaying the seed must reproduce the would-block outcome");
+
+    let report = model_with(opts(), "try-lock-fallback", claim(true));
+    assert!(report.exhausted);
+}
+
+/// Claims taken with `try_lock` are exclusive: two threads that each enter
+/// a critical section only on a successful `try_lock` never overlap, and at
+/// least one of them gets in.
+#[test]
+fn try_lock_claims_are_exclusive() {
+    let report = model_with(opts(), "try-lock-exclusive", || {
+        let m = Arc::new(Mutex::new(()));
+        let inside = Arc::new(AtomicBool::new(false));
+        let claims = Arc::new(AtomicUsize::new(0));
+        let hs: Vec<_> = (0..2)
+            .map(|_| {
+                let (m, inside, claims) =
+                    (Arc::clone(&m), Arc::clone(&inside), Arc::clone(&claims));
+                thread::spawn(move || {
+                    if let Ok(_guard) = m.try_lock() {
+                        // ORDERING: model is sequentially consistent.
+                        assert!(!inside.swap(true, Ordering::SeqCst), "two claims overlap");
+                        inside.store(false, Ordering::SeqCst);
+                        claims.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join().unwrap();
+        }
+        // ORDERING: model is sequentially consistent.
+        let n = claims.load(Ordering::SeqCst);
+        assert!((1..=2).contains(&n), "{n} claims");
+    });
+    assert!(report.exhausted);
+    assert!(report.schedules > 1);
+}

@@ -25,12 +25,27 @@
 //! raises the doorbell's flag, re-checks its rings, an uncounted close, the
 //! backlog of every stream it owns and the endgame, and sleeps only if all
 //! four are idle. Whatever can give it work rings the doorbell after
-//! publishing that work: [`FleetHandle::push_from`], a ring close, a delivery
-//! to a stream a peer stole, and the last worker to finish its ingest. A
-//! delivery that makes a backlog stealable rings one parked peer. The 1 ms
-//! backstop bounds every wait; no wait depends on it for correctness (see
-//! docs/CONCURRENCY.md), so an idle worker costs about one wake per
-//! millisecond, and a sample at a parked worker one futex wake.
+//! publishing that work: a handed-off [`FleetHandle::push_from`], a ring
+//! close, a delivery to a stream a peer stole, the last worker to finish
+//! its ingest, and every worker as it exits (a peer in the endgame may be
+//! waiting for its backlog to drain). A delivery that makes a backlog
+//! stealable rings one parked peer. The wait has no timeout (no wait
+//! depends on one, see docs/CONCURRENCY.md), so a parked worker costs
+//! nothing until it is rung.
+//!
+//! **An idle shard scores on the pushing thread.** A push whose stream's
+//! home shard has its doorbell flag raised, whose stream has nothing on the
+//! hand-off path, whose slot lock is free, and whose lane has been idle
+//! since its previous push for at least as long as its last inline push
+//! took, scores the sample on the caller's thread under the slot lock,
+//! through the same per-sample function a worker's round runs. It enqueues
+//! nothing and rings nothing, so at a paced load no worker wakes and no
+//! futex call is made per sample. Any other push takes the ring and the
+//! doorbell. Per-stream order rests on the [`HandOffSlot`] claim alone (the
+//! slot lock plus the count of handed-off samples); the flag and the lane's
+//! gap only choose the faster path, so a stale read of either costs speed,
+//! never order. The gap test keeps a flat-out producer handing off, so the
+//! fleet keeps its multi-core throughput at saturation.
 //!
 //! **Hot-swap ordering**: a worker loads a group's published
 //! `(detector, version)` *after* popping the samples of the current round,
@@ -47,8 +62,8 @@ use varade_obs::spanclock::SpanStamp;
 use varade_obs::{FleetEvent, ShardTelemetry, Stage, StageRecorder, Telemetry, TelemetrySnapshot};
 use varade_timeseries::MinMaxNormalizer;
 
-use crate::queue::{Doorbell, Envelope, RingQueue, Wake};
-use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::queue::{Doorbell, Envelope, HandOffSlot, RingQueue, Wake};
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::{shard_of, FleetConfig, FleetError, FleetStats, GroupModelStats, ShardStats, StreamId};
 
 /// Identifier of one model group — a fitted detector shared by any number of
@@ -463,8 +478,9 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Returns the driver's error, a worker's scoring error
-    /// ([`FleetError::Varade`]), or [`FleetError::WorkerPanicked`].
+    /// Returns the driver's error, the scoring error of a worker or of a
+    /// push scored on the producer's thread ([`FleetError::Varade`]), or
+    /// [`FleetError::WorkerPanicked`].
     pub fn run<R>(
         &mut self,
         driver: impl FnOnce(&FleetHandle<'_>) -> Result<R, FleetError>,
@@ -503,7 +519,9 @@ impl Fleet {
             ingest_done: AtomicUsize::new(0),
             bells: (0..n_shards).map(|_| Doorbell::new()).collect(),
             work_stealing: self.config.work_stealing && cells.len() > 1,
+            inline_error: Mutex::new(None),
         };
+        let clocks: Vec<LaneClock> = (0..lanes).map(|_| LaneClock::default()).collect();
 
         // LINT-ALLOW: instant-hot-path — once-per-serve-window wall clock for the outcome's elapsed field, not per-sample timing.
         let started = Instant::now();
@@ -523,7 +541,10 @@ impl Fleet {
                 .collect();
             let handle = FleetHandle {
                 queues: &queues,
-                bells: &shared.bells,
+                shared: &shared,
+                cells: &cells,
+                clocks: &clocks,
+                epoch: SpanStamp::now(),
                 lanes,
                 meta: &self.meta,
                 groups: &self.groups,
@@ -532,6 +553,7 @@ impl Fleet {
                 // and end-to-end histograms even when the driver did not ask
                 // for per-stream latency vectors.
                 stamp_ingress: self.config.record_latencies || telemetry.is_enabled(),
+                record_latencies: self.config.record_latencies,
                 telemetry: telemetry.as_ref(),
             };
             // Close the queues when the driver is done — including by
@@ -570,12 +592,14 @@ impl Fleet {
         let mut latencies: Vec<Vec<Duration>> = vec![Vec::new(); self.meta.len()];
         let mut home_push: Vec<varade::PushStats> = vec![varade::PushStats::default(); n_shards];
         let mut home_streams: Vec<usize> = vec![0; n_shards];
+        let mut home_inline: Vec<u64> = vec![0; n_shards];
         self.states = Vec::with_capacity(self.meta.len());
         for (index, cell) in cells.into_iter().enumerate() {
-            let slot = cell.into_score_slot();
+            let slot = cell.slot.into_inner();
+            let home = self.meta[index].shard;
             let baseline = &baselines[index];
             let current = slot.state.stats();
-            home_push[self.meta[index].shard].merge(&varade::PushStats {
+            home_push[home].merge(&varade::PushStats {
                 pushes: current.pushes - baseline.pushes,
                 scores: current.scores - baseline.scores,
                 total_time: current.total_time - baseline.total_time,
@@ -583,7 +607,8 @@ impl Fleet {
                 normalize_time: current.normalize_time - baseline.normalize_time,
                 assembly_time: current.assembly_time - baseline.assembly_time,
             });
-            home_streams[self.meta[index].shard] += 1;
+            home_streams[home] += 1;
+            home_inline[home] += slot.inline_pushes;
             scores[index] = slot.scores;
             latencies[index] = slot.latencies;
             self.states.push(slot.state);
@@ -602,8 +627,7 @@ impl Fleet {
                         dropped: output.dropped,
                         steals: output.counters.steals,
                         parks: output.counters.parks,
-                        park_timeouts: output.counters.park_timeouts,
-                        sample_latencies: output.counters.sample_latencies,
+                        inline_scores: home_inline[shard],
                         queue_depth_high_water: output.counters.queue_depth_high_water,
                     });
                     first_error = first_error.or(output.error);
@@ -611,6 +635,12 @@ impl Fleet {
                 Err(e) => first_error = first_error.or(Some(e)),
             }
         }
+        // A push that failed scoring on the producer's thread reports like
+        // a worker that failed: its shard closed, and `run` returns it.
+        first_error = first_error.or(shared
+            .inline_error
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner));
         // Everything is restored; a panicking driver can now unwind without
         // taking the fleet's streams with it.
         let driver_result = match driver_result {
@@ -678,8 +708,15 @@ fn close_shard(queues: &[RingQueue], bell: &Doorbell) {
 /// exactly this).
 pub struct FleetHandle<'a> {
     queues: &'a [RingQueue],
-    /// One doorbell per shard, rung after every push into its rings.
-    bells: &'a [Doorbell],
+    /// The doorbells (one per shard, rung after every push into its rings)
+    /// and the slot an inline scoring error lands in.
+    shared: &'a SharedState,
+    /// Every stream's serve-window cell, for scoring inline.
+    cells: &'a [StreamCell],
+    /// One pacing memory per producer lane (see [`LaneClock`]).
+    clocks: &'a [LaneClock],
+    /// The stamp the lane clocks count nanoseconds from.
+    epoch: SpanStamp,
     lanes: usize,
     meta: &'a [StreamMeta],
     groups: &'a [ModelSlot],
@@ -687,7 +724,57 @@ pub struct FleetHandle<'a> {
     /// Whether pushes stamp an ingress timestamp: on when per-stream latency
     /// vectors were requested *or* telemetry needs queue-wait spans.
     stamp_ingress: bool,
+    record_latencies: bool,
     telemetry: &'a Telemetry,
+}
+
+/// One producer lane's pacing memory: when its previous push returned, and
+/// how long its last inline push took, both in nanoseconds (the first from
+/// the handle's epoch). A push scores inline only if the lane has been idle
+/// at least that long, which real producers' arrival gaps allow and a
+/// flat-out producer's do not. A push the gap test turns away takes the gap
+/// it saw off the remembered time, so one slow inline push (a cold replay, a
+/// preempted thread) cannot pin a paced lane to hand-offs, while a flat-out
+/// lane, whose gaps are a few tens of nanoseconds, earns an inline push only
+/// after about one score's time of turned-away pushes.
+///
+/// Every access is a Relaxed load or store: the clock only picks the faster
+/// path, and a stale or torn-between-fields read costs speed, never order.
+/// Lanes are cache-line aligned so producer threads on different lanes do
+/// not share a line.
+#[derive(Default)]
+#[repr(align(64))]
+struct LaneClock {
+    idle_since_ns: AtomicU64,
+    inline_ns: AtomicU64,
+}
+
+impl LaneClock {
+    /// Whether the lane has been idle long enough to score inline at
+    /// `now_ns`; a refusal takes the gap off the remembered inline time.
+    fn idle_enough(&self, now_ns: u64) -> bool {
+        // ORDERING: Relaxed — a pacing heuristic; see the type docs.
+        let needed = self.inline_ns.load(Ordering::Relaxed);
+        // ORDERING: Relaxed — as above.
+        let idle = now_ns.saturating_sub(self.idle_since_ns.load(Ordering::Relaxed));
+        if idle >= needed {
+            return true;
+        }
+        // ORDERING: Relaxed — as above.
+        self.inline_ns.store(needed - idle, Ordering::Relaxed);
+        false
+    }
+
+    /// Notes a push returning at `now_ns`, and, for an inline push, how long
+    /// it took.
+    fn returned(&self, now_ns: u64, inline_ns: Option<u64>) {
+        // ORDERING: Relaxed — a pacing heuristic; see the type docs.
+        self.idle_since_ns.store(now_ns, Ordering::Relaxed);
+        if let Some(took) = inline_ns {
+            // ORDERING: Relaxed — as above.
+            self.inline_ns.store(took, Ordering::Relaxed);
+        }
+    }
 }
 
 impl FleetHandle<'_> {
@@ -711,6 +798,16 @@ impl FleetHandle<'_> {
     /// its own ingress ring per shard, so concurrent producer threads never
     /// share an edge. Per-stream ordering is guaranteed only if a given
     /// stream is always pushed from the same lane.
+    ///
+    /// When the stream's home shard is idle (its worker parked, nothing of
+    /// the stream queued, the lane idle since its previous push for at least
+    /// as long as its last inline push took), the push scores the sample on
+    /// the calling thread instead of waking the worker, so it may take one
+    /// score's time (a cold replay's, for a stream's first score or its
+    /// first after a model swap) before it returns. Scores, their order and
+    /// every ledger are the same either way; [`ShardStats::inline_scores`]
+    /// counts these pushes. A scoring error on this path closes the shard
+    /// and is returned by [`Fleet::run`], as a worker's would be.
     ///
     /// # Errors
     ///
@@ -739,19 +836,98 @@ impl FleetHandle<'_> {
         if let Some(channel) = sample.iter().position(|v| !v.is_finite()) {
             return Err(FleetError::NonFiniteSample { stream, channel });
         }
+        // Stamped before any blocking, so a `Block`-policy wait shows up in
+        // the end-to-end latency — as it should.
+        let arrived = SpanStamp::now();
+        let clock = &self.clocks[lane];
+        let queue = &self.queues[meta.shard * self.lanes + lane];
+        let cell = &self.cells[stream.index()];
+        // The flag and the gap only pick the path; the claim is what keeps
+        // per-stream order (see `HandOffSlot`). A closed shard never scores.
+        if self.shared.bells[meta.shard].is_parked()
+            && clock.idle_enough(arrived.nanos_since(self.epoch))
+            && !queue.is_closed()
+        {
+            if let Some(mut slot) = cell.slot.try_claim() {
+                let finished = self.score_inline(stream.index(), cell, &mut slot, sample, arrived);
+                drop(slot);
+                clock.returned(
+                    finished.nanos_since(self.epoch),
+                    Some(finished.nanos_since(arrived)),
+                );
+                return Ok(());
+            }
+        }
         let envelope = Envelope {
             stream,
             sample: sample.to_vec(),
-            // Stamped before any blocking, so a `Block`-policy wait shows up
-            // in the end-to-end latency — as it should.
-            enqueued_at: self.stamp_ingress.then(SpanStamp::now),
+            enqueued_at: self.stamp_ingress.then_some(arrived),
         };
-        let pushed =
-            self.queues[meta.shard * self.lanes + lane].push(envelope, self.policy, meta.shard);
+        cell.slot.hand_off();
+        let pushed = queue.push_evicting(envelope, self.policy, meta.shard, |evicted| {
+            self.cells[evicted.stream.index()].slot.retire(1);
+        });
+        if pushed.is_err() {
+            cell.slot.retire(1);
+        }
         // After the push's SeqCst `in_flight` decrement: a worker parked
         // before it wakes, one that parks after it sees the sample.
-        self.bells[meta.shard].ring();
+        self.shared.bells[meta.shard].ring();
+        clock.returned(SpanStamp::now().nanos_since(self.epoch), None);
         pushed
+    }
+
+    /// Scores one sample of stream `index` on the calling thread, under the
+    /// claimed slot, through the function a worker's round runs; spans go
+    /// to the home shard's telemetry registry. A scoring error closes the
+    /// home shard and is kept for [`Fleet::run`] to return. Returns the
+    /// stamp that ended the push.
+    fn score_inline(
+        &self,
+        index: usize,
+        cell: &StreamCell,
+        slot: &mut ScoreSlot,
+        sample: &[f32],
+        arrived: SpanStamp,
+    ) -> SpanStamp {
+        let mut spans = self.telemetry.shard(cell.home);
+        let scored = score_sample(
+            index,
+            cell,
+            slot,
+            sample,
+            self.stamp_ingress.then_some(arrived),
+            arrived,
+            self.groups,
+            self.record_latencies,
+            self.telemetry,
+            spans.as_mut(),
+        );
+        let finished = SpanStamp::now();
+        match scored {
+            Ok(open) => {
+                slot.inline_pushes += 1;
+                if let Some(tel) = spans.as_mut() {
+                    tel.record_inline();
+                    if let Some(open) = open {
+                        open.close(tel, finished);
+                    }
+                }
+            }
+            Err(error) => {
+                self.shared
+                    .inline_error
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .get_or_insert(error);
+                let shard = cell.home;
+                close_shard(
+                    &self.queues[shard * self.lanes..(shard + 1) * self.lanes],
+                    &self.shared.bells[shard],
+                );
+            }
+        }
+        finished
     }
 
     /// Publishes a new detector to a model group **while the fleet is
@@ -845,7 +1021,11 @@ struct PendingSample {
 struct ScoreSlot {
     state: StreamState,
     scores: Vec<f32>,
+    /// End-to-end latency per score (with `record_latencies`).
     latencies: Vec<Duration>,
+    /// Pushes scored on a producer's thread, for
+    /// [`ShardStats::inline_scores`].
+    inline_pushes: u64,
 }
 
 /// One registered stream's shared serve-window record (see the module docs
@@ -855,7 +1035,8 @@ struct ScoreSlot {
 /// pop pending under it; the delivering worker takes only `pending`. A
 /// round holds one slot lock at a time and takes it with `try_lock`, so a
 /// worker with a stale ownership list skips a slot a peer holds instead of
-/// waiting on it.
+/// waiting on it; an inline push takes it with [`HandOffSlot::try_claim`]
+/// and hands the sample off instead of waiting.
 struct StreamCell {
     group: usize,
     /// The shard whose ingress rings feed this stream (and the shard its
@@ -869,7 +1050,9 @@ struct StreamCell {
     /// the push and decremented *after* the pop, so it never undercounts.
     queued: AtomicUsize,
     pending: Mutex<std::collections::VecDeque<PendingSample>>,
-    slot: Mutex<ScoreSlot>,
+    /// The scoring half, plus the count of this stream's samples between a
+    /// producer's hand-off and a worker's pop.
+    slot: HandOffSlot<ScoreSlot>,
 }
 
 impl StreamCell {
@@ -880,10 +1063,11 @@ impl StreamCell {
             owner: AtomicUsize::new(home),
             queued: AtomicUsize::new(0),
             pending: Mutex::new(std::collections::VecDeque::new()),
-            slot: Mutex::new(ScoreSlot {
+            slot: HandOffSlot::new(ScoreSlot {
                 state,
                 scores: Vec::new(),
                 latencies: Vec::new(),
+                inline_pushes: 0,
             }),
         }
     }
@@ -922,9 +1106,10 @@ impl StreamCell {
         }
     }
 
-    /// Pops one pending sample. Callers must hold the cell's slot lock —
-    /// that is what serializes pop+score and keeps per-stream order across
-    /// ownership migrations.
+    /// Pops one pending sample and retires it from the hand-off count.
+    /// Callers must hold the cell's slot lock — that is what serializes
+    /// pop+score, keeps per-stream order across ownership migrations, and
+    /// orders the retire before the next inline claim.
     fn pop_pending(&self) -> Option<PendingSample> {
         let popped = self
             .pending
@@ -934,6 +1119,7 @@ impl StreamCell {
         if popped.is_some() {
             // ORDERING: SeqCst — mirror of `deliver` (see there).
             self.queued.fetch_sub(1, Ordering::SeqCst);
+            self.slot.retire(1);
         }
         popped
     }
@@ -950,13 +1136,8 @@ impl StreamCell {
         if n > 0 {
             // ORDERING: SeqCst — mirror of `deliver` (see there).
             self.queued.fetch_sub(n, Ordering::SeqCst);
+            self.slot.retire(n);
         }
-    }
-
-    fn into_score_slot(self) -> ScoreSlot {
-        self.slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -971,6 +1152,8 @@ struct SharedState {
     /// Whether idle workers steal: on in the config and more than one
     /// stream to steal from.
     work_stealing: bool,
+    /// The first scoring error an inline push hit, for [`Fleet::run`].
+    inline_error: Mutex<Option<FleetError>>,
 }
 
 impl SharedState {
@@ -996,6 +1179,19 @@ impl SharedState {
             }
         }
     }
+
+    /// Rings every doorbell but `shard`'s: an exiting worker's last act,
+    /// after its last SeqCst `queued` decrement. A peer whose endgame sweep
+    /// found a backlog it could not take parks until that backlog drains;
+    /// the worker that drains it exits after, and this ring wakes the peer
+    /// to sweep again (or its re-check sees the drained backlog).
+    fn ring_peers(&self, shard: usize) {
+        for (peer, bell) in self.bells.iter().enumerate() {
+            if peer != shard {
+                bell.ring();
+            }
+        }
+    }
 }
 
 /// A thief only bothers with streams whose backlog is at least this deep
@@ -1015,17 +1211,14 @@ struct WorkerOutput {
     error: Option<FleetError>,
 }
 
-/// Mutable scoring counters threaded through one worker's serve window.
-/// Steal and latency numbers are attributed to the worker that did the
-/// arithmetic (which, under stealing, may not be a stream's home shard).
+/// Mutable counters threaded through one worker's serve window. Steals are
+/// attributed to the worker that won them (which, under stealing, may not
+/// be a stream's home shard).
 #[derive(Default)]
 struct WorkerCounters {
     steals: u64,
     /// Doorbell waits: parks whose re-check found nothing to do.
     parks: u64,
-    /// The parks that ran the whole backstop without a ring.
-    park_timeouts: u64,
-    sample_latencies: Vec<Duration>,
     /// Largest ingress backlog seen at any of this worker's drain points
     /// (summed across its lanes) — feeds
     /// [`ShardStats::queue_depth_high_water`], and is maintained whether or
@@ -1083,7 +1276,15 @@ fn run_worker(
         // the old single-queue engine abandoned its backlog.
         close_shard(my_queues, &shared.bells[shard]);
         for queue in my_queues {
-            while !queue.try_drain(usize::MAX).is_empty() {}
+            loop {
+                let batch = queue.try_drain(usize::MAX);
+                if batch.is_empty() {
+                    break;
+                }
+                for envelope in batch {
+                    cells[envelope.stream.index()].slot.retire(1);
+                }
+            }
         }
         for &index in &owned {
             // ORDERING: Acquire — pairs with the SeqCst owner CAS in
@@ -1099,6 +1300,10 @@ fn run_worker(
             shared.finish_ingest();
         }
     }
+    // After this worker's last `queued` decrement: a peer parked in the
+    // endgame on a backlog it could not take (stealing off, or a steal lost
+    // to a third worker) may be waiting for exactly this one to drain.
+    shared.ring_peers(shard);
     WorkerOutput {
         shard,
         counters,
@@ -1113,8 +1318,8 @@ fn run_worker(
 /// Each pass drains the shard's rings, scores one round, and — when both
 /// were empty — tries one steal and the termination check. A pass that did
 /// none of these parks on the shard's doorbell (see the module docs); there
-/// is no spin or poll phase, so an idle worker sleeps until a ring or the
-/// 1 ms backstop.
+/// is no spin or poll phase and no timeout, so an idle worker sleeps until a
+/// ring.
 #[allow(clippy::too_many_arguments)]
 fn serve_loop(
     shard: usize,
@@ -1194,7 +1399,6 @@ fn serve_loop(
             owned,
             groups,
             config,
-            counters,
             telemetry,
             recorder.as_mut(),
         )?;
@@ -1224,36 +1428,42 @@ fn serve_loop(
                 continue;
             }
         }
-        // ORDERING: SeqCst — emptiness sweep; pairs with the SeqCst
-        // `queued` RMWs so no pending sample can hide from a terminating
-        // worker (see `deliver`).
-        if endgame
-            && !cells
-                .iter()
-                .any(|cell| cell.queued.load(Ordering::SeqCst) > 0)
-        {
+        if endgame && !any_backlog(cells) {
             return Ok(());
         }
 
         // --- Park until something rings. The re-check covers every source
         // that rings this doorbell (a stealable backlog at a peer is best
-        // effort, see `StreamCell::deliver`).
+        // effort, see `StreamCell::deliver`): new ingest, a close, owned
+        // backlog, the endgame starting, and — once it has started — the
+        // last backlog draining, which the exiting workers ring for.
         let woke = bell.park(|| {
             my_queues.iter().any(RingQueue::has_pending)
                 || (!*ingest_counted && my_queues.iter().all(RingQueue::is_quiescent))
                 // ORDERING: SeqCst — backlog gauge read after the doorbell
                 // flag store; pairs with the SeqCst RMW in `deliver`.
                 || owned.iter().any(|&index| cells[index].queued.load(Ordering::SeqCst) > 0)
-                || (!endgame && shared.endgame())
+                || (shared.endgame() && (!endgame || !any_backlog(cells)))
         });
-        if woke != Wake::Busy {
+        if woke == Wake::Rung {
             counters.parks += 1;
-            counters.park_timeouts += u64::from(woke == Wake::TimedOut);
             if let Some(tel) = shard_telemetry {
-                tel.record_park(woke == Wake::TimedOut);
+                tel.record_park();
             }
         }
     }
+}
+
+/// Whether any stream still has a pending sample: the endgame's emptiness
+/// sweep.
+fn any_backlog(cells: &[StreamCell]) -> bool {
+    // ORDERING: SeqCst — pairs with the SeqCst `queued` RMWs so no pending
+    // sample can hide from a terminating worker (see `deliver`), and, in a
+    // doorbell re-check, with the exiting workers' rings (see
+    // `SharedState::ring_peers`).
+    cells
+        .iter()
+        .any(|cell| cell.queued.load(Ordering::SeqCst) > 0)
 }
 
 /// An idle worker's steal scan: claim the first stream (from a rotating
@@ -1312,10 +1522,8 @@ fn try_steal(
 }
 
 /// One scoring round: pop at most one pending sample per owned stream (under
-/// the stream's slot lock), load the stream's group model *after* that pop
-/// (the publish-then-push guarantee, see the module docs), and push it
-/// through [`StreamState::push_timed`] — the path `StreamingVarade::push`
-/// takes. Returns the number of samples processed.
+/// the stream's slot lock) and score it with [`score_sample`]. Returns the
+/// number of samples processed.
 ///
 /// A sample is timed from its pop stamp, so its admission covers the
 /// group-model load and version check as well as the stream's own
@@ -1337,14 +1545,12 @@ fn try_steal(
 /// off, beside the producer's enqueue stamps. [`varade::PushStats`] counts
 /// and totals and the shard accounting are measured the same way with
 /// telemetry on or off; only the stage split fields fill in when it is on.
-#[allow(clippy::too_many_arguments)]
 fn run_round(
     shard: usize,
     cells: &[StreamCell],
     owned: &mut Vec<usize>,
     groups: &[ModelSlot],
     config: &FleetConfig,
-    counters: &mut WorkerCounters,
     telemetry: &Telemetry,
     mut recorder: Option<&mut StageRecorder<'_>>,
 ) -> Result<usize, FleetError> {
@@ -1361,10 +1567,10 @@ fn run_round(
         if cell.queued.load(Ordering::SeqCst) == 0 {
             continue;
         }
-        // try_lock, not lock: a stale owner on the other side of a steal may
-        // still be mid-push on this slot; skipping it keeps this worker
-        // moving instead of waiting on a stream it no longer owns.
-        let Ok(mut slot) = cell.slot.try_lock() else {
+        // try_lock, not lock: a stale owner on the other side of a steal, or
+        // an inline push, may still be mid-push on this slot; skipping it
+        // keeps this worker moving instead of waiting on it.
+        let Some(mut slot) = cell.slot.try_lock() else {
             continue;
         };
         // ORDERING: Acquire — authoritative ownership re-check under the
@@ -1378,69 +1584,24 @@ fn run_round(
         processed += 1;
         // One stamp ends the queue-wait span and starts the admission span
         // (a cross-thread read: the producer stamped `enqueued_at`;
-        // `duration_since` saturates to zero under stamp skew).
+        // `duration_since` saturates to zero under stamp skew), and closes
+        // the previous sample's emit.
         let admit_started = SpanStamp::now();
-        if let Some(tel) = recorder.as_deref_mut() {
-            // The same stamp closes the previous sample's emit.
-            if let Some(open) = open_emit.take() {
-                open.close(tel, admit_started);
-            }
-            if let Some(enqueued) = pending.enqueued_at {
-                tel.record_stage_ns(
-                    cell.group,
-                    Stage::QueueWait,
-                    admit_started.nanos_since(enqueued),
-                );
-            }
+        if let (Some(tel), Some(open)) = (recorder.as_deref_mut(), open_emit.take()) {
+            open.close(tel, admit_started);
         }
-        let (detector, version) = groups[cell.group].load();
-        if slot.state.sync_model_version(version) {
-            // The stream's cache columns were computed under the old model;
-            // `sync_model_version` dropped them, and the push below re-plans
-            // the cache against the new detector (its layer geometry may
-            // differ) and re-primes it by replaying its context.
-            telemetry.record_event(FleetEvent::CacheInvalidation {
-                stream: index as u64,
-                model_version: version,
-            });
-        }
-        // The pop stamp opens the push span, so admission covers the model
-        // load above.
-        let pushed = slot
-            .state
-            .push_timed(&pending.sample, &detector, admit_started)?;
-        if let Some(tel) = recorder.as_deref_mut() {
-            tel.record_stage(
-                cell.group,
-                Stage::Assembly,
-                pushed.admit_time.saturating_sub(pushed.normalize_time),
-            );
-            tel.record_stage(cell.group, Stage::Normalize, pushed.normalize_time);
-        }
-        let Some(score) = pushed.score else {
-            slot.state.record(false, pushed.admit_time, Duration::ZERO);
-            continue;
-        };
-        let spent = pushed.scoring_time;
-        let served = pushed.admit_time + spent;
-        slot.scores.push(score);
-        slot.state.record(true, served, spent);
-        if config.record_latencies {
-            counters.sample_latencies.push(served);
-            let end_to_end = pending
-                .enqueued_at
-                .map_or(served, |t| SpanStamp::now().duration_since(t));
-            slot.latencies.push(end_to_end);
-        }
-        if let Some(tel) = recorder.as_deref_mut() {
-            tel.record_stage(cell.group, Stage::Forward, spent);
-            open_emit = Some(OpenEmit {
-                group: cell.group,
-                started: pushed.finished,
-                enqueued_at: pending.enqueued_at,
-                served,
-            });
-        }
+        open_emit = score_sample(
+            index,
+            cell,
+            &mut slot,
+            &pending.sample,
+            pending.enqueued_at,
+            admit_started,
+            groups,
+            config.record_latencies,
+            telemetry,
+            recorder.as_deref_mut(),
+        )?;
     }
     if let (Some(tel), Some(open)) = (recorder, open_emit) {
         open.close(tel, SpanStamp::now());
@@ -1448,8 +1609,121 @@ fn run_round(
     Ok(processed)
 }
 
+/// Scores one sample of stream `index` under its held slot lock: the body a
+/// worker's round runs for each popped sample, and what an inline push runs
+/// on the producer's thread. Loads the group's model *after* the sample was
+/// popped or claimed (the publish-then-push guarantee, see the module
+/// docs), pushes the sample through [`StreamState::push_timed`] — the path
+/// `StreamingVarade::push` takes — from `admit_started`, and records the
+/// score, the stream's stats and, with `record_latencies`, its end-to-end
+/// latency.
+///
+/// With `spans`, records the queue-wait (from `enqueued_at`), assembly,
+/// normalize and forward spans, and returns the scored sample's emit span
+/// for the caller to close at its next stamp; `None` for a warm-up push.
+#[allow(clippy::too_many_arguments)]
+fn score_sample<S: SpanSink>(
+    index: usize,
+    cell: &StreamCell,
+    slot: &mut ScoreSlot,
+    sample: &[f32],
+    enqueued_at: Option<SpanStamp>,
+    admit_started: SpanStamp,
+    groups: &[ModelSlot],
+    record_latencies: bool,
+    telemetry: &Telemetry,
+    mut spans: Option<&mut S>,
+) -> Result<Option<OpenEmit>, FleetError> {
+    if let (Some(tel), Some(enqueued)) = (spans.as_deref_mut(), enqueued_at) {
+        tel.stage_ns(
+            cell.group,
+            Stage::QueueWait,
+            admit_started.nanos_since(enqueued),
+        );
+    }
+    let (detector, version) = groups[cell.group].load();
+    if slot.state.sync_model_version(version) {
+        // The stream's cache columns were computed under the old model;
+        // `sync_model_version` dropped them, and the push below re-plans
+        // the cache against the new detector (its layer geometry may
+        // differ) and re-primes it by replaying its context.
+        telemetry.record_event(FleetEvent::CacheInvalidation {
+            stream: index as u64,
+            model_version: version,
+        });
+    }
+    // The start stamp opens the push span, so admission covers the model
+    // load above.
+    let pushed = slot.state.push_timed(sample, &detector, admit_started)?;
+    if let Some(tel) = spans.as_deref_mut() {
+        tel.stage(
+            cell.group,
+            Stage::Assembly,
+            pushed.admit_time.saturating_sub(pushed.normalize_time),
+        );
+        tel.stage(cell.group, Stage::Normalize, pushed.normalize_time);
+    }
+    let Some(score) = pushed.score else {
+        slot.state.record(false, pushed.admit_time, Duration::ZERO);
+        return Ok(None);
+    };
+    let spent = pushed.scoring_time;
+    let served = pushed.admit_time + spent;
+    slot.scores.push(score);
+    slot.state.record(true, served, spent);
+    if record_latencies {
+        let end_to_end = enqueued_at.map_or(served, |t| SpanStamp::now().duration_since(t));
+        slot.latencies.push(end_to_end);
+    }
+    Ok(spans.map(|tel| {
+        tel.stage(cell.group, Stage::Forward, spent);
+        OpenEmit {
+            group: cell.group,
+            started: pushed.finished,
+            enqueued_at,
+            served,
+        }
+    }))
+}
+
+/// Where a scored sample's stage spans go: a worker's write-local
+/// [`StageRecorder`], or, for a push scored inline, the home shard's shared
+/// registry (the producer thread has no recorder of its own).
+trait SpanSink {
+    fn stage_ns(&mut self, group: usize, stage: Stage, ns: u64);
+    fn end_to_end_ns(&mut self, ns: u64);
+
+    fn stage(&mut self, group: usize, stage: Stage, d: Duration) {
+        self.stage_ns(group, stage, duration_ns(d));
+    }
+}
+
+impl SpanSink for StageRecorder<'_> {
+    fn stage_ns(&mut self, group: usize, stage: Stage, ns: u64) {
+        self.record_stage_ns(group, stage, ns);
+    }
+
+    fn end_to_end_ns(&mut self, ns: u64) {
+        self.record_end_to_end_ns(ns);
+    }
+}
+
+impl SpanSink for &ShardTelemetry {
+    fn stage_ns(&mut self, group: usize, stage: Stage, ns: u64) {
+        self.record_stage_ns(group, stage, ns);
+    }
+
+    fn end_to_end_ns(&mut self, ns: u64) {
+        self.record_end_to_end_ns(ns);
+    }
+}
+
+fn duration_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// A sample's emit span, opened by its push-end stamp and left open until
-/// the worker's next boundary stamp (see [`run_round`]).
+/// the scorer's next boundary stamp (see [`run_round`]).
 struct OpenEmit {
     group: usize,
     started: SpanStamp,
@@ -1459,11 +1733,11 @@ struct OpenEmit {
 
 impl OpenEmit {
     /// Records the emit span and the end-to-end span, both ending at `end`.
-    fn close(self, tel: &mut StageRecorder<'_>, end: SpanStamp) {
-        tel.record_stage_ns(self.group, Stage::Emit, end.nanos_since(self.started));
+    fn close(self, tel: &mut impl SpanSink, end: SpanStamp) {
+        tel.stage_ns(self.group, Stage::Emit, end.nanos_since(self.started));
         match self.enqueued_at {
-            Some(t) => tel.record_end_to_end_ns(end.nanos_since(t)),
-            None => tel.record_end_to_end(self.served),
+            Some(t) => tel.end_to_end_ns(end.nanos_since(t)),
+            None => tel.end_to_end_ns(duration_ns(self.served)),
         }
     }
 }

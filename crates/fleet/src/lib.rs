@@ -17,7 +17,9 @@
 //!   deterministic hash of their id ([`shard_of`]). Each shard owns one
 //!   bounded lock-free ingress ring ([`RingQueue`]) per producer lane; the
 //!   producer threads feed samples through a [`FleetHandle`]. An idle
-//!   worker sleeps on its shard's [`Doorbell`], which every push rings.
+//!   worker sleeps on its shard's [`Doorbell`], which every handed-off push
+//!   rings; a push that finds its shard idle scores the sample on the
+//!   producer's own thread instead, and wakes nobody.
 //! * **Backpressure** — queue overflow behavior is an explicit, tested
 //!   contract ([`OverloadPolicy`]): `Block` the producer, `DropOldest` with a
 //!   drop counter, or `Reject` with a typed error. Overload is never an
@@ -88,7 +90,7 @@ mod stats;
 pub(crate) mod sync;
 
 pub use engine::{Fleet, FleetHandle, FleetOutcome, ModelGroupId};
-pub use queue::{Doorbell, Envelope, RingQueue, Wake};
+pub use queue::{Doorbell, Envelope, HandOffSlot, RingQueue, Wake};
 pub use stats::{FleetStats, GroupModelStats, ShardStats};
 /// Re-export of the telemetry substrate's configuration and snapshot types,
 /// so fleet consumers can enable and consume telemetry without depending on
@@ -172,10 +174,10 @@ pub struct FleetConfig {
     /// thread doing the arithmetic changes. [`ShardStats::steals`] counts
     /// successful steals per worker.
     pub work_stealing: bool,
-    /// When `true`, every scored sample's latency (its admit time plus its
-    /// incremental forward) is kept in
-    /// [`ShardStats::sample_latencies`] for percentile reporting. Costs one
-    /// `Duration` of memory per score; leave off outside benchmarks.
+    /// When `true`, every scored sample's end-to-end latency (from its push
+    /// to its score) is kept in [`FleetOutcome::latencies`] for percentile
+    /// reporting. Costs one `Duration` of memory per score; leave off
+    /// outside benchmarks.
     pub record_latencies: bool,
     /// Test-only throttle: sleep this long before each processing round so a
     /// test driver can saturate a bounded queue deterministically and observe

@@ -10,8 +10,13 @@
 //! The consumer side never blocks inside a ring: it drains with
 //! [`RingQueue::try_drain`] and, when every ring it serves is empty, waits on
 //! the shard's [`Doorbell`] — one flag plus one parking lot per shard, rung by
-//! whatever can give the worker work (a push, a close, a delivery). Both
-//! protocols are explored exhaustively by `tests/model_check.rs`.
+//! whatever can give the worker work (a push, a close, a delivery). The
+//! doorbell has no backstop: a worker sleeps until it is rung.
+//!
+//! [`HandOffSlot`] is the claim that lets a producer skip the ring and the
+//! doorbell altogether: a stream's scoring slot plus the count of its
+//! samples still on the hand-off path. All three protocols are explored
+//! exhaustively by `tests/model_check.rs`.
 //!
 //! Every full-queue outcome is decided by the caller's [`OverloadPolicy`],
 //! never by accident, and drop accounting is exact: a sample is counted in
@@ -27,7 +32,7 @@ use std::time::Duration;
 // builds, varade-check's instrumented facade under `--cfg varade_check`) so
 // tests/model_check.rs explores this exact code, not a test-only fork.
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex, MutexGuard};
 
 use varade_obs::{FleetEvent, Telemetry};
 
@@ -109,9 +114,10 @@ struct Slot {
     value: UnsafeCell<MaybeUninit<Envelope>>,
 }
 
-/// How long a parked thread sleeps at most before re-checking: the liveness
-/// backstop that makes a lost wakeup cost a millisecond instead of a hang.
-/// Wakeups are normally delivered explicitly via the condvars.
+/// How long a [`OverloadPolicy::Block`] producer parked on a full ring
+/// sleeps at most before re-checking: the liveness backstop that makes a
+/// lost wakeup cost a millisecond instead of a hang. Wakeups are normally
+/// delivered explicitly via the condvar. (The [`Doorbell`] has no backstop.)
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// Spins a `Block` producer makes on a full ring before parking; each
@@ -430,6 +436,23 @@ impl RingQueue {
         policy: OverloadPolicy,
         shard: usize,
     ) -> Result<(), FleetError> {
+        self.push_evicting(envelope, policy, shard, |_| {})
+    }
+
+    /// [`RingQueue::push`], handing every sample a `DropOldest` push evicts
+    /// to `evicted` (after counting it in [`RingQueue::dropped`]), so the
+    /// caller can settle its own accounting for that sample.
+    ///
+    /// # Errors
+    ///
+    /// As [`RingQueue::push`].
+    pub fn push_evicting(
+        &self,
+        envelope: Envelope,
+        policy: OverloadPolicy,
+        shard: usize,
+        evicted: impl FnMut(Envelope),
+    ) -> Result<(), FleetError> {
         // Guard the whole push with the in-flight counter so a consumer's
         // "closed and drained" verdict can never race a push past it.
         // ORDERING: SeqCst on both — the increment must be totally ordered
@@ -437,7 +460,7 @@ impl RingQueue {
         // decrement after its enqueue, so `is_quiescent`'s SeqCst reads see
         // either the in-flight push or its completed effect.
         self.in_flight.fetch_add(1, Ordering::SeqCst);
-        let result = self.push_inner(envelope, policy, shard);
+        let result = self.push_inner(envelope, policy, shard, evicted);
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
         result
     }
@@ -447,6 +470,7 @@ impl RingQueue {
         envelope: Envelope,
         policy: OverloadPolicy,
         shard: usize,
+        mut evicted: impl FnMut(Envelope),
     ) -> Result<(), FleetError> {
         if self.is_closed() {
             return Err(FleetError::Closed);
@@ -461,14 +485,15 @@ impl RingQueue {
                 shard,
             }),
             OverloadPolicy::DropOldest => loop {
-                if let Some(evicted) = self.try_dequeue() {
+                if let Some(oldest) = self.try_dequeue() {
                     // ORDERING: Relaxed — exactness of the drop ledger comes
                     // from the atomic RMW; no ordering contract with the
                     // ring counters is needed.
                     self.dropped.fetch_add(1, Ordering::Relaxed);
                     if let Some(events) = &self.events {
-                        events.drop_sample(evicted.stream);
+                        events.drop_sample(oldest.stream);
                     }
+                    evicted(oldest);
                 }
                 match self.try_enqueue(envelope) {
                     TryEnqueue::Done => return Ok(()),
@@ -588,8 +613,6 @@ pub enum Wake {
     /// A [`Doorbell::ring`] ended the wait (or landed between the re-check
     /// and the wait, which then never slept).
     Rung,
-    /// The wait ran the whole `PARK_TIMEOUT` backstop without a ring.
-    TimedOut,
 }
 
 /// One consumer's wait point: a parked flag plus a `Mutex`+`Condvar` parking
@@ -608,7 +631,10 @@ pub enum Wake {
 /// re-check sees the work (the argument is written out in
 /// docs/CONCURRENCY.md and explored by `tests/model_check.rs`). A ring
 /// between the re-check and the wait leaves a token under the lock, so the
-/// wait does not start; `PARK_TIMEOUT` bounds every wait regardless.
+/// wait does not start. The wait has no timeout: a parked worker costs
+/// nothing until it is rung, and a lost wakeup would be a hang, which the
+/// model checker reports (as its step limit: a model condvar wait returns
+/// at once, so the untimed wait becomes a loop on the token).
 pub struct Doorbell {
     parked: AtomicBool,
     /// Whether a ring landed since the consumer last woke.
@@ -664,8 +690,8 @@ impl Doorbell {
     }
 
     /// Raises the flag, runs `has_work` (the consumer's re-check of every
-    /// source that rings this doorbell), and sleeps until a ring or the
-    /// `PARK_TIMEOUT` backstop unless the re-check found work.
+    /// source that rings this doorbell), and sleeps until a ring unless the
+    /// re-check found work.
     pub fn park(&self, has_work: impl FnOnce() -> bool) -> Wake {
         // ORDERING: SeqCst — the flag store precedes every read of the
         // re-check in the total order (see `ring`).
@@ -675,26 +701,108 @@ impl Doorbell {
         } else {
             let mut rung = self.rung.lock().expect("doorbell lock");
             while !*rung {
-                let (guard, waited) = self
-                    .wake
-                    .wait_timeout(rung, PARK_TIMEOUT)
-                    .expect("doorbell lock");
-                rung = guard;
-                if waited.timed_out() {
-                    break;
-                }
+                rung = self.wake.wait(rung).expect("doorbell lock");
             }
-            if std::mem::take(&mut *rung) {
-                Wake::Rung
-            } else {
-                Wake::TimedOut
-            }
+            *rung = false;
+            Wake::Rung
         };
         // ORDERING: SeqCst — symmetric clear. A ring that loaded the flag
         // before this store leaves a token, and the next park returns
         // without sleeping.
         self.parked.store(false, Ordering::SeqCst);
         woke
+    }
+}
+
+/// A stream's scoring slot plus the count of its samples on the hand-off
+/// path: the claim a producer needs before it may score a sample on its own
+/// thread instead of handing it to a worker.
+///
+/// A producer counts a sample with [`HandOffSlot::hand_off`] *before* it
+/// pushes the sample into a ring. The sample is uncounted with
+/// [`HandOffSlot::retire`] when a worker pops it under the slot lock to
+/// score it, or when it leaves without a pop: a failed push, a `DropOldest`
+/// eviction, a discarded backlog. So the count covers every sample of the
+/// stream that sits in a ring, that a worker drained but has not delivered
+/// yet, or that waits in the stream's pending deque.
+///
+/// [`HandOffSlot::try_claim`] locks the slot without waiting and keeps the
+/// lock only if the count is zero. A zero count read under the lock means
+/// every earlier hand-off of this stream was popped, and so scored, because
+/// a worker pops and scores under one lock hold. A sample scored under the
+/// claim therefore lands after all of them: per-stream order holds whichever
+/// path each sample takes (explored by `tests/model_check.rs`).
+pub struct HandOffSlot<T> {
+    handed_off: AtomicUsize,
+    value: Mutex<T>,
+}
+
+impl<T> std::fmt::Debug for HandOffSlot<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HandOffSlot")
+            .field("handed_off", &self.handed_off())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<T> HandOffSlot<T> {
+    /// A slot holding `value`, with nothing handed off.
+    pub fn new(value: T) -> Self {
+        Self {
+            handed_off: AtomicUsize::new(0),
+            value: Mutex::new(value),
+        }
+    }
+
+    /// Counts one sample entering the hand-off path. Call it before the
+    /// sample's ring push.
+    pub fn hand_off(&self) {
+        // ORDERING: Relaxed — the count orders nothing by itself: a lane's
+        // claim reads it after the lane's own increments (program order),
+        // and after a worker's decrement through the slot mutex (see
+        // `try_claim`).
+        self.handed_off.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Uncounts `n` handed-off samples: popped to be scored (under the slot
+    /// lock), or gone without a pop.
+    pub fn retire(&self, n: usize) {
+        // ORDERING: Relaxed — a pop's decrement sits under the slot lock,
+        // whose unlock orders it before the next claim (see `hand_off`).
+        self.handed_off.fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// Samples currently on the hand-off path (a racy snapshot).
+    pub fn handed_off(&self) -> usize {
+        // ORDERING: Relaxed — a reporting read.
+        self.handed_off.load(Ordering::Relaxed)
+    }
+
+    /// Locks the slot without waiting: `None` while another thread holds
+    /// it. A poisoned lock is taken over.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.value.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(std::sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// Claims the slot for scoring on the calling thread: locks it without
+    /// waiting, and keeps the lock only if no sample of the stream is on the
+    /// hand-off path.
+    pub fn try_claim(&self) -> Option<MutexGuard<'_, T>> {
+        let guard = self.try_lock()?;
+        // ORDERING: Relaxed — read under the lock: the mutex acquire orders
+        // it after every decrement a popping worker made before unlocking.
+        (self.handed_off.load(Ordering::Relaxed) == 0).then_some(guard)
+    }
+
+    /// Consumes the slot, returning its value.
+    pub fn into_inner(self) -> T {
+        self.value
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -838,7 +946,6 @@ mod tests {
         let bell = Doorbell::new();
         assert!(!bell.ring(), "nobody is parked");
         assert_eq!(bell.park(|| true), Wake::Busy);
-        assert_eq!(bell.park(|| false), Wake::TimedOut);
         // A ring that lands while the flag is up but before the wait leaves
         // a token: the park returns without sleeping.
         assert_eq!(
@@ -863,11 +970,31 @@ mod tests {
                 }
             })
         };
-        let mut woke = bell.park(|| false);
-        while woke == Wake::TimedOut {
-            woke = bell.park(|| false);
-        }
+        // The park has no timeout: it returns only once a ring lands.
+        let woke = bell.park(|| false);
         ringer.join().unwrap();
         assert_eq!(woke, Wake::Rung);
+    }
+
+    #[test]
+    fn hand_off_slot_claims_only_with_nothing_handed_off() {
+        let slot = HandOffSlot::new(Vec::<u32>::new());
+        slot.try_claim()
+            .expect("free and nothing handed off")
+            .push(0);
+        slot.hand_off();
+        assert!(
+            slot.try_claim().is_none(),
+            "a sample is on the hand-off path"
+        );
+        {
+            let mut guard = slot.try_lock().expect("a worker's pop locks it");
+            slot.retire(1);
+            guard.push(1);
+            assert!(slot.try_claim().is_none(), "the worker holds the lock");
+        }
+        slot.try_claim().expect("popped and scored").push(2);
+        assert_eq!(slot.handed_off(), 0);
+        assert_eq!(slot.into_inner(), vec![0, 1, 2]);
     }
 }

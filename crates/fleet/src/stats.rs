@@ -29,14 +29,14 @@ pub struct ShardStats {
     /// shard.
     pub steals: u64,
     /// Times this shard's worker slept on its doorbell: parks whose re-check
-    /// found no work. Each ended by a ring or by the 1 ms backstop. Exact.
+    /// found no work. Each ended by a ring (the doorbell has no timeout).
+    /// Exact.
     pub parks: u64,
-    /// The parks that ran the whole backstop without a ring. On an idle
-    /// shard nearly every park times out, about one per millisecond.
-    pub park_timeouts: u64,
-    /// Per-scored-sample latency (admit plus incremental forward), recorded
-    /// only when [`crate::FleetConfig::record_latencies`] is on.
-    pub sample_latencies: Vec<Duration>,
+    /// Pushes to this shard's streams that [`crate::FleetHandle::push_from`]
+    /// scored on the producer's thread because the shard was idle, instead
+    /// of waking the worker (warm-up pushes, which produce no score, count
+    /// too). Exact.
+    pub inline_scores: u64,
     /// Largest ingress backlog this shard ever observed at a drain point
     /// (summed across its lanes) — a sustained-backlog signal a briefly-full
     /// ring cannot fake. Exact, maintained every round.
@@ -73,9 +73,9 @@ pub struct FleetStats {
     pub steals: u64,
     /// Total doorbell parks across shards (the sum of [`ShardStats::parks`]).
     pub parks: u64,
-    /// Total backstop-ended parks across shards (the sum of
-    /// [`ShardStats::park_timeouts`]).
-    pub park_timeouts: u64,
+    /// Total pushes scored on a producer's thread (the sum of
+    /// [`ShardStats::inline_scores`]).
+    pub inline_scores: u64,
     /// Per-group model version and swap counters, sorted by group index
     /// (filled in by the engine after the shard merge).
     pub groups: Vec<GroupModelStats>,
@@ -93,14 +93,14 @@ impl FleetStats {
         let mut dropped = 0;
         let mut steals = 0;
         let mut parks = 0;
-        let mut park_timeouts = 0;
+        let mut inline_scores = 0;
         let mut queue_depth_high_water = 0;
         for shard in &shards {
             global.merge(&shard.push);
             dropped += shard.dropped;
             steals += shard.steals;
             parks += shard.parks;
-            park_timeouts += shard.park_timeouts;
+            inline_scores += shard.inline_scores;
             queue_depth_high_water = queue_depth_high_water.max(shard.queue_depth_high_water);
         }
         Self {
@@ -110,7 +110,7 @@ impl FleetStats {
             dropped,
             steals,
             parks,
-            park_timeouts,
+            inline_scores,
             groups: Vec::new(),
             queue_depth_high_water,
         }
@@ -128,19 +128,6 @@ impl FleetStats {
     pub fn scores_per_sec(&self) -> Option<f64> {
         let secs = self.elapsed.as_secs_f64();
         (secs > 0.0).then(|| self.global.scores as f64 / secs)
-    }
-
-    /// Every recorded per-sample latency across shards (empty unless
-    /// [`crate::FleetConfig::record_latencies`] was on), for percentile
-    /// summaries.
-    pub fn all_sample_latencies(&self) -> Vec<Duration> {
-        let mut all: Vec<Duration> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.sample_latencies.iter().copied())
-            .collect();
-        all.sort();
-        all
     }
 }
 
@@ -162,8 +149,7 @@ mod tests {
             dropped,
             steals: index as u64,
             parks: 10 + index as u64,
-            park_timeouts: index as u64,
-            sample_latencies: vec![Duration::from_micros(micros)],
+            inline_scores: 100 * index as u64,
             queue_depth_high_water: 3 * index as u64,
         }
     }
@@ -181,15 +167,12 @@ mod tests {
         assert_eq!(stats.dropped, 3);
         assert_eq!(stats.steals, 1);
         assert_eq!(stats.parks, 21);
-        assert_eq!(stats.park_timeouts, 1);
+        assert_eq!(stats.inline_scores, 100);
         // Shard high-water marks fold by max, not by sum.
         assert_eq!(stats.queue_depth_high_water, 3);
         // 30 pushes over 2 ms of wall clock.
         assert!((stats.samples_per_sec().unwrap() - 15_000.0).abs() < 1e-6);
         assert!((stats.scores_per_sec().unwrap() - 11_500.0).abs() < 1e-6);
-        let latencies = stats.all_sample_latencies();
-        assert_eq!(latencies.len(), 2);
-        assert!(latencies[0] <= latencies[1]);
     }
 
     #[test]
@@ -197,6 +180,5 @@ mod tests {
         let empty = FleetStats::default();
         assert!(empty.samples_per_sec().is_none());
         assert!(empty.scores_per_sec().is_none());
-        assert!(empty.all_sample_latencies().is_empty());
     }
 }

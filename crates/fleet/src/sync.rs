@@ -9,11 +9,12 @@
 //! atomics through the *production* code path (no test-only forks of the
 //! queue logic).
 //!
-//! Every atomic in the crate routes through this module: the ring and the
-//! doorbell in `queue.rs`, and the engine's `owner`, `queued` and
-//! `ingest_done` words in `engine.rs`. The engine's per-stream and
-//! model-slot mutexes stay on `std::sync` (its scoring round needs
-//! `try_lock`); only the engine's protocol words are model-visible.
+//! Every atomic in the crate routes through this module: the ring, the
+//! doorbell and the hand-off slot in `queue.rs`, and the engine's `owner`,
+//! `queued`, `ingest_done` and lane-clock words in `engine.rs`. A stream's
+//! scoring slot is a [`crate::queue::HandOffSlot`], so its mutex (taken
+//! with `try_lock` by rounds and inline pushes alike) is model-visible too;
+//! the engine's pending-deque and model-slot mutexes stay on `std::sync`.
 
 pub(crate) mod atomic {
     #[cfg(not(varade_check))]
@@ -23,9 +24,9 @@ pub(crate) mod atomic {
 }
 
 #[cfg(not(varade_check))]
-pub(crate) use std::sync::{Condvar, Mutex};
+pub(crate) use std::sync::{Condvar, Mutex, MutexGuard};
 #[cfg(varade_check)]
-pub(crate) use varade_check::sync::{Condvar, Mutex};
+pub(crate) use varade_check::sync::{Condvar, Mutex, MutexGuard};
 
 pub(crate) mod hint {
     #[cfg(not(varade_check))]

@@ -1,11 +1,11 @@
-//! Exhaustive interleaving verification of the lock-free ingress ring and
-//! the shard worker's doorbell.
+//! Exhaustive interleaving verification of the lock-free ingress ring, the
+//! shard worker's doorbell and the inline-scoring claim on a stream's slot.
 //!
 //! These tests only compile under `--cfg varade_check`, which swaps the
 //! `crate::sync` alias inside `varade-fleet` from `std` to varade-check's
 //! instrumented facade. Every atomic load/store/RMW, mutex acquire, and
-//! condvar wait in [`varade_fleet::RingQueue`] and [`varade_fleet::Doorbell`]
-//! then becomes a scheduling point, and [`varade_check::model`] runs the closure under every distinct
+//! condvar wait in [`varade_fleet::RingQueue`], [`varade_fleet::Doorbell`] and
+//! [`varade_fleet::HandOffSlot`] then becomes a scheduling point, and [`varade_check::model`] runs the closure under every distinct
 //! interleaving within the preemption bound (default 2, override with
 //! `VARADE_CHECK_PREEMPTIONS`, `unbounded` for full DFS).
 //!
@@ -23,8 +23,11 @@
 use std::sync::Arc;
 
 use varade_check::sync::atomic::{AtomicBool, Ordering};
+use varade_check::sync::MutexGuard;
 use varade_check::thread;
-use varade_fleet::{Doorbell, Envelope, FleetError, OverloadPolicy, RingQueue, StreamId};
+use varade_fleet::{
+    Doorbell, Envelope, FleetError, HandOffSlot, OverloadPolicy, RingQueue, StreamId,
+};
 
 fn env(stream: usize) -> Envelope {
     Envelope::new(StreamId::from_index(stream), vec![stream as f32])
@@ -374,4 +377,95 @@ fn capacity1_fullness_is_exact() {
         );
     });
     assert!(report.schedules > 0);
+}
+
+/// One lane pushing samples 0, 1, 2 of one stream, trying to score the even
+/// ones on its own thread (as `FleetHandle::push_from` does when the shard is
+/// idle) and handing the rest to a worker through the ring and the doorbell;
+/// the worker drains the ring into a pending deque and scores it under the
+/// stream's slot lock, retiring each sample as it pops it. `claim` is how the
+/// lane takes the slot for an inline score. Returns the samples in the order
+/// they were scored.
+fn inline_and_hand_off(
+    claim: fn(&HandOffSlot<Vec<usize>>) -> Option<MutexGuard<'_, Vec<usize>>>,
+) -> Vec<usize> {
+    let q = Arc::new(RingQueue::new(4));
+    let bell = Arc::new(Doorbell::new());
+    let slot = Arc::new(HandOffSlot::new(Vec::new()));
+    let lane = {
+        let (q, bell, slot) = (Arc::clone(&q), Arc::clone(&bell), Arc::clone(&slot));
+        thread::spawn(move || {
+            for i in 0..3 {
+                if i % 2 == 0 {
+                    if let Some(mut scored) = claim(&slot) {
+                        scored.push(i);
+                        continue;
+                    }
+                }
+                slot.hand_off();
+                q.push(env(i), OverloadPolicy::Block, 0)
+                    .expect("the ring is closed only by this lane");
+                bell.ring();
+            }
+            q.close();
+            bell.ring();
+        })
+    };
+    let mut pending = std::collections::VecDeque::new();
+    loop {
+        for e in q.try_drain(4) {
+            pending.push_back(e.stream.index());
+        }
+        if let Some(&next) = pending.front() {
+            match slot.try_lock() {
+                Some(mut scored) => {
+                    pending.pop_front();
+                    slot.retire(1);
+                    scored.push(next);
+                }
+                None => thread::yield_now(),
+            }
+            continue;
+        }
+        if q.is_quiescent() {
+            break;
+        }
+        bell.park(|| q.has_pending() || q.is_quiescent());
+    }
+    lane.join().expect("lane panicked");
+    assert_eq!(
+        slot.handed_off(),
+        0,
+        "a handed-off sample was never retired"
+    );
+    let scored = slot.try_lock().expect("both threads are done").clone();
+    scored
+}
+
+/// The inline-scoring claim keeps per-stream order: whichever of the two
+/// paths each sample takes, every sample is scored exactly once, in push
+/// order. A claim that finds a sample still handed off falls back to the
+/// ring, so an inline score never overtakes one.
+#[test]
+fn inline_claims_score_every_sample_once_in_push_order() {
+    let report = varade_check::model("fleet_inline_claim", || {
+        assert_eq!(inline_and_hand_off(HandOffSlot::try_claim), vec![0, 1, 2]);
+    });
+    assert!(report.schedules > 0);
+}
+
+/// The hand-off count is what orders the paths: a lane that takes the slot
+/// lock alone scores sample 2 before the worker pops sample 1 in some
+/// schedule, and the checker must find it.
+#[test]
+fn a_claim_that_ignores_the_hand_off_count_is_caught() {
+    let found = std::panic::catch_unwind(|| {
+        varade_check::model("fleet_inline_claim_seeded_bug", || {
+            assert_eq!(inline_and_hand_off(HandOffSlot::try_lock), vec![0, 1, 2]);
+        });
+    });
+    assert!(
+        found.is_err(),
+        "the checker missed an inline score overtaking a hand-off"
+    );
 }

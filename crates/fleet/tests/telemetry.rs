@@ -14,9 +14,10 @@
 //! 4. **Disabled is empty** — a disabled fleet produces no snapshot in its
 //!    outcome and an empty one on demand, while the queue-depth high-water
 //!    satellite in [`ShardStats`] keeps working regardless.
-//! 5. **Worker waits** — the doorbell park counters agree exactly between
-//!    [`ShardStats`] and the exposition, and an idle window's parks are its
-//!    backstop timeouts plus at most the close and endgame rings.
+//! 5. **Worker waits** — the doorbell park and inline-score counters agree
+//!    exactly between [`ShardStats`] and the exposition, a paced window
+//!    scores on the producer's thread, and an idle window parks each worker
+//!    until the close (the doorbell has no timeout to wake it sooner).
 //! 6. **Cumulative histograms** — a serve window's snapshot counts every
 //!    span since [`Fleet::new`], earlier windows included, so a figure read
 //!    from it describes all windows, not the last one.
@@ -369,18 +370,18 @@ fn assert_waits_agree(outcome: &varade_fleet::FleetOutcome, snap: &TelemetrySnap
         assert_eq!(cell.shard, shard.shard);
         assert_eq!(cell.parks, shard.parks, "shard {}", shard.shard);
         assert_eq!(
-            cell.park_timeouts, shard.park_timeouts,
+            cell.inline_scores, shard.inline_scores,
             "shard {}",
             shard.shard
         );
-        assert!(shard.park_timeouts <= shard.parks);
+        assert!(shard.inline_scores <= shard.push.pushes);
         assert!(prom.contains(&format!(
             "varade_worker_parks_total{{shard=\"{}\"}} {}",
             shard.shard, shard.parks
         )));
         assert!(prom.contains(&format!(
-            "varade_worker_park_timeouts_total{{shard=\"{}\"}} {}",
-            shard.shard, shard.park_timeouts
+            "varade_worker_inline_scores_total{{shard=\"{}\"}} {}",
+            shard.shard, shard.inline_scores
         )));
     }
     assert_eq!(
@@ -388,15 +389,16 @@ fn assert_waits_agree(outcome: &varade_fleet::FleetOutcome, snap: &TelemetrySnap
         stats.shards.iter().map(|s| s.parks).sum::<u64>()
     );
     assert_eq!(
-        stats.park_timeouts,
-        stats.shards.iter().map(|s| s.park_timeouts).sum::<u64>()
+        stats.inline_scores,
+        stats.shards.iter().map(|s| s.inline_scores).sum::<u64>()
     );
 }
 
 #[test]
 fn paced_window_parks_between_samples_and_counts_agree() {
-    // One sample every 2 ms: far below capacity, so the workers park
-    // between samples and pushes ring them awake.
+    // One sample every 2 ms: far below capacity, so the workers park and
+    // the pushes that find their shard parked score on the driver's thread
+    // instead of waking it.
     let samples = rows(12);
     let (outcome, snap, _) = serve_window(4, |handle, streams| {
         for row in &samples {
@@ -411,42 +413,37 @@ fn paced_window_parks_between_samples_and_counts_agree() {
     for shard in &outcome.stats.shards {
         assert!(shard.parks > 0, "shard {} never parked", shard.shard);
     }
-    // Every park ended by a ring or by the backstop; with 48 pushes each
-    // ringing its shard, most parks end by a ring.
     assert!(
-        outcome.stats.parks > outcome.stats.park_timeouts,
-        "no park was ended by a ring: {:?}",
+        outcome.stats.inline_scores > 0,
+        "no push scored inline: {:?}",
         outcome.stats
     );
+    // Inline pushes record the same stage spans a worker does.
+    assert_eq!(snap.merged_stage(Stage::QueueWait).count, 4 * 12);
+    assert_eq!(
+        snap.merged_stage(Stage::Forward).count,
+        outcome.stats.global.scores
+    );
+    assert_eq!(snap.merged_end_to_end().count, outcome.stats.global.scores);
 }
 
 #[test]
-fn idle_window_parks_are_its_backstop_timeouts() {
-    let (outcome, snap, elapsed) = serve_window(4, |_, _| {
+fn idle_window_parks_until_the_close() {
+    let (outcome, snap, _) = serve_window(4, |_, _| {
         std::thread::sleep(Duration::from_millis(200));
     });
     assert_eq!(outcome.stats.global.pushes, 0);
+    assert_eq!(outcome.stats.inline_scores, 0);
     assert_waits_agree(&outcome, &snap);
-    // A timed-out wait lasted at least the 1 ms backstop, so a shard cannot
-    // time out more often than once per elapsed millisecond — about 200
-    // here, where a polling worker would wake thousands of times.
-    let bound = elapsed.as_millis() as u64 + 1;
+    // The doorbell has no timeout: each worker sleeps through the idle
+    // 200 ms and wakes for the close, then at most once more for the
+    // endgame ring — where a polling worker would wake thousands of times.
     for shard in &outcome.stats.shards {
-        assert!(shard.parks > 0, "shard {} never parked", shard.shard);
         assert!(
-            shard.park_timeouts <= bound,
-            "shard {}: {} timeouts in {elapsed:?}",
+            (1..=2).contains(&shard.parks),
+            "shard {}: {} parks",
             shard.shard,
-            shard.park_timeouts
-        );
-        // Nothing was pushed, so the only rings are the close and the
-        // endgame: every other park ran the whole backstop.
-        assert!(
-            shard.parks - shard.park_timeouts <= 2,
-            "shard {}: {} parks, {} timeouts",
-            shard.shard,
-            shard.parks,
-            shard.park_timeouts
+            shard.parks
         );
     }
 }

@@ -16,7 +16,7 @@ use std::fmt::Write;
 /// * `varade_stage_latency_ns` — histogram, labels `stage`, `group`, `shard`
 /// * `varade_end_to_end_latency_ns` — histogram, label `shard`
 /// * `varade_queue_depth` / `varade_queue_depth_high_water` — gauges, label `shard`
-/// * `varade_worker_parks_total` / `varade_worker_park_timeouts_total` —
+/// * `varade_worker_parks_total` / `varade_worker_inline_scores_total` —
 ///   counters, label `shard`
 /// * `varade_events_total` — counter, label `kind`
 /// * `varade_events_recorded_total` / `varade_events_overwritten_total` — counters
@@ -72,14 +72,14 @@ pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
         );
     }
     out.push_str(
-        "# HELP varade_worker_park_timeouts_total Shard worker waits that ran the backstop without a ring.\n",
+        "# HELP varade_worker_inline_scores_total Pushes scored on the producer's thread, waking no worker.\n",
     );
-    out.push_str("# TYPE varade_worker_park_timeouts_total counter\n");
+    out.push_str("# TYPE varade_worker_inline_scores_total counter\n");
     for cell in &snap.worker_waits {
         let _ = writeln!(
             out,
-            "varade_worker_park_timeouts_total{{shard=\"{}\"}} {}",
-            cell.shard, cell.park_timeouts
+            "varade_worker_inline_scores_total{{shard=\"{}\"}} {}",
+            cell.shard, cell.inline_scores
         );
     }
     out.push_str("# HELP varade_events_total Structured events recorded, by kind.\n");
@@ -142,8 +142,9 @@ mod tests {
             .unwrap()
             .record_end_to_end(Duration::from_micros(120));
         t.shard(0).unwrap().observe_queue_depth(3);
-        t.shard(0).unwrap().record_park(true);
-        t.shard(0).unwrap().record_park(false);
+        t.shard(0).unwrap().record_park();
+        t.shard(0).unwrap().record_park();
+        t.shard(0).unwrap().record_inline();
         t.record_event(FleetEvent::SampleDrop { lane: 0, stream: 7 });
         let text = prometheus_text(&t.snapshot());
         assert!(text.contains(
@@ -156,7 +157,7 @@ mod tests {
         assert!(text.contains("varade_queue_depth{shard=\"0\"} 3"));
         assert!(text.contains("varade_queue_depth_high_water{shard=\"0\"} 3"));
         assert!(text.contains("varade_worker_parks_total{shard=\"0\"} 2"));
-        assert!(text.contains("varade_worker_park_timeouts_total{shard=\"0\"} 1"));
+        assert!(text.contains("varade_worker_inline_scores_total{shard=\"0\"} 1"));
         assert!(text.contains("varade_events_total{kind=\"sample_drop\"} 1"));
         assert!(text.contains("varade_events_recorded_total 1"));
     }

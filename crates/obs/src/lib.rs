@@ -144,7 +144,7 @@ pub struct ShardTelemetry {
     end_to_end: AtomicHistogram,
     queue_depth: Gauge,
     parks: Counter,
-    park_timeouts: Counter,
+    inline_scores: Counter,
 }
 
 impl ShardTelemetry {
@@ -157,7 +157,7 @@ impl ShardTelemetry {
             end_to_end: AtomicHistogram::new(),
             queue_depth: Gauge::new(),
             parks: Counter::new(),
-            park_timeouts: Counter::new(),
+            inline_scores: Counter::new(),
         }
     }
 
@@ -168,10 +168,24 @@ impl ShardTelemetry {
         self.stage_hists[group * N_STAGES + stage.index()].record(d);
     }
 
+    /// [`record_stage`](Self::record_stage) with a raw nanosecond span.
+    #[inline]
+    pub fn record_stage_ns(&self, group: usize, stage: Stage, ns: u64) {
+        debug_assert!(group < self.n_groups);
+        self.stage_hists[group * N_STAGES + stage.index()].record_ns(ns);
+    }
+
     /// Records one end-to-end (enqueue → score) latency.
     #[inline]
     pub fn record_end_to_end(&self, d: Duration) {
         self.end_to_end.record(d);
+    }
+
+    /// [`record_end_to_end`](Self::record_end_to_end) with a raw
+    /// nanosecond span.
+    #[inline]
+    pub fn record_end_to_end_ns(&self, ns: u64) {
+        self.end_to_end.record_ns(ns);
     }
 
     /// Records an observed ingress queue depth (updates the high-water mark).
@@ -180,14 +194,17 @@ impl ShardTelemetry {
         self.queue_depth.set(depth);
     }
 
-    /// Records one worker wait on the shard's doorbell, and whether it ran
-    /// the whole backstop without a ring.
+    /// Records one worker wait on the shard's doorbell.
     #[inline]
-    pub fn record_park(&self, timed_out: bool) {
+    pub fn record_park(&self) {
         self.parks.inc();
-        if timed_out {
-            self.park_timeouts.inc();
-        }
+    }
+
+    /// Records one push of this shard's streams scored on the producer's
+    /// thread instead of being handed to the worker.
+    #[inline]
+    pub fn record_inline(&self) {
+        self.inline_scores.inc();
     }
 
     /// The shard's queue-depth gauge.
@@ -422,7 +439,7 @@ impl Telemetry {
             worker_waits.push(WorkerWaitCell {
                 shard,
                 parks: reg.parks.get(),
-                park_timeouts: reg.park_timeouts.get(),
+                inline_scores: reg.inline_scores.get(),
             });
         }
         let drain = self.events.drain();
@@ -536,8 +553,9 @@ pub struct WorkerWaitCell {
     pub shard: usize,
     /// Times the worker slept on its doorbell.
     pub parks: u64,
-    /// The sleeps that ran the whole backstop without a ring.
-    pub park_timeouts: u64,
+    /// Pushes of the shard's streams scored on the producer's thread: each
+    /// one a sample that reached the idle shard without waking its worker.
+    pub inline_scores: u64,
 }
 
 /// Cumulative count of one event kind.

@@ -11,7 +11,8 @@
 //! 3. feed every stream a phase-shifted slice of the collision recording
 //!    while the shard workers score each push incrementally;
 //! 4. print the aggregate `FleetStats` — wall-clock samples/sec and a
-//!    per-shard breakdown with the mean forward latency.
+//!    per-shard breakdown with the mean forward latency and the pushes that
+//!    found their shard idle and scored on the producer's thread.
 //!
 //! Run with: `cargo run --release --example fleet`
 //! (asserted end-to-end by `tests/fleet_smoke.rs`).
@@ -117,10 +118,12 @@ pub(crate) fn main() -> Result<(), Box<dyn Error>> {
     );
     for shard in &stats.shards {
         println!(
-            "  shard {}: {} streams, {} pushes, mean forward {:.1} us",
+            "  shard {}: {} streams, {} pushes ({} scored on the producer's thread), \
+             mean forward {:.1} us",
             shard.shard,
             shard.streams,
             shard.push.pushes,
+            shard.inline_scores,
             shard
                 .push
                 .mean_scoring_latency()
