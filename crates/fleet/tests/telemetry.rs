@@ -6,8 +6,10 @@
 //!    off.
 //! 2. **Stage decomposition** — an enabled run populates every pipeline
 //!    stage histogram with exact per-stage counts (queue-wait once per
-//!    admitted sample, forward/emit once per score), and the end-to-end
-//!    distribution dominates its forward component.
+//!    admitted sample, forward/emit once per score), the end-to-end
+//!    distribution dominates its forward component, and over a window in
+//!    which every push is scored the mean stage spans add up to the mean
+//!    end-to-end latency, within timer noise.
 //! 3. **Event accounting** — control-plane events (swap, rollback, steal,
 //!    drop, cache invalidation) land in the snapshot with counts that match
 //!    the engine's own exact counters.
@@ -107,18 +109,34 @@ fn telemetry_does_not_change_scores_on_either_path() {
 
 #[test]
 fn enabled_run_decomposes_every_stage_with_exact_counts() {
-    let (fleet, outcome) = serve(
-        FleetConfig {
-            n_shards: 2,
-            telemetry: TelemetryConfig::enabled(),
-            ..FleetConfig::default()
-        },
-        6,
-        20,
-    );
+    let mut fleet = Fleet::new(FleetConfig {
+        n_shards: 2,
+        telemetry: TelemetryConfig::enabled(),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let group = fleet.register_model(fitted()).unwrap();
+    let streams: Vec<_> = (0..6)
+        .map(|_| fleet.register_stream(group, None).unwrap())
+        .collect();
+    let mut serve = |samples: Vec<Vec<f32>>| {
+        fleet
+            .run(|handle| {
+                for row in &samples {
+                    for &s in &streams {
+                        handle.push(s, row)?;
+                    }
+                }
+                Ok(())
+            })
+            .unwrap()
+            .1
+    };
+    // The first window warms every stream up; the second scores each push.
+    let outcome = serve(rows(20));
     let snap = outcome.telemetry.expect("telemetry was enabled");
     assert!(snap.enabled);
-    assert_eq!(snap.n_shards, fleet.n_shards());
+    assert_eq!(snap.n_shards, 2);
     assert_eq!(snap.n_groups, 1);
 
     let pushes = outcome.stats.global.pushes;
@@ -141,25 +159,31 @@ fn enabled_run_decomposes_every_stage_with_exact_counts() {
     assert!(end_to_end.mean_ns() >= snap.merged_stage(Stage::Forward).mean_ns());
     assert!(end_to_end.max_ns > 0);
 
-    // The sum of mean stage spans reconstructs the mean end-to-end latency:
-    // it can undershoot (warm-up samples have no forward/emit span) but a
-    // scored sample's stages partition its life, so the sum must never
-    // exceed the mean end-to-end by more than timer-read noise.
-    let stage_sum: f64 = Stage::ALL
-        .iter()
-        .map(|&s| snap.merged_stage(s).mean_ns())
-        .sum();
-    assert!(
-        stage_sum <= end_to_end.mean_ns() * 1.5 + 20_000.0,
-        "stage sum {stage_sum} vs end-to-end mean {}",
-        end_to_end.mean_ns()
-    );
-
     // The ingest path observed its backlog on both accounting surfaces.
     assert!(outcome.stats.queue_depth_high_water > 0);
     assert_eq!(
         snap.max_queue_depth_high_water() > 0,
         outcome.stats.queue_depth_high_water > 0
+    );
+
+    // The sum of mean stage spans reconstructs the mean end-to-end latency:
+    // a scored sample's stages partition its life, so the sum must never
+    // exceed the mean end-to-end by more than timer-read noise. Both sides
+    // must cover the same samples, so read them over the second window,
+    // where every push is scored: the first window's warm-up pushes have a
+    // queue wait but no end-to-end span.
+    let second = serve(rows(20)).telemetry.expect("telemetry was enabled");
+    let window = |stage: Stage| second.merged_stage(stage).since(&snap.merged_stage(stage));
+    let end_to_end = second.merged_end_to_end().since(&end_to_end);
+    assert_eq!(end_to_end.count, 6 * 20);
+    for stage in Stage::ALL {
+        assert_eq!(window(stage).count, 6 * 20, "{stage:?}");
+    }
+    let stage_sum: f64 = Stage::ALL.iter().map(|&s| window(s).mean_ns()).sum();
+    assert!(
+        stage_sum <= end_to_end.mean_ns() * 1.5 + 20_000.0,
+        "stage sum {stage_sum} vs end-to-end mean {}",
+        end_to_end.mean_ns()
     );
 }
 

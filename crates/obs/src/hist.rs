@@ -247,6 +247,26 @@ impl HistogramSnapshot {
         }
     }
 
+    /// The samples recorded after `earlier`, an earlier snapshot of the
+    /// same cumulative histogram: bucket counts, `count` and `sum_ns` are
+    /// the differences, so percentiles and the mean describe those samples
+    /// alone. The maximum cannot be subtracted — a snapshot does not say
+    /// when its maximum was recorded — so `max_ns` stays this snapshot's,
+    /// an upper bound of the later samples' maximum, and percentiles clamp
+    /// to it. A snapshot that is not earlier gives no meaningful difference
+    /// (its larger counts saturate to zero).
+    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+        let buckets: Vec<u64> = (0..BUCKETS)
+            .map(|i| self.bucket(i).saturating_sub(earlier.bucket(i)))
+            .collect();
+        HistogramSnapshot {
+            count: buckets.iter().sum(),
+            sum_ns: self.sum_ns.wrapping_sub(earlier.sum_ns),
+            max_ns: self.max_ns,
+            buckets,
+        }
+    }
+
     fn bucket(&self, i: usize) -> u64 {
         self.buckets.get(i).copied().unwrap_or(0)
     }
@@ -375,6 +395,32 @@ mod tests {
         assert_eq!(ab.buckets.iter().sum::<u64>(), 6);
         assert_eq!(ab.max_ns, 1_000_000);
         assert_eq!(a.merge(&HistogramSnapshot::empty()), a);
+    }
+
+    #[test]
+    fn since_subtracts_an_earlier_snapshot_but_its_max() {
+        let h = AtomicHistogram::new();
+        for v in [3u64, 40, 2_000_000] {
+            h.record_ns(v);
+        }
+        let earlier = h.snapshot();
+        let later_only = AtomicHistogram::new();
+        for v in [5u64, 40, 900] {
+            h.record_ns(v);
+            later_only.record_ns(v);
+        }
+        let diff = h.snapshot().since(&earlier);
+        let expected = later_only.snapshot();
+        assert_eq!(diff.buckets, expected.buckets);
+        assert_eq!((diff.count, diff.sum_ns), (3, 945));
+        assert_eq!(diff.mean_ns(), expected.mean_ns());
+        // The earlier samples' maximum stays: it cannot be subtracted.
+        assert_eq!(diff.max_ns, 2_000_000);
+        assert_eq!(
+            diff.percentile_ns(100.0),
+            bucket_upper_bound(bucket_of(900))
+        );
+        assert_eq!(h.snapshot().since(&h.snapshot()).count, 0);
     }
 
     #[test]

@@ -99,11 +99,11 @@ impl Layer for Relu {
                 got: vec![grad_output.len()],
             });
         }
-        let mut grad = grad_output.clone();
-        for (g, &m) in grad.iter_mut().zip(mask.iter()) {
-            if !m {
-                *g = 0.0;
-            }
+        // A select, not a branch: the mask of a trained layer is close to a
+        // coin flip per element, which a branch mispredicts half the time.
+        let mut grad = Tensor::zeros(grad_output.shape());
+        for ((g, &go), &m) in grad.iter_mut().zip(grad_output.iter()).zip(mask) {
+            *g = if m { go } else { 0.0 };
         }
         Ok(grad)
     }

@@ -1,7 +1,5 @@
 //! One-dimensional convolution over the time axis.
 
-use std::ops::Range;
-
 use rand::rngs::StdRng;
 
 use crate::init::Init;
@@ -46,8 +44,11 @@ pub struct Conv1d {
     weight_grad: Tensor,
     bias_grad: Tensor,
     /// The training forward's input rows and time length, kept for the
-    /// backward.
+    /// backward; the next forward refills the same allocation.
     cached_rows: Option<(Vec<f32>, usize)>,
+    /// The backward's per-row input gradient (non-overlapping taps only),
+    /// kept so the next backward reuses the allocation.
+    grad_rows: Vec<f32>,
     /// `weight` and `bias` packed block-major over `in · kernel` rows for
     /// the column kernel, built on first use and dropped whenever the
     /// parameters can move.
@@ -95,6 +96,7 @@ impl Conv1d {
             weight_grad: Tensor::zeros(&[out_channels, in_channels, kernel_size]),
             bias_grad: Tensor::zeros(&[out_channels]),
             cached_rows: None,
+            grad_rows: Vec::new(),
             columns: PackedColumns::default(),
         }
     }
@@ -135,39 +137,38 @@ impl Conv1d {
         }
     }
 
-    /// The taps of output position `ot` that land inside an input of length
-    /// `t`: kernel offsets `taps`, reading input samples from `first` on. The
-    /// taps outside it fall on the zero padding.
-    fn live_taps(&self, ot: usize, t: usize) -> (Range<usize>, usize) {
-        // In padded coordinates the kernel covers `start..start + kernel`
-        // and the input `padding..padding + t`.
-        let start = ot * self.stride;
-        let lo = start.max(self.padding);
-        let hi = (start + self.kernel_size).min(self.padding + t);
-        if lo >= hi {
-            return (0..0, 0);
-        }
-        (lo - start..hi - start, lo - self.padding)
+    /// The input sample tap `kk` of output position `ot` reads in an input
+    /// of length `t`, or `None` where it falls on the zero padding.
+    fn tap_sample(&self, ot: usize, kk: usize, t: usize) -> Option<usize> {
+        (ot * self.stride + kk)
+            .checked_sub(self.padding)
+            .filter(|&s| s < t)
     }
 
     /// Lays `input` `[batch, in, t]` out as rows `[batch · out_len, in ·
-    /// kernel]`: element `(ic, kk)` of row `(b, ot)` is the zero-padded input
-    /// at `(b, ic, ot · stride + kk)`. The padding taps stay zero, so no
-    /// padded copy of the input is made.
-    fn rows(&self, input: &Tensor, batch: usize, out_len: usize) -> Vec<f32> {
+    /// kernel]` in `rows`, reusing its allocation: element `(ic, kk)` of row
+    /// `(b, ot)` is the zero-padded input at `(b, ic, ot · stride + kk)`.
+    /// Every element is rewritten, the padding taps as zeros, so no padded
+    /// copy of the input is made and nothing of an earlier call survives.
+    fn fill_rows(&self, input: &Tensor, batch: usize, out_len: usize, rows: &mut Vec<f32>) {
         let (ci_n, k, t) = (self.in_channels, self.kernel_size, input.shape()[2]);
         let x = input.as_slice();
-        let mut rows = vec![0.0f32; batch * out_len * ci_n * k];
+        rows.resize(batch * out_len * ci_n * k, 0.0);
         for (r, row) in rows.chunks_exact_mut(ci_n * k).enumerate() {
             let (bi, ot) = (r / out_len, r % out_len);
-            let (taps, first) = self.live_taps(ot, t);
-            let n = taps.len();
-            for (ic, taps_ic) in row.chunks_exact_mut(k).enumerate() {
-                let x_row = &x[(bi * ci_n + ic) * t..(bi * ci_n + ic + 1) * t];
-                taps_ic[taps.clone()].copy_from_slice(&x_row[first..first + n]);
+            let x_b = &x[bi * ci_n * t..(bi + 1) * ci_n * t];
+            // Tap `kk` of every channel reads the same sample, or the
+            // padding: one long loop per tap, not a short one per channel.
+            for kk in 0..k {
+                let taps = row[kk..].iter_mut().step_by(k);
+                match self.tap_sample(ot, kk, t) {
+                    Some(s) => taps
+                        .zip(x_b.chunks_exact(t))
+                        .for_each(|(tap, x_ic)| *tap = x_ic[s]),
+                    None => taps.for_each(|tap| *tap = 0.0),
+                }
             }
         }
-        rows
     }
 
     /// `weight` and `bias` packed block-major over `in · kernel` rows.
@@ -207,7 +208,7 @@ impl Conv1d {
         Ok((input.shape()[0], out_len))
     }
 
-    /// The convolution itself, over the input's [`Conv1d::rows`]: one
+    /// The convolution itself, over the input's [`Conv1d::fill_rows`]: one
     /// [`incremental::linear_column`] per row, so every output starts at its
     /// bias and adds `x·w` tap by tap in `(ic, kk)` order. Shared by the
     /// training forward (which caches the rows afterwards) and the generic
@@ -280,79 +281,89 @@ impl Conv1d {
         // scatter the rows back. Overlapping taps also sum over `ot`, in
         // `(oc, ot)` order, so they accumulate into a padded input gradient.
         let overlapping = k > self.stride;
-        let padded_len = t + 2 * self.padding;
-        let (mut grad_rows, mut grad_padded) = match (input_grad, overlapping) {
-            (false, _) => (Vec::new(), Vec::new()),
-            (true, true) => (Vec::new(), vec![0.0f32; batch * ci_n * padded_len]),
-            (true, false) => (vec![0.0f32; rows.len()], Vec::new()),
+        let grad_rows = if input_grad && !overlapping {
+            self.grad_rows.clear();
+            self.grad_rows.resize(rows.len(), 0.0);
+            Some(self.grad_rows.as_mut_slice())
+        } else {
+            None
         };
-        let w = self.weight.as_slice();
-        let go = grad_output.as_slice();
-        let gw = self.weight_grad.as_mut_slice();
-        let gb = self.bias_grad.as_mut_slice();
-        for bi in 0..batch {
-            for oc in 0..self.out_channels {
-                let go_row = &go[(bi * self.out_channels + oc) * out_len
-                    ..(bi * self.out_channels + oc + 1) * out_len];
-                let w_oc = &w[oc * width..(oc + 1) * width];
-                for (ot, &g) in go_row.iter().enumerate() {
-                    if g == 0.0 {
-                        continue;
-                    }
-                    gb[oc] += g;
-                    let r = (bi * out_len + ot) * width;
-                    kernels::axpy(
-                        g,
-                        &rows[r..r + width],
-                        &mut gw[oc * width..(oc + 1) * width],
-                    );
-                    if !input_grad {
-                        continue;
-                    }
-                    if overlapping {
-                        let start = ot * self.stride;
-                        for ic in 0..ci_n {
-                            let x_base = (bi * ci_n + ic) * padded_len + start;
-                            for kk in 0..k {
-                                grad_padded[x_base + kk] += g * w_oc[ic * k + kk];
-                            }
-                        }
-                    } else {
-                        kernels::axpy(g, w_oc, &mut grad_rows[r..r + width]);
-                    }
-                }
-            }
-        }
+        kernels::rows_backward(
+            rows,
+            grad_output.as_slice(),
+            self.weight.as_slice(),
+            self.weight_grad.as_mut_slice(),
+            self.bias_grad.as_mut_slice(),
+            grad_rows,
+            out_len,
+        );
         if !input_grad {
             return Ok(None);
         }
         let mut grad_input = Tensor::zeros(&[batch, ci_n, t]);
         let gi = grad_input.as_mut_slice();
         if overlapping {
-            // Strip padding from the input gradient.
-            for ch in 0..batch * ci_n {
-                let from = ch * padded_len + self.padding;
-                gi[ch * t..(ch + 1) * t].copy_from_slice(&grad_padded[from..from + t]);
-            }
+            self.overlapping_input_grad(grad_output.as_slice(), batch, t, gi);
             return Ok(Some(grad_input));
         }
-        for (r, grad_row) in grad_rows.chunks_exact(width).enumerate() {
+        for (r, grad_row) in self.grad_rows.chunks_exact(width).enumerate() {
             let (bi, ot) = (r / out_len, r % out_len);
-            let (taps, first) = self.live_taps(ot, t);
-            let n = taps.len();
-            for (ic, taps_ic) in grad_row.chunks_exact(k).enumerate() {
-                let gi_row = &mut gi[(bi * ci_n + ic) * t..(bi * ci_n + ic + 1) * t];
-                gi_row[first..first + n].copy_from_slice(&taps_ic[taps.clone()]);
+            let gi_b = &mut gi[bi * ci_n * t..(bi + 1) * ci_n * t];
+            for kk in 0..k {
+                if let Some(s) = self.tap_sample(ot, kk, t) {
+                    let taps = grad_row[kk..].iter().step_by(k);
+                    for (&tap, gi_ic) in taps.zip(gi_b.chunks_exact_mut(t)) {
+                        gi_ic[s] = tap;
+                    }
+                }
             }
         }
         Ok(Some(grad_input))
+    }
+
+    /// The input gradient of overlapping taps into `gi` `[batch, in, t]`:
+    /// accumulated over `(b, oc, ot)` into a zero-padded gradient, then
+    /// stripped of the padding.
+    fn overlapping_input_grad(&self, go: &[f32], batch: usize, t: usize, gi: &mut [f32]) {
+        let (ci_n, k, out_c) = (self.in_channels, self.kernel_size, self.out_channels);
+        let out_len = self.output_len(t).expect("the forward checked the length");
+        let padded_len = t + 2 * self.padding;
+        let mut grad_padded = vec![0.0f32; batch * ci_n * padded_len];
+        let w = self.weight.as_slice();
+        for bi in 0..batch {
+            for oc in 0..out_c {
+                let go_row = &go[(bi * out_c + oc) * out_len..(bi * out_c + oc + 1) * out_len];
+                let w_oc = &w[oc * ci_n * k..(oc + 1) * ci_n * k];
+                for (ot, &g) in go_row.iter().enumerate() {
+                    if g == 0.0 {
+                        continue;
+                    }
+                    let start = ot * self.stride;
+                    for ic in 0..ci_n {
+                        let x_base = (bi * ci_n + ic) * padded_len + start;
+                        for kk in 0..k {
+                            grad_padded[x_base + kk] += g * w_oc[ic * k + kk];
+                        }
+                    }
+                }
+            }
+        }
+        for ch in 0..batch * ci_n {
+            let from = ch * padded_len + self.padding;
+            gi[ch * t..(ch + 1) * t].copy_from_slice(&grad_padded[from..from + t]);
+        }
     }
 }
 
 impl Layer for Conv1d {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
         let (batch, out_len) = self.check_input(input)?;
-        let rows = self.rows(input, batch, out_len);
+        // Refill the previous step's rows in place.
+        let mut rows = self
+            .cached_rows
+            .take()
+            .map_or_else(Vec::new, |(rows, _)| rows);
+        self.fill_rows(input, batch, out_len, &mut rows);
         let out = self.compute(&rows, batch, out_len);
         self.cached_rows = Some((rows, input.shape()[2]));
         Ok(out)
@@ -363,7 +374,9 @@ impl Layer for Conv1d {
         if self.kernel_size == 2 && self.stride == 2 && self.padding == 0 {
             return Ok(self.compute_k2s2(input, batch, out_len));
         }
-        Ok(self.compute(&self.rows(input, batch, out_len), batch, out_len))
+        let mut rows = Vec::new();
+        self.fill_rows(input, batch, out_len, &mut rows);
+        Ok(self.compute(&rows, batch, out_len))
     }
 
     fn make_incremental_cache(

@@ -76,16 +76,12 @@
 //! incremental columns are **bit-identical** to the full
 //! [`crate::Layer::forward_infer`] pass.
 //!
-//! Each kernel body is compiled twice: for the baseline target (SSE2 on
-//! x86-64, four lanes per vector) and, on x86, again with AVX2 enabled
-//! (eight lanes). The wider build is picked at run time when the CPU has
-//! AVX2; there is no switch to pick it by hand. The two builds agree bit
-//! for bit: each lane runs the same IEEE multiply and add in the same
-//! order whatever the vector width, lanes never combine, and Rust never
-//! contracts a multiply and an add into an FMA. The unit tests in this
-//! module compare both builds against a per-output loop. A third build for
-//! AVX-512 (one 16-lane register per block) measured no faster than AVX2,
-//! so there is none.
+//! Each kernel body is compiled twice, for the baseline target and again
+//! with AVX2, and the run-time pick of [`crate::kernels`] runs the wider
+//! build when the CPU has AVX2 (see that module's "Builds" section for why
+//! the two agree bit for bit). The unit tests in this module compare both
+//! builds against a per-output loop. A third build for AVX-512 (one 16-lane
+//! register per block) measured no faster than AVX2, so there is none.
 //!
 //! `linear_column` serves training too. The training forward of
 //! [`Linear`](crate::layers::Linear) runs it once per batch row; the
@@ -102,6 +98,7 @@
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
+use crate::kernels::{builds, KernelBuild};
 use crate::TensorError;
 
 /// One unit of work flowing through an incremental pipeline.
@@ -282,29 +279,6 @@ pub(crate) fn pack_linear(weight: &[f32], bias: &[f32], rows: usize) -> Vec<Lane
     packed
 }
 
-/// The builds of the column kernels: one Rust body, compiled for the
-/// baseline target and, on x86, again with AVX2 enabled (see the module
-/// docs for why the two agree bit for bit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KernelBuild {
-    Baseline,
-    /// Only ever returned by [`KernelBuild::host`] on a CPU that has AVX2:
-    /// the dispatch calls rely on it.
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    Avx2,
-}
-
-impl KernelBuild {
-    /// The widest build this CPU runs.
-    fn host() -> Self {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Self::Avx2;
-        }
-        Self::Baseline
-    }
-}
-
 /// One k2/s2 convolution column over `pack_linear(w, b, 2·in)` weights:
 /// for every output `o`, `b[o]` plus `w[o, i, 0]·prev[i] + w[o, i,
 /// 1]·new[i]` accumulated in input order — the scalar `conv1d_k2s2`
@@ -313,28 +287,11 @@ pub(crate) fn k2s2_column(packed: &[Lanes], prev: &[f32], new: &[f32], out: &mut
     k2s2_column_on(KernelBuild::host(), packed, prev, new, out);
 }
 
-#[allow(unsafe_code)]
-fn k2s2_column_on(
-    build: KernelBuild,
-    packed: &[Lanes],
-    prev: &[f32],
-    new: &[f32],
-    out: &mut [f32],
-) {
-    match build {
-        KernelBuild::Baseline => k2s2_column_body(packed, prev, new, out),
-        // SAFETY: `KernelBuild::Avx2` comes only from `KernelBuild::host`
-        // on a CPU where AVX2 was detected, the one feature the call needs.
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        KernelBuild::Avx2 => unsafe { k2s2_column_avx2(packed, prev, new, out) },
-    }
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-fn k2s2_column_avx2(packed: &[Lanes], prev: &[f32], new: &[f32], out: &mut [f32]) {
-    k2s2_column_body(packed, prev, new, out);
-}
+builds!(
+    k2s2_column_on,
+    k2s2_column_avx2,
+    k2s2_column_body(packed: &[Lanes], prev: &[f32], new: &[f32], out: &mut [f32])
+);
 
 #[inline(always)]
 fn k2s2_column_body(packed: &[Lanes], prev: &[f32], new: &[f32], out: &mut [f32]) {
@@ -363,22 +320,11 @@ pub(crate) fn linear_column(packed: &[Lanes], x: &[f32], out: &mut [f32]) {
     linear_column_on(KernelBuild::host(), packed, x, out);
 }
 
-#[allow(unsafe_code)]
-fn linear_column_on(build: KernelBuild, packed: &[Lanes], x: &[f32], out: &mut [f32]) {
-    match build {
-        KernelBuild::Baseline => linear_column_body(packed, x, out),
-        // SAFETY: `KernelBuild::Avx2` comes only from `KernelBuild::host`
-        // on a CPU where AVX2 was detected, the one feature the call needs.
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        KernelBuild::Avx2 => unsafe { linear_column_avx2(packed, x, out) },
-    }
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-fn linear_column_avx2(packed: &[Lanes], x: &[f32], out: &mut [f32]) {
-    linear_column_body(packed, x, out);
-}
+builds!(
+    linear_column_on,
+    linear_column_avx2,
+    linear_column_body(packed: &[Lanes], x: &[f32], out: &mut [f32])
+);
 
 #[inline(always)]
 fn linear_column_body(packed: &[Lanes], x: &[f32], out: &mut [f32]) {
@@ -426,39 +372,12 @@ pub(crate) fn grow_to<T: Default>(streams: &mut Vec<T>, stream: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Deterministic values mixing exact `±0.0`, magnitudes up to `1e5` and
-    /// fractions of order one, so a change of association rounds
-    /// differently in the last bits.
-    fn values(n: usize, seed: u32) -> Vec<f32> {
-        (0..n as u32)
-            .map(|i| match (i * 7 + seed) % 8 {
-                0 => 0.0,
-                1 => -0.0,
-                2 => 1.0e5 * ((i + seed) as f32 * 0.7).sin(),
-                _ => ((i * 13 + seed) as f32 * 0.37).sin() * 3.0,
-            })
-            .collect()
-    }
+    use crate::kernels::test_support::{bits, runnable_builds, values};
 
     /// The shapes the kernels must agree on: a full 16-lane block, a block
     /// plus a padded one, padded blocks only, a single lane and the
     /// window-64 head.
     const SHAPES: [(usize, usize); 5] = [(86, 16), (16, 24), (3, 5), (1, 1), (128, 172)];
-
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// Every build this CPU runs; says so when the AVX2 one is skipped.
-    fn builds() -> Vec<KernelBuild> {
-        let host = KernelBuild::host();
-        if host == KernelBuild::Baseline {
-            println!("AVX2 not detected: only the baseline build is compared");
-            return vec![host];
-        }
-        vec![KernelBuild::Baseline, host]
-    }
 
     #[test]
     fn linear_column_builds_match_the_per_output_loop_bit_for_bit() {
@@ -471,7 +390,7 @@ mod tests {
                 }
             }
             let packed = pack_linear(&weight, &bias, in_f);
-            for build in builds() {
+            for build in runnable_builds() {
                 let mut out = vec![f32::NAN; out_f];
                 linear_column_on(build, &packed, &x, &mut out);
                 assert_eq!(bits(&out), bits(&expected), "{build:?} {in_f}->{out_f}");
@@ -492,7 +411,7 @@ mod tests {
                 }
             }
             let packed = pack_linear(&weight, &bias, 2 * in_c);
-            for build in builds() {
+            for build in runnable_builds() {
                 let mut out = vec![f32::NAN; out_c];
                 k2s2_column_on(build, &packed, &prev, &new, &mut out);
                 assert_eq!(bits(&out), bits(&expected), "{build:?} {in_c}->{out_c}");

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 
 use crate::init::Init;
+use crate::kernels;
 use crate::layers::incremental::{
     self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, Lanes, PackedColumns,
     StreamStep,
@@ -204,27 +205,18 @@ impl Layer for Linear {
                 got: grad_output.shape().to_vec(),
             });
         }
+        // The dense map is the convolution's over one row per batch row:
+        // the same loop, `gw += g·x` and `gi += g·w` per output in order.
         let mut grad_input = Tensor::zeros(&[batch, self.in_features]);
-        let x = input.as_slice();
-        let go = grad_output.as_slice();
-        let w = self.weight.as_slice();
-        let gw = self.weight_grad.as_mut_slice();
-        let gb = self.bias_grad.as_mut_slice();
-        let gi = grad_input.as_mut_slice();
-        for bi in 0..batch {
-            let x_row = &x[bi * self.in_features..(bi + 1) * self.in_features];
-            let go_row = &go[bi * self.out_features..(bi + 1) * self.out_features];
-            let gi_row = &mut gi[bi * self.in_features..(bi + 1) * self.in_features];
-            for (oi, &g) in go_row.iter().enumerate() {
-                gb[oi] += g;
-                let w_row = &w[oi * self.in_features..(oi + 1) * self.in_features];
-                let gw_row = &mut gw[oi * self.in_features..(oi + 1) * self.in_features];
-                for ii in 0..self.in_features {
-                    gw_row[ii] += g * x_row[ii];
-                    gi_row[ii] += g * w_row[ii];
-                }
-            }
-        }
+        kernels::rows_backward(
+            input.as_slice(),
+            grad_output.as_slice(),
+            self.weight.as_slice(),
+            self.weight_grad.as_mut_slice(),
+            self.bias_grad.as_mut_slice(),
+            Some(grad_input.as_mut_slice()),
+            1,
+        );
         Ok(grad_input)
     }
 

@@ -75,6 +75,21 @@ impl Sequential {
     }
 }
 
+/// Threads `input` through `layers` with `step`, each layer reading the
+/// previous one's output; the first reads `input` itself, so the input is
+/// never copied. `None` when there are no layers.
+fn chain<L>(
+    layers: impl Iterator<Item = L>,
+    input: &Tensor,
+    mut step: impl FnMut(L, &Tensor) -> Result<Tensor, TensorError>,
+) -> Result<Option<Tensor>, TensorError> {
+    let mut current = None;
+    for layer in layers {
+        current = Some(step(layer, current.as_ref().unwrap_or(input))?);
+    }
+    Ok(current)
+}
+
 impl Default for Sequential {
     fn default() -> Self {
         Self::empty()
@@ -83,19 +98,13 @@ impl Default for Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
-        let mut current = input.clone();
-        for layer in &mut self.layers {
-            current = layer.forward(&current)?;
-        }
-        Ok(current)
+        let out = chain(self.layers.iter_mut(), input, |layer, x| layer.forward(x))?;
+        Ok(out.unwrap_or_else(|| input.clone()))
     }
 
     fn forward_infer(&self, input: &Tensor) -> Result<Tensor, TensorError> {
-        let mut current = input.clone();
-        for layer in &self.layers {
-            current = layer.forward_infer(&current)?;
-        }
-        Ok(current)
+        let out = chain(self.layers.iter(), input, |layer, x| layer.forward_infer(x))?;
+        Ok(out.unwrap_or_else(|| input.clone()))
     }
 
     fn make_incremental_cache(
@@ -135,11 +144,10 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let mut grad = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad)?;
-        }
-        Ok(grad)
+        let grad = chain(self.layers.iter_mut().rev(), grad_output, |layer, g| {
+            layer.backward(g)
+        })?;
+        Ok(grad.unwrap_or_else(|| grad_output.clone()))
     }
 
     /// Back-propagates through every layer, the first one through its own
@@ -149,11 +157,10 @@ impl Layer for Sequential {
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return Ok(());
         };
-        let mut grad = grad_output.clone();
-        for layer in rest.iter_mut().rev() {
-            grad = layer.backward(&grad)?;
-        }
-        first.backward_params(&grad)
+        let grad = chain(rest.iter_mut().rev(), grad_output, |layer, g| {
+            layer.backward(g)
+        })?;
+        first.backward_params(grad.as_ref().unwrap_or(grad_output))
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

@@ -7,11 +7,13 @@
 //! Gaussian negative-log-likelihood and KL-divergence losses, and the Adam
 //! optimizer — with hand-written forward and backward passes.
 //!
-//! The compute-heavy inner loops are the scalar [`kernels`], called directly
-//! by the layers, the optimizers and [`Tensor`], and the column kernels of
+//! The compute-heavy inner loops are the [`kernels`], called directly by the
+//! layers, the optimizers and [`Tensor`], and the column kernels of
 //! [`layers::incremental`], which the convolution and dense layers run for
-//! serving and training. The column kernels are the crate's only `unsafe`:
-//! two calls into their AVX2 build, made only on a CPU that has AVX2.
+//! serving and training. The column kernels and training's hot element-wise
+//! loops are also built with AVX2, and one run-time pick in [`kernels`]
+//! chooses the build. Its dispatch is the crate's only `unsafe`: one call
+//! into each kernel's AVX2 build, made only on a CPU that has AVX2.
 //!
 //! Every layer also reports a [`profile::ComputeProfile`] describing its
 //! per-inference cost (FLOPs, parameter bytes, activation bytes, parallel

@@ -417,3 +417,42 @@ fn dense_layers_train_bit_identically() {
     check_linear(128, 172, 3);
     check_linear(3, 2, 4);
 }
+
+/// One `Conv1d` driven through batches of 3, 2 and 3 windows, over time
+/// lengths that move the padding taps, must match a fresh copy of itself on
+/// every call. Its forward refills the previous call's rows in place and
+/// its backward the previous row gradients, so a tap left over from an
+/// earlier, larger call, or a padding zero not rewritten, shows here.
+#[test]
+fn a_reused_convolution_matches_a_fresh_one_on_every_call() {
+    for (kernel, stride, padding) in [(2, 2, 0), (3, 1, 1), (2, 2, 1)] {
+        let shape = format!("conv k{kernel}/s{stride}/p{padding}");
+        let mut rng = StdRng::seed_from_u64((kernel * 100 + stride * 10 + padding) as u64);
+        let mut reused = Conv1d::new(3, 5, kernel, stride, padding, &mut rng);
+        randomize_bias(&mut reused, &mut rng);
+        let template = reused.clone();
+        for (call, (batch, t)) in [(3, 9), (2, 8), (3, 9)].into_iter().enumerate() {
+            let what = format!("{shape} call {call} (batch {batch}, t {t})");
+            let input = Tensor::from_vec(values(&mut rng, batch * 3 * t), &[batch, 3, t]).unwrap();
+            let mut fresh = template.clone();
+            reused.zero_grad();
+            let out = reused.forward(&input).unwrap();
+            let want = fresh.forward(&input).unwrap();
+            assert_bits(&format!("{what} forward"), out.as_slice(), want.as_slice());
+            let go = Tensor::from_vec(grad_values(&mut rng, out.len()), out.shape()).unwrap();
+            let grad_input = reused.backward(&go).unwrap();
+            let want_gi = fresh.backward(&go).unwrap();
+            assert_bits(
+                &format!("{what} input grad"),
+                grad_input.as_slice(),
+                want_gi.as_slice(),
+            );
+            for (name, (got, want)) in ["weight", "bias", "weight grad", "bias grad"]
+                .into_iter()
+                .zip(params(&mut reused).iter().zip(&params(&mut fresh)))
+            {
+                assert_bits(&format!("{what} {name}"), got, want);
+            }
+        }
+    }
+}
