@@ -366,10 +366,13 @@ impl VaradeDetector {
         cache: &EncoderCache,
         target: &[f32],
     ) -> Result<f32, VaradeError> {
-        let head = cache.head.as_ref().ok_or_else(|| {
+        if cache.head.is_empty() {
             // A full window ingested always yields a head output.
-            VaradeError::InvalidData("incremental pipeline produced no head output".into())
-        })?;
+            return Err(VaradeError::InvalidData(
+                "incremental pipeline produced no head output".into(),
+            ));
+        }
+        let head = &cache.head;
         let (mu, log_var) = head.split_at(cache.n_channels);
         Ok(score_one(scoring, mu, log_var, target))
     }
@@ -382,12 +385,11 @@ impl VaradeDetector {
         row: &[f32],
     ) -> Result<(), VaradeError> {
         if let Some(head) = model.forward_incremental_raw(row, &mut cache.net)? {
-            cache.head = Some(head);
+            cache.head.clear();
+            cache.head.extend_from_slice(head);
         }
-        match &mut cache.last_row {
-            Some(last) => last.copy_from_slice(row),
-            None => cache.last_row = Some(row.to_vec()),
-        }
+        cache.last_row.clear();
+        cache.last_row.extend_from_slice(row);
         cache.ingested += 1;
         Ok(())
     }

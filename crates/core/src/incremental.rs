@@ -27,10 +27,13 @@ use varade_timeseries::StreamingWindow;
 pub struct EncoderCache {
     pub(crate) net: IncrementalCache,
     /// The newest head output, in the raw `[mean..., log_variance...]`
-    /// layout (`2 * n_channels` values) — kept combined so the hot path
-    /// slices instead of allocating per push.
-    pub(crate) head: Option<Vec<f32>>,
-    pub(crate) last_row: Option<Vec<f32>>,
+    /// layout (`2 * n_channels` values), copied in place on every push that
+    /// completes a window; empty until the first. Kept combined so the hot
+    /// path slices instead of allocating.
+    pub(crate) head: Vec<f32>,
+    /// The last ingested sample, overwritten in place; empty before the
+    /// first.
+    pub(crate) last_row: Vec<f32>,
     pub(crate) ingested: u64,
     pub(crate) n_channels: usize,
     pub(crate) window: usize,
@@ -40,8 +43,8 @@ impl EncoderCache {
     pub(crate) fn new(net: IncrementalCache, n_channels: usize, window: usize) -> Self {
         Self {
             net,
-            head: None,
-            last_row: None,
+            head: Vec::new(),
+            last_row: Vec::new(),
             ingested: 0,
             n_channels,
             window,
@@ -56,18 +59,18 @@ impl EncoderCache {
     /// Whether the cache holds a head output for a full window — i.e. the
     /// next matching score request can be served without a replay.
     pub fn is_primed(&self) -> bool {
-        self.head.is_some() && self.ingested >= self.window as u64
+        !self.head.is_empty() && self.ingested >= self.window as u64
     }
 
     /// Invalidates the cache: all phase state, the head output and the
-    /// ingestion counter are dropped. The next score request replays its
-    /// context window to re-prime — used after anything that changes what
-    /// the history would have produced (a model swap, a recycled stream
-    /// slot).
+    /// ingestion counter are dropped (their buffers are kept). The next
+    /// score request replays its context window to re-prime — used after
+    /// anything that changes what the history would have produced (a model
+    /// swap, a recycled stream slot).
     pub fn reset(&mut self) {
         self.net.clear();
-        self.head = None;
-        self.last_row = None;
+        self.head.clear();
+        self.last_row.clear();
         self.ingested = 0;
     }
 
@@ -77,23 +80,19 @@ impl EncoderCache {
     /// history matches; the contract is that the owner feeds every sample of
     /// the stream in order.
     pub(crate) fn matches_context(&self, context: &[f32]) -> bool {
-        let Some(last) = &self.last_row else {
-            return false;
-        };
-        if context.len() != self.n_channels * self.window {
+        if self.last_row.is_empty() || context.len() != self.n_channels * self.window {
             return false;
         }
-        (0..self.n_channels)
-            .all(|c| last[c].to_bits() == context[c * self.window + self.window - 1].to_bits())
+        (0..self.n_channels).all(|c| {
+            self.last_row[c].to_bits() == context[c * self.window + self.window - 1].to_bits()
+        })
     }
 
     /// [`EncoderCache::matches_context`] against a stream's window buffer:
     /// whether the last ingested sample is bit-identical to the buffer's
     /// newest one. Reads one value per channel.
     pub(crate) fn matches_newest(&self, window: &StreamingWindow) -> bool {
-        self.last_row
-            .as_deref()
-            .is_some_and(|last| window.newest_equals(last))
+        !self.last_row.is_empty() && window.newest_equals(&self.last_row)
     }
 }
 

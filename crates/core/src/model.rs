@@ -3,9 +3,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use varade_tensor::layers::{
-    Conv1d, Flatten, IncrementalCache, Linear, Relu, Sequential, StreamStep,
-};
+use varade_tensor::layers::{Conv1d, Flatten, IncrementalCache, Linear, Relu, Sequential, StepRef};
 use varade_tensor::{ComputeProfile, Layer, Tensor, TensorError};
 
 use crate::{VaradeConfig, VaradeError};
@@ -201,14 +199,15 @@ impl VaradeModel {
             .map(|v| (v[..c].to_vec(), v[c..].to_vec())))
     }
 
-    /// [`VaradeModel::forward_incremental`] without the head split: returns
-    /// the raw `[mean..., log_variance...]` vector (`2 * n_channels` values)
-    /// so the per-push hot path can slice it in place instead of allocating.
-    pub(crate) fn forward_incremental_raw(
+    /// [`VaradeModel::forward_incremental`] without the head split or the
+    /// copy: returns the raw `[mean..., log_variance...]` vector (`2 *
+    /// n_channels` values) where the head wrote it, in `cache`, so the
+    /// per-push hot path allocates nothing.
+    pub(crate) fn forward_incremental_raw<'a>(
         &self,
-        row: &[f32],
-        cache: &mut IncrementalCache,
-    ) -> Result<Option<Vec<f32>>, VaradeError> {
+        row: &'a [f32],
+        cache: &'a mut IncrementalCache,
+    ) -> Result<Option<&'a [f32]>, VaradeError> {
         if row.len() != self.n_channels {
             return Err(VaradeError::InvalidData(format!(
                 "sample of {} values, expected {}",
@@ -216,13 +215,13 @@ impl VaradeModel {
                 self.n_channels
             )));
         }
-        let step = StreamStep::Column {
+        let step = StepRef::Column {
             stream: 0,
-            values: row.to_vec(),
+            values: row,
         };
-        match self.network.forward_incremental(step, cache)? {
+        match self.network.step_incremental(step, cache)? {
             None => Ok(None),
-            Some(StreamStep::Features(v)) => {
+            Some(StepRef::Features(v)) => {
                 if v.len() != 2 * self.n_channels {
                     return Err(VaradeError::InvalidData(format!(
                         "incremental head produced {} values, expected {}",

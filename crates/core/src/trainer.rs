@@ -48,16 +48,25 @@ impl VaradeTrainer {
         &self.config
     }
 
-    /// Converts a batch of forecasting windows into `(input, target)` tensors.
-    fn batch_tensors(
+    /// Fills `input` `[batch, n_channels, window]` and `target` `[batch,
+    /// n_channels]` from a batch of forecasting windows, refilling the
+    /// previous step's tensors in place when the batch size is unchanged.
+    fn fill_batch(
         &self,
-        windows: &[&ForecastWindow],
+        windows: &[ForecastWindow],
         n_channels: usize,
-    ) -> Result<(Tensor, Tensor), VaradeError> {
+        input: &mut Tensor,
+        target: &mut Tensor,
+    ) -> Result<(), VaradeError> {
         let window = self.config.window;
-        let mut input = Vec::with_capacity(windows.len() * n_channels * window);
-        let mut target = Vec::with_capacity(windows.len() * n_channels);
-        for w in windows {
+        let batch = windows.len();
+        if input.shape() != [batch, n_channels, window] {
+            *input = Tensor::zeros(&[batch, n_channels, window]);
+            *target = Tensor::zeros(&[batch, n_channels]);
+        }
+        let inputs = input.as_mut_slice().chunks_exact_mut(n_channels * window);
+        let targets = target.as_mut_slice().chunks_exact_mut(n_channels);
+        for ((w, input), target) in windows.iter().zip(inputs).zip(targets) {
             if w.context.len() != n_channels * window || w.target.len() != n_channels {
                 return Err(VaradeError::InvalidData(format!(
                     "window has context length {} and target length {}, expected {} and {}",
@@ -67,12 +76,10 @@ impl VaradeTrainer {
                     n_channels
                 )));
             }
-            input.extend_from_slice(&w.context);
-            target.extend_from_slice(&w.target);
+            input.copy_from_slice(&w.context);
+            target.copy_from_slice(&w.target);
         }
-        let input = Tensor::from_vec(input, &[windows.len(), n_channels, window])?;
-        let target = Tensor::from_vec(target, &[windows.len(), n_channels])?;
-        Ok((input, target))
+        Ok(())
     }
 
     /// Runs the training loop over the provided windows.
@@ -94,14 +101,16 @@ impl VaradeTrainer {
         let n_channels = model.n_channels();
         let mut optimizer = Adam::new(self.config.learning_rate).with_clip_norm(5.0);
         let mut report = TrainingReport::default();
+        // One batch buffer pair for the whole fit (a 16-window batch of the
+        // robot model's input is ~350 KB).
+        let (mut input, mut target) = (Tensor::zeros(&[0]), Tensor::zeros(&[0]));
         for _epoch in 0..self.config.epochs {
             let mut total = 0.0f32;
             let mut total_recon = 0.0f32;
             let mut total_kl = 0.0f32;
             let mut batches = 0usize;
             for chunk in windows.chunks(self.config.batch_size) {
-                let refs: Vec<&ForecastWindow> = chunk.iter().collect();
-                let (input, target) = self.batch_tensors(&refs, n_channels)?;
+                self.fill_batch(chunk, n_channels, &mut input, &mut target)?;
                 model.zero_grad();
                 let (mu, log_var) = model.forward_variational(&input)?;
                 let (recon, grad_mu_recon, grad_lv_recon) =

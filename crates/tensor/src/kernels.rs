@@ -19,21 +19,28 @@
 //! # Builds
 //!
 //! The hot training loops — [`axpy`], [`adam_update`], [`rows_backward`] —
-//! and the two column kernels are each one `#[inline(always)]` body compiled
-//! twice: for the baseline target (SSE2 on x86-64, four lanes per vector)
-//! and, on x86, again with AVX2 enabled (eight lanes). One run-time pick,
-//! `KernelBuild::host`, runs the AVX2 build when the CPU has AVX2; there is
-//! no switch to pick it by hand. The two builds agree bit for bit: each lane
-//! runs the same IEEE operations in the same order whatever the vector
-//! width, lanes never combine, and Rust never contracts a multiply and an
-//! add into an FMA. The ordered reductions ([`sum`], [`norm_sq`]) are built
-//! for the baseline target only: vectorizing them would reassociate their
-//! sums. The unit tests below compare both builds of the training loops
-//! against the baseline build; `layers::incremental`'s compare the column
-//! kernels against a per-output loop.
+//! and the column kernels of `layers::incremental` are each one
+//! `#[inline(always)]` body compiled three times: for the baseline target
+//! (SSE2 on x86-64, four lanes per vector) and, on x86, again with AVX2
+//! (eight lanes) and with AVX-512F (sixteen lanes) enabled. One run-time
+//! pick, `KernelBuild::host`, runs the widest build the CPU has; there is
+//! no switch to pick one by hand. A column kernel's body is generic over
+//! its tile width (output blocks, or rows, per pass), and `builds!` names
+//! the width each build runs: registers differ per build, and so does the
+//! widest tile that stays in them. All builds agree bit for bit: each lane
+//! runs the same IEEE operations in the same order whatever the vector or
+//! tile width, lanes never combine, and Rust never contracts a multiply
+//! and an add into an FMA. The ordered reductions ([`sum`], [`norm_sq`])
+//! are built for the baseline target only: vectorizing them would
+//! reassociate their sums. The unit tests below compare every build the
+//! CPU runs of the training loops against an element loop;
+//! `layers::incremental`'s compare the column kernels against a per-output
+//! loop. Each test prints the builds it compared, and a line for each one
+//! the CPU cannot run.
 //!
 //! The dispatch (`builds!`) holds the crate's only `unsafe`: one call into
-//! an AVX2 build per kernel, made only once AVX2 was detected.
+//! the AVX2 build and one into the AVX-512 build per kernel, each made
+//! only once its feature was detected.
 //!
 //! All slices are row-major and densely packed; shape arguments are passed
 //! explicitly so the kernels stay allocation-free. Every kernel is
@@ -42,49 +49,74 @@
 //! training or evaluation batch.
 
 /// The builds of the dispatched loops: one Rust body, compiled for the
-/// baseline target and, on x86, again with AVX2 enabled (see the module
-/// docs for why the two agree bit for bit).
+/// baseline target and, on x86, again with AVX2 and with AVX-512 enabled
+/// (see the module docs for why they agree bit for bit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum KernelBuild {
     Baseline,
-    /// Only ever returned by [`KernelBuild::host`] on a CPU that has AVX2:
-    /// the dispatch calls rely on it.
+    /// Only ever made on a CPU that has AVX2: the dispatch calls rely on
+    /// it.
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     Avx2,
+    /// Only ever made on a CPU that has AVX-512F: the dispatch calls rely
+    /// on it.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Avx512,
 }
 
 impl KernelBuild {
     /// The widest build this CPU runs.
     pub(crate) fn host() -> Self {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Self::Avx2;
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Self::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Self::Avx2;
+            }
         }
         Self::Baseline
     }
 }
 
 /// Defines `$on(build, args…)`, which runs the `#[inline(always)]` function
-/// `$body` as compiled for `build`, and `$avx2`, the AVX2 build it calls.
+/// `$body` as compiled for `build`. A body generic over one `const usize`
+/// (the column kernels' tile width) names its value per build after the
+/// arguments: `tiles = [baseline, AVX2, AVX-512]`.
 macro_rules! builds {
-    ($on:ident, $avx2:ident, $body:ident($($arg:ident: $ty:ty),* $(,)?)) => {
+    (
+        $on:ident,
+        $body:ident($($arg:ident: $ty:ty),* $(,)?)
+        $(, tiles = [$base:literal, $avx2:literal, $avx512:literal])? $(,)?
+    ) => {
         #[allow(unsafe_code, clippy::too_many_arguments)]
         pub(crate) fn $on(build: $crate::kernels::KernelBuild, $($arg: $ty),*) {
-            match build {
-                $crate::kernels::KernelBuild::Baseline => $body($($arg),*),
-                // SAFETY: `KernelBuild::Avx2` comes only from
-                // `KernelBuild::host` on a CPU where AVX2 was detected, the
-                // one feature `$avx2` needs.
-                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                $crate::kernels::KernelBuild::Avx2 => unsafe { $avx2($($arg),*) },
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            #[target_feature(enable = "avx2")]
+            fn avx2($($arg: $ty),*) {
+                $body$(::<$avx2>)?($($arg),*)
             }
-        }
 
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        #[target_feature(enable = "avx2")]
-        #[allow(clippy::too_many_arguments)]
-        fn $avx2($($arg: $ty),*) {
-            $body($($arg),*)
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            #[target_feature(enable = "avx512f")]
+            fn avx512($($arg: $ty),*) {
+                $body$(::<$avx512>)?($($arg),*)
+            }
+
+            match build {
+                $crate::kernels::KernelBuild::Baseline => $body$(::<$base>)?($($arg),*),
+                // SAFETY: `KernelBuild::Avx2` is made only where AVX2 was
+                // detected (`KernelBuild::host`, and the tests'
+                // `runnable_builds`), the one feature `avx2` needs.
+                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                $crate::kernels::KernelBuild::Avx2 => unsafe { avx2($($arg),*) },
+                // SAFETY: `KernelBuild::Avx512` is made only where AVX-512F
+                // was detected (`KernelBuild::host`, and the tests'
+                // `runnable_builds`), the one feature `avx512` needs.
+                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                $crate::kernels::KernelBuild::Avx512 => unsafe { avx512($($arg),*) },
+            }
         }
     };
 }
@@ -172,7 +204,7 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     axpy_on(KernelBuild::host(), alpha, x, y);
 }
 
-builds!(axpy_on, axpy_avx2, axpy_body(alpha: f32, x: &[f32], y: &mut [f32]));
+builds!(axpy_on, axpy_body(alpha: f32, x: &[f32], y: &mut [f32]));
 
 #[inline(always)]
 fn axpy_body(alpha: f32, x: &[f32], y: &mut [f32]) {
@@ -217,7 +249,6 @@ pub fn adam_update(
 
 builds!(
     adam_update_on,
-    adam_update_avx2,
     adam_update_body(
         param: &mut [f32],
         grad: &[f32],
@@ -288,7 +319,6 @@ pub fn rows_backward(
 
 builds!(
     rows_backward_on,
-    rows_backward_avx2,
     rows_backward_body(
         rows: &[f32],
         go: &[f32],
@@ -364,14 +394,33 @@ impl BackendKind {
 pub(crate) mod test_support {
     use super::KernelBuild;
 
-    /// Every build this CPU runs; says so when the AVX2 one is skipped.
+    /// Every build this CPU runs, widest last; prints a line for each
+    /// build it skips.
     pub(crate) fn runnable_builds() -> Vec<KernelBuild> {
-        let host = KernelBuild::host();
-        if host == KernelBuild::Baseline {
-            println!("AVX2 not detected: only the baseline build is compared");
-            return vec![host];
+        let mut builds = vec![KernelBuild::Baseline];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        for (build, detected, name) in [
+            (
+                KernelBuild::Avx2,
+                std::arch::is_x86_feature_detected!("avx2"),
+                "AVX2",
+            ),
+            (
+                KernelBuild::Avx512,
+                std::arch::is_x86_feature_detected!("avx512f"),
+                "AVX-512F",
+            ),
+        ] {
+            if detected {
+                builds.push(build);
+            } else {
+                println!("{name} not detected: the {build:?} build is not compared");
+            }
         }
-        vec![KernelBuild::Baseline, host]
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        println!("not an x86 CPU: only the baseline build is compared");
+        println!("comparing the {builds:?} builds");
+        builds
     }
 
     /// Deterministic values mixing exact `±0.0`, magnitudes up to `1e5` and
@@ -404,11 +453,12 @@ mod tests {
 
     #[test]
     fn axpy_builds_match_the_element_loop_bit_for_bit() {
+        let builds = runnable_builds();
         for n in LENGTHS {
             let (x, y) = (values(n, 1), values(n, 2));
             for alpha in [0.37, -1.0e5, 0.0, -0.0] {
                 let expected: Vec<f32> = y.iter().zip(&x).map(|(&y, &x)| y + alpha * x).collect();
-                for build in runnable_builds() {
+                for &build in &builds {
                     let mut got = y.clone();
                     axpy_on(build, alpha, &x, &mut got);
                     assert_eq!(bits(&got), bits(&expected), "{build:?} n={n} alpha={alpha}");
@@ -419,6 +469,7 @@ mod tests {
 
     #[test]
     fn adam_update_builds_match_the_element_loop_bit_for_bit() {
+        let builds = runnable_builds();
         // The third step of a clipped update: first moments of the
         // gradients' sign and size, second moments their small squares.
         let (lr, beta1, beta2, eps, scale) = (1.0e-3f32, 0.9f32, 0.999f32, 1.0e-8f32, 0.61f32);
@@ -435,7 +486,7 @@ mod tests {
                 *v = beta2 * *v + (1.0 - beta2) * g * g;
                 *p -= lr * (*m / bias1) / ((*v / bias2).sqrt() + eps);
             }
-            for build in runnable_builds() {
+            for &build in &builds {
                 let (mut p, mut m, mut v) = (param.clone(), m0.clone(), v0.clone());
                 adam_update_on(
                     build, &mut p, &grad, &mut m, &mut v, scale, lr, beta1, beta2, eps, bias1,
@@ -450,6 +501,7 @@ mod tests {
 
     #[test]
     fn rows_backward_builds_match_the_per_output_loop_bit_for_bit() {
+        let builds = runnable_builds();
         let (batch, out, len) = (2, 3, 2);
         for width in LENGTHS {
             let rows = values(batch * len * width, 7);
@@ -478,7 +530,7 @@ mod tests {
                     }
                 }
             }
-            for build in runnable_builds() {
+            for &build in &builds {
                 for input_grad in [true, false] {
                     let (mut got_gw, mut got_gb, mut got_gr) =
                         (gw0.clone(), gb0.clone(), gr0.clone());

@@ -1,7 +1,7 @@
 //! Element-wise activation layers.
 
 use crate::kernels;
-use crate::layers::incremental::{cache_mismatch, CacheNode, IncrementalCache, StreamStep};
+use crate::layers::incremental::{cache_mismatch, CacheNode, IncrementalCache, StepRef};
 use crate::profile::{ComputeProfile, ExecutionUnit};
 use crate::{Layer, Tensor, TensorError};
 
@@ -62,29 +62,23 @@ impl Layer for Relu {
         Ok(IncrementalCache::elementwise())
     }
 
-    fn forward_incremental(
+    fn step_incremental<'a>(
         &self,
-        step: StreamStep,
-        cache: &mut IncrementalCache,
-    ) -> Result<Option<StreamStep>, TensorError> {
-        if !matches!(cache.node, CacheNode::Elementwise) {
+        step: StepRef<'a>,
+        cache: &'a mut IncrementalCache,
+    ) -> Result<Option<StepRef<'a>>, TensorError> {
+        let CacheNode::Elementwise(out) = &mut cache.node else {
             return Err(cache_mismatch("relu"));
-        }
-        // Whatever flows past keeps its step kind and phase stream. The step
-        // owns its values, so rectify them in place: the same `max(0, x)`
-        // `kernels::relu` computes, without an allocation.
-        let relu = |mut values: Vec<f32>| {
-            for v in &mut values {
-                *v = if *v > 0.0 { *v } else { 0.0 };
-            }
-            values
         };
+        // Whatever flows past keeps its step kind and phase stream.
+        out.resize(step.values().len(), 0.0);
+        kernels::relu(step.values(), out);
         Ok(Some(match step {
-            StreamStep::Column { stream, values } => StreamStep::Column {
+            StepRef::Column { stream, .. } => StepRef::Column {
                 stream,
-                values: relu(values),
+                values: out,
             },
-            StreamStep::Features(values) => StreamStep::Features(relu(values)),
+            StepRef::Features(_) => StepRef::Features(out),
         }))
     }
 

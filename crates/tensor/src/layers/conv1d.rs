@@ -5,8 +5,7 @@ use rand::rngs::StdRng;
 use crate::init::Init;
 use crate::kernels;
 use crate::layers::incremental::{
-    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, Lanes, PackedColumns,
-    StreamStep,
+    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, Lanes, PackedColumns, StepRef,
 };
 use crate::profile::{ComputeProfile, ExecutionUnit};
 use crate::{Layer, Tensor, TensorError};
@@ -218,12 +217,12 @@ impl Conv1d {
         let packed = self.packed();
         let mut out = Tensor::zeros(&[batch, out_c, out_len]);
         let o = out.as_mut_slice();
-        let mut column = vec![0.0f32; out_c];
+        let mut column = vec![0.0f32; incremental::column_len(out_c)];
         let width = self.in_channels * self.kernel_size;
         for (r, row) in rows.chunks_exact(width).enumerate() {
             incremental::linear_column(packed, row, &mut column);
             let (bi, ot) = (r / out_len, r % out_len);
-            for (oc, &v) in column.iter().enumerate() {
+            for (oc, &v) in column[..out_c].iter().enumerate() {
                 o[(bi * out_c + oc) * out_len + ot] = v;
             }
         }
@@ -413,18 +412,18 @@ impl Layer for Conv1d {
                 ),
             });
         }
-        Ok(IncrementalCache::conv_k2s2())
+        Ok(IncrementalCache::conv_k2s2(self.out_channels))
     }
 
-    fn forward_incremental(
+    fn step_incremental<'a>(
         &self,
-        step: StreamStep,
-        cache: &mut IncrementalCache,
-    ) -> Result<Option<StreamStep>, TensorError> {
+        step: StepRef<'a>,
+        cache: &'a mut IncrementalCache,
+    ) -> Result<Option<StepRef<'a>>, TensorError> {
         let CacheNode::ConvK2S2(state) = &mut cache.node else {
             return Err(cache_mismatch("conv1d"));
         };
-        let StreamStep::Column { stream, values } = step else {
+        let StepRef::Column { stream, values } = step else {
             return Err(step_mismatch("conv1d", &step));
         };
         if values.len() != self.in_channels {
@@ -441,20 +440,21 @@ impl Layer for Conv1d {
         let phase = &mut state.streams[stream];
         let index = phase.seen;
         phase.seen += 1;
-        let Some(prev) = phase.prev.replace(values) else {
+        if index == 0 {
             // First element of this phase stream: nothing to pair.
+            phase.prev.clear();
+            phase.prev.extend_from_slice(values);
             return Ok(None);
-        };
-        let new = phase.prev.as_ref().expect("column stored above");
-        let mut out = vec![0.0f32; self.out_channels];
-        incremental::k2s2_column(self.packed(), &prev, new, &mut out);
+        }
+        incremental::k2s2_column(self.packed(), &phase.prev, values, &mut state.out);
+        phase.prev.copy_from_slice(values);
         // The pair covers elements (index - 1, index): it starts
         // on an even element exactly when `index` is odd, which
         // routes it to the even phase child `2 * stream`.
         let child = 2 * stream + usize::from(index % 2 == 0);
-        Ok(Some(StreamStep::Column {
+        Ok(Some(StepRef::Column {
             stream: child,
-            values: out,
+            values: &state.out[..self.out_channels],
         }))
     }
 

@@ -25,6 +25,15 @@
 //! degenerate ring buffer the pairing needs); the flatten layer keeps the
 //! previous `T - 1` columns of each leaf stream.
 //!
+//! Every cache node owns the buffers its layer writes: the convolution its
+//! remembered columns (a new column is copied in) and its output column,
+//! an activation its output, the flatten layer a fixed ring per leaf
+//! stream and its feature vector, the head its output. The served push
+//! runs [`crate::Layer::step_incremental`], whose [`StepRef`] steps borrow
+//! those buffers, so once every phase stream has been seen a push makes no
+//! heap allocation. [`crate::Layer::forward_incremental`] is the same step
+//! on owned [`StreamStep`]s.
+//!
 //! Only the layers VARADE is built from stream: unpadded kernel-2/stride-2
 //! convolutions over even time lengths, ReLU, flatten and linear. Anything
 //! else — a padded or overlapping convolution, an odd window, a residual
@@ -60,6 +69,15 @@
 //! through the whole matrix once per block, which is what bounds a push at
 //! the paper's model size, where the weights do not fit in cache.
 //!
+//! The kernels are **register-tiled** over output blocks: one pass over the
+//! inputs advances a tile of `G` blocks, broadcasting each input once and
+//! adding it into `G` independent accumulator blocks, then the next tile;
+//! the last tile takes the blocks left over. One block alone is one
+//! dependent chain of adds per lane, so its pass waits on the add's latency
+//! (about 1 ns per input row at the head's 128 × 172) while the FP ports
+//! idle; `G` chains keep them busy. Each kernel writes whole blocks, so its
+//! output buffer is `column_len` long and the padded lanes are scratch.
+//!
 //! The packing belongs to the layer, so a fitted model behind an `Arc` holds
 //! one copy however many streams it serves. It is built on first use and
 //! dropped by every `&mut` path that can move the weights or the bias
@@ -76,12 +94,17 @@
 //! incremental columns are **bit-identical** to the full
 //! [`crate::Layer::forward_infer`] pass.
 //!
-//! Each kernel body is compiled twice, for the baseline target and again
-//! with AVX2, and the run-time pick of [`crate::kernels`] runs the wider
-//! build when the CPU has AVX2 (see that module's "Builds" section for why
-//! the two agree bit for bit). The unit tests in this module compare both
-//! builds against a per-output loop. A third build for AVX-512 (one 16-lane
-//! register per block) measured no faster than AVX2, so there is none.
+//! Each kernel body is compiled for the baseline target, again with AVX2
+//! and again with AVX-512, and the run-time pick of [`crate::kernels`] runs
+//! the widest build the CPU has (see that module's "Builds" section for why
+//! they agree bit for bit). Each build has its own tile width, chosen by
+//! measurement: three blocks for the baseline (four spill SSE2's 16
+//! registers), four for AVX2 (eight `ymm` chains) and four for AVX-512,
+//! where one block is one `zmm` register. Untiled, the AVX-512 build was
+//! no faster than AVX2, since both waited on the same chain of adds; tiled,
+//! it takes the head from about 1.0 µs (AVX2, tiled) to 0.7 µs. The unit
+//! tests in this module compare every build the CPU runs against a
+//! per-output loop, at every tile remainder.
 //!
 //! `linear_column` serves training too. The training forward of
 //! [`Linear`](crate::layers::Linear) runs it once per batch row; the
@@ -95,13 +118,14 @@
 //! last bit, so they stay apart: merging them either way would move every
 //! trained weight or every served score.
 
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use crate::kernels::{builds, KernelBuild};
 use crate::TensorError;
 
-/// One unit of work flowing through an incremental pipeline.
+/// One unit of work flowing through an incremental pipeline, owning its
+/// values: what [`crate::Layer::forward_incremental`] takes and returns.
+/// The served path passes the borrowed [`StepRef`] instead.
 #[derive(Debug, Clone)]
 pub enum StreamStep {
     /// The newest column of phase stream `stream`: one value per channel.
@@ -118,9 +142,66 @@ pub enum StreamStep {
     Features(Vec<f32>),
 }
 
+impl StreamStep {
+    /// The step with its values borrowed.
+    pub fn as_step_ref(&self) -> StepRef<'_> {
+        match self {
+            StreamStep::Column { stream, values } => StepRef::Column {
+                stream: *stream,
+                values,
+            },
+            StreamStep::Features(values) => StepRef::Features(values),
+        }
+    }
+}
+
+/// A [`StreamStep`] whose values are borrowed: from the caller's sample for
+/// the pipeline's input, from the cache of the layer that computed them
+/// otherwise. What [`crate::Layer::step_incremental`] takes and returns, so
+/// a primed push moves no values through the heap.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StepRef<'a> {
+    /// As [`StreamStep::Column`].
+    Column {
+        /// Phase-stream identifier at the current depth of the pipeline.
+        stream: usize,
+        /// The column, one value per channel.
+        values: &'a [f32],
+    },
+    /// As [`StreamStep::Features`].
+    Features(&'a [f32]),
+}
+
+impl StepRef<'_> {
+    /// The step's values.
+    pub fn values(&self) -> &[f32] {
+        match self {
+            StepRef::Column { values, .. } | StepRef::Features(values) => values,
+        }
+    }
+
+    /// The step with its values copied out.
+    pub fn to_stream_step(&self) -> StreamStep {
+        match *self {
+            StepRef::Column { stream, values } => StreamStep::Column {
+                stream,
+                values: values.to_vec(),
+            },
+            StepRef::Features(values) => StreamStep::Features(values.to_vec()),
+        }
+    }
+}
+
 /// Per-layer state for [`crate::Layer::forward_incremental`], created by
 /// [`crate::Layer::make_incremental_cache`]. Opaque: callers thread it
 /// through, layers interpret it.
+///
+/// Every node owns the buffers its layer writes — a convolution's
+/// remembered columns and output column, an activation's output, the
+/// flatten history and feature vector, the head output — and reuses them
+/// on every push. Once each phase stream has been seen, a push allocates
+/// nothing, and [`IncrementalCache::clear`] keeps the buffers for the next
+/// priming.
 #[derive(Debug, Clone)]
 pub struct IncrementalCache {
     pub(crate) node: CacheNode,
@@ -130,12 +211,12 @@ pub struct IncrementalCache {
 pub(crate) enum CacheNode {
     /// Phase-tree state of one kernel-2/stride-2 convolution.
     ConvK2S2(ConvK2S2Cache),
-    /// Stateless element-wise layers (activations).
-    Elementwise,
+    /// An element-wise layer's (activation's) output.
+    Elementwise(Vec<f32>),
     /// Leaf-stream history of a flatten layer.
     Flatten(FlattenCache),
-    /// Stateless dense head.
-    Linear,
+    /// A dense head's output, [`column_len`] long.
+    Linear(Vec<f32>),
     /// One child cache per layer of a container.
     Seq(Vec<IncrementalCache>),
 }
@@ -143,18 +224,21 @@ pub(crate) enum CacheNode {
 /// One phase stream's state inside a [`CacheNode::ConvK2S2`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PhaseStream {
-    /// The stream's previous column, waiting to pair with the next one.
-    pub(crate) prev: Option<Vec<f32>>,
+    /// The stream's previous column, waiting to pair with the next one;
+    /// meaningful once `seen > 0`.
+    pub(crate) prev: Vec<f32>,
     /// Elements seen on this stream so far.
     pub(crate) seen: u64,
 }
 
 #[derive(Debug, Clone)]
 pub(crate) struct ConvK2S2Cache {
-    /// Phase streams indexed by stream id, grown on demand (a window of
-    /// length `W` touches at most `W / 2^{depth+1}`... streams at this depth,
-    /// bounded by the ids that actually flow in).
+    /// Phase streams indexed by stream id, grown as ids first flow in (a
+    /// window of length `W` reaching a convolution at time length `T`
+    /// carries `W / T` of them).
     pub(crate) streams: Vec<PhaseStream>,
+    /// The newest output column, [`column_len`] long.
+    pub(crate) out: Vec<f32>,
 }
 
 #[derive(Debug, Clone)]
@@ -163,22 +247,37 @@ pub(crate) struct FlattenCache {
     pub(crate) time: usize,
     /// Channels per column.
     pub(crate) channels: usize,
-    /// Last `time - 1` columns per leaf stream, grown on demand.
-    pub(crate) streams: Vec<VecDeque<Vec<f32>>>,
+    /// The last `time - 1` columns of each leaf stream, grown on demand.
+    pub(crate) streams: Vec<LeafHistory>,
+    /// The newest feature vector, `channels · time` long.
+    pub(crate) features: Vec<f32>,
+}
+
+/// A leaf stream's last `time - 1` columns: a ring of whole columns.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LeafHistory {
+    /// `time - 1` columns back to back, allocated on the stream's first
+    /// column.
+    pub(crate) columns: Vec<f32>,
+    /// Columns held, up to `time - 1`.
+    pub(crate) len: usize,
+    /// The ring slot of the oldest column once full.
+    pub(crate) oldest: usize,
 }
 
 impl IncrementalCache {
-    pub(crate) fn conv_k2s2() -> Self {
+    pub(crate) fn conv_k2s2(out_channels: usize) -> Self {
         Self {
             node: CacheNode::ConvK2S2(ConvK2S2Cache {
                 streams: Vec::new(),
+                out: vec![0.0; column_len(out_channels)],
             }),
         }
     }
 
     pub(crate) fn elementwise() -> Self {
         Self {
-            node: CacheNode::Elementwise,
+            node: CacheNode::Elementwise(Vec::new()),
         }
     }
 
@@ -188,13 +287,14 @@ impl IncrementalCache {
                 time,
                 channels,
                 streams: Vec::new(),
+                features: vec![0.0; channels * time],
             }),
         }
     }
 
-    pub(crate) fn linear() -> Self {
+    pub(crate) fn linear(out_features: usize) -> Self {
         Self {
-            node: CacheNode::Linear,
+            node: CacheNode::Linear(vec![0.0; column_len(out_features)]),
         }
     }
 
@@ -206,15 +306,18 @@ impl IncrementalCache {
 
     /// Forgets every buffered column and phase state, returning the cache to
     /// its freshly planned condition (the layer topology it was planned for
-    /// is kept). Used to invalidate a cache after anything that changes what
-    /// the stream's history would have produced — a model swap, a stream
-    /// reset — before re-priming from scratch.
+    /// is kept, and so are its buffers). Used to invalidate a cache after
+    /// anything that changes what the stream's history would have produced
+    /// — a model swap, a stream reset — before re-priming from scratch.
     pub fn clear(&mut self) {
         match &mut self.node {
-            CacheNode::ConvK2S2(c) => c.streams.clear(),
-            CacheNode::Flatten(f) => f.streams.clear(),
+            CacheNode::ConvK2S2(c) => c.streams.iter_mut().for_each(|s| s.seen = 0),
+            CacheNode::Flatten(f) => f.streams.iter_mut().for_each(|s| {
+                s.len = 0;
+                s.oldest = 0;
+            }),
             CacheNode::Seq(children) => children.iter_mut().for_each(IncrementalCache::clear),
-            CacheNode::Elementwise | CacheNode::Linear => {}
+            CacheNode::Elementwise(_) | CacheNode::Linear(_) => {}
         }
     }
 }
@@ -247,12 +350,19 @@ impl std::fmt::Debug for PackedColumns {
     }
 }
 
-/// Output lanes one register-resident accumulator block covers: four SSE or
-/// two AVX vectors of `f32`.
+/// Output lanes one register-resident accumulator block covers: four SSE,
+/// two AVX or one AVX-512 vector of `f32`.
 const BLOCK: usize = 16;
 
+/// The length of a column kernel's output buffer for `outputs` outputs:
+/// whole 16-lane blocks, so every block stores its lanes with one
+/// full-width write (the padded lanes are scratch).
+pub(crate) fn column_len(outputs: usize) -> usize {
+    outputs.div_ceil(BLOCK) * BLOCK
+}
+
 /// One 16-lane row of a packed layer: exactly one 64-byte cache line, and
-/// aligned to one, so no vector load of either build straddles two lines
+/// aligned to one, so no vector load of any build straddles two lines
 /// and a push costs the same wherever the allocator puts the packing. (Rows
 /// 16 or 48 bytes past a line split half the AVX2 loads, which made a push
 /// slower and its latency tail wider.)
@@ -282,63 +392,146 @@ pub(crate) fn pack_linear(weight: &[f32], bias: &[f32], rows: usize) -> Vec<Lane
 /// One k2/s2 convolution column over `pack_linear(w, b, 2·in)` weights:
 /// for every output `o`, `b[o]` plus `w[o, i, 0]·prev[i] + w[o, i,
 /// 1]·new[i]` accumulated in input order — the scalar `conv1d_k2s2`
-/// association.
+/// association. `out` is [`column_len`] long.
 pub(crate) fn k2s2_column(packed: &[Lanes], prev: &[f32], new: &[f32], out: &mut [f32]) {
     k2s2_column_on(KernelBuild::host(), packed, prev, new, out);
 }
 
 builds!(
     k2s2_column_on,
-    k2s2_column_avx2,
-    k2s2_column_body(packed: &[Lanes], prev: &[f32], new: &[f32], out: &mut [f32])
+    k2s2_column_body(packed: &[Lanes], prev: &[f32], new: &[f32], out: &mut [f32]),
+    tiles = [3, 4, 4],
 );
 
 #[inline(always)]
-fn k2s2_column_body(packed: &[Lanes], prev: &[f32], new: &[f32], out: &mut [f32]) {
-    for (slab, out) in packed
-        .chunks_exact(1 + 2 * prev.len())
-        .zip(out.chunks_mut(BLOCK))
-    {
-        let (bias, taps) = slab.split_first().expect("a slab starts with its bias");
-        let (pairs, _) = taps.as_chunks::<2>();
-        let mut acc = bias.0;
-        for ([Lanes(w0), Lanes(w1)], (&a, &b)) in pairs.iter().zip(prev.iter().zip(new)) {
-            for l in 0..BLOCK {
-                acc[l] += w0[l] * a + w1[l] * b;
+fn k2s2_column_body<const G: usize>(packed: &[Lanes], prev: &[f32], new: &[f32], out: &mut [f32]) {
+    let blocks = packed.len() / (1 + 2 * prev.len());
+    for_each_tile::<G>(
+        blocks,
+        &mut K2S2Tiles {
+            packed,
+            prev,
+            new,
+            out,
+        },
+    );
+}
+
+struct K2S2Tiles<'a> {
+    packed: &'a [Lanes],
+    prev: &'a [f32],
+    new: &'a [f32],
+    out: &'a mut [f32],
+}
+
+impl Tiles for K2S2Tiles<'_> {
+    #[inline(always)]
+    fn tile<const N: usize>(&mut self, first: usize) {
+        let (mut acc, weights) = tile_slabs::<N>(self.packed, first, 1 + 2 * self.prev.len());
+        let taps = weights.map(|w| w.as_chunks::<2>().0);
+        for (i, (&a, &b)) in self.prev.iter().zip(self.new).enumerate() {
+            for g in 0..N {
+                let [Lanes(w0), Lanes(w1)] = &taps[g][i];
+                for l in 0..BLOCK {
+                    acc[g][l] += w0[l] * a + w1[l] * b;
+                }
             }
         }
-        for (o, v) in out.iter_mut().zip(acc) {
-            *o = v;
-        }
+        store(acc, first, self.out);
     }
 }
 
 /// One dense column over `pack_linear(w, b, in)` weights: for every output
 /// `o`, `b[o]` plus `x[i]·w[o, i]` accumulated in input order — the scalar
-/// `linear` association.
+/// `linear` association. `out` is [`column_len`] long.
 pub(crate) fn linear_column(packed: &[Lanes], x: &[f32], out: &mut [f32]) {
     linear_column_on(KernelBuild::host(), packed, x, out);
 }
 
 builds!(
     linear_column_on,
-    linear_column_avx2,
-    linear_column_body(packed: &[Lanes], x: &[f32], out: &mut [f32])
+    linear_column_body(packed: &[Lanes], x: &[f32], out: &mut [f32]),
+    tiles = [3, 4, 4],
 );
 
 #[inline(always)]
-fn linear_column_body(packed: &[Lanes], x: &[f32], out: &mut [f32]) {
-    for (slab, out) in packed.chunks_exact(1 + x.len()).zip(out.chunks_mut(BLOCK)) {
-        let (bias, weights) = slab.split_first().expect("a slab starts with its bias");
-        let mut acc = bias.0;
-        for (Lanes(w), &xv) in weights.iter().zip(x) {
-            for l in 0..BLOCK {
-                acc[l] += xv * w[l];
+fn linear_column_body<const G: usize>(packed: &[Lanes], x: &[f32], out: &mut [f32]) {
+    let blocks = packed.len() / (1 + x.len());
+    for_each_tile::<G>(blocks, &mut LinearTiles { packed, x, out });
+}
+
+struct LinearTiles<'a> {
+    packed: &'a [Lanes],
+    x: &'a [f32],
+    out: &'a mut [f32],
+}
+
+impl Tiles for LinearTiles<'_> {
+    #[inline(always)]
+    fn tile<const N: usize>(&mut self, first: usize) {
+        let (mut acc, weights) = tile_slabs::<N>(self.packed, first, 1 + self.x.len());
+        for (i, &xv) in self.x.iter().enumerate() {
+            for g in 0..N {
+                let Lanes(w) = &weights[g][i];
+                for l in 0..BLOCK {
+                    acc[g][l] += xv * w[l];
+                }
             }
         }
-        for (o, v) in out.iter_mut().zip(acc) {
-            *o = v;
-        }
+        store(acc, first, self.out);
+    }
+}
+
+/// A column kernel's pass over `N` consecutive output blocks
+/// (`k2s2_column`, `linear_column`).
+trait Tiles {
+    /// Computes blocks `first .. first + N` into their outputs.
+    fn tile<const N: usize>(&mut self, first: usize);
+}
+
+/// Runs `kernel` over `blocks` blocks, `G` at a time, then over the fewer
+/// than `G` left as one narrower tile.
+#[inline(always)]
+fn for_each_tile<const G: usize>(blocks: usize, kernel: &mut impl Tiles) {
+    const { assert!(G >= 1 && G <= 8, "tiles span one to eight blocks") };
+    let mut first = 0;
+    while blocks - first >= G {
+        kernel.tile::<G>(first);
+        first += G;
+    }
+    match blocks - first {
+        0 => {}
+        1 => kernel.tile::<1>(first),
+        2 => kernel.tile::<2>(first),
+        3 => kernel.tile::<3>(first),
+        4 => kernel.tile::<4>(first),
+        5 => kernel.tile::<5>(first),
+        6 => kernel.tile::<6>(first),
+        _ => kernel.tile::<7>(first),
+    }
+}
+
+/// The accumulators of blocks `first .. first + N`, each starting at its
+/// bias lanes, and the blocks' weight rows; a block's slab is `slab` rows.
+#[inline(always)]
+fn tile_slabs<const N: usize>(
+    packed: &[Lanes],
+    first: usize,
+    slab: usize,
+) -> ([[f32; BLOCK]; N], [&[Lanes]; N]) {
+    let slabs: [&[Lanes]; N] = std::array::from_fn(|g| &packed[(first + g) * slab..][..slab]);
+    (
+        std::array::from_fn(|g| slabs[g][0].0),
+        std::array::from_fn(|g| &slabs[g][1..]),
+    )
+}
+
+/// Writes a tile's accumulators to the outputs of blocks `first ..`: whole
+/// 16-lane blocks, padded lanes included.
+#[inline(always)]
+fn store<const N: usize>(acc: [[f32; BLOCK]; N], first: usize, out: &mut [f32]) {
+    for (g, acc) in acc.iter().enumerate() {
+        out[(first + g) * BLOCK..][..BLOCK].copy_from_slice(acc);
     }
 }
 
@@ -351,10 +544,10 @@ pub(crate) fn cache_mismatch(layer: &'static str) -> TensorError {
 }
 
 /// The error for a step kind a layer cannot consume.
-pub(crate) fn step_mismatch(layer: &'static str, got: &StreamStep) -> TensorError {
+pub(crate) fn step_mismatch(layer: &'static str, got: &StepRef<'_>) -> TensorError {
     let kind = match got {
-        StreamStep::Column { .. } => "column",
-        StreamStep::Features(_) => "features",
+        StepRef::Column { .. } => "column",
+        StepRef::Features(_) => "features",
     };
     TensorError::InvalidInput {
         layer,
@@ -374,14 +567,30 @@ mod tests {
     use super::*;
     use crate::kernels::test_support::{bits, runnable_builds, values};
 
-    /// The shapes the kernels must agree on: a full 16-lane block, a block
-    /// plus a padded one, padded blocks only, a single lane and the
-    /// window-64 head.
-    const SHAPES: [(usize, usize); 5] = [(86, 16), (16, 24), (3, 5), (1, 1), (128, 172)];
+    /// The `(in, out)` shapes the kernels must agree on: a full 16-lane
+    /// block, a block plus a padded one, padded blocks only, a single lane,
+    /// the window-64 head (11 blocks) and every count of 1 to 9 blocks, so
+    /// each build's tiles leave every remainder, with a full or a padded
+    /// last block.
+    fn shapes() -> Vec<(usize, usize)> {
+        let mut shapes = vec![(86, 16), (16, 24), (3, 5), (1, 1), (128, 172)];
+        shapes.extend((1..=9).map(|blocks| (5 + blocks, 16 * blocks - (blocks % 2) * 7)));
+        shapes
+    }
+
+    /// `out` after a kernel wrote its [`column_len`] buffer: the outputs,
+    /// without the padded lanes.
+    fn run(out: usize, kernel: impl FnOnce(&mut [f32])) -> Vec<f32> {
+        let mut column = vec![f32::NAN; column_len(out)];
+        kernel(&mut column);
+        column.truncate(out);
+        column
+    }
 
     #[test]
     fn linear_column_builds_match_the_per_output_loop_bit_for_bit() {
-        for (in_f, out_f) in SHAPES {
+        let builds = runnable_builds();
+        for (in_f, out_f) in shapes() {
             let (weight, bias, x) = (values(out_f * in_f, 1), values(out_f, 2), values(in_f, 3));
             let mut expected = bias.clone();
             for (o, e) in expected.iter_mut().enumerate() {
@@ -390,9 +599,8 @@ mod tests {
                 }
             }
             let packed = pack_linear(&weight, &bias, in_f);
-            for build in runnable_builds() {
-                let mut out = vec![f32::NAN; out_f];
-                linear_column_on(build, &packed, &x, &mut out);
+            for &build in &builds {
+                let out = run(out_f, |out| linear_column_on(build, &packed, &x, out));
                 assert_eq!(bits(&out), bits(&expected), "{build:?} {in_f}->{out_f}");
             }
         }
@@ -400,7 +608,8 @@ mod tests {
 
     #[test]
     fn k2s2_column_builds_match_the_per_output_loop_bit_for_bit() {
-        for (in_c, out_c) in SHAPES {
+        let builds = runnable_builds();
+        for (in_c, out_c) in shapes() {
             let (weight, bias) = (values(out_c * in_c * 2, 4), values(out_c, 5));
             let (prev, new) = (values(in_c, 6), values(in_c, 7));
             let mut expected = bias.clone();
@@ -411,9 +620,10 @@ mod tests {
                 }
             }
             let packed = pack_linear(&weight, &bias, 2 * in_c);
-            for build in runnable_builds() {
-                let mut out = vec![f32::NAN; out_c];
-                k2s2_column_on(build, &packed, &prev, &new, &mut out);
+            for &build in &builds {
+                let out = run(out_c, |out| {
+                    k2s2_column_on(build, &packed, &prev, &new, out)
+                });
                 assert_eq!(bits(&out), bits(&expected), "{build:?} {in_c}->{out_c}");
             }
         }
@@ -421,16 +631,20 @@ mod tests {
 
     #[test]
     fn clear_resets_every_node_kind() {
-        let mut conv = IncrementalCache::conv_k2s2();
+        let mut conv = IncrementalCache::conv_k2s2(2);
         if let CacheNode::ConvK2S2(c) = &mut conv.node {
             c.streams.push(PhaseStream {
-                prev: Some(vec![1.0; 3]),
+                prev: vec![1.0; 3],
                 seen: 4,
             });
         }
-        let mut flat = IncrementalCache::flatten(2, 2);
+        let mut flat = IncrementalCache::flatten(2, 3);
         if let CacheNode::Flatten(f) = &mut flat.node {
-            f.streams.push(VecDeque::from([vec![1.0, 2.0]]));
+            f.streams.push(LeafHistory {
+                columns: vec![1.0, 2.0, 3.0, 4.0],
+                len: 2,
+                oldest: 1,
+            });
         }
         let mut seq = IncrementalCache::seq(vec![conv, flat]);
         seq.clear();
@@ -439,8 +653,14 @@ mod tests {
         };
         for child in children {
             match &child.node {
-                CacheNode::ConvK2S2(c) => assert!(c.streams.is_empty()),
-                CacheNode::Flatten(f) => assert!(f.streams.is_empty()),
+                CacheNode::ConvK2S2(c) => {
+                    assert!(c.streams.iter().all(|s| s.seen == 0));
+                    assert_eq!(c.streams[0].prev.capacity(), 3);
+                }
+                CacheNode::Flatten(f) => {
+                    assert!(f.streams.iter().all(|s| s.len == 0 && s.oldest == 0));
+                    assert_eq!(f.streams[0].columns.capacity(), 4);
+                }
                 _ => {}
             }
         }

@@ -5,8 +5,7 @@ use rand::rngs::StdRng;
 use crate::init::Init;
 use crate::kernels;
 use crate::layers::incremental::{
-    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, Lanes, PackedColumns,
-    StreamStep,
+    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, Lanes, PackedColumns, StepRef,
 };
 use crate::profile::{ComputeProfile, ExecutionUnit};
 use crate::{Layer, Tensor, TensorError};
@@ -126,13 +125,11 @@ impl Linear {
         let (in_f, out_f) = (self.in_features, self.out_features);
         let packed = self.packed();
         let mut out = Tensor::zeros(&[batch, out_f]);
-        let (x, o) = (input.as_slice(), out.as_mut_slice());
-        for bi in 0..batch {
-            incremental::linear_column(
-                packed,
-                &x[bi * in_f..(bi + 1) * in_f],
-                &mut o[bi * out_f..(bi + 1) * out_f],
-            );
+        let mut column = vec![0.0f32; incremental::column_len(out_f)];
+        let rows = input.as_slice().chunks_exact(in_f);
+        for (x, o) in rows.zip(out.as_mut_slice().chunks_exact_mut(out_f)) {
+            incremental::linear_column(packed, x, &mut column);
+            o.copy_from_slice(&column[..out_f]);
         }
         out
     }
@@ -164,18 +161,18 @@ impl Layer for Linear {
                 ),
             });
         }
-        Ok(IncrementalCache::linear())
+        Ok(IncrementalCache::linear(self.out_features))
     }
 
-    fn forward_incremental(
+    fn step_incremental<'a>(
         &self,
-        step: StreamStep,
-        cache: &mut IncrementalCache,
-    ) -> Result<Option<StreamStep>, TensorError> {
-        if !matches!(cache.node, CacheNode::Linear) {
+        step: StepRef<'a>,
+        cache: &'a mut IncrementalCache,
+    ) -> Result<Option<StepRef<'a>>, TensorError> {
+        let CacheNode::Linear(out) = &mut cache.node else {
             return Err(cache_mismatch("linear"));
-        }
-        let StreamStep::Features(features) = step else {
+        };
+        let StepRef::Features(features) = step else {
             return Err(step_mismatch("linear", &step));
         };
         if features.len() != self.in_features {
@@ -188,9 +185,8 @@ impl Layer for Linear {
                 ),
             });
         }
-        let mut out = vec![0.0f32; self.out_features];
-        incremental::linear_column(self.packed(), &features, &mut out);
-        Ok(Some(StreamStep::Features(out)))
+        incremental::linear_column(self.packed(), features, out);
+        Ok(Some(StepRef::Features(&out[..self.out_features])))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {

@@ -18,7 +18,7 @@ mod shape_ops;
 
 pub use activation::{Relu, Tanh};
 pub use conv1d::Conv1d;
-pub use incremental::{IncrementalCache, StreamStep};
+pub use incremental::{IncrementalCache, StepRef, StreamStep};
 pub use linear::Linear;
 pub use lstm::Lstm;
 pub use residual::ResidualConvBlock;

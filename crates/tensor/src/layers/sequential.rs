@@ -1,6 +1,6 @@
 //! Sequential container chaining layers.
 
-use crate::layers::incremental::{cache_mismatch, CacheNode, IncrementalCache, StreamStep};
+use crate::layers::incremental::{cache_mismatch, CacheNode, IncrementalCache, StepRef};
 use crate::profile::ComputeProfile;
 use crate::{Layer, Tensor, TensorError};
 
@@ -120,11 +120,11 @@ impl Layer for Sequential {
         Ok(IncrementalCache::seq(children))
     }
 
-    fn forward_incremental(
+    fn step_incremental<'a>(
         &self,
-        step: StreamStep,
-        cache: &mut IncrementalCache,
-    ) -> Result<Option<StreamStep>, TensorError> {
+        step: StepRef<'a>,
+        cache: &'a mut IncrementalCache,
+    ) -> Result<Option<StepRef<'a>>, TensorError> {
         let CacheNode::Seq(children) = &mut cache.node else {
             return Err(cache_mismatch("sequential"));
         };
@@ -138,7 +138,7 @@ impl Layer for Sequential {
                 // nothing this push.
                 break;
             };
-            current = layer.forward_incremental(step, child)?;
+            current = layer.step_incremental(step, child)?;
         }
         Ok(current)
     }

@@ -2,7 +2,7 @@
 //! nearest-neighbour upsampling.
 
 use crate::layers::incremental::{
-    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, StreamStep,
+    self, cache_mismatch, step_mismatch, CacheNode, IncrementalCache, StepRef,
 };
 use crate::profile::{ComputeProfile, ExecutionUnit};
 use crate::{Layer, Tensor, TensorError};
@@ -61,48 +61,47 @@ impl Layer for Flatten {
         Ok(IncrementalCache::flatten(input_shape[1], input_shape[2]))
     }
 
-    fn forward_incremental(
+    fn step_incremental<'a>(
         &self,
-        step: StreamStep,
-        cache: &mut IncrementalCache,
-    ) -> Result<Option<StreamStep>, TensorError> {
+        step: StepRef<'a>,
+        cache: &'a mut IncrementalCache,
+    ) -> Result<Option<StepRef<'a>>, TensorError> {
         let CacheNode::Flatten(state) = &mut cache.node else {
             return Err(cache_mismatch("flatten"));
         };
-        let StreamStep::Column { stream, values } = step else {
+        let StepRef::Column { stream, values } = step else {
             return Err(step_mismatch("flatten", &step));
         };
-        if values.len() != state.channels {
+        let (channels, held) = (state.channels, state.time - 1);
+        if values.len() != channels {
             return Err(TensorError::InvalidInput {
                 layer: "flatten",
-                reason: format!(
-                    "column of {} values, expected {}",
-                    values.len(),
-                    state.channels
-                ),
+                reason: format!("column of {} values, expected {channels}", values.len()),
             });
         }
-        if state.time == 1 {
-            return Ok(Some(StreamStep::Features(values)));
+        if held == 0 {
+            return Ok(Some(StepRef::Features(values)));
         }
         incremental::grow_to(&mut state.streams, stream);
         let history = &mut state.streams[stream];
-        if history.len() < state.time - 1 {
-            history.push_back(values);
+        history.columns.resize(held * channels, 0.0);
+        if history.len < held {
+            history.columns[history.len * channels..][..channels].copy_from_slice(values);
+            history.len += 1;
             return Ok(None);
         }
-        // Channel-major flatten of the leaf stream's last `time`
-        // columns — identical ordering to flattening [1, C, time].
-        let mut features = Vec::with_capacity(state.channels * state.time);
-        for c in 0..state.channels {
-            for col in history.iter() {
-                features.push(col[c]);
+        // Channel-major flatten of the leaf stream's last `time` columns,
+        // oldest first — identical ordering to flattening [1, C, time].
+        let columns = || (0..held).map(|k| (history.oldest + k) % held);
+        for (c, features) in state.features.chunks_exact_mut(held + 1).enumerate() {
+            for (f, k) in features.iter_mut().zip(columns()) {
+                *f = history.columns[k * channels + c];
             }
-            features.push(values[c]);
+            features[held] = values[c];
         }
-        history.push_back(values);
-        history.pop_front();
-        Ok(Some(StreamStep::Features(features)))
+        history.columns[history.oldest * channels..][..channels].copy_from_slice(values);
+        history.oldest = (history.oldest + 1) % held;
+        Ok(Some(StepRef::Features(&state.features)))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {

@@ -217,16 +217,38 @@ pub trait Layer: Send + Sync {
     /// the caller-owned cache, so one fitted model behind an `Arc` can serve
     /// any number of independent streams, each with its own cache.
     ///
+    /// The default runs [`Layer::step_incremental`] and copies its output
+    /// out of the cache; a push that can read the output where it lies
+    /// calls that instead and allocates nothing.
+    ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidInput`] for a step kind the layer cannot
-    /// consume, a cache planned for a different layer, or — for the default
-    /// implementation — a layer without an incremental path.
+    /// As [`Layer::step_incremental`].
     fn forward_incremental(
         &self,
         step: layers::StreamStep,
         cache: &mut layers::IncrementalCache,
     ) -> Result<Option<layers::StreamStep>, TensorError> {
+        Ok(self
+            .step_incremental(step.as_step_ref(), cache)?
+            .map(|out| out.to_stream_step()))
+    }
+
+    /// [`Layer::forward_incremental`] on borrowed steps: consumes `step` and
+    /// returns the output step borrowed from the buffers `cache` owns (or,
+    /// for a layer that passes its input through unchanged, from `step`).
+    /// A primed push through a planned pipeline allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidInput`] for a step kind the layer cannot
+    /// consume, a cache planned for a different layer, or — for the default
+    /// implementation — a layer without an incremental path.
+    fn step_incremental<'a>(
+        &self,
+        step: layers::StepRef<'a>,
+        cache: &'a mut layers::IncrementalCache,
+    ) -> Result<Option<layers::StepRef<'a>>, TensorError> {
         let _ = (step, cache);
         Err(TensorError::InvalidInput {
             layer: self.name(),

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use varade_tensor::layers::{
-    Conv1d, Flatten, Linear, Relu, ResidualConvBlock, Sequential, StreamStep,
+    Conv1d, Flatten, IncrementalCache, Linear, Relu, ResidualConvBlock, Sequential, StreamStep,
 };
 use varade_tensor::optim::Sgd;
 use varade_tensor::{Layer, Tensor};
@@ -53,17 +53,32 @@ fn check_net(net: &Sequential, channels: usize, window: usize) {
         .make_incremental_cache(&[1, channels, window])
         .expect("backbone plans an incremental cache");
     let total = 2 * window + 7;
+    let emissions = stream_checked(net, &mut cache, channels, window, 0, total);
+    assert_eq!(emissions, total - window + 1);
+}
+
+/// Streams samples `start .. start + total` through `cache` (primed from
+/// `start` on) and compares every emission, bit for bit, against the full
+/// forward_infer of the same window. Returns the number of emissions.
+fn stream_checked(
+    net: &Sequential,
+    cache: &mut IncrementalCache,
+    channels: usize,
+    window: usize,
+    start: usize,
+    total: usize,
+) -> usize {
     let mut history: Vec<Vec<f32>> = Vec::new();
     let mut emissions = 0usize;
-    for t in 0..total {
+    for t in start..start + total {
         let col: Vec<f32> = (0..channels).map(|c| sample(t, c)).collect();
         history.push(col.clone());
         let step = StreamStep::Column {
             stream: 0,
             values: col,
         };
-        let out = net.forward_incremental(step, &mut cache).unwrap();
-        if t + 1 < window {
+        let out = net.forward_incremental(step, cache).unwrap();
+        if history.len() < window {
             assert!(
                 out.is_none(),
                 "emitted before the first window was complete"
@@ -77,7 +92,7 @@ fn check_net(net: &Sequential, channels: usize, window: usize) {
         // Full recompute of the window ending at `t`.
         let mut data = Vec::with_capacity(channels * window);
         for c in 0..channels {
-            for row in &history[t + 1 - window..=t] {
+            for row in &history[history.len() - window..] {
                 data.push(row[c]);
             }
         }
@@ -92,7 +107,7 @@ fn check_net(net: &Sequential, channels: usize, window: usize) {
             );
         }
     }
-    assert_eq!(emissions, total - window + 1);
+    emissions
 }
 
 #[test]
@@ -106,6 +121,40 @@ fn incremental_matches_full_recompute_across_windows_channels_and_backends() {
     // and a 172-wide head. The column kernels' full blocks and remainder
     // lanes only both run at widths like these.
     check_stack(86, 64, 16);
+}
+
+/// Stacks whose flatten sees three or more columns, so each leaf stream's
+/// history is a ring of several columns: `convs` k2/s2 convolutions over
+/// `window`, flattening at `window >> convs`. A cache cleared partway, with
+/// the ring mid-rotation, must re-prime to the full recompute.
+#[test]
+fn a_cleared_cache_reprimes_exactly_when_flatten_holds_several_columns() {
+    let channels = 3;
+    for &(window, convs) in &[(6usize, 1u32), (8, 1), (12, 2), (16, 2), (24, 3)] {
+        let mut rng = StdRng::seed_from_u64(window as u64);
+        let mut net = Sequential::empty();
+        for _ in 0..convs {
+            net.push(Box::new(Conv1d::new(channels, channels, 2, 2, 0, &mut rng)));
+            net.push(Box::new(Relu::new()));
+        }
+        net.push(Box::new(Flatten::new()));
+        let features = channels * (window >> convs);
+        net.push(Box::new(Linear::new(features, 2, &mut rng)));
+        assert!(window >> convs >= 3, "flatten at T >= 3");
+        // Cleared after every count of pushes up to two windows, so the
+        // rings (`T - 1 >= 2` columns each) are caught at every rotation: a
+        // clear that kept one would replay the columns in the wrong order.
+        for pushed in 1..=2 * window {
+            let mut cache = net
+                .make_incremental_cache(&[1, channels, window])
+                .expect("stack plans an incremental cache");
+            stream_checked(&net, &mut cache, channels, window, 0, pushed);
+            cache.clear();
+            let total = window + 7;
+            let emissions = stream_checked(&net, &mut cache, channels, window, 100, total);
+            assert_eq!(emissions, 8, "w={window}, cleared after {pushed}");
+        }
+    }
 }
 
 #[test]
